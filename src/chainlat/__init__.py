@@ -4,86 +4,20 @@ The toolkit bounds the maximum end-to-end latency of chains partitioned over
 multicore platforms with a shared second-level cache: abstract-interpretation
 cache classification, block-level execution windows, hierarchical overlap
 detection, interference-driven refinement, and a concrete-execution simulator
-acting as the safety oracle.
+acting as the safety oracle.  The submodules (``chainlat.latency``,
+``chainlat.sim`` and the rest) stay importable for the finer-grained API.
 """
 
 __version__ = "0.1.0"
 
-from .cache_ai import AccessClassification, TaskClassification, classify_task, refine_chmc
-from .context import JobContext, TaskContext, compute_prs_time
-from .cost import block_cost, contract_task, program_bounds
-from .ingest import (
-    assign_period,
-    assign_tt_offsets,
-    generate_workload,
-    merge_core_chains,
-    parse_workload,
-)
-from .interference import ExclusionGraph, mwis_bound
-from .latency import AnalysisOptions, AnalysisReport, analyze_bundle, hyperperiod, prepare
-from .model import (
-    BasicBlock,
-    CacheLevelConfig,
-    ChainSpec,
-    Interval,
-    JobInstance,
-    LoopNode,
-    MemAccess,
-    SystemSpec,
-    TaskGraph,
-    ValidationError,
-    WorkloadBundle,
-    map_address_to_set,
-    validate_task_graph,
-)
-from .overlap import OverlapVerdict, hierarchical_overlap, normalize, seq_merge, seq_overlap
-from .sim import SimConfig, SimTrace, check_safety, simulate, simulate_exhaustive, trace_hit_ratio
+from .ingest import generate_workload
+from .latency import AnalysisOptions, analyze_bundle
+from .model import Interval
 
 __all__ = [
-    "AccessClassification",
     "AnalysisOptions",
-    "AnalysisReport",
-    "BasicBlock",
-    "CacheLevelConfig",
-    "ChainSpec",
-    "ExclusionGraph",
     "Interval",
-    "JobContext",
-    "JobInstance",
-    "LoopNode",
-    "MemAccess",
-    "OverlapVerdict",
-    "SimConfig",
-    "SimTrace",
-    "SystemSpec",
-    "TaskClassification",
-    "TaskContext",
-    "TaskGraph",
-    "ValidationError",
-    "WorkloadBundle",
+    "__version__",
     "analyze_bundle",
-    "assign_period",
-    "assign_tt_offsets",
-    "block_cost",
-    "check_safety",
-    "classify_task",
-    "compute_prs_time",
-    "contract_task",
     "generate_workload",
-    "hierarchical_overlap",
-    "hyperperiod",
-    "map_address_to_set",
-    "merge_core_chains",
-    "mwis_bound",
-    "normalize",
-    "parse_workload",
-    "prepare",
-    "program_bounds",
-    "refine_chmc",
-    "seq_merge",
-    "seq_overlap",
-    "simulate",
-    "simulate_exhaustive",
-    "trace_hit_ratio",
-    "validate_task_graph",
 ]

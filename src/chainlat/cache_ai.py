@@ -122,9 +122,6 @@ class TaskClassification:
     l2_passes: int
     loop_set_pressure: dict  # (loop id, set) -> distinct L2-visible lines
 
-    def of_block(self, block_id):
-        return [c for c in self.accesses.values() if c.block_id == block_id]
-
     def visible(self):
         return [c for c in self.accesses.values() if c.l2_chmc != BYPASS]
 

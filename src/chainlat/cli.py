@@ -45,6 +45,14 @@ def _manifest(outdir, command, args_doc):
     _write(os.path.join(outdir, "manifest.json"), _canonical_json(doc))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def cmd_generate(args) -> int:
     bundle = generate_workload(
         seed=args.seed,
@@ -152,8 +160,6 @@ def _inject_context_fault(setup):
 
 
 def cmd_verify(args) -> int:
-    if args.seeds < 1:
-        raise ValidationError("--seeds must be >= 1")
     violations = 0
     dominance_checks = 0
     bundles = 0
@@ -222,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--mode", choices=("tsc", "tlt", "nct", "all"), default="all")
     a.add_argument("--counting", choices=(COUNT_DISTINCT, COUNT_ACCESS), default=COUNT_DISTINCT)
     a.add_argument("--et-rule", choices=(ET_RULE_SUM, ET_RULE_MAX), default=ET_RULE_SUM)
-    a.add_argument("--passes", type=int, default=None)
-    a.add_argument("--jobs", type=int, default=1)
+    a.add_argument("--passes", type=_positive_int, default=1)
+    a.add_argument("--jobs", type=_positive_int, default=1)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--simulate-hit-ratio", action="store_true")
     a.add_argument("--debug-dumps", action="store_true")
@@ -231,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("verify", help="generate, analyze, simulate and cross-check")
-    v.add_argument("--seeds", type=int, default=10)
+    v.add_argument("--seeds", type=_positive_int, default=10)
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--cores", type=int, default=2)
     v.add_argument("--tasks-per-chain", type=int, default=2, choices=(1, 2, 4))
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sim-policy", choices=("random", "worst", "both"), default="both")
     v.add_argument("--paths-per-job", type=int, default=10)
     v.add_argument("--inject-fault", choices=("none", "mc", "context"), default="none")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_positive_int, default=1)
     v.set_defaults(func=cmd_verify)
     return p
 

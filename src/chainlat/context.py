@@ -110,7 +110,6 @@ class TaskContext:
     """All release-independent window material for one task."""
 
     def __init__(self, contracted: ContractedTask):
-        self.contracted = contracted
         self.task = contracted.task
         self.classification = contracted.classification
         t = self.task
@@ -123,11 +122,6 @@ class TaskContext:
 
         lpb_cache = {}
         self.lpb = {lid: compute_lpb_time(contracted, lid, lpb_cache) for lid in t.loops}
-        self.lpr = {
-            lid: compute_lpr_time(contracted, lid)
-            for lid in t.loops
-            if t.loops[lid].parent_loop is not None
-        }
 
         # Program-relative window per node (code blocks and virtual nodes).
         self.bbrp = {}
@@ -176,9 +170,6 @@ class TaskContext:
                     min(iv.lo for iv in base),
                     max(iv.hi for iv in base) + contracted.node_worst[vid],
                 )
-
-        self.bcet = contracted.bcet
-        self.wcet = contracted.wcet
 
 
 class JobContext:

@@ -269,64 +269,3 @@ def contract_task(task: TaskGraph, classification: TaskClassification, system: S
         bcet=best_d[top.exit] + node_best[top.exit],
         wcet=bbleot[top.exit],
     )
-
-
-def loop_path_costs(contracted: ContractedTask, loop_id: str) -> LoopCostSummary:
-    return contracted.summaries[loop_id]
-
-
-def contract_loop(contracted: ContractedTask, loop_id: str):
-    """Best/worst cost of the virtual node standing for a contracted loop."""
-    vid = virtual_id(loop_id)
-    return contracted.node_best[vid], contracted.node_worst[vid]
-
-
-def program_bounds(contracted: ContractedTask):
-    return contracted.bcet, contracted.wcet
-
-
-def export_lp(task: TaskGraph, node_worst_costs: dict, path=None) -> str:
-    """Equivalent IPET problem in LP text form, for external cross-checking.
-
-    Variables count block and edge executions; loop bounds constrain each
-    back edge against the entries of its loop head.
-    """
-    lines = ["Maximize", " obj: " + " + ".join(
-        "%d x_%s" % (node_worst_costs[b], b) for b in sorted(task.blocks)
-    ), "Subject To"]
-    pred = task.predecessors(include_back=True)
-    succ = task.successors(include_back=True)
-    idx = 0
-    for bid in sorted(task.blocks):
-        inflow = ["e_%s__%s" % (p, bid) for p in sorted(pred[bid])]
-        outflow = ["e_%s__%s" % (bid, s) for s in sorted(succ[bid])]
-        if bid == task.entry_block:
-            inflow.append("one")
-        if bid == task.exit_block:
-            outflow.append("one")
-        idx += 1
-        lines.append(" c%d: %s - x_%s = 0" % (idx, " + ".join(inflow), bid))
-        idx += 1
-        lines.append(" c%d: %s - x_%s = 0" % (idx, " + ".join(outflow), bid))
-    idx += 1
-    lines.append(" c%d: one = 1" % idx)
-    for lid in sorted(task.loops):
-        loop = task.loops[lid]
-        src, dst = loop.back_edge
-        entries = [
-            "e_%s__%s" % (p, loop.head_block)
-            for p in sorted(pred[loop.head_block])
-            if p not in loop.body_blocks
-        ]
-        idx += 1
-        lines.append(
-            " c%d: e_%s__%s - %d %s <= 0"
-            % (idx, src, dst, max(loop.max_bound - 1, 0), (" - %d " % max(loop.max_bound - 1, 0)).join(entries) if len(entries) > 1 else entries[0])
-        )
-    lines.append("Bounds")
-    lines.append("End")
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

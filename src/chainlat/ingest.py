@@ -53,8 +53,6 @@ def parse_system(doc: dict, where: str = "system") -> SystemSpec:
             mem_latency=int(_require(doc, "mem_latency", where)),
             base_cpi=int(_require(doc, "base_cpi", where)),
             period_table=tuple(int(p) for p in _require(doc, "period_table", where)),
-            phase3_threshold=int(doc.get("phase3_threshold", 1024)),
-            refinement_passes=int(doc.get("refinement_passes", 1)),
         )
     except (TypeError, KeyError, ValueError) as exc:
         raise ValidationError("malformed system document (%s)" % exc, where)
@@ -166,8 +164,6 @@ def system_to_doc(s: SystemSpec) -> dict:
         "mem_latency": s.mem_latency,
         "base_cpi": s.base_cpi,
         "period_table": list(s.period_table),
-        "phase3_threshold": s.phase3_threshold,
-        "refinement_passes": s.refinement_passes,
     }
 
 

@@ -15,7 +15,7 @@ the maximum can undercount evictions accumulated across consecutive jobs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .overlap import hierarchical_overlap
 
@@ -32,16 +32,6 @@ MWIS_EXACT_CAP = 40
 class ExclusionGraph:
     weights: dict  # vertex -> non-negative weight
     edges: frozenset  # frozenset pairs of mutually exclusive vertices
-
-
-@dataclass
-class InterferenceRecord:
-    access_id: str
-    l2_set: int
-    contributions: list = field(default_factory=list)  # (core, job key, count)
-    raw_sum: int = 0
-    after_mwis: int = 0
-    bound: int = 0
 
 
 def mwis_bound(graph: ExclusionGraph, exact_cap: int = MWIS_EXACT_CAP) -> int:
@@ -86,27 +76,19 @@ def block_contribution(classification, block_id: str, l2_set: int, counting: str
     return len(classification.block_set_lines(block_id, l2_set))
 
 
-def collect_overlap_set(target_view, foreign_job_ctx, blocks, threshold: int, shifts=(0,)):
+def job_set_weight(classification, l2_set: int, counting: str) -> int:
+    """Whole-job same-set pressure of one foreign job in the counting unit."""
+    if counting == COUNT_ACCESS:
+        return sum(1 for c in classification.visible() if c.l2_set == l2_set)
+    return len(classification.task_set_lines(l2_set))
+
+
+def collect_overlap_set(target_view, foreign_job_ctx, blocks):
     """Foreign blocks whose windows can overlap the target window."""
-    out = []
-    for bid in blocks:
-        view = foreign_job_ctx.block_view(bid)
-        for shift in shifts:
-            v = view if shift == 0 else _shift_view(view, shift)
-            if hierarchical_overlap(target_view, v, threshold):
-                out.append(bid)
-                break
-    return out
-
-
-def _shift_view(view, delta):
-    from .context import BlockView
-
-    return BlockView(
-        view.job_lifetime.shift(delta),
-        None if view.outer_envelope is None else view.outer_envelope.shift(delta),
-        tuple(tuple(iv.shift(delta) for iv in level) for level in view.window_levels),
-    )
+    return [
+        bid for bid in blocks
+        if hierarchical_overlap(target_view, foreign_job_ctx.block_view(bid))
+    ]
 
 
 def job_contribution(classification, task_graph, overlapping_blocks, l2_set: int,
@@ -129,11 +111,8 @@ def job_contribution(classification, task_graph, overlapping_blocks, l2_set: int
     edges = frozenset(
         p for p in task_graph.exclusive_pairs if all(b in weights for b in p)
     )
-    value = mwis_bound(ExclusionGraph(weights, edges))
-    if counting == COUNT_DISTINCT:
-        value = min(value, len(classification.task_set_lines(l2_set)))
-    else:
-        value = min(value, sum(1 for c in classification.visible() if c.l2_set == l2_set))
+    value = min(mwis_bound(ExclusionGraph(weights, edges)),
+                job_set_weight(classification, l2_set, counting))
     return raw, value
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import ingest
 from .cache_ai import AH, NC, PS, classify_task, refine_chmc
-from .context import JobContext, TaskContext, compute_prs_time
+from .context import BlockView, JobContext, TaskContext, compute_prs_time
 from .cost import INIT_WORST, WORST, contract_task
 from .interference import (
     COUNT_DISTINCT,
@@ -31,6 +31,7 @@ from .interference import (
     collect_overlap_set,
     interference_bound,
     job_contribution,
+    job_set_weight,
 )
 from .model import Interval, JobInstance, ValidationError, WorkloadBundle
 
@@ -44,7 +45,7 @@ class AnalysisOptions:
     modes: tuple = MODES
     counting: str = COUNT_DISTINCT
     et_rule: str = ET_RULE_SUM
-    refinement_passes: Optional[int] = None  # default: SystemSpec value
+    refinement_passes: int = 1
     jobs: int = 1
 
 
@@ -161,12 +162,6 @@ def prepare(bundle: WorkloadBundle) -> Setup:
     return Setup(bundle, tasks, chains, hyper, jobs)
 
 
-def enumerate_instances(setup: Setup, chain_id: str):
-    cs = setup.chains[chain_id]
-    n = setup.hyper // cs.chain.period
-    return [setup.jobs[(chain_id, k, i)] for k in range(n) for i in range(len(cs.chain.tasks))]
-
-
 # ---------------------------------------------------------------------------
 # Interference per instance
 
@@ -175,13 +170,6 @@ def _foreign_chains(setup: Setup, core: int):
     return [
         cs for cs in setup.chains.values() if cs.chain.core != core
     ]
-
-
-def _job_set_weight(classification, l2_set: int, counting: str) -> int:
-    """Whole-job same-set pressure in the selected counting unit."""
-    if counting == "access":
-        return sum(1 for c in classification.visible() if c.l2_set == l2_set)
-    return len(classification.task_set_lines(l2_set))
 
 
 def _tlt_pressure(setup: Setup, target_job: JobInstance, sets_of_interest, counting: str) -> dict:
@@ -199,7 +187,7 @@ def _tlt_pressure(setup: Setup, target_job: JobInstance, sets_of_interest, count
                 for shift in (-h, 0, h):
                     if target_job.lifetime.overlaps(fj.lifetime.shift(shift)):
                         for s in out:
-                            out[s] += _job_set_weight(fcls, s, counting)
+                            out[s] += job_set_weight(fcls, s, counting)
     return out
 
 
@@ -219,7 +207,6 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
     job = jctx.job
     core = setup.chains[job.chain_id].chain.core
     cls_table = setup.tasks[job.task_id].classification
-    threshold = setup.bundle.system.phase3_threshold
     h = setup.hyper
 
     targets = [c for c in cls_table.visible() if c.l2_chmc in (AH, PS)]
@@ -227,6 +214,11 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
     fjctx_cache = {}
     for cls in sorted(targets, key=lambda c: c.access_id):
         tv = jctx.target_view(cls.access_id)
+        # Hyperperiod-shifted foreign jobs are met by shifting the one-interval
+        # target view the other way; overlap is translation-invariant.
+        (window,), = tv.window_levels
+        shifted = [(shift, BlockView(tv.job_lifetime.shift(-shift), None, ((window.shift(-shift),),)))
+                   for shift in (-h, 0, h)]
         total = raw_total = mwis_total = 0
         for fcs in _foreign_chains(setup, core):
             fcid = fcs.chain.id
@@ -238,15 +230,13 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
                     candidates = _set_candidates(setup, fj.task_id, cls.l2_set)
                     if not candidates:
                         continue
-                    for shift in (-h, 0, h):
-                        if not tv.job_lifetime.overlaps(fj.lifetime.shift(shift)):
+                    for shift, view in shifted:
+                        if not view.job_lifetime.overlaps(fj.lifetime):
                             continue
                         key = (fcid, k, i)
                         if key not in fjctx_cache:
                             fjctx_cache[key] = setup.job_ctx(key)
-                        blocks = collect_overlap_set(
-                            tv, fjctx_cache[key], candidates, threshold, shifts=(shift,)
-                        )
+                        blocks = collect_overlap_set(view, fjctx_cache[key], candidates)
                         raw, contrib = job_contribution(
                             fcls, setup.bundle.tasks[fj.task_id], blocks, cls.l2_set, options.counting
                         )
@@ -299,7 +289,7 @@ def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = No
         return InstanceResult(cid, k, i, job.task_id, mode, min(wcet, ta.cip_wcet), refined, mc)
 
     if mode == "TSC":
-        passes = options.refinement_passes or setup.bundle.system.refinement_passes
+        passes = options.refinement_passes
         jctx = setup.job_ctx(key)
         refined, mc, debug, wcet = {}, {}, {}, None
         for p in range(passes):

@@ -42,14 +42,6 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
-    def width(self) -> int:
-        return self.hi - self.lo
-
-
-# An interval sequence is a tuple of Interval sorted by lo.  The algebra
-# (normalize, pairwise merge, overlap sweep) lives in chainlat.overlap.
-IntervalSeq = tuple
-
 
 @dataclass(frozen=True)
 class CacheLevelConfig:
@@ -71,9 +63,6 @@ class CacheLevelConfig:
     def line_of(self, address: int) -> int:
         return address // self.line_size
 
-    def capacity_bytes(self) -> int:
-        return self.sets * self.ways * self.line_size
-
 
 def map_address_to_set(address: int, level: CacheLevelConfig) -> int:
     """Cache set index of a byte address at the given level."""
@@ -88,8 +77,6 @@ class SystemSpec:
     mem_latency: int
     base_cpi: int
     period_table: tuple = ()
-    phase3_threshold: int = 1024
-    refinement_passes: int = 1
 
     def __post_init__(self):
         if self.core_count < 1:
@@ -102,10 +89,6 @@ class SystemSpec:
             p <= 0 for p in self.period_table
         ):
             raise ValidationError("period_table must be strictly increasing and positive")
-        if self.phase3_threshold < 1:
-            raise ValidationError("phase3_threshold must be >= 1")
-        if self.refinement_passes < 1:
-            raise ValidationError("refinement_passes must be >= 1")
 
 
 ADDRESS_WIDTH = 32
@@ -127,7 +110,6 @@ class BasicBlock:
     instruction_count: int
     accesses: tuple = ()
     enclosing_loop: Optional[str] = None
-    virtual_of: Optional[str] = None  # loop id when this node stands for a contracted loop
 
     def __post_init__(self):
         if self.instruction_count < 0:
@@ -185,9 +167,6 @@ class TaskGraph:
         for src, dst in edges:
             pred[dst].append(src)
         return pred
-
-    def access_count(self):
-        return sum(len(b.accesses) for b in self.blocks.values())
 
     def loop_depth(self, loop_id):
         depth = 0
@@ -455,7 +434,3 @@ class WorkloadBundle:
     system: SystemSpec
     tasks: dict  # task id -> TaskGraph
     chains: dict  # chain id -> ChainSpec
-
-    def chain_on_core(self, core: int):
-        found = [c for c in self.chains.values() if c.core == core]
-        return found[0] if found else None

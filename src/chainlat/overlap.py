@@ -1,8 +1,8 @@
 """Interval-sequence algebra and hierarchical temporal overlap detection.
 
 Sequences are tuples of closed Interval sorted by lower bound.  Overlap is
-inclusive: coinciding endpoints overlap.  A strict mode is available for
-fidelity experiments with the strict-comparison formulation.
+inclusive: coinciding endpoints overlap, so every verdict is unchanged when
+both operands are translated by the same delta.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 from .model import Interval
 
+# Longest block window sequence the block-level phase expands; longer ones
+# fall back to the window of an enclosing contracted loop.
+PHASE3_THRESHOLD = 1024
+
 
 def seq(*pairs) -> tuple:
     """Build a sorted interval sequence from (lo, hi) pairs."""
     return tuple(sorted(Interval(lo, hi) for lo, hi in pairs))
-
-
-def seq_shift(a: tuple, delta: int) -> tuple:
-    return tuple(iv.shift(delta) for iv in a)
 
 
 def hull(a: tuple) -> Interval:
@@ -54,7 +54,7 @@ def seq_merge(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def seq_overlap(a: tuple, b: tuple, strict: bool = False) -> bool:
+def seq_overlap(a: tuple, b: tuple) -> bool:
     """Two-pointer sweep over both sequences, O(|a| + |b|)."""
     if not a or not b:
         return False
@@ -64,7 +64,7 @@ def seq_overlap(a: tuple, b: tuple, strict: bool = False) -> bool:
     while i < len(a) and j < len(b):
         lo = max(a[i].lo, b[j].lo)
         hi = min(a[i].hi, b[j].hi)
-        if (lo < hi) if strict else (lo <= hi):
+        if lo <= hi:
             return True
         if a[i].hi < b[j].hi:
             i += 1
@@ -82,7 +82,7 @@ class OverlapVerdict:
         return self.result
 
 
-def hierarchical_overlap(a, b, threshold: int = 1024, strict: bool = False) -> OverlapVerdict:
+def hierarchical_overlap(a, b, threshold: int = PHASE3_THRESHOLD) -> OverlapVerdict:
     """Three-phase overlap judgment between two block occurrences.
 
     ``a`` and ``b`` are BlockView descriptors (see chainlat.context): each
@@ -103,6 +103,6 @@ def hierarchical_overlap(a, b, threshold: int = 1024, strict: bool = False) -> O
             return OverlapVerdict(False, "outer-loop")
 
     return OverlapVerdict(
-        seq_overlap(a.window_within(threshold), b.window_within(threshold), strict=strict),
+        seq_overlap(a.window_within(threshold), b.window_within(threshold)),
         "block",
     )

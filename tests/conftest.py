@@ -100,6 +100,26 @@ def single_chain_bundle(task, system=None, trigger="ET", period=None):
     return WorkloadBundle(system, {task.id: task}, {"c0": chain})
 
 
+def boundary_bundle():
+    """Dual-core bundle whose only interference crosses the hyperperiod boundary.
+
+    Chain c1's single job takes its whole period (200 + 1 instructions plus
+    one 30-cycle miss = 231), so its copy from the previous hyperperiod ends
+    at cycle 0, where the reuse window of c0's always-hit access ``m``
+    begins; the unshifted copy starts too late to meet it.
+    """
+    p = straight_task("p", [1, 4, 1], accesses={
+        0: (acc("m0", 0),),
+        1: tuple(acc("e%d" % i, 64 * (i + 1)) for i in range(4)),  # evict line 0 from L1 only
+        2: (acc("m", 0),),
+    })
+    f = straight_task("f", [200, 1], accesses={1: (acc("x", 1024),)})  # shared set of line 0
+    return WorkloadBundle(
+        make_system(cores=2), {"p": p, "f": f},
+        {"c0": ChainSpec("c0", "ET", ("p",), 0, 231), "c1": ChainSpec("c1", "ET", ("f",), 1, 231)},
+    )
+
+
 @pytest.fixture
 def system():
     return make_system()

@@ -12,7 +12,7 @@ import pytest
 
 from chainlat.cache_ai import AccessClassification, classify_task, refine_chmc
 from chainlat.context import TaskContext, compute_bbo_time
-from chainlat.cost import contract_task, program_bounds
+from chainlat.cost import contract_task
 from chainlat.ingest import generate_workload
 from chainlat.interference import ExclusionGraph, mwis_bound
 from chainlat.latency import AnalysisOptions, analyze_bundle
@@ -247,7 +247,7 @@ def test_criterion_07_context_coverage():
     con = contract_task(diamond, classify_task(diamond, system), system)
     assert compute_bbo_time(con, "dl_t", "dl_l1")[1] == Interval(20, 28)
     assert TaskContext(con).bbrp["dl_b3"] == (Interval(43, 58),)
-    assert program_bounds(con) == (49, 58)
+    assert (con.bcet, con.wcet) == (49, 58)
 
     paths_total = 0
     for seed in range(20):

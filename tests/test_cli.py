@@ -94,6 +94,24 @@ def test_analyze_deterministic_across_jobs(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flag,value", [("--passes", "-1"), ("--passes", "0"), ("--jobs", "-3")])
+def test_analyze_rejects_non_positive_counts(tmp_path, capsys, flag, value):
+    system, tasks, chains = _generated(tmp_path)
+    capsys.readouterr()
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks + ["--chains"] + chains +
+              [flag, value, "--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INVALID
+    assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--seeds"])
+def test_verify_rejects_non_positive_counts(capsys, flag):
+    rc = main(["verify", flag, "0"])
+    assert rc == EXIT_INVALID
+    assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+
+
 def test_analyze_debug_dumps(tmp_path):
     system, tasks, chains = _generated(tmp_path)
     out = tmp_path / "dbg"

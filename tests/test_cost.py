@@ -10,11 +10,7 @@ from chainlat.cost import (
     INIT_WORST,
     WORST,
     block_cost,
-    contract_loop,
     contract_task,
-    export_lp,
-    loop_path_costs,
-    program_bounds,
     virtual_id,
 )
 from chainlat.model import LoopNode
@@ -65,7 +61,7 @@ def test_block_cost_best_floors_at_l1(system):
 def test_loop_path_costs_diamond(system, diamond):
     cls = classified(diamond, system)
     con = contract_task(diamond, cls, system)
-    s = loop_path_costs(con, "dl_l1")
+    s = con.summaries["dl_l1"]
     assert s.lpsc == 11
     assert s.lplc == 14
     assert s.bbsc["dl_t"] == 9
@@ -80,7 +76,7 @@ def test_single_block_loop(system):
     task = build_task("t", blocks, edges, loops)
     cls = classified(task, make_system())
     con = contract_task(task, cls, make_system())
-    s = loop_path_costs(con, "l")
+    s = con.summaries["l"]
     assert s.lpsc == s.lplc == 5
     assert s.bbsc["h"] == 0
 
@@ -88,7 +84,8 @@ def test_single_block_loop(system):
 def test_contract_loop_diamond(system, diamond):
     cls = classified(diamond, system)
     con = contract_task(diamond, cls, system)
-    bbbc, bbwc = contract_loop(con, "dl_l1")
+    vid = virtual_id("dl_l1")
+    bbbc, bbwc = con.node_best[vid], con.node_worst[vid]
     # Oracle: enumerate all 2^3 arm choices of the unrolled loop.
     arm_costs = [(5 + a + 2) for a in (4, 7)]
     totals = [sum(c) for c in itertools.product(arm_costs, repeat=3)]
@@ -116,7 +113,7 @@ def test_ps_surcharge(system):
     cls = classified(task, system)
     assert cls.accesses["a0"].l2_chmc == "PS"
     con = contract_task(task, cls, system)
-    s = loop_path_costs(con, "l")
+    s = con.summaries["l"]
     assert s.ps_surcharge == 30 - 6
     # LPLC charges the access at the shared hit latency; the virtual node
     # carries the one-time surcharge.
@@ -128,13 +125,14 @@ def test_program_bounds_diamond(system, diamond):
     cls = classified(diamond, system)
     con = contract_task(diamond, cls, system)
     costs = {bid: b.instruction_count for bid, b in diamond.blocks.items()}
-    assert program_bounds(con) == path_bounds(diamond, costs) == (49, 58)
+    assert (con.bcet, con.wcet) == path_bounds(diamond, costs) == (49, 58)
 
 
 def test_program_bounds_single_block(system):
     task = straight_task("t", [5])
     cls = classified(task, system)
-    assert program_bounds(contract_task(task, cls, system)) == (5, 5)
+    con = contract_task(task, cls, system)
+    assert (con.bcet, con.wcet) == (5, 5)
 
 
 def test_program_bounds_branch(system):
@@ -142,7 +140,8 @@ def test_program_bounds_branch(system):
     edges = [("b0", "a"), ("b0", "b"), ("a", "j"), ("b", "j")]
     task = build_task("t", blocks, edges)
     cls = classified(task, system)
-    assert program_bounds(contract_task(task, cls, system)) == (6, 9)
+    con = contract_task(task, cls, system)
+    assert (con.bcet, con.wcet) == (6, 9)
 
 
 def test_contraction_order_independent(system):
@@ -162,7 +161,8 @@ def test_contraction_order_independent(system):
     ]
     task = build_task("t", blocks, edges, loops)
     cls = classified(task, system)
-    bounds = {program_bounds(contract_task(task, cls, system)) for _ in range(3)}
+    cons = [contract_task(task, cls, system) for _ in range(3)]
+    bounds = {(con.bcet, con.wcet) for con in cons}
     assert bounds == {(1 + 2 * 3 + 3 * 4 + 1, 1 + 2 * 3 + 3 * 4 + 1)}
 
 
@@ -187,9 +187,3 @@ def test_unrolled_oracle_matches_top_windows(system, diamond):
     assert con.bbesot["dl_b3"] == lo["dl_b3"] == 43
     assert con.bbleot["dl_b3"] == hi["dl_b3"] == 58
 
-
-def test_export_lp_mentions_all_blocks(system, diamond):
-    cls = classified(diamond, system)
-    con = contract_task(diamond, cls, system)
-    text = export_lp(diamond, {b: diamond.blocks[b].instruction_count for b in diamond.blocks})
-    assert "Maximize" in text and "x_dl_b3" in text and "e_dl_t__dl_h" in text

@@ -7,6 +7,7 @@ from chainlat.interference import (
     block_contribution,
     interference_bound,
     job_contribution,
+    job_set_weight,
     mwis_bound,
 )
 from chainlat.model import Interval
@@ -110,6 +111,15 @@ def test_job_contribution_caps_at_job_lines():
     assert raw == 2 and bounded == 1
 
 
+def test_job_set_weight_counting_units():
+    # Three sites on shared line 0 plus one on line 4, all in set 0.
+    system = _sub_line_system()
+    cls = classify_task(_contribution_task([0, 16, 32, 4 * 64]), system)
+    assert job_set_weight(cls, 0, "distinct") == 2
+    assert job_set_weight(cls, 0, "access") == 4
+    assert job_set_weight(cls, 1, "access") == 0
+
+
 def test_interference_bound_et_max_rule():
     per_job = [(Interval(0, 50), 5), (Interval(40, 90), 8)]
     assert interference_bound(per_job, "ET", et_rule=ET_RULE_MAX) == 8
@@ -177,7 +187,7 @@ def test_collect_overlap_set_matches_brute_force():
     foreign = setup.job_ctx(("c1", 0, 1))
     candidates = sorted(b.id for b in diamond.blocks.values() if b.accesses)
 
-    got = collect_overlap_set(tv, foreign, candidates, threshold=1024)
+    got = collect_overlap_set(tv, foreign, candidates)
     window = tv.window_levels[0]
     expected = [bid for bid in candidates if seq_overlap(window, foreign.bba_time(bid))]
     assert got == expected

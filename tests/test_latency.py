@@ -6,7 +6,6 @@ from chainlat.latency import (
     AnalysisOptions,
     analyze_bundle,
     analyze_instance,
-    enumerate_instances,
     hyperperiod,
     mel_et,
     mel_tt,
@@ -43,13 +42,17 @@ def two_task_bundle(period=None, trigger="ET"):
     return WorkloadBundle(sys1, {"t0": t0, "t1": t1}, {"c0": chain})
 
 
+def _chain_jobs(setup, chain_id):
+    return [job for key, job in sorted(setup.jobs.items()) if key[0] == chain_id]
+
+
 def test_enumerate_instances_counts():
     bundle = two_task_bundle(period=100)
     sys2 = make_system(cores=1, period_table=(100, 300))
     # A second chain is impossible on one core; use the period table instead:
     # hyperperiod 100 -> 1 instance of 2 tasks.
     setup = prepare(bundle)
-    jobs = enumerate_instances(setup, "c0")
+    jobs = _chain_jobs(setup, "c0")
     assert len(jobs) == 2
     assert setup.hyper == 100
 
@@ -68,14 +71,14 @@ def test_enumerate_instances_across_chains():
     bundle = WorkloadBundle(sys2, {"t0": t0, "t1": t1, "t2": t2}, chains)
     setup = prepare(bundle)
     assert setup.hyper == 300
-    assert len(enumerate_instances(setup, "c0")) == 6
-    assert len(enumerate_instances(setup, "c1")) == 1
+    assert len(_chain_jobs(setup, "c0")) == 6
+    assert len(_chain_jobs(setup, "c1")) == 1
 
 
 def test_enumerate_instances_tt_degenerate_releases():
     bundle = two_task_bundle(period=100, trigger="TT")
     setup = prepare(bundle)
-    for job in enumerate_instances(setup, "c0"):
+    for job in _chain_jobs(setup, "c0"):
         assert job.release.lo == job.release.hi
 
 

@@ -48,10 +48,6 @@ def test_seq_overlap_touching_counts():
     assert seq_overlap(seq((0, 5)), seq((5, 8))) is True
 
 
-def test_seq_overlap_strict_mode():
-    assert seq_overlap(seq((0, 5)), seq((5, 8)), strict=True) is False
-
-
 def test_seq_overlap_symmetry_and_self():
     a = seq((0, 2), (4, 9))
     b = seq((12, 14))
