@@ -122,25 +122,35 @@ class TaskClassification:
     l2_passes: int
     loop_set_pressure: dict  # (loop id, set) -> distinct L2-visible lines
 
+    def __post_init__(self):
+        # Shared-cache visible lines per (block, set) and per set, one entry
+        # per access site, so the per-block and per-set queries are lookups.
+        self._block_set = {}
+        self._set = {}
+        for c in self.visible():
+            self._block_set.setdefault((c.block_id, c.l2_set), []).append(c.l2_line)
+            self._set.setdefault(c.l2_set, []).append(c.l2_line)
+        self._block_set_lines = {k: frozenset(v) for k, v in self._block_set.items()}
+        self._set_lines = {k: frozenset(v) for k, v in self._set.items()}
+
     def visible(self):
         return [c for c in self.accesses.values() if c.l2_chmc != BYPASS]
 
-    def block_set_lines(self, block_id: str, l2_set: int) -> set:
-        return {
-            c.l2_line
-            for c in self.accesses.values()
-            if c.block_id == block_id and c.l2_chmc != BYPASS and c.l2_set == l2_set
-        }
+    def block_set_lines(self, block_id: str, l2_set: int) -> frozenset:
+        return self._block_set_lines.get((block_id, l2_set), frozenset())
 
     def block_set_access_count(self, block_id: str, l2_set: int) -> int:
-        return sum(
-            1
-            for c in self.accesses.values()
-            if c.block_id == block_id and c.l2_chmc != BYPASS and c.l2_set == l2_set
-        )
+        return len(self._block_set.get((block_id, l2_set), ()))
 
-    def task_set_lines(self, l2_set: int) -> set:
-        return {c.l2_line for c in self.visible() if c.l2_set == l2_set}
+    def task_set_lines(self, l2_set: int) -> frozenset:
+        return self._set_lines.get(l2_set, frozenset())
+
+    def task_set_access_count(self, l2_set: int) -> int:
+        return len(self._set.get(l2_set, ()))
+
+    def l2_sets(self) -> list:
+        """Sets touched by shared-cache visible accesses, ascending."""
+        return sorted(self._set)
 
     def same_line_blocks(self, l2_line: int) -> set:
         return {c.block_id for c in self.visible() if c.l2_line == l2_line}

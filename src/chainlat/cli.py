@@ -187,7 +187,8 @@ def cmd_verify(args) -> int:
                 violations += 1
                 print("dominance violation on seed %d chain %s: %d/%d/%d" % (seed, cid, tsc, tlt, nct), file=sys.stderr)
 
-        for path_seed in range(args.paths_per_job):
+        random_paths = args.paths_per_job if args.sim_policy in ("random", "both") else 0
+        for path_seed in range(random_paths):
             trace = simulate(bundle, SimConfig(policy="random", seed=path_seed), setup=setup)
             found = check_safety(trace, report, setup)
             violations += len(found)
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--collision", type=float, default=0.5)
     v.add_argument("--trigger", choices=("ET", "TT", "mix"), default="mix")
     v.add_argument("--sim-policy", choices=("random", "worst", "both"), default="both")
-    v.add_argument("--paths-per-job", type=int, default=10)
+    v.add_argument("--paths-per-job", type=_positive_int, default=10)
     v.add_argument("--inject-fault", choices=("none", "mc", "context"), default="none")
     v.add_argument("--jobs", type=_positive_int, default=1)
     v.set_defaults(func=cmd_verify)

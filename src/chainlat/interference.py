@@ -79,7 +79,7 @@ def block_contribution(classification, block_id: str, l2_set: int, counting: str
 def job_set_weight(classification, l2_set: int, counting: str) -> int:
     """Whole-job same-set pressure of one foreign job in the counting unit."""
     if counting == COUNT_ACCESS:
-        return sum(1 for c in classification.visible() if c.l2_set == l2_set)
+        return classification.task_set_access_count(l2_set)
     return len(classification.task_set_lines(l2_set))
 
 

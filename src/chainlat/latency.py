@@ -11,6 +11,16 @@ instance's refined WCET.  Three modes share the machinery:
 Refined bounds are capped by the next-coarser mode's bound, so the
 dominance TSC <= TLT <= NCT holds per instance by construction (all three
 are sound upper bounds on the same quantity, so the minimum is sound).
+
+Only foreign jobs whose lifetime overlaps the target job's can interfere,
+so a lifetime index per chain precedes the paper's cheap-to-precise overlap
+hierarchy: it holds the chain's job lifetimes sorted by start, and per
+hyperperiod shift d in (-h, 0, +h) a bisection on
+[target.lo - d - longest lifetime, target.hi - d] followed by an exact
+overlap test yields the overlapping (job, shift) pairs.  TLT and TSC scan only those
+pairs, so the per-instance cost grows with the overlapping jobs rather than
+with all jobs of the hyperperiod.  Foreign job contexts are shared across
+targets on the Setup.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -26,6 +37,7 @@ from .cache_ai import AH, NC, PS, classify_task, refine_chmc
 from .context import BlockView, JobContext, TaskContext, compute_prs_time
 from .cost import INIT_WORST, WORST, contract_task
 from .interference import (
+    COUNT_ACCESS,
     COUNT_DISTINCT,
     ET_RULE_SUM,
     collect_overlap_set,
@@ -57,6 +69,37 @@ class TaskAnalysis:
     ctx: TaskContext
     cip_wcet: int
     bcet: int
+    set_weights: dict  # counting unit -> {set: job_set_weight}
+
+
+class LifetimeIndex:
+    """One chain's job lifetimes sorted by start, queried under the shifts -h, 0, +h.
+
+    A foreign lifetime shifted by +d meets the target exactly when the
+    unshifted one meets the target shifted by -d, so each shift is one
+    bisection over the same sorted list.  Lifetimes need not be monotone
+    in (k, i): the bisection window is widened by the longest lifetime,
+    and an exact test follows.
+    """
+
+    def __init__(self, lifetimes: dict, hyper: int):
+        # lifetimes: job key -> Interval
+        self.hyper = hyper
+        self.entries = sorted((lt.lo, lt.hi, key) for key, lt in lifetimes.items())
+        self.starts = [e[0] for e in self.entries]
+        self.maxlen = max((lt.hi - lt.lo for lt in lifetimes.values()), default=0)
+
+    def overlapping(self, lifetime: Interval) -> list:
+        """(job key, shift) pairs whose shifted lifetime meets `lifetime`, in key then shift order."""
+        out = []
+        for shift in (-self.hyper, 0, self.hyper):
+            lo, hi = lifetime.lo - shift, lifetime.hi - shift
+            first = bisect_left(self.starts, lo - self.maxlen)
+            last = bisect_right(self.starts, hi)
+            out.extend((key, shift) for elo, ehi, key in self.entries[first:last]
+                       if max(elo, lo) <= min(ehi, hi))
+        out.sort()
+        return out
 
 
 @dataclass
@@ -66,6 +109,14 @@ class ChainSetup:
     bcets: tuple
 
 
+def lifetime_indexes(jobs: dict, hyper: int) -> dict:
+    """One LifetimeIndex per chain id over the enumerated jobs."""
+    by_chain = {}
+    for key, job in jobs.items():
+        by_chain.setdefault(key[0], {})[key] = job.lifetime
+    return {cid: LifetimeIndex(lifetimes, hyper) for cid, lifetimes in by_chain.items()}
+
+
 @dataclass
 class Setup:
     bundle: WorkloadBundle
@@ -73,11 +124,23 @@ class Setup:
     chains: dict  # chain id -> ChainSetup
     hyper: int
     jobs: dict  # (chain id, period index, task index) -> JobInstance
+    lifetimes: dict  # chain id -> LifetimeIndex
+    # Caches filled by the analysis; each value depends on nothing but the
+    # fields above, so a Setup reused across options never reads a stale one.
     set_candidates: dict = field(default_factory=dict, repr=False)
+    foreign_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
+    overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
 
     def job_ctx(self, key) -> JobContext:
+        """A fresh context of one job; the oracle builds its own through this."""
         job = self.jobs[key]
         return JobContext(job, self.tasks[job.task_id].ctx)
+
+    def foreign_ctx(self, key) -> JobContext:
+        """The job's context as a foreign interferer, shared across targets."""
+        if key not in self.foreign_ctxs:
+            self.foreign_ctxs[key] = self.job_ctx(key)
+        return self.foreign_ctxs[key]
 
 
 @dataclass
@@ -133,7 +196,9 @@ def prepare(bundle: WorkloadBundle) -> Setup:
         task = bundle.tasks[tid]
         cls = classify_task(task, bundle.system)
         con = contract_task(task, cls, bundle.system, worst_mode=INIT_WORST)
-        tasks[tid] = TaskAnalysis(tid, cls, con, TaskContext(con), con.wcet, con.bcet)
+        weights = {counting: {s: job_set_weight(cls, s, counting) for s in cls.l2_sets()}
+                   for counting in (COUNT_DISTINCT, COUNT_ACCESS)}
+        tasks[tid] = TaskAnalysis(tid, cls, con, TaskContext(con), con.wcet, con.bcet, weights)
 
     chains = {}
     for cid in sorted(bundle.chains):
@@ -159,35 +224,38 @@ def prepare(bundle: WorkloadBundle) -> Setup:
                 jobs[(cid, k, i)] = JobInstance(
                     cid, i, tid, k, release, Interval(release.lo, release.hi + cs.cips[i])
                 )
-    return Setup(bundle, tasks, chains, hyper, jobs)
+    return Setup(bundle, tasks, chains, hyper, jobs, lifetime_indexes(jobs, hyper))
 
 
 # ---------------------------------------------------------------------------
 # Interference per instance
 
 
-def _foreign_chains(setup: Setup, core: int):
-    return [
-        cs for cs in setup.chains.values() if cs.chain.core != core
-    ]
+def _foreign_overlaps(setup: Setup, key) -> list:
+    """Per foreign chain, the (job key, shift) pairs whose lifetime overlaps job `key`'s.
+
+    Hyperperiod-shifted copies are distinct executions; a window may
+    straddle the boundary and meet two of them.  Returns [(ChainSetup,
+    pairs)] in chain order, the pairs in (k, i, shift) order.
+    """
+    if key not in setup.overlaps:
+        lifetime = setup.jobs[key].lifetime
+        core = setup.chains[key[0]].chain.core
+        setup.overlaps[key] = [
+            (cs, setup.lifetimes[cid].overlapping(lifetime))
+            for cid, cs in setup.chains.items() if cs.chain.core != core
+        ]
+    return setup.overlaps[key]
 
 
-def _tlt_pressure(setup: Setup, target_job: JobInstance, sets_of_interest, counting: str) -> dict:
+def _tlt_pressure(setup: Setup, key, sets_of_interest, counting: str) -> dict:
     """Foreign same-set pressure per set at job-lifetime scope."""
-    h = setup.hyper
     out = {s: 0 for s in sets_of_interest}
-    for fcs in _foreign_chains(setup, setup.chains[target_job.chain_id].chain.core):
-        fcid = fcs.chain.id
-        for k in range(setup.hyper // fcs.chain.period):
-            for i in range(len(fcs.chain.tasks)):
-                fj = setup.jobs[(fcid, k, i)]
-                fcls = setup.tasks[fj.task_id].classification
-                # Hyperperiod-shifted copies are distinct executions; a
-                # window may straddle the boundary and meet two of them.
-                for shift in (-h, 0, h):
-                    if target_job.lifetime.overlaps(fj.lifetime.shift(shift)):
-                        for s in out:
-                            out[s] += job_set_weight(fcls, s, counting)
+    for _, pairs in _foreign_overlaps(setup, key):
+        for fkey, _ in pairs:
+            weights = setup.tasks[setup.jobs[fkey].task_id].set_weights[counting]
+            for s in out:
+                out[s] += weights.get(s, 0)
     return out
 
 
@@ -205,45 +273,36 @@ def _set_candidates(setup: Setup, task_id: str, l2_set: int):
 def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
     """Interference bound per AH/PS access of one job under block-level windows."""
     job = jctx.job
-    core = setup.chains[job.chain_id].chain.core
     cls_table = setup.tasks[job.task_id].classification
-    h = setup.hyper
+    overlaps = _foreign_overlaps(setup, (job.chain_id, job.period_index, job.task_index))
+    shifts = sorted({shift for _, pairs in overlaps for _, shift in pairs})
 
     targets = [c for c in cls_table.visible() if c.l2_chmc in (AH, PS)]
     mc, debug = {}, {}
-    fjctx_cache = {}
     for cls in sorted(targets, key=lambda c: c.access_id):
         tv = jctx.target_view(cls.access_id)
         # Hyperperiod-shifted foreign jobs are met by shifting the one-interval
         # target view the other way; overlap is translation-invariant.
         (window,), = tv.window_levels
-        shifted = [(shift, BlockView(tv.job_lifetime.shift(-shift), None, ((window.shift(-shift),),)))
-                   for shift in (-h, 0, h)]
+        views = {shift: BlockView(tv.job_lifetime.shift(-shift), None, ((window.shift(-shift),),))
+                 for shift in shifts}
         total = raw_total = mwis_total = 0
-        for fcs in _foreign_chains(setup, core):
-            fcid = fcs.chain.id
+        for fcs, pairs in overlaps:
             per_job = []
-            for k in range(h // fcs.chain.period):
-                for i in range(len(fcs.chain.tasks)):
-                    fj = setup.jobs[(fcid, k, i)]
-                    fcls = setup.tasks[fj.task_id].classification
-                    candidates = _set_candidates(setup, fj.task_id, cls.l2_set)
-                    if not candidates:
-                        continue
-                    for shift, view in shifted:
-                        if not view.job_lifetime.overlaps(fj.lifetime):
-                            continue
-                        key = (fcid, k, i)
-                        if key not in fjctx_cache:
-                            fjctx_cache[key] = setup.job_ctx(key)
-                        blocks = collect_overlap_set(view, fjctx_cache[key], candidates)
-                        raw, contrib = job_contribution(
-                            fcls, setup.bundle.tasks[fj.task_id], blocks, cls.l2_set, options.counting
-                        )
-                        raw_total += raw
-                        mwis_total += contrib
-                        if contrib:
-                            per_job.append((fj.release.shift(shift), contrib))
+            for fkey, shift in pairs:
+                fj = setup.jobs[fkey]
+                candidates = _set_candidates(setup, fj.task_id, cls.l2_set)
+                if not candidates:
+                    continue
+                blocks = collect_overlap_set(views[shift], setup.foreign_ctx(fkey), candidates)
+                raw, contrib = job_contribution(
+                    setup.tasks[fj.task_id].classification, setup.bundle.tasks[fj.task_id],
+                    blocks, cls.l2_set, options.counting
+                )
+                raw_total += raw
+                mwis_total += contrib
+                if contrib:
+                    per_job.append((fj.release.shift(shift), contrib))
             total += interference_bound(per_job, fcs.chain.trigger, options.et_rule)
         mc[cls.access_id] = total
         debug[cls.access_id] = (raw_total, mwis_total)
@@ -279,7 +338,7 @@ def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = No
 
     if mode == "TLT":
         sets = {c.l2_set for c in ta.classification.visible() if c.l2_chmc in (AH, PS)}
-        pressure = _tlt_pressure(setup, job, sets, options.counting)
+        pressure = _tlt_pressure(setup, key, sets, options.counting)
         mc = {
             c.access_id: pressure[c.l2_set]
             for c in ta.classification.visible()

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from chainlat import cli
 from chainlat.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSAFE, main
 
 
@@ -105,11 +106,31 @@ def test_analyze_rejects_non_positive_counts(tmp_path, capsys, flag, value):
     assert not (tmp_path / "rep").exists()
 
 
-@pytest.mark.parametrize("flag", ["--jobs", "--seeds"])
+@pytest.mark.parametrize("flag", ["--jobs", "--seeds", "--paths-per-job"])
 def test_verify_rejects_non_positive_counts(capsys, flag):
-    rc = main(["verify", flag, "0"])
-    assert rc == EXIT_INVALID
-    assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+    for value in ("0", "-3"):
+        rc = main(["verify", flag, value, "--sim-policy", "random"])
+        assert rc == EXIT_INVALID
+        assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy,expected", [
+    ("random", ["random", "random"]),
+    ("worst", ["worst"]),
+    ("both", ["random", "random", "worst"]),
+])
+def test_verify_runs_the_chosen_sim_policies(monkeypatch, capsys, policy, expected):
+    seen = []
+    real = cli.simulate
+
+    def spy(bundle, config, setup=None):
+        seen.append(config.policy)
+        return real(bundle, config, setup=setup)
+
+    monkeypatch.setattr(cli, "simulate", spy)
+    rc = main(["verify", "--seeds", "1", "--paths-per-job", "2", "--sim-policy", policy])
+    assert rc == EXIT_OK
+    assert seen == expected
 
 
 def test_analyze_debug_dumps(tmp_path):

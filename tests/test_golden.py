@@ -1,9 +1,12 @@
 """Report bytes pinned to recorded digests.
 
-Each digest is the sha256 of ``report_to_json`` followed by the
-``report_to_csv_rows`` text, for the default analysis options.  A change
-that keeps the analysis must keep every digest; one that means to alter
-reports records them again and says why.
+Each report digest is the sha256 of ``report_to_json`` followed by the
+``report_to_csv_rows`` text; ``DIGESTS`` holds the default analysis options
+and ``OPTION_DIGESTS`` each non-default option.  ``INTERFERENCE_DIGESTS``
+pins the ``interference.csv`` debug dump (raw and after-MWIS sums per
+access) under every option set.  A change that keeps the analysis must keep
+every digest; one that means to alter reports records them again and says
+why.
 """
 
 import csv
@@ -14,7 +17,8 @@ from dataclasses import replace
 import pytest
 
 from chainlat import generate_workload
-from chainlat.latency import analyze_bundle, report_to_csv_rows, report_to_json
+from chainlat.interference import write_interference_csv
+from chainlat.latency import AnalysisOptions, analyze_bundle, report_to_csv_rows, report_to_json
 
 from conftest import boundary_bundle
 
@@ -33,6 +37,10 @@ BUNDLES = {
     "dual_periods_2000_2080": lambda: _forced_periods(
         generate_workload(seed=2, cores=2, collision=0.8), (2000, 2080)),
     "hyperperiod_boundary": boundary_bundle,
+    # Four-task ET chains: counting="access" and et_rule="max" both change
+    # this report, while the bundles above report the same under either.
+    "dual_et_4tasks": lambda: generate_workload(seed=1, cores=2, tasks_per_chain=4, trigger="ET",
+                                                collision=0.8),
 }
 
 DIGESTS = {
@@ -42,11 +50,89 @@ DIGESTS = {
     "quad_mix": "f599e879043321b943ddb6c454a68ec6811eb7f9325aedeca99efbb02d183873",
     "dual_periods_2000_2080": "274248e83f75d5455fceacbc693e54908b234da5f31d19a5f58955485cf68f71",
     "hyperperiod_boundary": "1720bfee2e8a3f7595e457ac700a1e6d7d4ac25671e3f27074dc78ae46fdd9e1",
+    "dual_et_4tasks": "6dc274f55355f6eede03ff734e78d90702fe76f9ee922f35e4b1841fae4132e0",
 }
 
 
-def _report(bundle):
-    report = analyze_bundle(bundle)
+OPTIONS = {
+    "default": AnalysisOptions(),
+    "counting_access": AnalysisOptions(counting="access"),
+    "et_rule_max": AnalysisOptions(et_rule="max"),
+    "passes_2": AnalysisOptions(refinement_passes=2),
+}
+
+OPTION_DIGESTS = {
+    "counting_access": {
+        "dual_et": "eb809eccb57d074242aa547620686e5a40a17dc2f697c60917d1b440084937cf",
+        "dual_et_4tasks": "0774d4111954c39140fdbe97841fccffc3ab5cb9c9fb8a371749a74fd741f6aa",
+        "dual_mix": "c06db48c1ac534ed8b5ccf4a6834392a112d2a587fa1ac7d4c500c420487caa2",
+        "dual_periods_2000_2080": "274248e83f75d5455fceacbc693e54908b234da5f31d19a5f58955485cf68f71",
+        "dual_tt": "a27855bbf76719527e797d156ad5cb58761214708eb2b1085a3f61510a47a9d7",
+        "hyperperiod_boundary": "1720bfee2e8a3f7595e457ac700a1e6d7d4ac25671e3f27074dc78ae46fdd9e1",
+        "quad_mix": "f599e879043321b943ddb6c454a68ec6811eb7f9325aedeca99efbb02d183873",
+    },
+    "et_rule_max": {
+        "dual_et": "eb809eccb57d074242aa547620686e5a40a17dc2f697c60917d1b440084937cf",
+        "dual_et_4tasks": "8abe55965b4b8111881be3bfb5835daa17abf50e0f622b16764dee1e48ff62ae",
+        "dual_mix": "c06db48c1ac534ed8b5ccf4a6834392a112d2a587fa1ac7d4c500c420487caa2",
+        "dual_periods_2000_2080": "274248e83f75d5455fceacbc693e54908b234da5f31d19a5f58955485cf68f71",
+        "dual_tt": "a27855bbf76719527e797d156ad5cb58761214708eb2b1085a3f61510a47a9d7",
+        "hyperperiod_boundary": "1720bfee2e8a3f7595e457ac700a1e6d7d4ac25671e3f27074dc78ae46fdd9e1",
+        "quad_mix": "f599e879043321b943ddb6c454a68ec6811eb7f9325aedeca99efbb02d183873",
+    },
+    "passes_2": {
+        "dual_et": "eb809eccb57d074242aa547620686e5a40a17dc2f697c60917d1b440084937cf",
+        "dual_et_4tasks": "6dc274f55355f6eede03ff734e78d90702fe76f9ee922f35e4b1841fae4132e0",
+        "dual_mix": "c06db48c1ac534ed8b5ccf4a6834392a112d2a587fa1ac7d4c500c420487caa2",
+        "dual_periods_2000_2080": "029088efefa068929c25b87cd89ca1b62eeb09f7b49e32438dce2d9eed44e3c2",
+        "dual_tt": "a27855bbf76719527e797d156ad5cb58761214708eb2b1085a3f61510a47a9d7",
+        "hyperperiod_boundary": "1720bfee2e8a3f7595e457ac700a1e6d7d4ac25671e3f27074dc78ae46fdd9e1",
+        "quad_mix": "f599e879043321b943ddb6c454a68ec6811eb7f9325aedeca99efbb02d183873",
+    },
+}
+
+INTERFERENCE_DIGESTS = {
+    "counting_access": {
+        "dual_et": "108891a9a0eac83e1827440e703329c3b90ae1556e4a370f6d2ff5fa8efc6254",
+        "dual_et_4tasks": "27eddea733c7ebf2550f64d85fbc530e11a29bc812cbcdabd14692823c3a2697",
+        "dual_mix": "59f71d01cbe3e1a9ecb143ee89856bcfd6a5993b4d57ca9152c5eedea7e19b57",
+        "dual_periods_2000_2080": "2aedc4fb4120cc6f9553cf13932fe1138dbaf91e7c8a7a02205fc3e76069bf4a",
+        "dual_tt": "6e814ef252da9e0cb66c8ef335492828d2904bc3fd74c8212e5ba6fc5a80a97e",
+        "hyperperiod_boundary": "893f5a2ed2dbe2518b636b2a90bc2e012084c6108b92539a995d689355f6bc71",
+        "quad_mix": "829a28acf8a5138cbc1b6abff6ea62b4cc7566661ad386e7d16f030b0e8ebe76",
+    },
+    "default": {
+        "dual_et": "4ff6a0ceabfd0a54bad69094746b9540698b66a8b5f4c4d5d746451b56704b82",
+        "dual_et_4tasks": "fb11064d50fa37cbcf3e246b6a2ef1a6fe34d14a7f51892cdc59b5c39d0a4131",
+        "dual_mix": "b82f1fa4b66017e39831ccc7ea9a5a831d237e4ad04749bca998e7d503bff69d",
+        "dual_periods_2000_2080": "2a94030e14ad729a36e34aba5a235a12a727d4b81c29e571653f82a89c90e67c",
+        "dual_tt": "6e814ef252da9e0cb66c8ef335492828d2904bc3fd74c8212e5ba6fc5a80a97e",
+        "hyperperiod_boundary": "893f5a2ed2dbe2518b636b2a90bc2e012084c6108b92539a995d689355f6bc71",
+        "quad_mix": "d1a1d90471650445fffd9feff54020520c8a4e568094be5e09d3d5894e649a15",
+    },
+    "et_rule_max": {
+        "dual_et": "4ff6a0ceabfd0a54bad69094746b9540698b66a8b5f4c4d5d746451b56704b82",
+        "dual_et_4tasks": "987e04d65a5422e303ab30a7be6aa2ccc115ee9346193b52d924802fe7e254ba",
+        "dual_mix": "b82f1fa4b66017e39831ccc7ea9a5a831d237e4ad04749bca998e7d503bff69d",
+        "dual_periods_2000_2080": "2a94030e14ad729a36e34aba5a235a12a727d4b81c29e571653f82a89c90e67c",
+        "dual_tt": "6e814ef252da9e0cb66c8ef335492828d2904bc3fd74c8212e5ba6fc5a80a97e",
+        "hyperperiod_boundary": "893f5a2ed2dbe2518b636b2a90bc2e012084c6108b92539a995d689355f6bc71",
+        "quad_mix": "d1a1d90471650445fffd9feff54020520c8a4e568094be5e09d3d5894e649a15",
+    },
+    "passes_2": {
+        "dual_et": "4ff6a0ceabfd0a54bad69094746b9540698b66a8b5f4c4d5d746451b56704b82",
+        "dual_et_4tasks": "fb11064d50fa37cbcf3e246b6a2ef1a6fe34d14a7f51892cdc59b5c39d0a4131",
+        "dual_mix": "b82f1fa4b66017e39831ccc7ea9a5a831d237e4ad04749bca998e7d503bff69d",
+        "dual_periods_2000_2080": "ff23a70abaae9b8fa4ec8a3193887174d8a4e20f841ad068f98d39e710532aea",
+        "dual_tt": "6e814ef252da9e0cb66c8ef335492828d2904bc3fd74c8212e5ba6fc5a80a97e",
+        "hyperperiod_boundary": "893f5a2ed2dbe2518b636b2a90bc2e012084c6108b92539a995d689355f6bc71",
+        "quad_mix": "a5121ce67cc5e3febdc3500187c4115f1e49a7f503a693df01bce017ee7165fe",
+    },
+}
+
+
+def _report(bundle, options=None):
+    report = analyze_bundle(bundle, options)
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(report_to_csv_rows(report))
     return report, report_to_json(report, bundle) + buf.getvalue()
@@ -61,3 +147,19 @@ def test_report_digest(name):
 def test_boundary_bundle_interference_comes_from_shifted_copy():
     report, _ = _report(boundary_bundle())
     assert report.instances[("TSC", "c0", 0, 0)].mc == {"m": 1}
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_DIGESTS))
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_option_report_digest(option, name):
+    _, text = _report(BUNDLES[name](), OPTIONS[option])
+    assert hashlib.sha256(text.encode()).hexdigest() == OPTION_DIGESTS[option][name]
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_interference_csv_digest(option, name, tmp_path):
+    report, _ = _report(BUNDLES[name](), OPTIONS[option])
+    path = tmp_path / "interference.csv"
+    write_interference_csv(path, report)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INTERFERENCE_DIGESTS[option][name]

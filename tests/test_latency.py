@@ -10,6 +10,7 @@ from chainlat.latency import (
     mel_et,
     mel_tt,
     prepare,
+    report_to_csv_rows,
     report_to_json,
 )
 from chainlat.model import ChainSpec, Interval, ValidationError, WorkloadBundle
@@ -202,6 +203,27 @@ def test_parallel_matches_serial():
     r1 = analyze_bundle(bundle, AnalysisOptions(jobs=1))
     r2 = analyze_bundle(bundle, AnalysisOptions(jobs=4))
     assert report_to_json(r1, bundle) == report_to_json(r2, bundle)
+
+
+def _report_bytes(report, bundle):
+    tsc = {k: (r.mc, r.debug, r.refined) for k, r in sorted(report.instances.items())}
+    return report_to_json(report, bundle) + repr(report_to_csv_rows(report)) + repr(tsc)
+
+
+def test_reused_setup_matches_fresh_setup():
+    # Counting and et_rule both change this bundle's report, so a cache that
+    # kept values across options would show.
+    bundle = generate_workload(seed=1, cores=2, tasks_per_chain=4, trigger="ET", collision=0.8)
+    shared = prepare(bundle)
+    reports = []
+    for options in (AnalysisOptions(), AnalysisOptions(counting="access"), AnalysisOptions(jobs=2),
+                    AnalysisOptions(et_rule="max"), AnalysisOptions(refinement_passes=2),
+                    AnalysisOptions()):
+        reused = _report_bytes(analyze_bundle(bundle, options, setup=shared), bundle)
+        assert reused == _report_bytes(analyze_bundle(bundle, options, setup=prepare(bundle)), bundle)
+        reports.append(reused)
+    assert shared.foreign_ctxs and shared.overlaps
+    assert reports[1] != reports[0] and reports[3] != reports[0]
 
 
 def test_multipass_never_worse():
