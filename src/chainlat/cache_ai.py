@@ -123,18 +123,20 @@ class TaskClassification:
     loop_set_pressure: dict  # (loop id, set) -> distinct L2-visible lines
 
     def __post_init__(self):
+        self._visible = tuple(c for c in self.accesses.values() if c.l2_chmc != BYPASS)
         # Shared-cache visible lines per (block, set) and per set, one entry
         # per access site, so the per-block and per-set queries are lookups.
         self._block_set = {}
         self._set = {}
-        for c in self.visible():
+        for c in self._visible:
             self._block_set.setdefault((c.block_id, c.l2_set), []).append(c.l2_line)
             self._set.setdefault(c.l2_set, []).append(c.l2_line)
         self._block_set_lines = {k: frozenset(v) for k, v in self._block_set.items()}
         self._set_lines = {k: frozenset(v) for k, v in self._set.items()}
 
-    def visible(self):
-        return [c for c in self.accesses.values() if c.l2_chmc != BYPASS]
+    def visible(self) -> tuple:
+        """Accesses that reach the shared cache, in access order; built once."""
+        return self._visible
 
     def block_set_lines(self, block_id: str, l2_set: int) -> frozenset:
         return self._block_set_lines.get((block_id, l2_set), frozenset())

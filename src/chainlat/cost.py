@@ -9,6 +9,15 @@ any concrete cache state; worst-flavored costs follow the CHMC table.
 Persistent accesses are charged the shared-cache hit latency per iteration
 plus a one-time (miss - hit) surcharge per scope entry, accounted on the
 virtual node and in the first-iteration offset bounds.
+
+A contraction has two parts.  The ContractionPlan depends on the task graph
+and the system alone: the innermost-first loop order, each level's graph
+with its topological order and predecessor lists, the code blocks per level
+and the whole best-case side.  Best costs never read the classification,
+the refined CHMCs or the worst mode, because the L1 floor charges every
+access alike, so one plan serves every contraction of a task.  What the
+classification decides (worst node costs, persistence surcharges, longest
+prefixes, the WCET) is computed per call by contract_task.
 """
 
 from __future__ import annotations
@@ -30,10 +39,7 @@ def virtual_id(loop_id: str) -> str:
 
 
 def access_latency(cls, system: SystemSpec, mode: str, refined: Optional[dict] = None) -> int:
-    if mode in (BEST, INIT_BEST):
-        # Any access may hit the private cache; the floor keeps every
-        # lower bound sound regardless of the concrete cache state.
-        return system.l1.hit_latency
+    """Worst-flavored latency of one access; best modes are floored in block_cost."""
     if cls.l1_chmc == AH:
         return system.l1.hit_latency
     if mode == INIT_WORST:
@@ -44,13 +50,19 @@ def access_latency(cls, system: SystemSpec, mode: str, refined: Optional[dict] =
     return system.mem_latency
 
 
-def block_cost(block, classification: TaskClassification, system: SystemSpec, mode: str,
+def block_cost(block, classification: Optional[TaskClassification], system: SystemSpec, mode: str,
                refined: Optional[dict] = None) -> int:
-    """Execution cost of one basic block under the given cost mode."""
+    """Execution cost of one basic block under the given cost mode.
+
+    Best modes never read the classification, which may then be None.
+    """
     cost = block.instruction_count * system.base_cpi
+    if mode in (BEST, INIT_BEST):
+        # Any access may hit the private cache; the floor keeps every
+        # lower bound sound regardless of the concrete cache state.
+        return cost + len(block.accesses) * system.l1.hit_latency
     for acc in block.accesses:
-        cls = classification.accesses[acc.id]
-        cost += access_latency(cls, system, mode, refined)
+        cost += access_latency(classification.accesses[acc.id], system, mode, refined)
     return cost
 
 
@@ -78,6 +90,13 @@ class LevelGraph:
 
 @dataclass
 class ContractedTask:
+    """One contraction of a task.
+
+    node_best, levels, bbesot and each summary's bbsc are the plan's own
+    dicts, shared by every contraction from that plan: read them, never
+    mutate them.
+    """
+
     task: TaskGraph
     classification: TaskClassification
     node_best: dict
@@ -158,114 +177,127 @@ def _level_topo(level: LevelGraph):
     return order
 
 
-def _dag_distances(level: LevelGraph, node_cost: dict, combine, default):
-    """Prefix path cost to each node, excluding the node's own cost."""
-    pred = {m: [] for m in level.members}
-    for src, dst in level.edges:
-        pred[dst].append(src)
-    dist = {}
-    for n in _level_topo(level):
-        if n == level.entry:
-            dist[n] = 0
-        elif pred[n]:
-            dist[n] = combine(dist[p] + node_cost[p] for p in pred[n])
-        else:
-            dist[n] = default
-    for n in level.members:
-        if n not in dist or dist[n] == default:
-            raise ValidationError("node %s unreachable from %s" % (n, level.entry))
-    return dist
+class LevelPlan:
+    """One level's graph, topological order, predecessors and best-case prefixes."""
+
+    def __init__(self, task: TaskGraph, level: Optional[str], node_best: dict):
+        self.graph = graph = _level_graph(task, level)
+        self.pred = {m: [] for m in graph.members}
+        for src, dst in graph.edges:
+            self.pred[dst].append(src)
+        self.order = tuple(_level_topo(graph))
+        for n in graph.members:
+            # Every path into an unreachable node starts at a source other
+            # than the entry, so checking the sources checks every node.
+            if n != graph.entry and not self.pred[n]:
+                raise ValidationError("node %s unreachable from %s" % (n, graph.entry))
+        self.blocks = tuple(n for n in graph.members if n in task.blocks)  # carry PS accesses
+        self.best = self.distances(node_best, min)
+        self.shortest = self.best[graph.exit] + node_best[graph.exit]
+
+    def distances(self, node_cost: dict, combine) -> dict:
+        """Prefix path cost to each node, excluding the node's own cost."""
+        dist = {}
+        entry = self.graph.entry
+        for n in self.order:
+            dist[n] = 0 if n == entry else combine(dist[p] + node_cost[p] for p in self.pred[n])
+        return dist
+
+    def ps_reach(self, ps_at: dict):
+        """Scope-persistent access ids reachable at-or-before and strictly before each node."""
+        incl_sets = {}
+        for n in self.order:
+            ids = set(ps_at.get(n, ()))
+            for p in self.pred[n]:
+                ids |= incl_sets[p]
+            incl_sets[n] = ids
+        excl = {}
+        for n in self.graph.members:
+            ids = set()
+            for p in self.pred[n]:
+                ids |= incl_sets[p]
+            excl[n] = ids
+        return incl_sets, excl
 
 
-def _ps_reach(level: LevelGraph, ps_at: dict):
-    """Surcharge sums of scope-persistent accesses reachable before each node."""
-    pred = {m: [] for m in level.members}
-    for src, dst in level.edges:
-        pred[dst].append(src)
-    incl_sets = {}
-    for n in _level_topo(level):
-        ids = set(ps_at.get(n, ()))
-        for p in pred[n]:
-            ids |= incl_sets[p]
-        incl_sets[n] = ids
-    excl = {}
-    for n in level.members:
-        ids = set()
-        for p in pred[n]:
-            ids |= incl_sets[p]
-        excl[n] = ids
-    return incl_sets, excl
+class ContractionPlan:
+    """The classification-free part of a task's contraction, built once per task.
+
+    Depends on the task graph and the system only; the structural checks
+    (acyclic levels, every member reachable from its entry) run here.
+    """
+
+    def __init__(self, task: TaskGraph, system: SystemSpec):
+        self.node_best = {bid: block_cost(b, None, system, BEST) for bid, b in task.blocks.items()}
+        self.loops = tuple(sorted(task.loops, key=lambda lid: -task.loop_depth(lid)))
+        self.levels = {}
+        for lid in self.loops:
+            level = self.levels[lid] = LevelPlan(task, lid, self.node_best)
+            self.node_best[virtual_id(lid)] = level.shortest * task.loops[lid].min_bound
+        self.levels[None] = LevelPlan(task, None, self.node_best)
+        self.graphs = {lid: level.graph for lid, level in self.levels.items()}
 
 
 def contract_task(task: TaskGraph, classification: TaskClassification, system: SystemSpec,
-                  refined: Optional[dict] = None, worst_mode: str = WORST) -> ContractedTask:
-    """Summarize all loops innermost-first and compute program bounds."""
-    node_best, node_worst = {}, {}
-    for bid, block in task.blocks.items():
-        node_best[bid] = block_cost(block, classification, system, BEST)
-        node_worst[bid] = block_cost(block, classification, system, worst_mode, refined)
+                  refined: Optional[dict] = None, worst_mode: str = WORST,
+                  plan: Optional[ContractionPlan] = None) -> ContractedTask:
+    """Summarize all loops innermost-first and compute program bounds.
 
+    `plan` must be the task's own ContractionPlan; without one a fresh plan
+    is built.
+    """
+    plan = plan or ContractionPlan(task, system)
+    node_worst = {bid: block_cost(block, classification, system, worst_mode, refined)
+                  for bid, block in task.blocks.items()}
     surcharge_unit = system.mem_latency - system.l2.hit_latency
 
-    def ps_ids_of(bid, level):
-        if worst_mode == INIT_WORST:
-            return ()
+    def ps_ids_of(bid):
         out = []
         for acc in task.blocks[bid].accesses:
             cls = classification.accesses[acc.id]
             chmc = cls.l2_chmc if refined is None else refined.get(acc.id, cls.l2_chmc)
-            if chmc == PS and cls.l2_chmc != BYPASS and task.blocks[bid].enclosing_loop == level:
+            if chmc == PS and cls.l2_chmc != BYPASS:
                 out.append(acc.id)
-        return tuple(out)
+        return out
 
-    summaries, levels = {}, {}
-    by_depth = sorted(task.loops, key=lambda lid: -task.loop_depth(lid))
-    for lid in by_depth:
+    summaries = {}
+    for lid in plan.loops:
         loop = task.loops[lid]
-        level = _level_graph(task, lid)
-        levels[lid] = level
-        ps_at = {n: ps_ids_of(n, lid) for n in level.members if n in task.blocks}
-        incl_sets, excl_sets = _ps_reach(level, ps_at)
-        surcharges = {
-            aid: surcharge_unit for n in level.members for aid in ps_at.get(n, ())
-        }
-        bbsc = _dag_distances(level, node_best, min, None)
-        bblc = _dag_distances(level, node_worst, max, None)
-        total = sum(surcharges.values())
+        level = plan.levels[lid]
+        members, exit_ = level.graph.members, level.graph.exit
+        ps_at = {} if worst_mode == INIT_WORST else {n: ps_ids_of(n) for n in level.blocks}
+        incl_sets, excl_sets = level.ps_reach(ps_at)
+        bblc = level.distances(node_worst, max)
+        # Each surcharged access is charged once, whichever nodes reach it.
+        total = surcharge_unit * len({aid for ids in ps_at.values() for aid in ids})
         summaries[lid] = LoopCostSummary(
             loop_id=lid,
-            lpsc=bbsc[level.exit] + node_best[level.exit],
-            lplc=bblc[level.exit] + node_worst[level.exit],
-            bbsc=bbsc,
+            lpsc=level.shortest,
+            lplc=bblc[exit_] + node_worst[exit_],
+            bbsc=level.best,
             bblc=bblc,
             ps_surcharge=total,
-            ps_prefix_incl={n: sum(surcharges[a] for a in incl_sets[n]) for n in level.members},
-            ps_prefix_excl={n: sum(surcharges[a] for a in excl_sets[n]) for n in level.members},
+            ps_prefix_incl={n: surcharge_unit * len(incl_sets[n]) for n in members},
+            ps_prefix_excl={n: surcharge_unit * len(excl_sets[n]) for n in members},
             min_bound=loop.min_bound,
             max_bound=loop.max_bound,
         )
-        vid = virtual_id(lid)
-        node_best[vid] = summaries[lid].lpsc * loop.min_bound
-        node_worst[vid] = summaries[lid].lplc * loop.max_bound + total
+        node_worst[virtual_id(lid)] = summaries[lid].lplc * loop.max_bound + total
 
-    top = _level_graph(task, None)
-    levels[None] = top
-    best_d = _dag_distances(top, node_best, min, None)
-    worst_d = _dag_distances(top, node_worst, max, None)
-    bbesot = dict(best_d)
-    bblsot = dict(worst_d)
-    bbleot = {n: worst_d[n] + node_worst[n] for n in top.members}
+    top = plan.levels[None]
+    worst_d = top.distances(node_worst, max)
+    bbleot = {n: worst_d[n] + node_worst[n] for n in top.graph.members}
 
     return ContractedTask(
         task=task,
         classification=classification,
-        node_best=node_best,
+        node_best=plan.node_best,
         node_worst=node_worst,
         summaries=summaries,
-        levels=levels,
-        bbesot=bbesot,
+        levels=plan.graphs,
+        bbesot=top.best,
         bbleot=bbleot,
-        bblsot=bblsot,
-        bcet=best_d[top.exit] + node_best[top.exit],
-        wcet=bbleot[top.exit],
+        bblsot=worst_d,
+        bcet=top.shortest,
+        wcet=bbleot[top.graph.exit],
     )

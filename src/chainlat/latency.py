@@ -35,7 +35,7 @@ from typing import Optional
 from . import ingest
 from .cache_ai import AH, NC, PS, classify_task, refine_chmc
 from .context import BlockView, JobContext, TaskContext, compute_prs_time
-from .cost import INIT_WORST, WORST, contract_task
+from .cost import INIT_WORST, WORST, ContractionPlan, contract_task
 from .interference import (
     COUNT_ACCESS,
     COUNT_DISTINCT,
@@ -70,6 +70,7 @@ class TaskAnalysis:
     cip_wcet: int
     bcet: int
     set_weights: dict  # counting unit -> {set: job_set_weight}
+    plan: ContractionPlan  # shared by every contraction of the task
 
 
 class LifetimeIndex:
@@ -195,10 +196,11 @@ def prepare(bundle: WorkloadBundle) -> Setup:
     for tid in sorted(bundle.tasks):
         task = bundle.tasks[tid]
         cls = classify_task(task, bundle.system)
-        con = contract_task(task, cls, bundle.system, worst_mode=INIT_WORST)
+        plan = ContractionPlan(task, bundle.system)
+        con = contract_task(task, cls, bundle.system, worst_mode=INIT_WORST, plan=plan)
         weights = {counting: {s: job_set_weight(cls, s, counting) for s in cls.l2_sets()}
                    for counting in (COUNT_DISTINCT, COUNT_ACCESS)}
-        tasks[tid] = TaskAnalysis(tid, cls, con, TaskContext(con), con.wcet, con.bcet, weights)
+        tasks[tid] = TaskAnalysis(tid, cls, con, TaskContext(con), con.wcet, con.bcet, weights, plan)
 
     chains = {}
     for cid in sorted(bundle.chains):
@@ -311,7 +313,8 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
 
 def _refine_and_bound(setup: Setup, task_id: str, mc: dict) -> tuple:
     """Apply the eviction condition and recompute the structural WCET."""
-    cls_table = setup.tasks[task_id].classification
+    ta = setup.tasks[task_id]
+    cls_table = ta.classification
     ways = setup.bundle.system.l2.ways
     refined = {}
     for aid, cls in cls_table.accesses.items():
@@ -320,7 +323,7 @@ def _refine_and_bound(setup: Setup, task_id: str, mc: dict) -> tuple:
         else:
             refined[aid] = cls.l2_chmc
     con = contract_task(setup.bundle.tasks[task_id], cls_table, setup.bundle.system,
-                        refined=refined, worst_mode=WORST)
+                        refined=refined, worst_mode=WORST, plan=ta.plan)
     return refined, con.wcet
 
 
@@ -360,7 +363,8 @@ def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = No
                 # the refined classifications imply; release windows keep
                 # their initialization-phase bounds.
                 con = contract_task(setup.bundle.tasks[job.task_id], ta.classification,
-                                    setup.bundle.system, refined=refined, worst_mode=WORST)
+                                    setup.bundle.system, refined=refined, worst_mode=WORST,
+                                    plan=ta.plan)
                 jctx = JobContext(job, TaskContext(con))
         if tlt_result is None:
             tlt_result = analyze_instance(setup, key, "TLT", options)
@@ -388,18 +392,24 @@ def mel_tt(instance_wcets, offsets) -> tuple:
 def predicted_hit_ratio(setup: Setup, chain_id: str, results: dict) -> Optional[float]:
     """Loop-bound weighted hit fraction over all shared-cache visible accesses."""
     cs = setup.chains[chain_id]
-    hits = total = 0
+    weighted = []  # per task index: (access, loop-bound weight) per visible access
+    for tid in cs.chain.tasks:
+        task = setup.bundle.tasks[tid]
+        accesses = []
+        for cls in setup.tasks[tid].classification.visible():
+            weight = 1
+            for lid in task.loop_ancestors(cls.block_id):
+                weight *= task.loops[lid].max_bound
+            accesses.append((cls, weight))
+        weighted.append(accesses)
     n = setup.hyper // cs.chain.period
+    total = n * sum(weight for accesses in weighted for _, weight in accesses)
+    hits = 0
     for k in range(n):
-        for i, tid in enumerate(cs.chain.tasks):
-            res = results[(chain_id, k, i)]
-            task = setup.bundle.tasks[tid]
-            for cls in setup.tasks[tid].classification.visible():
-                weight = 1
-                for lid in task.loop_ancestors(cls.block_id):
-                    weight *= task.loops[lid].max_bound
-                total += weight
-                chmc = res.refined.get(cls.access_id, cls.l2_chmc)
+        for i, accesses in enumerate(weighted):
+            refined = results[(chain_id, k, i)].refined
+            for cls, weight in accesses:
+                chmc = refined.get(cls.access_id, cls.l2_chmc)
                 if chmc == AH:
                     hits += weight
                 elif chmc == PS:

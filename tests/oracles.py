@@ -152,3 +152,206 @@ def path_bounds(task, costs):
     paths = enumerate_task_paths(task)
     totals = [sum(costs[b] for b in p) for p in paths]
     return min(totals), max(totals)
+
+
+# ---------------------------------------------------------------------------
+# Per-call loop contraction, as it was before the structure moved into a
+# plan built once per task: every call rebuilds the level graphs, their
+# topological orders and the best-case side.  Returns the library's record
+# types so results compare field by field.
+
+_O_BEST, _O_INIT_WORST = "best", "init_worst"
+
+
+def _o_access_latency(cls, system, mode, refined):
+    if mode == _O_BEST:
+        return system.l1.hit_latency
+    if cls.l1_chmc == "AH":
+        return system.l1.hit_latency
+    if mode == _O_INIT_WORST:
+        return system.mem_latency
+    chmc = cls.l2_chmc if refined is None else refined.get(cls.access_id, cls.l2_chmc)
+    if chmc in ("AH", "PS"):
+        return system.l2.hit_latency
+    return system.mem_latency
+
+
+def _o_block_cost(block, classification, system, mode, refined=None):
+    cost = block.instruction_count * system.base_cpi
+    for acc in block.accesses:
+        cost += _o_access_latency(classification.accesses[acc.id], system, mode, refined)
+    return cost
+
+
+def _o_vid(loop_id):
+    return "V:" + loop_id
+
+
+def _o_level_graph(task, level):
+    from chainlat.cost import LevelGraph
+
+    if level is None:
+        scope = set(task.blocks)
+        entry, exit_ = task.entry_block, task.exit_block
+        own_back = None
+    else:
+        loop = task.loops[level]
+        scope = set(loop.body_blocks)
+        entry, exit_ = loop.head_block, loop.tail_block
+        own_back = loop.back_edge
+
+    def rep(bid):
+        if task.blocks[bid].enclosing_loop == level:
+            return bid
+        for lid in task.loop_ancestors(bid):
+            if task.loops[lid].parent_loop == level:
+                return _o_vid(lid)
+        return None
+
+    members, edges = set(), set()
+    for bid in scope:
+        r = rep(bid)
+        if r is not None:
+            members.add(r)
+    if level is not None:
+        for child in task.loops[level].children:
+            members.add(_o_vid(child))
+    else:
+        for lid, loop in task.loops.items():
+            if loop.parent_loop is None:
+                members.add(_o_vid(lid))
+    for src, dst in task.edges:
+        if (src, dst) == own_back:
+            continue
+        if src in scope and dst in scope:
+            rs, rd = rep(src), rep(dst)
+            if rs is None or rd is None or rs == rd:
+                continue
+            edges.add((rs, rd))
+    return LevelGraph(tuple(sorted(members)), tuple(sorted(edges)), entry, exit_)
+
+
+def _o_level_topo(level):
+    succ = {m: [] for m in level.members}
+    indeg = {m: 0 for m in level.members}
+    for src, dst in level.edges:
+        succ[src].append(dst)
+        indeg[dst] += 1
+    ready = sorted(m for m in level.members if indeg[m] == 0)
+    order = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
+        for d in sorted(succ[n], reverse=True):
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                ready.append(d)
+    if len(order) != len(level.members):
+        raise ValueError("cyclic level graph")
+    return order
+
+
+def _o_dag_distances(level, node_cost, combine):
+    pred = {m: [] for m in level.members}
+    for src, dst in level.edges:
+        pred[dst].append(src)
+    dist = {}
+    for n in _o_level_topo(level):
+        if n == level.entry:
+            dist[n] = 0
+        elif pred[n]:
+            dist[n] = combine(dist[p] + node_cost[p] for p in pred[n])
+        else:
+            dist[n] = None
+    for n in level.members:
+        if dist.get(n) is None:
+            raise ValueError("node %s unreachable from %s" % (n, level.entry))
+    return dist
+
+
+def _o_ps_reach(level, ps_at):
+    pred = {m: [] for m in level.members}
+    for src, dst in level.edges:
+        pred[dst].append(src)
+    incl_sets = {}
+    for n in _o_level_topo(level):
+        ids = set(ps_at.get(n, ()))
+        for p in pred[n]:
+            ids |= incl_sets[p]
+        incl_sets[n] = ids
+    excl = {}
+    for n in level.members:
+        ids = set()
+        for p in pred[n]:
+            ids |= incl_sets[p]
+        excl[n] = ids
+    return incl_sets, excl
+
+
+def reference_contract_task(task, classification, system, refined=None, worst_mode="worst"):
+    """Loop contraction rebuilt from scratch on every call."""
+    from chainlat.cost import ContractedTask, LoopCostSummary
+
+    node_best, node_worst = {}, {}
+    for bid, blk in task.blocks.items():
+        node_best[bid] = _o_block_cost(blk, classification, system, _O_BEST)
+        node_worst[bid] = _o_block_cost(blk, classification, system, worst_mode, refined)
+
+    surcharge_unit = system.mem_latency - system.l2.hit_latency
+
+    def ps_ids_of(bid, level):
+        if worst_mode == _O_INIT_WORST:
+            return ()
+        out = []
+        for a in task.blocks[bid].accesses:
+            cls = classification.accesses[a.id]
+            chmc = cls.l2_chmc if refined is None else refined.get(a.id, cls.l2_chmc)
+            if chmc == "PS" and cls.l2_chmc != "BYPASS" and task.blocks[bid].enclosing_loop == level:
+                out.append(a.id)
+        return tuple(out)
+
+    summaries, levels = {}, {}
+    for lid in sorted(task.loops, key=lambda lid: -task.loop_depth(lid)):
+        loop = task.loops[lid]
+        level = _o_level_graph(task, lid)
+        levels[lid] = level
+        ps_at = {n: ps_ids_of(n, lid) for n in level.members if n in task.blocks}
+        incl_sets, excl_sets = _o_ps_reach(level, ps_at)
+        surcharges = {aid: surcharge_unit for n in level.members for aid in ps_at.get(n, ())}
+        bbsc = _o_dag_distances(level, node_best, min)
+        bblc = _o_dag_distances(level, node_worst, max)
+        total = sum(surcharges.values())
+        summaries[lid] = LoopCostSummary(
+            loop_id=lid,
+            lpsc=bbsc[level.exit] + node_best[level.exit],
+            lplc=bblc[level.exit] + node_worst[level.exit],
+            bbsc=bbsc,
+            bblc=bblc,
+            ps_surcharge=total,
+            ps_prefix_incl={n: sum(surcharges[a] for a in incl_sets[n]) for n in level.members},
+            ps_prefix_excl={n: sum(surcharges[a] for a in excl_sets[n]) for n in level.members},
+            min_bound=loop.min_bound,
+            max_bound=loop.max_bound,
+        )
+        vid = _o_vid(lid)
+        node_best[vid] = summaries[lid].lpsc * loop.min_bound
+        node_worst[vid] = summaries[lid].lplc * loop.max_bound + total
+
+    top = _o_level_graph(task, None)
+    levels[None] = top
+    best_d = _o_dag_distances(top, node_best, min)
+    worst_d = _o_dag_distances(top, node_worst, max)
+    bbleot = {n: worst_d[n] + node_worst[n] for n in top.members}
+    return ContractedTask(
+        task=task,
+        classification=classification,
+        node_best=node_best,
+        node_worst=node_worst,
+        summaries=summaries,
+        levels=levels,
+        bbesot=dict(best_d),
+        bbleot=bbleot,
+        bblsot=dict(worst_d),
+        bcet=best_d[top.exit] + node_best[top.exit],
+        wcet=bbleot[top.exit],
+    )

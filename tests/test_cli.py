@@ -173,3 +173,19 @@ def test_verify_detects_injected_context_fault(capsys):
 def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
+
+
+def test_module_entry_point_runs_from_source(tmp_path):
+    # `python -m chainlat` must work from a checkout with only the source
+    # directory on the path, without an installed `chainlat` script.
+    import subprocess
+    import sys
+
+    from chainlat import __version__
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "chainlat", "--version"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == "chainlat %s\n" % __version__
