@@ -170,7 +170,9 @@ def cmd_verify(args) -> int:
             collision=args.collision, trigger=args.trigger,
         )
         bundles += 1
-        report = analyze_bundle(bundle, AnalysisOptions(jobs=args.jobs))
+        options = AnalysisOptions(counting=args.counting, et_rule=args.et_rule,
+                                  refinement_passes=args.passes, jobs=args.jobs)
+        report = analyze_bundle(bundle, options)
         setup = report.setup
 
         if args.inject_fault == "mc":
@@ -205,6 +207,13 @@ def cmd_verify(args) -> int:
     return EXIT_UNSAFE if violations else EXIT_OK
 
 
+def _add_analysis_options(parser):
+    """The analysis options that analyze and verify share."""
+    parser.add_argument("--counting", choices=(COUNT_DISTINCT, COUNT_ACCESS), default=COUNT_DISTINCT)
+    parser.add_argument("--et-rule", choices=(ET_RULE_SUM, ET_RULE_MAX), default=ET_RULE_SUM)
+    parser.add_argument("--passes", type=_positive_int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="chainlat", description=__doc__)
     p.add_argument("--version", action="version", version="chainlat %s" % __version__)
@@ -227,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--tasks", nargs="+", required=True)
     a.add_argument("--chains", nargs="+", required=True)
     a.add_argument("--mode", choices=("tsc", "tlt", "nct", "all"), default="all")
-    a.add_argument("--counting", choices=(COUNT_DISTINCT, COUNT_ACCESS), default=COUNT_DISTINCT)
-    a.add_argument("--et-rule", choices=(ET_RULE_SUM, ET_RULE_MAX), default=ET_RULE_SUM)
-    a.add_argument("--passes", type=_positive_int, default=1)
+    _add_analysis_options(a)
     a.add_argument("--jobs", type=_positive_int, default=1)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--simulate-hit-ratio", action="store_true")
@@ -249,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sim-policy", choices=("random", "worst", "both"), default="both")
     v.add_argument("--paths-per-job", type=_positive_int, default=10)
     v.add_argument("--inject-fault", choices=("none", "mc", "context"), default="none")
+    _add_analysis_options(v)
     v.add_argument("--jobs", type=_positive_int, default=1)
     v.set_defaults(func=cmd_verify)
     return p

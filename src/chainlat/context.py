@@ -207,11 +207,6 @@ class JobContext:
         return BlockView(self.lifetime, None, ((abs_w,),))
 
 
-def covers(seq_abs: tuple, lo: int, hi: int) -> bool:
-    """True when [lo, hi] lies inside a single interval of the sequence."""
-    return any(iv.lo <= lo and hi <= iv.hi for iv in seq_abs)
-
-
 def write_context_csv(path, jobs_with_ctx):
     """Debug dump: absolute windows, one row per (job, block, interval)."""
     with open(path, "w", newline="") as fh:

@@ -126,11 +126,17 @@ class Setup:
     hyper: int
     jobs: dict  # (chain id, period index, task index) -> JobInstance
     lifetimes: dict  # chain id -> LifetimeIndex
-    # Caches filled by the analysis; each value depends on nothing but the
-    # fields above, so a Setup reused across options never reads a stale one.
+    # Caches filled lazily by the analysis (the first three) and by the
+    # simulator and its oracle (the last two).  Each value depends on nothing
+    # but the fields above, never on options or a report, so a Setup reused
+    # across options never reads a stale one.  The oracle keeps its own
+    # windows apart from foreign_ctxs.  Edit a task's contexts (fault
+    # injection) before the first check_safety on the Setup, not after.
     set_candidates: dict = field(default_factory=dict, repr=False)
     foreign_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
+    walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table
+    oracle_windows: dict = field(default_factory=dict, repr=False)  # (*job key, block id) -> (lo, hi) pairs
 
     def job_ctx(self, key) -> JobContext:
         """A fresh context of one job; the oracle builds its own through this."""

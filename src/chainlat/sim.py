@@ -11,6 +11,10 @@ per-job cold-start assumption of the analysis.
 Path policies: seeded random choices, a worst-biased walker that steers
 branches toward the heavier suffix and runs loops to their upper bounds,
 and exhaustive enumeration of all decision tapes for small problems.
+
+A Setup keeps the per-task walk tables and the oracle's absolute windows,
+each built on first use, so every path after the first on one Setup pays
+only for its own walk and its own checks.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cache_ai import AH, BYPASS, PS
-from .context import covers
 from .model import ValidationError, topo_order
 
 
@@ -120,29 +123,35 @@ class _Decider:
             self.rngs[job_key] = random.Random("%s|%s" % (self.seed, job_key))
         return self.rngs[job_key]
 
-    def _pick(self, n: int, job_key, worst_index: int, rng_pick) -> int:
+    def _taped(self, n: int):
+        """Record a decision point with n choices; the tape's choice, or None off tape."""
         self.counts.append(n)
         self.pos += 1
-        if self.tape is not None:
-            if self.pos - 1 < len(self.tape):
-                return self.tape[self.pos - 1]
-            self.tape.append(0)
-            return 0
-        if self.policy == "worst":
-            return worst_index
-        return rng_pick(self._rng(job_key))
+        if self.tape is None:
+            return None
+        if self.pos - 1 < len(self.tape):
+            return self.tape[self.pos - 1]
+        self.tape.append(0)
+        return 0
 
     def branch(self, choices, job_key, scores) -> str:
-        if len(choices) == 1:
+        n = len(choices)
+        if n == 1:
             return choices[0]
-        worst = max(range(len(choices)), key=lambda i: (scores.get(choices[i], 0), -i))
-        idx = self._pick(len(choices), job_key, worst, lambda r: r.randrange(len(choices)))
+        idx = self._taped(n)
+        if idx is None:
+            if self.policy == "worst":
+                idx = max(range(n), key=lambda i: (scores.get(choices[i], 0), -i))
+            else:
+                idx = self._rng(job_key).randrange(n)
         return choices[idx]
 
     def iterations(self, lo: int, hi: int, job_key) -> int:
         if lo == hi:
             return lo
-        idx = self._pick(hi - lo + 1, job_key, hi - lo, lambda r: r.randint(0, hi - lo))
+        idx = self._taped(hi - lo + 1)
+        if idx is None:
+            idx = hi - lo if self.policy == "worst" else self._rng(job_key).randint(0, hi - lo)
         return lo + idx
 
 
@@ -156,18 +165,71 @@ def _suffix_scores(task, node_worst) -> dict:
     return scores
 
 
-def _core_walker(core, setup, cid, decider, trace, system, scores_by_task):
-    """Generator running one core's chain; yields at shared-cache lookups."""
-    cs = setup.chains[cid]
-    chain = cs.chain
+class _TaskWalk:
+    """Everything the walker reads of one task, as plain data.
+
+    blocks maps a block id to a record (accesses, idle cycles, loop headed,
+    exclusive arms, successors):
+      - the accesses as (access id, private line, shared line), in program
+        order; each is one instruction, issued before the access-free ones;
+      - the cycles of the block's access-free instructions;
+      - (loop id, tail block, min bound, max bound) of the loop the block
+        heads, or None;
+      - the blocks its exclusive pairs rule out, or None;
+      - its forward successors, sorted.
+    """
+
+    __slots__ = ("entry", "exit", "scores", "blocks")
+
+    def __init__(self, task, node_worst, system):
+        self.entry = task.entry_block
+        self.exit = task.exit_block
+        self.scores = _suffix_scores(task, node_worst)
+        heads = {ln.head_block: (lid, ln.tail_block, ln.min_bound, ln.max_bound)
+                 for lid, ln in task.loops.items()}
+        exclusive = {}
+        for pair in task.exclusive_pairs:
+            a, b = tuple(pair)
+            exclusive.setdefault(a, set()).add(b)
+            exclusive.setdefault(b, set()).add(a)
+        succ = task.successors(include_back=False)
+        self.blocks = {
+            bid: (
+                tuple((a.id, system.l1.line_of(a.address), system.l2.line_of(a.address))
+                      for a in b.accesses),
+                system.base_cpi * (b.instruction_count - len(b.accesses)),
+                heads.get(bid),
+                exclusive.get(bid),
+                sorted(succ[bid]),  # filtering a sorted list keeps its order
+            )
+            for bid, b in task.blocks.items()
+        }
+
+
+def _walks(setup) -> dict:
+    """Task id -> _TaskWalk, built on the Setup's first simulation."""
+    if not setup.walks:
+        system = setup.bundle.system
+        for tid, ta in setup.tasks.items():
+            setup.walks[tid] = _TaskWalk(setup.bundle.tasks[tid], ta.contracted_init.node_worst, system)
+    return setup.walks
+
+
+def _core_walker(core, setup, cid, decider, trace, walks):
+    """Generator running one core's chain; yields (cycle, shared line) at shared-cache lookups."""
+    chain = setup.chains[cid].chain
+    system = setup.bundle.system
+    cpi, l1_hit = system.base_cpi, system.l1.hit_latency
     l1 = LRUCache(system.l1.sets, system.l1.ways)
+    l1_access = l1.access
+    accesses, blocks = trace.accesses, trace.blocks
     clock = 0
     n_instances = setup.hyper // chain.period
 
     for k in range(n_instances):
         for i, tid in enumerate(chain.tasks):
-            task = setup.bundle.tasks[tid]
-            scores = scores_by_task[tid]
+            walk = walks[tid]
+            records = walk.blocks
             if chain.trigger == "TT":
                 release = k * chain.period + chain.offsets[i]
             elif i == 0:
@@ -181,105 +243,82 @@ def _core_walker(core, setup, cid, decider, trace, system, scores_by_task):
             job_key = "%s/%d/%d" % (cid, k, i)
             start = clock
 
-            heads = {ln.head_block: lid for lid, ln in task.loops.items()}
-            tails = {}
-            for lid, ln in task.loops.items():
-                tails.setdefault(ln.tail_block, []).append(lid)
-            succ_fwd = task.successors(include_back=False)
-            exclusive = {}
-            for pair in task.exclusive_pairs:
-                a, b = tuple(pair)
-                exclusive.setdefault(a, set()).add(b)
-                exclusive.setdefault(b, set()).add(a)
-
-            cur = task.entry_block
-            loop_stack = []  # [loop id, chosen iterations, done count, entry serial]
+            cur = walk.entry
+            loop_stack = []  # [loop id, chosen iterations, done count, entry serial, head, tail]
             entry_serial = {}
             forbidden = set()
 
             while True:
-                lid = heads.get(cur)
-                if lid is not None and (not loop_stack or loop_stack[-1][0] != lid):
+                block_accesses, idle, loop, excluded, succ = records[cur]
+                if loop is not None and (not loop_stack or loop_stack[-1][0] != loop[0]):
+                    lid, tail, lo, hi = loop
                     serial = entry_serial.get(lid, 0)
                     entry_serial[lid] = serial + 1
-                    ln = task.loops[lid]
-                    iters = decider.iterations(ln.min_bound, ln.max_bound, job_key)
-                    loop_stack.append([lid, iters, 1, serial])
+                    loop_stack.append([lid, decider.iterations(lo, hi, job_key), 1, serial, cur, tail])
 
-                block = task.blocks[cur]
-                if cur in exclusive:
-                    forbidden |= exclusive[cur]
+                if excluded is not None:
+                    forbidden |= excluded
                 scope = (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None
                 b_start = clock
-                n_acc = len(block.accesses)
-                for j in range(block.instruction_count):
-                    clock += system.base_cpi
-                    if j < n_acc:
-                        acc = block.accesses[j]
-                        if l1.access(system.l1.line_of(acc.address)):
-                            clock += system.l1.hit_latency
-                            trace.accesses.append(
-                                AccessEvent(clock, core, cid, k, i, cur, acc.id, "L1", scope)
-                            )
-                        else:
-                            latency, level = yield (clock, acc.address)
-                            clock += latency
-                            trace.accesses.append(
-                                AccessEvent(clock, core, cid, k, i, cur, acc.id, level, scope)
-                            )
-                trace.blocks.append(BlockOccurrence(core, cid, k, i, cur, b_start, clock))
+                for aid, l1_line, l2_line in block_accesses:
+                    clock += cpi
+                    if l1_access(l1_line):
+                        clock += l1_hit
+                        level = "L1"
+                    else:
+                        latency, level = yield (clock, l2_line)
+                        clock += latency
+                    accesses.append(AccessEvent(clock, core, cid, k, i, cur, aid, level, scope))
+                clock += idle
+                blocks.append(BlockOccurrence(core, cid, k, i, cur, b_start, clock))
 
                 # Repeat or leave loops whose tail this block is, innermost first.
                 advanced = False
-                while loop_stack and task.loops[loop_stack[-1][0]].tail_block == cur:
+                while loop_stack and loop_stack[-1][5] == cur:
                     top = loop_stack[-1]
                     if top[2] < top[1]:
                         top[2] += 1
-                        cur = task.loops[top[0]].head_block
+                        cur = top[4]
                         advanced = True
                         break
                     loop_stack.pop()
                 if advanced:
                     continue
-                if cur == task.exit_block:
+                if cur == walk.exit:
                     break
-                choices = sorted(s for s in succ_fwd[cur] if s not in forbidden)
-                if not choices:
-                    choices = sorted(succ_fwd[cur])
-                cur = decider.branch(choices, job_key, scores)
+                if forbidden:
+                    succ = [s for s in succ if s not in forbidden] or succ
+                cur = decider.branch(succ, job_key, walk.scores)
 
             trace.jobs.append(JobRecord(core, cid, k, i, tid, start, clock))
 
 
-def _run(bundle, setup, decider) -> SimTrace:
-    system = bundle.system
-    scores_by_task = {
-        tid: _suffix_scores(bundle.tasks[tid], setup.tasks[tid].contracted_init.node_worst)
-        for tid in bundle.tasks
-    }
+def _run(setup, decider) -> SimTrace:
+    system = setup.bundle.system
+    walks = _walks(setup)
     trace = SimTrace()
     l2 = LRUCache(system.l2.sets, system.l2.ways)
 
     gens = {}
     for cid in sorted(setup.chains):
         core = setup.chains[cid].chain.core
-        gens[core] = _core_walker(core, setup, cid, decider, trace, system, scores_by_task)
+        gens[core] = _core_walker(core, setup, cid, decider, trace, walks)
 
     heap = []
     for core in sorted(gens):
         try:
-            cycle, address = next(gens[core])
-            heapq.heappush(heap, (cycle, core, address))
+            cycle, line = next(gens[core])
+            heapq.heappush(heap, (cycle, core, line))
         except StopIteration:
             pass
 
     while heap:
-        cycle, core, address = heapq.heappop(heap)
-        hit = l2.access(system.l2.line_of(address))
+        cycle, core, line = heapq.heappop(heap)
+        hit = l2.access(line)
         latency = system.l2.hit_latency if hit else system.mem_latency
         try:
-            nxt_cycle, nxt_addr = gens[core].send((latency, "L2" if hit else "MEM"))
-            heapq.heappush(heap, (nxt_cycle, core, nxt_addr))
+            nxt_cycle, nxt_line = gens[core].send((latency, "L2" if hit else "MEM"))
+            heapq.heappush(heap, (nxt_cycle, core, nxt_line))
         except StopIteration:
             pass
 
@@ -289,11 +328,15 @@ def _run(bundle, setup, decider) -> SimTrace:
 
 
 def simulate(bundle, config: SimConfig, setup=None) -> SimTrace:
-    """One concrete run of the whole bundle over its hyperperiod."""
+    """One concrete run of the whole bundle over its hyperperiod.
+
+    The walk tables are built on the Setup's first simulation and reused,
+    so a Setup shared across paths pays for them once.
+    """
     from .latency import prepare
 
     setup = setup or prepare(bundle)
-    return _run(bundle, setup, _Decider(config))
+    return _run(setup, _Decider(config))
 
 
 def simulate_exhaustive(bundle, config: SimConfig = None, setup=None):
@@ -306,7 +349,7 @@ def simulate_exhaustive(bundle, config: SimConfig = None, setup=None):
     paths = 0
     while True:
         decider = _Decider(SimConfig(policy="tape", seed=config.seed, tape=tape))
-        trace = _run(bundle, setup, decider)
+        trace = _run(setup, decider)
         paths += 1
         if paths > config.max_exhaustive_paths:
             raise ValidationError("exhaustive simulation exceeds %d paths" % config.max_exhaustive_paths)
@@ -329,27 +372,45 @@ def trace_hit_ratio(trace: SimTrace) -> Optional[float]:
     return sum(1 for e in l2 if e.level == "L2") / len(l2)
 
 
+def _oracle_window(setup, key) -> tuple:
+    """Absolute window of a (chain id, k, task index, block id) as (lo, hi) pairs.
+
+    Built from a fresh job context, never from the contexts the analysis
+    shares, and from nothing a report holds, so check_safety keeps it on
+    the Setup.
+    """
+    return tuple((iv.lo, iv.hi) for iv in setup.job_ctx(key[:3]).bba_time(key[3]))
+
+
 def check_safety(trace: SimTrace, report, setup=None) -> list:
     """Compare a concrete trace against the refined analysis results.
 
     Returns violation records; an empty list certifies the run.  Checks:
     job and chain latencies against the refined bounds, always-hit accesses
     never missing, persistent accesses missing at most once per scope entry,
-    and every block occurrence covered by its absolute window.
+    and every block occurrence covered by its absolute window.  The bounds
+    checked are the TSC results, so a report without them raises
+    ValueError.  Everything read from the report is read per call: callers
+    may edit a report between checks.
     """
     setup = setup or report.setup
+    tsc = {key[1:]: res for key, res in report.instances.items() if key[0] == "TSC"}
+    if not tsc:
+        modes = sorted({key[0] for key in report.instances} | {key[1] for key in report.chain_results})
+        raise ValueError("check_safety needs TSC results; the report has modes %s"
+                         % (", ".join(modes) or "none"))
     violations = []
 
     by_instance = {}
     for j in trace.jobs:
-        by_instance[(j.chain_id, j.period_index, j.task_index)] = j
-        res = report.instances.get(("TSC", j.chain_id, j.period_index, j.task_index))
+        key = (j.chain_id, j.period_index, j.task_index)
+        by_instance[key] = j
+        res = tsc.get(key)
         if res is None:
             continue
         if j.finish - j.start > res.wcet:
             violations.append(
-                {"kind": "job-latency", "job": (j.chain_id, j.period_index, j.task_index),
-                 "latency": j.finish - j.start, "bound": res.wcet}
+                {"kind": "job-latency", "job": key, "latency": j.finish - j.start, "bound": res.wcet}
             )
 
     for cid, cs in setup.chains.items():
@@ -367,32 +428,39 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
 
     ps_misses = {}
     for e in trace.accesses:
-        res = report.instances.get(("TSC", e.chain_id, e.period_index, e.task_index))
+        job = (e.chain_id, e.period_index, e.task_index)
+        res = tsc.get(job)
         if res is None:
             continue
         cls = setup.tasks[res.task_id].classification.accesses[e.access_id]
         chmc = res.refined.get(e.access_id, cls.l2_chmc)
         if cls.l2_chmc == BYPASS and e.level != "L1":
             violations.append({"kind": "l1-ah-miss", "access": e.access_id, "cycle": e.cycle})
-        if chmc == AH and e.level == "MEM":
-            violations.append({"kind": "ah-miss", "access": e.access_id, "cycle": e.cycle,
-                               "job": (e.chain_id, e.period_index, e.task_index)})
-        if chmc == PS and e.level == "MEM":
-            key = (e.chain_id, e.period_index, e.task_index, e.access_id, e.scope)
-            ps_misses[key] = ps_misses.get(key, 0) + 1
-            if ps_misses[key] > 1:
-                violations.append({"kind": "ps-extra-miss", "access": e.access_id,
-                                   "scope": e.scope, "count": ps_misses[key]})
+        if e.level == "MEM":
+            if chmc == AH:
+                violations.append({"kind": "ah-miss", "access": e.access_id, "cycle": e.cycle,
+                                   "job": job})
+            elif chmc == PS:
+                key = job + (e.access_id, e.scope)
+                ps_misses[key] = ps_misses.get(key, 0) + 1
+                if ps_misses[key] > 1:
+                    violations.append({"kind": "ps-extra-miss", "access": e.access_id,
+                                       "scope": e.scope, "count": ps_misses[key]})
 
-    ctx_cache = {}
+    windows = setup.oracle_windows
     for occ in trace.blocks:
-        key = (occ.chain_id, occ.period_index, occ.task_index)
-        if key not in ctx_cache:
-            ctx_cache[key] = setup.job_ctx(key)
-        bba = ctx_cache[key].bba_time(occ.block_id)
-        if not covers(bba, occ.start, occ.end):
+        key = (occ.chain_id, occ.period_index, occ.task_index, occ.block_id)
+        window = windows.get(key)
+        if window is None:
+            window = windows[key] = _oracle_window(setup, key)
+        # Covered when the occurrence lies inside one interval of the window.
+        lo_occ, hi_occ = occ.start, occ.end
+        for lo, hi in window:
+            if lo <= lo_occ and hi_occ <= hi:
+                break
+        else:
             violations.append({"kind": "context-coverage", "block": occ.block_id,
-                               "job": key, "window": (occ.start, occ.end)})
+                               "job": key[:3], "window": (occ.start, occ.end)})
 
     for core, cid, k, i, release, actual in trace.overruns:
         violations.append({"kind": "deadline-overrun", "job": (cid, k, i),

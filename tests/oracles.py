@@ -5,6 +5,8 @@ Everything here is deliberately written against the plain definitions
 code paths it checks.
 """
 
+import random
+
 import numpy as np
 
 
@@ -355,3 +357,195 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
         bcet=best_d[top.exit] + node_best[top.exit],
         wcet=bbleot[top.exit],
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference simulator: one instruction per clock step, every per-task table
+# rebuilt per job, and dict-of-ages LRU caches.
+
+
+class _RefDecider:
+    """Branch and loop-bound choices, drawn exactly as the simulator's contract says."""
+
+    def __init__(self, policy, seed, tape):
+        self.policy = policy
+        self.seed = seed
+        self.tape = list(tape) if tape is not None else None
+        self.pos = 0
+        self.counts = []
+        self.rngs = {}
+
+    def _rng(self, job_key):
+        if job_key not in self.rngs:
+            self.rngs[job_key] = random.Random("%s|%s" % (self.seed, job_key))
+        return self.rngs[job_key]
+
+    def _pick(self, n, job_key, worst_index, rng_pick):
+        self.counts.append(n)
+        self.pos += 1
+        if self.tape is not None:
+            if self.pos - 1 < len(self.tape):
+                return self.tape[self.pos - 1]
+            self.tape.append(0)
+            return 0
+        if self.policy == "worst":
+            return worst_index
+        return rng_pick(self._rng(job_key))
+
+    def branch(self, choices, job_key, scores):
+        if len(choices) == 1:
+            return choices[0]
+        worst = max(range(len(choices)), key=lambda i: (scores.get(choices[i], 0), -i))
+        return choices[self._pick(len(choices), job_key, worst, lambda r: r.randrange(len(choices)))]
+
+    def iterations(self, lo, hi, job_key):
+        if lo == hi:
+            return lo
+        return lo + self._pick(hi - lo + 1, job_key, hi - lo, lambda r: r.randint(0, hi - lo))
+
+
+def _ref_suffix_scores(task, node_worst):
+    from chainlat.model import topo_order
+
+    scores = {}
+    succ = task.successors(include_back=False)
+    for bid in reversed(topo_order(task)):
+        scores[bid] = node_worst.get(bid, 0) + max((scores[s] for s in succ[bid]), default=0)
+    return scores
+
+
+def _ref_core_walker(core, setup, cid, decider, trace, system, scores_by_task):
+    from chainlat.sim import AccessEvent, BlockOccurrence, JobRecord
+
+    chain = setup.chains[cid].chain
+    clock = 0
+    for k in range(setup.hyper // chain.period):
+        for i, tid in enumerate(chain.tasks):
+            task = setup.bundle.tasks[tid]
+            scores = scores_by_task[tid]
+            if chain.trigger == "TT":
+                release = k * chain.period + chain.offsets[i]
+            elif i == 0:
+                release = k * chain.period
+            else:
+                release = clock
+            if clock > release:
+                trace.overruns.append((core, cid, k, i, release, clock))
+            clock = max(clock, release)
+            l1 = ReferenceLRU(system.l1.sets, system.l1.ways)
+            job_key = "%s/%d/%d" % (cid, k, i)
+            start = clock
+
+            heads = {ln.head_block: lid for lid, ln in task.loops.items()}
+            succ_fwd = task.successors(include_back=False)
+            exclusive = {}
+            for pair in task.exclusive_pairs:
+                a, b = tuple(pair)
+                exclusive.setdefault(a, set()).add(b)
+                exclusive.setdefault(b, set()).add(a)
+
+            cur = task.entry_block
+            loop_stack = []  # [loop id, chosen iterations, done count, entry serial]
+            entry_serial = {}
+            forbidden = set()
+            while True:
+                lid = heads.get(cur)
+                if lid is not None and (not loop_stack or loop_stack[-1][0] != lid):
+                    serial = entry_serial.get(lid, 0)
+                    entry_serial[lid] = serial + 1
+                    ln = task.loops[lid]
+                    loop_stack.append([lid, decider.iterations(ln.min_bound, ln.max_bound, job_key), 1, serial])
+                block = task.blocks[cur]
+                if cur in exclusive:
+                    forbidden |= exclusive[cur]
+                scope = (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None
+                b_start = clock
+                for j in range(block.instruction_count):
+                    clock += system.base_cpi
+                    if j < len(block.accesses):
+                        acc = block.accesses[j]
+                        if l1.access(system.l1.line_of(acc.address)):
+                            clock += system.l1.hit_latency
+                            level = "L1"
+                        else:
+                            latency, level = yield (clock, acc.address)
+                            clock += latency
+                        trace.accesses.append(AccessEvent(clock, core, cid, k, i, cur, acc.id, level, scope))
+                trace.blocks.append(BlockOccurrence(core, cid, k, i, cur, b_start, clock))
+
+                advanced = False
+                while loop_stack and task.loops[loop_stack[-1][0]].tail_block == cur:
+                    top = loop_stack[-1]
+                    if top[2] < top[1]:
+                        top[2] += 1
+                        cur = task.loops[top[0]].head_block
+                        advanced = True
+                        break
+                    loop_stack.pop()
+                if advanced:
+                    continue
+                if cur == task.exit_block:
+                    break
+                choices = sorted(s for s in succ_fwd[cur] if s not in forbidden)
+                if not choices:
+                    choices = sorted(succ_fwd[cur])
+                cur = decider.branch(choices, job_key, scores)
+            trace.jobs.append(JobRecord(core, cid, k, i, tid, start, clock))
+
+
+def _ref_run(setup, decider):
+    import heapq
+
+    from chainlat.sim import SimTrace
+
+    system = setup.bundle.system
+    scores_by_task = {
+        tid: _ref_suffix_scores(setup.bundle.tasks[tid], setup.tasks[tid].contracted_init.node_worst)
+        for tid in setup.bundle.tasks
+    }
+    trace = SimTrace()
+    l2 = ReferenceLRU(system.l2.sets, system.l2.ways)
+    gens = {}
+    for cid in sorted(setup.chains):
+        core = setup.chains[cid].chain.core
+        gens[core] = _ref_core_walker(core, setup, cid, decider, trace, system, scores_by_task)
+    heap = []
+    for core in sorted(gens):
+        try:
+            cycle, address = next(gens[core])
+            heapq.heappush(heap, (cycle, core, address))
+        except StopIteration:
+            pass
+    while heap:
+        cycle, core, address = heapq.heappop(heap)
+        hit = l2.access(system.l2.line_of(address))
+        latency = system.l2.hit_latency if hit else system.mem_latency
+        try:
+            nxt = gens[core].send((latency, "L2" if hit else "MEM"))
+            heapq.heappush(heap, (nxt[0], core, nxt[1]))
+        except StopIteration:
+            pass
+    trace.jobs.sort(key=lambda j: (j.core, j.period_index, j.task_index))
+    trace.l2_state = l2.snapshot()
+    return trace
+
+
+def reference_simulate(setup, policy="random", seed=0, tape=None):
+    """One run over the hyperperiod, stepping the clock one instruction at a time."""
+    return _ref_run(setup, _RefDecider(policy, seed, tape))
+
+
+def reference_simulate_exhaustive(setup, limit):
+    """The first `limit` traces of the odometer enumeration of decision tapes."""
+    tape = []
+    for _ in range(limit):
+        decider = _RefDecider("tape", 0, tape)
+        yield _ref_run(setup, decider)
+        grown, counts = decider.tape, decider.counts
+        pos = len(grown) - 1
+        while pos >= 0 and grown[pos] + 1 >= counts[pos]:
+            pos -= 1
+        if pos < 0:
+            return
+        tape = grown[: pos + 1]
+        tape[pos] += 1

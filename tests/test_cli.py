@@ -106,7 +106,7 @@ def test_analyze_rejects_non_positive_counts(tmp_path, capsys, flag, value):
     assert not (tmp_path / "rep").exists()
 
 
-@pytest.mark.parametrize("flag", ["--jobs", "--seeds", "--paths-per-job"])
+@pytest.mark.parametrize("flag", ["--jobs", "--seeds", "--paths-per-job", "--passes"])
 def test_verify_rejects_non_positive_counts(capsys, flag):
     for value in ("0", "-3"):
         rc = main(["verify", flag, value, "--sim-policy", "random"])
@@ -151,6 +151,28 @@ def test_verify_small_run_passes(capsys):
     rc = main(["verify", "--seeds", "2", "--paths-per-job", "3", "--sim-policy", "both"])
     assert rc == EXIT_OK
     assert "0 violations / 2 bundles" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,field,value", [
+    (["--counting", "access"], "counting", "access"),
+    (["--et-rule", "max"], "et_rule", "max"),
+    (["--passes", "2"], "refinement_passes", 2),
+])
+def test_verify_checks_analysis_options(capsys, monkeypatch, flags, field, value):
+    # Four-task ET chains, where the counting unit and the ET rule change reports.
+    seen = []
+    analyze = cli.analyze_bundle
+
+    def spy(bundle, options=None):
+        seen.append(options)
+        return analyze(bundle, options)
+
+    monkeypatch.setattr(cli, "analyze_bundle", spy)
+    rc = main(["verify", "--seeds", "3", "--tasks-per-chain", "4", "--trigger", "ET",
+               "--collision", "0.8"] + flags)
+    assert rc == EXIT_OK
+    assert "0 violations / 3 bundles" in capsys.readouterr().out
+    assert len(seen) == 3 and all(getattr(o, field) == value for o in seen)
 
 
 def test_verify_rejects_zero_seeds(capsys):

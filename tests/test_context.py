@@ -9,7 +9,6 @@ from chainlat.context import (
     compute_lpb_time,
     compute_lpr_time,
     compute_prs_time,
-    covers,
 )
 from chainlat.cost import contract_task, virtual_id
 from chainlat.model import ChainSpec, Interval, JobInstance, LoopNode
@@ -166,7 +165,8 @@ def test_coverage_against_exhaustive_enumeration(system, diamond):
     jctx = JobContext(job, ctx)
     for path in enumerate_task_paths(diamond):
         for bid, s, e in path_occurrences(path, costs):
-            assert covers(jctx.bba_time(bid), 70 + s, 70 + e), (bid, s, e)
+            window = jctx.bba_time(bid)
+            assert any(iv.lo <= 70 + s and 70 + e <= iv.hi for iv in window), (bid, s, e)
 
 
 def test_nesting_containment(system):

@@ -4,9 +4,10 @@ Each report digest is the sha256 of ``report_to_json`` followed by the
 ``report_to_csv_rows`` text; ``DIGESTS`` holds the default analysis options
 and ``OPTION_DIGESTS`` each non-default option.  ``INTERFERENCE_DIGESTS``
 pins the ``interference.csv`` debug dump (raw and after-MWIS sums per
-access) under every option set.  A change that keeps the analysis must keep
-every digest; one that means to alter reports records them again and says
-why.
+access) under every option set.  ``TRACE_DIGESTS`` pins the simulator's
+``trace.csv`` for the worst-biased path and random path 0.  A change that
+keeps the analysis must keep every digest; one that means to alter reports
+or traces records them again and says why.
 """
 
 import csv
@@ -19,6 +20,7 @@ import pytest
 from chainlat import generate_workload
 from chainlat.interference import write_interference_csv
 from chainlat.latency import AnalysisOptions, analyze_bundle, report_to_csv_rows, report_to_json
+from chainlat.sim import SimConfig, simulate, write_trace_csv
 
 from conftest import boundary_bundle
 
@@ -131,6 +133,28 @@ INTERFERENCE_DIGESTS = {
 }
 
 
+TRACE_DIGESTS = {
+    "random": {
+        "dual_et": "20d44165f2bfd52a672f60431be7528cb86b813334fc26df966e6ecbd2607560",
+        "dual_et_4tasks": "1b6850a3e98e24e6699a1cec032bcd39fe69a9805370f936521d35780bfa026e",
+        "dual_mix": "2cdbe2a1ca299ff930c6fb707f89055545731c80523e545e757ac9a73460da89",
+        "dual_periods_2000_2080": "e5dbc148d029b0533ba1b1dbc4d2342473a59a68cab8cbcaa0bc0a1b8a25208a",
+        "dual_tt": "67e88856d6a833c59aba7337a3f6f13e4365d91805bf44a45219fed815b58341",
+        "hyperperiod_boundary": "e489f3a7ebf5352a8d8fb8f39c236544351f27253b8b6c4829c5c2bbdb7ef323",
+        "quad_mix": "0643486a91fb5476cb79867dfa2ce98b9f7dac2e305533e6270b2208ed88e103",
+    },
+    "worst": {
+        "dual_et": "6b5c8143b2cc9c041c64b7bac5678f001be73c0406067360d7e3db04779bc32d",
+        "dual_et_4tasks": "42ca9e140dcd41239227e604552270f41a117b923ce4d160b0094e52968becd7",
+        "dual_mix": "9a7f877ea04fc8da4e8908e686a4129d93bbc14a9e47ef506d7ba06687ac327e",
+        "dual_periods_2000_2080": "9eb10219ecf771a576aaeeac77dd4a9c0814bad8b2bbccf7dc2669db7acdd9c0",
+        "dual_tt": "9cf12503a8d896074effa37be4beb44a8e554d5e69d57041e9f952e73a96a856",
+        "hyperperiod_boundary": "e489f3a7ebf5352a8d8fb8f39c236544351f27253b8b6c4829c5c2bbdb7ef323",
+        "quad_mix": "c1e1d3bdf3f6c2ebf8cf358e1a193755c5ffc2aac0070086b17d949f89438e6a",
+    },
+}
+
+
 def _report(bundle, options=None):
     report = analyze_bundle(bundle, options)
     buf = io.StringIO(newline="")
@@ -163,3 +187,12 @@ def test_interference_csv_digest(option, name, tmp_path):
     path = tmp_path / "interference.csv"
     write_interference_csv(path, report)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INTERFERENCE_DIGESTS[option][name]
+
+
+@pytest.mark.parametrize("policy", sorted(TRACE_DIGESTS))
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_trace_csv_digest(policy, name, tmp_path):
+    trace = simulate(BUNDLES[name](), SimConfig(policy, 0))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[policy][name]

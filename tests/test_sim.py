@@ -229,3 +229,55 @@ def test_check_safety_flags_shrunken_window():
     trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
     kinds = {v["kind"] for v in check_safety(trace, report)}
     assert "context-coverage" in kinds
+
+
+@pytest.mark.parametrize("modes", [("TLT",), ("TLT", "NCT"), ("NCT",)])
+def test_check_safety_refuses_report_without_tsc(modes):
+    # A report without TSC results used to certify any trace, even with
+    # every bound zeroed.
+    bundle = contended_bundle()
+    report = analyze_bundle(bundle, AnalysisOptions(modes=modes))
+    for res in report.instances.values():
+        res.wcet = 0
+    trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
+    with pytest.raises(ValueError, match="needs TSC results; the report has modes %s" % ", ".join(sorted(modes))):
+        check_safety(trace, report)
+
+
+def test_check_safety_reads_report_edits_between_checks():
+    # The demo's order: certify a trace, corrupt one refined class, check the
+    # same trace on the same Setup again.
+    bundle = contended_bundle()
+    report = analyze_bundle(bundle)
+    trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
+    assert check_safety(trace, report) == []
+    res = report.instances[("TSC", "c0", 0, 0)]
+    res.refined["x2"] = "AH"
+    kinds = {v["kind"] for v in check_safety(trace, report)}
+    assert "ah-miss" in kinds
+    res.refined["x2"] = "NC"
+    assert check_safety(trace, report) == []
+    res.wcet = 1
+    assert "job-latency" in {v["kind"] for v in check_safety(trace, report)}
+
+
+def test_reports_from_different_options_on_one_setup_match_fresh_prepares():
+    from chainlat.cli import _inject_mc_fault
+    from chainlat.ingest import generate_workload
+
+    bundle = generate_workload(seed=1, cores=2, tasks_per_chain=4, trigger="ET", collision=0.8)
+    options = [AnalysisOptions(), AnalysisOptions(counting="access"), AnalysisOptions(et_rule="max")]
+    setup = prepare(bundle)
+    shared = [analyze_bundle(bundle, o, setup=setup) for o in options]
+    fresh = [analyze_bundle(bundle, o) for o in options]
+    for report in shared[1:] + fresh[1:]:
+        assert _inject_mc_fault(report, report.setup)  # verdicts worth comparing
+    configs = [SimConfig("random", s) for s in range(4)] + [SimConfig("worst", 0)]
+    flagged = 0
+    for cfg in configs:
+        trace = simulate(bundle, cfg, setup=setup)
+        for mine, theirs in zip(shared, fresh):
+            got = check_safety(trace, mine, setup)
+            assert got == check_safety(simulate(bundle, cfg, setup=theirs.setup), theirs)
+            flagged += len(got)
+    assert flagged
