@@ -25,6 +25,7 @@ print("release window :", release)
 print("block offsets  :", offset)
 print("absolute window:", combined)
 print("normalized     :", normalize(combined))
+print("an Interval equals its (lo, hi) pair:", Interval(110, 158) == (110, 158))
 print()
 
 print("=" * 72)

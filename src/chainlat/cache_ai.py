@@ -120,12 +120,12 @@ class TaskClassification:
     accesses: dict  # access id -> AccessClassification
     l1_passes: int
     l2_passes: int
-    loop_set_pressure: dict  # (loop id, set) -> distinct L2-visible lines
 
     def __post_init__(self):
         self._visible = tuple(c for c in self.accesses.values() if c.l2_chmc != BYPASS)
         # Shared-cache visible lines per (block, set) and per set, one entry
-        # per access site, so the per-block and per-set queries are lookups.
+        # per access site, so the per-block and per-set queries are lookups;
+        # each set's blocks, sorted by id, are its interference candidates.
         self._block_set = {}
         self._set = {}
         for c in self._visible:
@@ -133,6 +133,10 @@ class TaskClassification:
             self._set.setdefault(c.l2_set, []).append(c.l2_line)
         self._block_set_lines = {k: frozenset(v) for k, v in self._block_set.items()}
         self._set_lines = {k: frozenset(v) for k, v in self._set.items()}
+        set_blocks = {}
+        for block_id, l2_set in sorted(self._block_set):
+            set_blocks.setdefault(l2_set, []).append(block_id)
+        self._set_blocks = {k: tuple(v) for k, v in set_blocks.items()}
 
     def visible(self) -> tuple:
         """Accesses that reach the shared cache, in access order; built once."""
@@ -143,6 +147,10 @@ class TaskClassification:
 
     def block_set_access_count(self, block_id: str, l2_set: int) -> int:
         return len(self._block_set.get((block_id, l2_set), ()))
+
+    def set_blocks(self, l2_set: int) -> tuple:
+        """Blocks with shared-cache visible accesses to the set, sorted by id."""
+        return self._set_blocks.get(l2_set, ())
 
     def task_set_lines(self, l2_set: int) -> frozenset:
         return self._set_lines.get(l2_set, frozenset())
@@ -259,7 +267,7 @@ def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
                 chmc, age = NC, None
             out[acc.id] = AccessClassification(acc.id, bid, NC, chmc, age, l2_set, line, label)
 
-    return TaskClassification(task.id, out, l1_passes, l2_passes, pressure)
+    return TaskClassification(task.id, out, l1_passes, l2_passes)
 
 
 def refine_chmc(cls: AccessClassification, interference: int, ways: int) -> str:

@@ -150,12 +150,10 @@ def _inject_mc_fault(report, setup):
 
 def _inject_context_fault(setup):
     """Collapse one task's program-relative windows to instants."""
-    from .model import Interval
-
     tid = sorted(setup.tasks)[0]
     ctx = setup.tasks[tid].ctx
     for node in sorted(ctx.bbrp):
-        ctx.bbrp[node] = tuple(Interval(iv.lo, iv.lo) for iv in ctx.bbrp[node])
+        ctx.bbrp[node] = tuple((lo, lo) for lo, _ in ctx.bbrp[node])
     return True
 
 

@@ -5,7 +5,9 @@ Every block gets an offset-time sequence relative to its innermost loop
 their parent and, recursively, to the program, and jobs get release windows
 relative to the system start.  Composing the three with the pairwise
 interval sum yields the absolute window (BBATime) used by the overlap and
-interference stages.
+interference stages.  Windows derived from costs are validated Intervals,
+their sums plain (lo, hi) pairs; compute_bba_time normalizes every absolute
+window once, where it is built.
 
 Upper bounds account for one-time persistence misses: the first iteration
 carries the surcharges reachable up to the block, later iterations carry
@@ -21,7 +23,7 @@ from typing import Optional
 from .cache_ai import AH, PS
 from .cost import ContractedTask, virtual_id
 from .model import ChainSpec, Interval, JobInstance
-from .overlap import normalize, seq_merge
+from .overlap import hull, normalize, seq_merge
 
 
 def compute_bbo_time(contracted: ContractedTask, node: str, loop_id: str) -> tuple:
@@ -86,18 +88,20 @@ def compute_prs_time(chain: ChainSpec, task_index: int, period_index: int,
     return Interval(lo, hi)
 
 
-def compute_bba_time(release: Interval, bbrp: tuple) -> tuple:
-    """Absolute window: release window composed with the program-relative one."""
-    return normalize(seq_merge((release,), bbrp))
+def compute_bba_time(release: Interval, window: tuple) -> tuple:
+    """Absolute window: each interval of a window relative to the release is
+    widened by the release window, then the result is normalized."""
+    rlo, rhi = release
+    return normalize([(lo + rlo, hi + rhi) for lo, hi in window])
 
 
 @dataclass
 class BlockView:
     """One block occurrence context as seen by the overlap phases."""
 
-    job_lifetime: Interval
-    outer_envelope: Optional[Interval]
-    window_levels: tuple  # absolute sequences, finest first
+    job_lifetime: tuple  # (lo, hi)
+    outer_envelope: Optional[tuple]
+    window_levels: tuple  # normalized absolute sequences, finest first
 
     def window_within(self, threshold: int) -> tuple:
         for w in self.window_levels:
@@ -159,17 +163,12 @@ class TaskContext:
         for cls in self.classification.visible():
             if cls.l2_chmc == AH:
                 sources = self.classification.same_line_blocks(cls.l2_line)
-                lo = min(min(iv.lo for iv in self.bbrp[b]) for b in sources)
-                hi = max(iv.hi for iv in self.bbrp[cls.block_id])
-                self.line_window[cls.access_id] = Interval(lo, hi)
+                lo = min(hull(self.bbrp[b]).lo for b in sources)
+                self.line_window[cls.access_id] = Interval(lo, hull(self.bbrp[cls.block_id]).hi)
             elif cls.l2_chmc == PS:
                 lid = t.blocks[cls.block_id].enclosing_loop
-                base = self.lpb[lid]
-                vid = virtual_id(lid)
-                self.line_window[cls.access_id] = Interval(
-                    min(iv.lo for iv in base),
-                    max(iv.hi for iv in base) + contracted.node_worst[vid],
-                )
+                lo, hi = hull(self.lpb[lid])
+                self.line_window[cls.access_id] = Interval(lo, hi + contracted.node_worst[virtual_id(lid)])
 
 
 class JobContext:
@@ -193,18 +192,15 @@ class JobContext:
             ctx = self.task_ctx
             env = ctx.outer_env[block_id]
             if env is not None:
-                env = Interval(env.lo + self.release.lo, env.hi + self.release.hi)
-            levels = tuple(
-                normalize(seq_merge((self.release,), w)) for w in ctx.window_ladder[block_id]
-            )
+                (env,) = compute_bba_time(self.release, (env,))
+            levels = tuple(compute_bba_time(self.release, w) for w in ctx.window_ladder[block_id])
             self._views[block_id] = BlockView(self.lifetime, env, levels)
         return self._views[block_id]
 
     def target_view(self, access_id: str) -> BlockView:
         """Single-interval view of an access's reuse window."""
-        w = self.task_ctx.line_window[access_id]
-        abs_w = Interval(w.lo + self.release.lo, w.hi + self.release.hi)
-        return BlockView(self.lifetime, None, ((abs_w,),))
+        window = compute_bba_time(self.release, (self.task_ctx.line_window[access_id],))
+        return BlockView(self.lifetime, None, (window,))
 
 
 def write_context_csv(path, jobs_with_ctx):
@@ -214,5 +210,5 @@ def write_context_csv(path, jobs_with_ctx):
         w.writerow(["chain", "period", "task", "block", "index", "lo", "hi"])
         for job, jctx in jobs_with_ctx:
             for bid in sorted(jctx.task_ctx.task.blocks):
-                for idx, iv in enumerate(jctx.bba_time(bid)):
-                    w.writerow([job.chain_id, job.period_index, job.task_id, bid, idx, iv.lo, iv.hi])
+                for idx, (lo, hi) in enumerate(jctx.bba_time(bid)):
+                    w.writerow([job.chain_id, job.period_index, job.task_id, bid, idx, lo, hi])

@@ -35,6 +35,10 @@ from .model import (
 # ---------------------------------------------------------------------------
 # Parsing
 
+# What a document of the wrong shape raises while it is read: a missing key,
+# a value of the wrong type, an unconvertible or non-finite number.
+_MALFORMED = (TypeError, KeyError, ValueError, IndexError, AttributeError, OverflowError)
+
 
 def _require(doc, key, where):
     if key not in doc:
@@ -54,7 +58,7 @@ def parse_system(doc: dict, where: str = "system") -> SystemSpec:
             base_cpi=int(_require(doc, "base_cpi", where)),
             period_table=tuple(int(p) for p in _require(doc, "period_table", where)),
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ValidationError("malformed system document (%s)" % exc, where)
 
 
@@ -84,9 +88,7 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
             loops[loop.id] = loop
         pairs = frozenset(frozenset((str(a), str(b))) for a, b in doc.get("exclusive_pairs", ()))
         task = TaskGraph(str(_require(doc, "task_id", where)), blocks, edges, loops, exclusive_pairs=pairs)
-    except (TypeError, KeyError, ValueError, IndexError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+    except _MALFORMED as exc:
         raise ValidationError("malformed task document (%s)" % exc, where)
     all_ids = {a.id for b in task.blocks.values() for a in b.accesses}
     if len(all_ids) != sum(len(b.accesses) for b in task.blocks.values()):
@@ -104,18 +106,23 @@ def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:
             period=None if doc.get("period") is None else int(doc["period"]),
             offsets=None if doc.get("offsets") is None else tuple(int(o) for o in doc["offsets"]),
         )
-    except (TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+    except _MALFORMED as exc:
         raise ValidationError("malformed chain document (%s)" % exc, where)
 
 
 def _load_json(path):
+    def reject(constant):
+        raise ValidationError("non-finite number %s" % constant, str(path))
+
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ValidationError("cannot read file (%s)" % exc, str(path))
+    except UnicodeDecodeError as exc:
+        raise ValidationError("not UTF-8 text (byte %d)" % exc.start, str(path))
+    except RecursionError:
+        raise ValidationError("JSON nested too deeply", str(path))
     except json.JSONDecodeError as exc:
         raise ValidationError("invalid JSON at line %d column %d" % (exc.lineno, exc.colno), str(path))
 

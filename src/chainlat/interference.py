@@ -119,7 +119,7 @@ def job_contribution(classification, task_graph, overlapping_blocks, l2_set: int
 def interference_bound(per_job, trigger: str, et_rule: str = ET_RULE_SUM) -> int:
     """Combine one foreign core's per-job contributions.
 
-    per_job: list of (release_window Interval, contribution).  With the
+    per_job: list of ((lo, hi) release window, contribution).  With the
     paper-faithful "max" rule, event-triggered jobs whose release windows
     mutually overlap contribute only their maximum.
     """
@@ -127,12 +127,12 @@ def interference_bound(per_job, trigger: str, et_rule: str = ET_RULE_SUM) -> int
         return 0
     if trigger == "ET" and et_rule == ET_RULE_MAX:
         groups = []
-        for win, contrib in sorted(per_job, key=lambda t: (t[0].lo, t[0].hi)):
-            if groups and win.lo <= groups[-1][0]:
-                hi, best = groups[-1]
-                groups[-1] = (max(hi, win.hi), max(best, contrib))
+        for (lo, hi), contrib in sorted(per_job, key=lambda t: t[0]):
+            if groups and lo <= groups[-1][0]:
+                last_hi, best = groups[-1]
+                groups[-1] = (max(last_hi, hi), max(best, contrib))
             else:
-                groups.append((win.hi, contrib))
+                groups.append((hi, contrib))
         return sum(best for _, best in groups)
     return sum(c for _, c in per_job)
 

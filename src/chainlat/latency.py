@@ -126,13 +126,12 @@ class Setup:
     hyper: int
     jobs: dict  # (chain id, period index, task index) -> JobInstance
     lifetimes: dict  # chain id -> LifetimeIndex
-    # Caches filled lazily by the analysis (the first three) and by the
+    # Caches filled lazily by the analysis (the first two) and by the
     # simulator and its oracle (the last two).  Each value depends on nothing
     # but the fields above, never on options or a report, so a Setup reused
     # across options never reads a stale one.  The oracle keeps its own
     # windows apart from foreign_ctxs.  Edit a task's contexts (fault
     # injection) before the first check_safety on the Setup, not after.
-    set_candidates: dict = field(default_factory=dict, repr=False)
     foreign_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
     walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table
@@ -267,17 +266,6 @@ def _tlt_pressure(setup: Setup, key, sets_of_interest, counting: str) -> dict:
     return out
 
 
-def _set_candidates(setup: Setup, task_id: str, l2_set: int):
-    """Foreign-task blocks carrying shared-cache visible accesses to one set."""
-    key = (task_id, l2_set)
-    if key not in setup.set_candidates:
-        cls = setup.tasks[task_id].classification
-        setup.set_candidates[key] = tuple(
-            sorted({c.block_id for c in cls.visible() if c.l2_set == l2_set})
-        )
-    return setup.set_candidates[key]
-
-
 def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
     """Interference bound per AH/PS access of one job under block-level windows."""
     job = jctx.job
@@ -291,26 +279,28 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
         tv = jctx.target_view(cls.access_id)
         # Hyperperiod-shifted foreign jobs are met by shifting the one-interval
         # target view the other way; overlap is translation-invariant.
-        (window,), = tv.window_levels
-        views = {shift: BlockView(tv.job_lifetime.shift(-shift), None, ((window.shift(-shift),),))
+        life_lo, life_hi = tv.job_lifetime
+        ((lo, hi),), = tv.window_levels
+        views = {shift: BlockView((life_lo - shift, life_hi - shift), None, (((lo - shift, hi - shift),),))
                  for shift in shifts}
         total = raw_total = mwis_total = 0
         for fcs, pairs in overlaps:
             per_job = []
             for fkey, shift in pairs:
                 fj = setup.jobs[fkey]
-                candidates = _set_candidates(setup, fj.task_id, cls.l2_set)
+                fcls = setup.tasks[fj.task_id].classification
+                candidates = fcls.set_blocks(cls.l2_set)
                 if not candidates:
                     continue
                 blocks = collect_overlap_set(views[shift], setup.foreign_ctx(fkey), candidates)
                 raw, contrib = job_contribution(
-                    setup.tasks[fj.task_id].classification, setup.bundle.tasks[fj.task_id],
-                    blocks, cls.l2_set, options.counting
+                    fcls, setup.bundle.tasks[fj.task_id], blocks, cls.l2_set, options.counting
                 )
                 raw_total += raw
                 mwis_total += contrib
                 if contrib:
-                    per_job.append((fj.release.shift(shift), contrib))
+                    rlo, rhi = fj.release
+                    per_job.append(((rlo + shift, rhi + shift), contrib))
             total += interference_bound(per_job, fcs.chain.trigger, options.et_rule)
         mc[cls.access_id] = total
         debug[cls.access_id] = (raw_total, mwis_total)

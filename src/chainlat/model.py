@@ -7,6 +7,7 @@ after construction and safe to share across parallel workers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -25,22 +26,24 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Closed integer-cycle interval [lo, hi]."""
+class Interval(namedtuple("Interval", "lo hi")):
+    """Closed integer-cycle interval [lo, hi], validated on construction.
 
-    lo: int
-    hi: int
+    A named pair: it unpacks, orders, hashes and compares equal like (lo, hi).
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval lo %d > hi %d" % (self.lo, self.hi))
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError("interval lo %d > hi %d" % (lo, hi))
+        return super().__new__(cls, lo, hi)
 
     def shift(self, delta: int) -> "Interval":
         return Interval(self.lo + delta, self.hi + delta)
 
-    def overlaps(self, other: "Interval") -> bool:
-        return max(self.lo, other.lo) <= min(self.hi, other.hi)
+    def overlaps(self, other) -> bool:
+        return max(self.lo, other[0]) <= min(self.hi, other[1])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Interval-sequence algebra and hierarchical temporal overlap detection.
 
-Sequences are tuples of closed Interval sorted by lower bound.  Overlap is
-inclusive: coinciding endpoints overlap, so every verdict is unchanged when
-both operands are translated by the same delta.
+An interval is a closed (lo, hi) pair; model.Interval, its validated form,
+equals the pair.  Sequences are tuples sorted by lower bound.  A job's
+absolute windows are normalized once, by context.compute_bba_time; the
+overlap tests never normalize.  Overlap is inclusive: touching endpoints
+overlap, so verdicts are invariant under translating both operands.
 """
 
 from __future__ import annotations
@@ -23,50 +25,37 @@ def seq(*pairs) -> tuple:
 
 def hull(a: tuple) -> Interval:
     """Smallest single interval covering the sequence."""
-    if not a:
-        raise ValueError("empty sequence has no hull")
-    return Interval(min(iv.lo for iv in a), max(iv.hi for iv in a))
+    return Interval(min(lo for lo, _ in a), max(hi for _, hi in a))
 
 
-def normalize(a: tuple) -> tuple:
+def normalize(a) -> tuple:
     """Coalesce overlapping or touching intervals; coverage is unchanged."""
-    if len(a) <= 1:
-        return tuple(a)
-    items = sorted(a, key=lambda iv: (iv.lo, iv.hi))
-    out = [items[0]]
-    for iv in items[1:]:
-        last = out[-1]
-        if iv.lo <= last.hi:  # touching endpoints coalesce under closed semantics
-            if iv.hi > last.hi:
-                out[-1] = Interval(last.lo, iv.hi)
+    out = []
+    for lo, hi in sorted(a):
+        if out and lo <= out[-1][1]:  # touching endpoints coalesce under closed semantics
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
-            out.append(iv)
+            out.append((lo, hi))
     return tuple(out)
 
 
 def seq_merge(a: tuple, b: tuple) -> tuple:
-    """Pairwise sum of two sequences: {[a_lo+b_lo, a_hi+b_hi]} over all pairs.
-
-    The result is sorted but not normalized; its length is |a| * |b|.
-    """
-    out = [Interval(x.lo + y.lo, x.hi + y.hi) for x in a for y in b]
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
-    return tuple(out)
+    """Pairwise sum {[a_lo+b_lo, a_hi+b_hi]}: sorted, not normalized, |a| * |b| long."""
+    return tuple(sorted((alo + blo, ahi + bhi) for alo, ahi in a for blo, bhi in b))
 
 
 def seq_overlap(a: tuple, b: tuple) -> bool:
-    """Two-pointer sweep over both sequences, O(|a| + |b|)."""
-    if not a or not b:
-        return False
-    a = normalize(a)
-    b = normalize(b)
+    """Two-pointer sweep over lo-sorted sequences, O(|a| + |b|), no normalizing.
+
+    Exact on any lo-sorted input: of two disjoint a[i] and b[j], the one with
+    the smaller hi ends before every later interval of the other begins.
+    """
     i = j = 0
     while i < len(a) and j < len(b):
-        lo = max(a[i].lo, b[j].lo)
-        hi = min(a[i].hi, b[j].hi)
-        if lo <= hi:
+        (alo, ahi), (blo, bhi) = a[i], b[j]
+        if alo <= bhi and blo <= ahi:
             return True
-        if a[i].hi < b[j].hi:
+        if ahi < bhi:
             i += 1
         else:
             j += 1
@@ -82,27 +71,33 @@ class OverlapVerdict:
         return self.result
 
 
+def _span(view) -> tuple:
+    """Outer-loop envelope, else the hull of the normalized coarsest window."""
+    if view.outer_envelope is not None:
+        return view.outer_envelope
+    w = view.window_levels[-1]
+    return w[0][0], w[-1][1]
+
+
 def hierarchical_overlap(a, b, threshold: int = PHASE3_THRESHOLD) -> OverlapVerdict:
     """Three-phase overlap judgment between two block occurrences.
 
     ``a`` and ``b`` are BlockView descriptors (see chainlat.context): each
     carries the job lifetime, the outermost-loop envelope when the block
-    sits inside a loop, and a lazily expanded absolute window sequence with
-    coarser fallbacks.  Phases reject from cheap to precise; a rejection at
-    any phase is final because every phase tests a superset of the next.
+    sits inside a loop, and normalized absolute window sequences, finest
+    first.  Phases reject from cheap to precise; a rejection at any phase
+    is final because every phase tests a superset of the next.
     """
-    if not a.job_lifetime.overlaps(b.job_lifetime):
+    alo, ahi = a.job_lifetime
+    blo, bhi = b.job_lifetime
+    if alo > bhi or blo > ahi:
         return OverlapVerdict(False, "job")
 
-    a_env = a.outer_envelope
-    b_env = b.outer_envelope
-    if a_env is not None or b_env is not None:
-        x = a_env if a_env is not None else hull(a.window_levels[-1])
-        y = b_env if b_env is not None else hull(b.window_levels[-1])
-        if not x.overlaps(y):
+    if a.outer_envelope is not None or b.outer_envelope is not None:
+        alo, ahi = _span(a)
+        blo, bhi = _span(b)
+        if alo > bhi or blo > ahi:
             return OverlapVerdict(False, "outer-loop")
 
-    return OverlapVerdict(
-        seq_overlap(a.window_within(threshold), b.window_within(threshold)),
-        "block",
-    )
+    found = seq_overlap(a.window_within(threshold), b.window_within(threshold))
+    return OverlapVerdict(found, "block")

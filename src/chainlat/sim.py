@@ -373,13 +373,13 @@ def trace_hit_ratio(trace: SimTrace) -> Optional[float]:
 
 
 def _oracle_window(setup, key) -> tuple:
-    """Absolute window of a (chain id, k, task index, block id) as (lo, hi) pairs.
+    """Absolute window, as (lo, hi) pairs, of a (chain id, k, task index, block id).
 
     Built from a fresh job context, never from the contexts the analysis
     shares, and from nothing a report holds, so check_safety keeps it on
     the Setup.
     """
-    return tuple((iv.lo, iv.hi) for iv in setup.job_ctx(key[:3]).bba_time(key[3]))
+    return setup.job_ctx(key[:3]).bba_time(key[3])
 
 
 def check_safety(trace: SimTrace, report, setup=None) -> list:

@@ -175,3 +175,15 @@ def test_must_analysis_sound_standalone(system):
                         assert level == "L1", (seed, tid, aid)
                     if c.l2_chmc == AH:
                         assert level in ("L1", "L2"), (seed, tid, aid)
+
+
+def test_set_blocks_are_the_sorted_visible_blocks_of_each_set():
+    from chainlat import generate_workload
+
+    for seed in range(1, 6):
+        bundle = generate_workload(seed=seed, cores=2, collision=0.8)
+        for task in bundle.tasks.values():
+            cls = classify_task(task, bundle.system)
+            for s in range(bundle.system.l2.sets):
+                want = tuple(sorted({c.block_id for c in cls.visible() if c.l2_set == s}))
+                assert cls.set_blocks(s) == want, (seed, task.id, s)

@@ -83,6 +83,27 @@ def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,edit", [
+    ("task", lambda text: json.dumps(dict(json.loads(text), blocks=[5]))),
+    ("task", lambda text: json.dumps(dict(json.loads(text), blocks=[[]]))),
+    ("system", lambda text: text.replace('"mem_latency": 30', '"mem_latency": Infinity')),
+], ids=("block-number", "block-list", "infinity"))
+def test_analyze_malformed_document_exits_2(tmp_path, capsys, kind, edit):
+    system, tasks, chains = _generated(tmp_path)
+    path = system if kind == "system" else tasks[0]
+    with open(path) as fh:
+        text = fh.read()
+    bad = edit(text)
+    assert bad != text
+    with open(path, "w") as fh:
+        fh.write(bad)
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID, err
+    assert os.path.basename(path) in err
+
+
 def test_analyze_deterministic_across_jobs(tmp_path):
     system, tasks, chains = _generated(tmp_path)
     outs = []

@@ -134,9 +134,9 @@ def test_bba_loop_head_composition(system, diamond):
     ctx = TaskContext(con)
     lpb = ctx.lpb["dl_l1"]
     assert lpb == (Interval(10, 10),)
-    bba = compute_bba_time(Interval(0, 0), ctx.bbrp["dl_h"])
-    assert bba[0].lo == 10
-    assert bba[0].hi == 10 + con.node_worst["dl_h"]
+    lo, hi = compute_bba_time(Interval(0, 0), ctx.bbrp["dl_h"])[0]
+    assert lo == 10
+    assert hi == 10 + con.node_worst["dl_h"]
 
 
 def test_in_loop_sequence_has_maxbd_intervals(system, diamond):
@@ -166,7 +166,7 @@ def test_coverage_against_exhaustive_enumeration(system, diamond):
     for path in enumerate_task_paths(diamond):
         for bid, s, e in path_occurrences(path, costs):
             window = jctx.bba_time(bid)
-            assert any(iv.lo <= 70 + s and 70 + e <= iv.hi for iv in window), (bid, s, e)
+            assert any(lo <= 70 + s and 70 + e <= hi for lo, hi in window), (bid, s, e)
 
 
 def test_nesting_containment(system):
@@ -177,5 +177,5 @@ def test_nesting_containment(system):
     ctx = TaskContext(con)
     for bid in ("ch", "ct"):
         env = ctx.outer_env[bid]
-        for iv in ctx.bbrp[bid]:
-            assert env.lo <= iv.lo and iv.hi <= env.hi
+        for lo, hi in ctx.bbrp[bid]:
+            assert env.lo <= lo and hi <= env.hi

@@ -84,7 +84,7 @@ def _raw_task(blocks, edges, loops=(), entry="a", exit_="b"):
 
 def _contract(task, prebuilt):
     system = default_system()
-    cls = TaskClassification(task.id, {}, 0, 0, {})
+    cls = TaskClassification(task.id, {}, 0, 0)
     return contract_task(task, cls, system, plan=ContractionPlan(task, system) if prebuilt else None)
 
 

@@ -61,7 +61,8 @@ def test_phase3_threshold_falls_back_to_virtual_node(system):
     coarse = view.window_within(1)
     assert len(fine) == 3  # one interval per iteration
     assert len(coarse) == 1  # the contracted loop's whole window
-    assert coarse[0].lo <= fine[0].lo and fine[-1].hi <= coarse[0].hi
+    (coarse_lo, coarse_hi), = coarse
+    assert coarse_lo <= fine[0][0] and fine[-1][1] <= coarse_hi
 
 
 def test_phase_rejection_implies_expanded_disjoint(system):

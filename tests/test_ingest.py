@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlat.cache_ai import classify_task
 from chainlat.cost import INIT_WORST, contract_task
@@ -11,6 +14,7 @@ from chainlat.ingest import (
     generate_workload,
     merge_core_chains,
     parse_chain,
+    parse_system,
     parse_task,
     parse_workload,
     system_to_doc,
@@ -197,3 +201,109 @@ def test_generated_chains_schedulable():
             assert sum(cips) <= chain.period
             if chain.trigger == "TT":
                 assert chain.offsets == assign_tt_offsets(cips)
+
+
+def _valid_docs():
+    """A system, a TT chain, a task with nested loops and one with an exclusive pair."""
+    tt = generate_workload(seed=6, trigger="TT")
+    mixed = generate_workload(seed=4)
+    assert any(loop.parent_loop for loop in tt.tasks["t0"].loops.values())
+    assert mixed.tasks["t0"].exclusive_pairs
+    return (
+        (parse_system, system_to_doc(tt.system)),
+        (parse_chain, chain_to_doc(tt.chains["c0"])),
+        (parse_task, task_to_doc(tt.tasks["t0"])),
+        (parse_task, task_to_doc(mixed.tasks["t0"])),
+    )
+
+
+VALID_DOCS = _valid_docs()
+
+
+@pytest.mark.parametrize("parse,doc", VALID_DOCS)
+def test_valid_documents_parse(parse, doc):
+    parse(doc)
+
+
+@pytest.mark.parametrize("blocks", ([5], [[]]), ids=("number", "list"))
+def test_parse_task_rejects_non_object_block(blocks):
+    doc = dict(VALID_DOCS[2][1], blocks=blocks)
+    with pytest.raises(ValidationError, match="malformed task document"):
+        parse_task(doc)
+
+
+@pytest.mark.parametrize("parse,path", [
+    (parse_system, ("mem_latency",)),
+    (parse_chain, ("core",)),
+    (parse_task, ("blocks", 0, "instructions")),
+], ids=("system", "chain", "task"))
+@pytest.mark.parametrize("value", (float("inf"), float("-inf"), float("nan")))
+def test_parsers_reject_non_finite_integers(parse, path, value):
+    doc = next(d for p, d in VALID_DOCS if p is parse)
+    with pytest.raises(ValidationError, match="malformed"):
+        parse(_replaced(doc, path, value))
+
+
+@pytest.mark.parametrize("constant", ("Infinity", "-Infinity", "NaN"))
+def test_load_rejects_non_finite_constants(tmp_path, constant):
+    sp = tmp_path / "system.json"
+    sp.write_text(json.dumps(VALID_DOCS[0][1]).replace('"mem_latency": 30', '"mem_latency": ' + constant))
+    with pytest.raises(ValidationError, match="system.json: non-finite number " + constant):
+        parse_workload(sp, [], [])
+
+
+def test_load_rejects_non_utf8_text(tmp_path):
+    sp = tmp_path / "system.json"
+    sp.write_bytes(b'{"cores": "\xff"}')
+    with pytest.raises(ValidationError, match="system.json: not UTF-8"):
+        parse_workload(sp, [], [])
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    sp = tmp_path / "system.json"
+    sp.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValidationError, match="system.json: JSON nested too deeply"):
+        parse_workload(sp, [], [])
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_replaced_value_parses_or_fails_validation(data):
+    # Python's json accepts Infinity and NaN, so the floats include them.
+    parse, doc = data.draw(st.sampled_from(VALID_DOCS))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    try:
+        parse(_replaced(doc, path, data.draw(json_values)))
+    except ValidationError:
+        pass

@@ -14,17 +14,22 @@ from chainlat.context import BlockView
 from chainlat.interference import collect_overlap_set
 from chainlat.latency import prepare
 from chainlat.model import Interval
-from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap
+from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, normalize
 
 from conftest import boundary_bundle
+
+
+def moved(pair, delta):
+    lo, hi = pair
+    return lo + delta, hi + delta
 
 
 def shift_view(view, delta):
     """Every interval of a view moved by delta (the former foreign-view shift)."""
     return BlockView(
-        view.job_lifetime.shift(delta),
-        None if view.outer_envelope is None else view.outer_envelope.shift(delta),
-        tuple(tuple(iv.shift(delta) for iv in level) for level in view.window_levels),
+        moved(view.job_lifetime, delta),
+        None if view.outer_envelope is None else moved(view.outer_envelope, delta),
+        tuple(tuple(moved(iv, delta) for iv in level) for level in view.window_levels),
     )
 
 
@@ -40,7 +45,8 @@ intervals = st.builds(
     lambda lo, width: Interval(lo, lo + width),
     st.integers(-100, 300), st.integers(0, 80),
 )
-sequences = st.lists(intervals, min_size=1, max_size=4).map(lambda ivs: tuple(sorted(ivs)))
+# Views hold normalized windows, as JobContext builds them.
+sequences = st.lists(intervals, min_size=1, max_size=4).map(normalize)
 target_views = st.builds(lambda life, w: BlockView(life, None, ((w,),)), intervals, intervals)
 foreign_views = st.builds(
     BlockView, intervals, st.none() | intervals, st.lists(sequences, min_size=1, max_size=3).map(tuple)
