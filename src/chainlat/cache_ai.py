@@ -111,7 +111,6 @@ class AccessClassification:
     l2_age: Optional[int]
     l2_set: Optional[int]
     l2_line: Optional[int]
-    l1_state: str  # AH | MISS | UNC, drives the L2 update kind
 
 
 @dataclass
@@ -123,44 +122,10 @@ class TaskClassification:
 
     def __post_init__(self):
         self._visible = tuple(c for c in self.accesses.values() if c.l2_chmc != BYPASS)
-        # Shared-cache visible lines per (block, set) and per set, one entry
-        # per access site, so the per-block and per-set queries are lookups;
-        # each set's blocks, sorted by id, are its interference candidates.
-        self._block_set = {}
-        self._set = {}
-        for c in self._visible:
-            self._block_set.setdefault((c.block_id, c.l2_set), []).append(c.l2_line)
-            self._set.setdefault(c.l2_set, []).append(c.l2_line)
-        self._block_set_lines = {k: frozenset(v) for k, v in self._block_set.items()}
-        self._set_lines = {k: frozenset(v) for k, v in self._set.items()}
-        set_blocks = {}
-        for block_id, l2_set in sorted(self._block_set):
-            set_blocks.setdefault(l2_set, []).append(block_id)
-        self._set_blocks = {k: tuple(v) for k, v in set_blocks.items()}
 
     def visible(self) -> tuple:
         """Accesses that reach the shared cache, in access order; built once."""
         return self._visible
-
-    def block_set_lines(self, block_id: str, l2_set: int) -> frozenset:
-        return self._block_set_lines.get((block_id, l2_set), frozenset())
-
-    def block_set_access_count(self, block_id: str, l2_set: int) -> int:
-        return len(self._block_set.get((block_id, l2_set), ()))
-
-    def set_blocks(self, l2_set: int) -> tuple:
-        """Blocks with shared-cache visible accesses to the set, sorted by id."""
-        return self._set_blocks.get(l2_set, ())
-
-    def task_set_lines(self, l2_set: int) -> frozenset:
-        return self._set_lines.get(l2_set, frozenset())
-
-    def task_set_access_count(self, l2_set: int) -> int:
-        return len(self._set.get(l2_set, ()))
-
-    def l2_sets(self) -> list:
-        """Sets touched by shared-cache visible accesses, ascending."""
-        return sorted(self._set)
 
     def same_line_blocks(self, l2_line: int) -> set:
         return {c.block_id for c in self.visible() if c.l2_line == l2_line}
@@ -252,9 +217,8 @@ def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
     for bid, block in task.blocks.items():
         scope = block.enclosing_loop
         for acc in block.accesses:
-            label = l1_labels[acc.id]
-            if label == AH:
-                out[acc.id] = AccessClassification(acc.id, bid, AH, BYPASS, None, None, None, label)
+            if l1_labels[acc.id] == AH:
+                out[acc.id] = AccessClassification(acc.id, bid, AH, BYPASS, None, None, None)
                 continue
             line = l2.line_of(acc.address)
             l2_set = line % l2.sets
@@ -265,7 +229,7 @@ def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
                 chmc, age = PS, pressure[(scope, l2_set)]
             else:
                 chmc, age = NC, None
-            out[acc.id] = AccessClassification(acc.id, bid, NC, chmc, age, l2_set, line, label)
+            out[acc.id] = AccessClassification(acc.id, bid, NC, chmc, age, l2_set, line)
 
     return TaskClassification(task.id, out, l1_passes, l2_passes)
 
@@ -277,6 +241,15 @@ def refine_chmc(cls: AccessClassification, interference: int, ways: int) -> str:
     if ways - cls.l2_age < interference:
         return NC
     return cls.l2_chmc
+
+
+def all_miss(classification: TaskClassification) -> dict:
+    """The all-miss refinement: every shared-cache visible access NC.
+
+    It is what refine_chmc yields for every AH/PS access at an interference
+    of `ways` or more, and it prices the pessimistic NCT/CIP bound.
+    """
+    return {aid: (BYPASS if c.l2_chmc == BYPASS else NC) for aid, c in classification.accesses.items()}
 
 
 def write_classification_csv(path, classification: TaskClassification, mc=None, refined=None):

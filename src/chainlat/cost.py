@@ -2,9 +2,13 @@
 
 Loops are contracted innermost-first into virtual nodes carrying summarized
 best/worst costs; the remaining DAG yields program bounds by shortest and
-longest path.  Best-flavored costs floor every memory access at the L1 hit
+longest path.  Best-case costs floor every memory access at the L1 hit
 latency so that all derived earliest-start times are true lower bounds for
-any concrete cache state; worst-flavored costs follow the CHMC table.
+any concrete cache state; worst-case costs follow one refined CHMC map.
+
+There is one cost model: the worst side reads only the refined map, which
+is the exclusive-use CHMCs by default, the interference-refined ones for
+TLT and TSC, and cache_ai.all_miss for the pessimistic NCT/CIP bound.
 
 Persistent accesses are charged the shared-cache hit latency per iteration
 plus a one-time (miss - hit) surcharge per scope entry, accounted on the
@@ -13,11 +17,11 @@ virtual node and in the first-iteration offset bounds.
 A contraction has two parts.  The ContractionPlan depends on the task graph
 and the system alone: the innermost-first loop order, each level's graph
 with its topological order and predecessor lists, the code blocks per level
-and the whole best-case side.  Best costs never read the classification,
-the refined CHMCs or the worst mode, because the L1 floor charges every
-access alike, so one plan serves every contraction of a task.  What the
-classification decides (worst node costs, persistence surcharges, longest
-prefixes, the WCET) is computed per call by contract_task.
+and the whole best-case side.  Best costs never read the classification or
+the refined map, because the L1 floor charges every access alike, so one
+plan serves every contraction of a task.  What the refined map decides
+(worst node costs, persistence surcharges, longest prefixes, the WCET) is
+computed per call by contract_task.
 """
 
 from __future__ import annotations
@@ -28,41 +32,28 @@ from typing import Optional
 from .cache_ai import AH, BYPASS, PS, TaskClassification
 from .model import SystemSpec, TaskGraph, ValidationError
 
-BEST = "best"
-WORST = "worst"
-INIT_BEST = "init_best"
-INIT_WORST = "init_worst"
-
 
 def virtual_id(loop_id: str) -> str:
     return "V:" + loop_id
 
 
-def access_latency(cls, system: SystemSpec, mode: str, refined: Optional[dict] = None) -> int:
-    """Worst-flavored latency of one access; best modes are floored in block_cost."""
-    if cls.l1_chmc == AH:
-        return system.l1.hit_latency
-    if mode == INIT_WORST:
-        return system.mem_latency
-    chmc = cls.l2_chmc if refined is None else refined.get(cls.access_id, cls.l2_chmc)
-    if chmc in (AH, PS):
-        return system.l2.hit_latency
-    return system.mem_latency
+def _chmc(cls, refined: Optional[dict]) -> str:
+    """Shared-cache CHMC of one access under the refined map (its own without one)."""
+    if cls.l2_chmc == BYPASS or refined is None:
+        return cls.l2_chmc
+    return refined.get(cls.access_id, cls.l2_chmc)
 
 
-def block_cost(block, classification: Optional[TaskClassification], system: SystemSpec, mode: str,
+def block_cost(block, classification: TaskClassification, system: SystemSpec,
                refined: Optional[dict] = None) -> int:
-    """Execution cost of one basic block under the given cost mode.
-
-    Best modes never read the classification, which may then be None.
-    """
+    """Worst-case cost of one basic block under the refined CHMC map."""
     cost = block.instruction_count * system.base_cpi
-    if mode in (BEST, INIT_BEST):
-        # Any access may hit the private cache; the floor keeps every
-        # lower bound sound regardless of the concrete cache state.
-        return cost + len(block.accesses) * system.l1.hit_latency
     for acc in block.accesses:
-        cost += access_latency(classification.accesses[acc.id], system, mode, refined)
+        cls = classification.accesses[acc.id]
+        if cls.l1_chmc == AH:
+            cost += system.l1.hit_latency
+        else:
+            cost += system.l2.hit_latency if _chmc(cls, refined) in (AH, PS) else system.mem_latency
     return cost
 
 
@@ -228,7 +219,10 @@ class ContractionPlan:
     """
 
     def __init__(self, task: TaskGraph, system: SystemSpec):
-        self.node_best = {bid: block_cost(b, None, system, BEST) for bid, b in task.blocks.items()}
+        # Any access may hit the private cache; the floor keeps every lower
+        # bound sound regardless of the concrete cache state.
+        self.node_best = {bid: b.instruction_count * system.base_cpi + len(b.accesses) * system.l1.hit_latency
+                          for bid, b in task.blocks.items()}
         self.loops = tuple(sorted(task.loops, key=lambda lid: -task.loop_depth(lid)))
         self.levels = {}
         for lid in self.loops:
@@ -239,33 +233,28 @@ class ContractionPlan:
 
 
 def contract_task(task: TaskGraph, classification: TaskClassification, system: SystemSpec,
-                  refined: Optional[dict] = None, worst_mode: str = WORST,
+                  refined: Optional[dict] = None,
                   plan: Optional[ContractionPlan] = None) -> ContractedTask:
     """Summarize all loops innermost-first and compute program bounds.
 
-    `plan` must be the task's own ContractionPlan; without one a fresh plan
-    is built.
+    Worst costs follow `refined` (the classification's own CHMCs when
+    None).  `plan` must be the task's own ContractionPlan; without one a
+    fresh plan is built.
     """
     plan = plan or ContractionPlan(task, system)
-    node_worst = {bid: block_cost(block, classification, system, worst_mode, refined)
+    node_worst = {bid: block_cost(block, classification, system, refined)
                   for bid, block in task.blocks.items()}
     surcharge_unit = system.mem_latency - system.l2.hit_latency
 
     def ps_ids_of(bid):
-        out = []
-        for acc in task.blocks[bid].accesses:
-            cls = classification.accesses[acc.id]
-            chmc = cls.l2_chmc if refined is None else refined.get(acc.id, cls.l2_chmc)
-            if chmc == PS and cls.l2_chmc != BYPASS:
-                out.append(acc.id)
-        return out
+        return [a.id for a in task.blocks[bid].accesses if _chmc(classification.accesses[a.id], refined) == PS]
 
     summaries = {}
     for lid in plan.loops:
         loop = task.loops[lid]
         level = plan.levels[lid]
         members, exit_ = level.graph.members, level.graph.exit
-        ps_at = {} if worst_mode == INIT_WORST else {n: ps_ids_of(n) for n in level.blocks}
+        ps_at = {n: ps_ids_of(n) for n in level.blocks}
         incl_sets, excl_sets = level.ps_reach(ps_at)
         bblc = level.distances(node_worst, max)
         # Each surcharged access is charged once, whichever nodes reach it.

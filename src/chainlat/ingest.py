@@ -35,60 +35,104 @@ from .model import (
 # ---------------------------------------------------------------------------
 # Parsing
 
-# What a document of the wrong shape raises while it is read: a missing key,
-# a value of the wrong type, an unconvertible or non-finite number.
-_MALFORMED = (TypeError, KeyError, ValueError, IndexError, AttributeError, OverflowError)
+# Types are exact: an integer field takes a JSON integer, not a bool, a
+# float or a string; list fields take lists and ids take strings.  A wrong
+# type raises TypeError naming the field, reported as a malformed document.
+# An optional field may be absent or null.
+
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
 
 
-def _require(doc, key, where):
-    if key not in doc:
-        raise ValidationError("missing key %r" % key, where)
-    return doc[key]
+def _typed(value, kind, name):
+    """`value` if its JSON type is exactly `kind`; kind (list, k) asks for a list of k."""
+    if isinstance(kind, tuple):
+        items = value if type(value) is list else _typed(value, list, name)
+        for i, item in enumerate(items):
+            if type(item) is not kind[1]:
+                _typed(item, kind[1], "%s[%d]" % (name, i))
+        return items
+    if type(value) is not kind:
+        raise TypeError("%s must be %s, not %s" % (
+            name, _JSON_TYPES[kind], _JSON_TYPES.get(type(value), type(value).__name__)))
+    return value
+
+
+def _field(doc, key, kind, where, prefix="", default=_REQUIRED):
+    """doc[key] typed as `kind`, or `default` for an absent or null optional field."""
+    value = doc.get(key)
+    if type(value) is kind:
+        return value
+    if value is None and default is not _REQUIRED:
+        return default
+    if value is None and key not in doc:
+        raise ValidationError("missing key %r" % (prefix + key), where)
+    return _typed(value, kind, prefix + key)
+
+
+def _objects(doc, key, where, prefix="", default=_REQUIRED):
+    """(field prefix, object) for each object in the list doc[key]."""
+    items = _field(doc, key, (list, dict), where, prefix, default)
+    return [("%s%s[%d]." % (prefix, key, i), item) for i, item in enumerate(items)]
+
+
+def _pair(value, name):
+    """A list of two strings, as a tuple."""
+    if type(value) is not list or len(value) != 2 or type(value[0]) is not str or type(value[1]) is not str:
+        raise TypeError("%s must be a list of two strings" % name)
+    return tuple(value)
 
 
 def parse_system(doc: dict, where: str = "system") -> SystemSpec:
+    def level(name):
+        cfg = _field(doc, name, dict, where)
+        return CacheLevelConfig(*(_field(cfg, key, int, where, name + ".") for key in ("sets", "ways", "line", "hit")))
+
     try:
-        l1 = _require(doc, "l1", where)
-        l2 = _require(doc, "l2", where)
+        _typed(doc, dict, "the document")
         return SystemSpec(
-            core_count=int(_require(doc, "cores", where)),
-            l1=CacheLevelConfig(int(l1["sets"]), int(l1["ways"]), int(l1["line"]), int(l1["hit"]), "private"),
-            l2=CacheLevelConfig(int(l2["sets"]), int(l2["ways"]), int(l2["line"]), int(l2["hit"]), "shared"),
-            mem_latency=int(_require(doc, "mem_latency", where)),
-            base_cpi=int(_require(doc, "base_cpi", where)),
-            period_table=tuple(int(p) for p in _require(doc, "period_table", where)),
+            core_count=_field(doc, "cores", int, where),
+            l1=level("l1"),
+            l2=level("l2"),
+            mem_latency=_field(doc, "mem_latency", int, where),
+            base_cpi=_field(doc, "base_cpi", int, where),
+            period_table=tuple(_field(doc, "period_table", (list, int), where)),
         )
-    except _MALFORMED as exc:
+    except TypeError as exc:
         raise ValidationError("malformed system document (%s)" % exc, where)
 
 
 def parse_task(doc: dict, where: str = "task") -> TaskGraph:
     try:
+        _typed(doc, dict, "the document")
         blocks = {}
-        for b in _require(doc, "blocks", where):
-            accesses = tuple(MemAccess(str(a["id"]), int(a["address"])) for a in b.get("accesses", ()))
-            blk = BasicBlock(str(b["id"]), int(b["instructions"]), accesses)
+        for at, b in _objects(doc, "blocks", where):
+            accesses = tuple(MemAccess(_field(a, "id", str, where, p), _field(a, "address", int, where, p))
+                             for p, a in _objects(b, "accesses", where, at, default=()))
+            blk = BasicBlock(_field(b, "id", str, where, at), _field(b, "instructions", int, where, at), accesses)
             if blk.id in blocks:
                 raise ValidationError("duplicate block id %s" % blk.id, where)
             blocks[blk.id] = blk
-        edges = tuple((str(s), str(d)) for s, d in _require(doc, "edges", where))
+        edges = tuple(_pair(e, "edges[%d]" % i) for i, e in enumerate(_field(doc, "edges", list, where)))
         loops = {}
-        for l in doc.get("loops", ()):
+        for at, l in _objects(doc, "loops", where, default=()):
             loop = LoopNode(
-                id=str(l["id"]),
-                head_block=str(l["head"]),
-                tail_block=str(l["tail"]),
-                back_edge=(str(l["back_edge"][0]), str(l["back_edge"][1])),
-                min_bound=int(l["min_bound"]),
-                max_bound=int(l["max_bound"]),
-                parent_loop=None if l.get("parent") is None else str(l["parent"]),
+                id=_field(l, "id", str, where, at),
+                head_block=_field(l, "head", str, where, at),
+                tail_block=_field(l, "tail", str, where, at),
+                back_edge=_pair(_field(l, "back_edge", list, where, at), at + "back_edge"),
+                min_bound=_field(l, "min_bound", int, where, at),
+                max_bound=_field(l, "max_bound", int, where, at),
+                parent_loop=_field(l, "parent", str, where, at, default=None),
             )
             if loop.id in loops:
                 raise ValidationError("duplicate loop id %s" % loop.id, where)
             loops[loop.id] = loop
-        pairs = frozenset(frozenset((str(a), str(b))) for a, b in doc.get("exclusive_pairs", ()))
-        task = TaskGraph(str(_require(doc, "task_id", where)), blocks, edges, loops, exclusive_pairs=pairs)
-    except _MALFORMED as exc:
+        pairs = frozenset(frozenset(_pair(p, "exclusive_pairs[%d]" % i))
+                          for i, p in enumerate(_field(doc, "exclusive_pairs", list, where, default=())))
+        task = TaskGraph(_field(doc, "task_id", str, where), blocks, edges, loops, exclusive_pairs=pairs)
+    except TypeError as exc:
         raise ValidationError("malformed task document (%s)" % exc, where)
     all_ids = {a.id for b in task.blocks.values() for a in b.accesses}
     if len(all_ids) != sum(len(b.accesses) for b in task.blocks.values()):
@@ -98,15 +142,17 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
 
 def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:
     try:
+        _typed(doc, dict, "the document")
+        offsets = _field(doc, "offsets", (list, int), where, default=None)
         return ChainSpec(
-            id=str(_require(doc, "id", where)),
-            trigger=str(_require(doc, "trigger", where)),
-            tasks=tuple(str(t) for t in _require(doc, "tasks", where)),
-            core=int(_require(doc, "core", where)),
-            period=None if doc.get("period") is None else int(doc["period"]),
-            offsets=None if doc.get("offsets") is None else tuple(int(o) for o in doc["offsets"]),
+            id=_field(doc, "id", str, where),
+            trigger=_field(doc, "trigger", str, where),
+            tasks=tuple(_field(doc, "tasks", (list, str), where)),
+            core=_field(doc, "core", int, where),
+            period=_field(doc, "period", int, where, default=None),
+            offsets=None if offsets is None else tuple(offsets),
         )
-    except _MALFORMED as exc:
+    except TypeError as exc:
         raise ValidationError("malformed chain document (%s)" % exc, where)
 
 
@@ -271,8 +317,8 @@ _DEFAULT_PERIOD_TABLE = (2000, 4000, 8000, 16000, 32000, 64000, 128000, 256000)
 def default_system(cores: int = 2) -> SystemSpec:
     return SystemSpec(
         core_count=cores,
-        l1=CacheLevelConfig(2, 4, 32, 1, "private"),
-        l2=CacheLevelConfig(32, 4, 32, 6, "shared"),
+        l1=CacheLevelConfig(2, 4, 32, 1),
+        l2=CacheLevelConfig(32, 4, 32, 6),
         mem_latency=30,
         base_cpi=1,
         period_table=_DEFAULT_PERIOD_TABLE,
@@ -469,5 +515,4 @@ def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_
 
 def _cip_wcet(task: TaskGraph, system: SystemSpec) -> int:
     classification = cache_ai.classify_task(task, system)
-    contracted = cost.contract_task(task, classification, system, worst_mode=cost.INIT_WORST)
-    return contracted.wcet
+    return cost.contract_task(task, classification, system, refined=cache_ai.all_miss(classification)).wcet

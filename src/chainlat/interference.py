@@ -5,6 +5,11 @@ access's reuse window are collected, their same-set contributions weighted,
 mutually exclusive blocks reduced through an exact maximum-weight
 independent set, and the per-job results accumulated per core.
 
+Every weight is fixed per task and counting unit (distinct lines or access
+sites), so set_weights tabulates it once: per shared-cache set, the
+whole-job weight and the weight of each block touching the set, which are
+the set's interference candidates.
+
 Jobs on one foreign core execute sequentially, so by default their
 contributions add up whenever their windows overlap the target window; the
 single-task maximum rule for event-triggered chains is available as an
@@ -69,18 +74,24 @@ def mwis_bound(graph: ExclusionGraph, exact_cap: int = MWIS_EXACT_CAP) -> int:
     return solve((1 << len(verts)) - 1)
 
 
-def block_contribution(classification, block_id: str, l2_set: int, counting: str) -> int:
-    """Same-set weight of one foreign block: distinct lines or access sites."""
-    if counting == COUNT_ACCESS:
-        return classification.block_set_access_count(block_id, l2_set)
-    return len(classification.block_set_lines(block_id, l2_set))
+def set_weights(classification, counting: str) -> dict:
+    """One task's weight table in the counting unit: {set: (job weight, {block: weight})}.
 
+    Only shared-cache visible accesses weigh; a block appears under a set
+    only if it touches it, and the blocks are in id order.
+    """
+    lines = {}  # set -> block -> shared lines, one entry per access site
+    for c in classification.visible():
+        lines.setdefault(c.l2_set, {}).setdefault(c.block_id, []).append(c.l2_line)
 
-def job_set_weight(classification, l2_set: int, counting: str) -> int:
-    """Whole-job same-set pressure of one foreign job in the counting unit."""
-    if counting == COUNT_ACCESS:
-        return classification.task_set_access_count(l2_set)
-    return len(classification.task_set_lines(l2_set))
+    def weight(sites):
+        return len(sites) if counting == COUNT_ACCESS else len(set(sites))
+
+    return {
+        s: (weight([line for sites in blocks.values() for line in sites]),
+            {bid: weight(blocks[bid]) for bid in sorted(blocks)})
+        for s, blocks in sorted(lines.items())
+    }
 
 
 def collect_overlap_set(target_view, foreign_job_ctx, blocks):
@@ -91,29 +102,24 @@ def collect_overlap_set(target_view, foreign_job_ctx, blocks):
     ]
 
 
-def job_contribution(classification, task_graph, overlapping_blocks, l2_set: int,
-                     counting: str):
+def job_contribution(set_table, task_graph, overlapping_blocks):
     """Bound on insertions one foreign job adds to the target set.
 
-    Returns (raw block-wise sum, bounded value).  Mutually exclusive blocks
-    cannot both run in one job, so an independent set bounds their joint
-    contribution; the whole-job pressure caps the result because block-wise
-    sums may double-count lines shared between blocks.
+    set_table is the job's task's (job weight, {block: weight}) entry for
+    the set.  Returns (raw block-wise sum, bounded value).  Mutually
+    exclusive blocks cannot both run in one job, so an independent set
+    bounds their joint contribution; the whole-job weight caps the result
+    because block-wise sums may double-count lines shared between blocks.
     """
-    weights = {}
-    for bid in overlapping_blocks:
-        weight = block_contribution(classification, bid, l2_set, counting)
-        if weight:
-            weights[bid] = weight
-    if not weights:
+    if not overlapping_blocks:
         return 0, 0
+    job_weight, block_weights = set_table
+    weights = {bid: block_weights[bid] for bid in overlapping_blocks}
     raw = sum(weights.values())
     edges = frozenset(
         p for p in task_graph.exclusive_pairs if all(b in weights for b in p)
     )
-    value = min(mwis_bound(ExclusionGraph(weights, edges)),
-                job_set_weight(classification, l2_set, counting))
-    return raw, value
+    return raw, min(mwis_bound(ExclusionGraph(weights, edges)), job_weight)
 
 
 def interference_bound(per_job, trigger: str, et_rule: str = ET_RULE_SUM) -> int:

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import ingest
-from .cache_ai import AH, NC, PS, classify_task, refine_chmc
+from .cache_ai import AH, PS, all_miss, classify_task, refine_chmc
 from .context import BlockView, JobContext, TaskContext, compute_prs_time
-from .cost import INIT_WORST, WORST, ContractionPlan, contract_task
+from .cost import ContractionPlan, contract_task
 from .interference import (
     COUNT_ACCESS,
     COUNT_DISTINCT,
@@ -43,7 +43,7 @@ from .interference import (
     collect_overlap_set,
     interference_bound,
     job_contribution,
-    job_set_weight,
+    set_weights,
 )
 from .model import Interval, JobInstance, ValidationError, WorkloadBundle
 
@@ -65,11 +65,12 @@ class AnalysisOptions:
 class TaskAnalysis:
     task_id: str
     classification: object
-    contracted_init: object
+    all_miss: dict  # the NCT refinement: access id -> CHMC
+    contracted_init: object  # contraction under all_miss
     ctx: TaskContext
     cip_wcet: int
     bcet: int
-    set_weights: dict  # counting unit -> {set: job_set_weight}
+    weights: dict  # counting unit -> {set: (job weight, {block: weight})}
     plan: ContractionPlan  # shared by every contraction of the task
 
 
@@ -202,10 +203,10 @@ def prepare(bundle: WorkloadBundle) -> Setup:
         task = bundle.tasks[tid]
         cls = classify_task(task, bundle.system)
         plan = ContractionPlan(task, bundle.system)
-        con = contract_task(task, cls, bundle.system, worst_mode=INIT_WORST, plan=plan)
-        weights = {counting: {s: job_set_weight(cls, s, counting) for s in cls.l2_sets()}
-                   for counting in (COUNT_DISTINCT, COUNT_ACCESS)}
-        tasks[tid] = TaskAnalysis(tid, cls, con, TaskContext(con), con.wcet, con.bcet, weights, plan)
+        miss = all_miss(cls)
+        con = contract_task(task, cls, bundle.system, refined=miss, plan=plan)
+        weights = {counting: set_weights(cls, counting) for counting in (COUNT_DISTINCT, COUNT_ACCESS)}
+        tasks[tid] = TaskAnalysis(tid, cls, miss, con, TaskContext(con), con.wcet, con.bcet, weights, plan)
 
     chains = {}
     for cid in sorted(bundle.chains):
@@ -260,9 +261,10 @@ def _tlt_pressure(setup: Setup, key, sets_of_interest, counting: str) -> dict:
     out = {s: 0 for s in sets_of_interest}
     for _, pairs in _foreign_overlaps(setup, key):
         for fkey, _ in pairs:
-            weights = setup.tasks[setup.jobs[fkey].task_id].set_weights[counting]
+            weights = setup.tasks[setup.jobs[fkey].task_id].weights[counting]
             for s in out:
-                out[s] += weights.get(s, 0)
+                if s in weights:
+                    out[s] += weights[s][0]
     return out
 
 
@@ -288,14 +290,11 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
             per_job = []
             for fkey, shift in pairs:
                 fj = setup.jobs[fkey]
-                fcls = setup.tasks[fj.task_id].classification
-                candidates = fcls.set_blocks(cls.l2_set)
-                if not candidates:
+                table = setup.tasks[fj.task_id].weights[options.counting].get(cls.l2_set)
+                if table is None:
                     continue
-                blocks = collect_overlap_set(views[shift], setup.foreign_ctx(fkey), candidates)
-                raw, contrib = job_contribution(
-                    fcls, setup.bundle.tasks[fj.task_id], blocks, cls.l2_set, options.counting
-                )
+                blocks = collect_overlap_set(views[shift], setup.foreign_ctx(fkey), table[1])
+                raw, contrib = job_contribution(table, setup.bundle.tasks[fj.task_id], blocks)
                 raw_total += raw
                 mwis_total += contrib
                 if contrib:
@@ -308,19 +307,14 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
 
 
 def _refine_and_bound(setup: Setup, task_id: str, mc: dict) -> tuple:
-    """Apply the eviction condition and recompute the structural WCET."""
+    """Apply the eviction condition; returns the refined map and its contraction."""
     ta = setup.tasks[task_id]
     cls_table = ta.classification
     ways = setup.bundle.system.l2.ways
-    refined = {}
-    for aid, cls in cls_table.accesses.items():
-        if cls.l2_chmc in (AH, PS):
-            refined[aid] = refine_chmc(cls, mc.get(aid, 0), ways)
-        else:
-            refined[aid] = cls.l2_chmc
+    refined = {aid: refine_chmc(cls, mc.get(aid, 0), ways) for aid, cls in cls_table.accesses.items()}
     con = contract_task(setup.bundle.tasks[task_id], cls_table, setup.bundle.system,
-                        refined=refined, worst_mode=WORST, plan=ta.plan)
-    return refined, con.wcet
+                        refined=refined, plan=ta.plan)
+    return refined, con
 
 
 def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = None,
@@ -332,19 +326,14 @@ def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = No
     cid, k, i = key
 
     if mode == "NCT":
-        refined = {aid: (c.l2_chmc if c.l2_chmc == "BYPASS" else NC) for aid, c in ta.classification.accesses.items()}
-        return InstanceResult(cid, k, i, job.task_id, mode, ta.cip_wcet, refined, {})
+        return InstanceResult(cid, k, i, job.task_id, mode, ta.cip_wcet, dict(ta.all_miss), {})
 
     if mode == "TLT":
-        sets = {c.l2_set for c in ta.classification.visible() if c.l2_chmc in (AH, PS)}
-        pressure = _tlt_pressure(setup, key, sets, options.counting)
-        mc = {
-            c.access_id: pressure[c.l2_set]
-            for c in ta.classification.visible()
-            if c.l2_chmc in (AH, PS)
-        }
-        refined, wcet = _refine_and_bound(setup, job.task_id, mc)
-        return InstanceResult(cid, k, i, job.task_id, mode, min(wcet, ta.cip_wcet), refined, mc)
+        targets = [c for c in ta.classification.visible() if c.l2_chmc in (AH, PS)]
+        pressure = _tlt_pressure(setup, key, {c.l2_set for c in targets}, options.counting)
+        mc = {c.access_id: pressure[c.l2_set] for c in targets}
+        refined, con = _refine_and_bound(setup, job.task_id, mc)
+        return InstanceResult(cid, k, i, job.task_id, mode, min(con.wcet, ta.cip_wcet), refined, mc)
 
     if mode == "TSC":
         passes = options.refinement_passes
@@ -352,15 +341,12 @@ def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = No
         refined, mc, debug, wcet = {}, {}, {}, None
         for p in range(passes):
             mc, debug = _tsc_mc(setup, jctx, options)
-            refined, bound = _refine_and_bound(setup, job.task_id, mc)
-            wcet = bound if wcet is None else min(wcet, bound)
+            refined, con = _refine_and_bound(setup, job.task_id, mc)
+            wcet = con.wcet if wcet is None else min(wcet, con.wcet)
             if p + 1 < passes:
                 # Later passes tighten the intra-task windows with the costs
                 # the refined classifications imply; release windows keep
                 # their initialization-phase bounds.
-                con = contract_task(setup.bundle.tasks[job.task_id], ta.classification,
-                                    setup.bundle.system, refined=refined, worst_mode=WORST,
-                                    plan=ta.plan)
                 jctx = JobContext(job, TaskContext(con))
         if tlt_result is None:
             tlt_result = analyze_instance(setup, key, "TLT", options)

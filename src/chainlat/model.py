@@ -52,7 +52,6 @@ class CacheLevelConfig:
     ways: int
     line_size: int
     hit_latency: int
-    scope: str = "shared"  # "private" | "shared"
 
     def __post_init__(self):
         for name in ("sets", "ways", "line_size"):
@@ -60,16 +59,9 @@ class CacheLevelConfig:
                 raise ValidationError("%s=%r must be a power of two" % (name, getattr(self, name)))
         if self.hit_latency < 1:
             raise ValidationError("hit_latency must be >= 1")
-        if self.scope not in ("private", "shared"):
-            raise ValidationError("scope must be private or shared")
 
     def line_of(self, address: int) -> int:
         return address // self.line_size
-
-
-def map_address_to_set(address: int, level: CacheLevelConfig) -> int:
-    """Cache set index of a byte address at the given level."""
-    return (address // level.line_size) % level.sets
 
 
 @dataclass(frozen=True)
@@ -358,15 +350,13 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if len(set(task.edges)) != len(task.edges):
         raise ValidationError("duplicate edges", task.id)
 
-    task = elaborate_loops(task)
-    order = topo_order(task)  # raises on irreducible graphs
+    task = elaborate_loops(task)  # raises unless there is exactly one entry block
+    topo_order(task)  # raises on irreducible graphs
 
     pred = task.predecessors(include_back=True)
     succ = task.successors(include_back=True)
     entries = [b for b in task.blocks if not pred[b]]
     exits = [b for b in task.blocks if not succ[b]]
-    if len(entries) != 1:
-        raise ValidationError("need exactly one entry block, found %r" % sorted(entries), task.id)
     if len(exits) != 1:
         raise ValidationError("need exactly one exit block, found %r" % sorted(exits), task.id)
     entry, exit_ = entries[0], exits[0]
@@ -402,11 +392,11 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
 
     fpred = task.predecessors(include_back=False)
     for pair in task.exclusive_pairs:
+        if len(pair) != 2:
+            raise ValidationError("exclusive pair with identical blocks %s" % min(pair), task.id)
         a, b = sorted(pair)
         if a not in ids or b not in ids:
             raise ValidationError("exclusive pair (%s,%s) references unknown block" % (a, b), task.id)
-        if a == b:
-            raise ValidationError("exclusive pair with identical blocks %s" % a, task.id)
         if not (set(fpred[a]) & set(fpred[b])):
             raise ValidationError(
                 "exclusive pair (%s,%s): blocks must be alternative arms of one branch" % (a, b), task.id

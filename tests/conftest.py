@@ -26,8 +26,8 @@ def make_system(cores=1, l1_sets=2, l1_ways=4, l2_sets=32, l2_ways=4, line=32,
                 l1_hit=1, l2_hit=6, mem=30, period_table=(2000, 4000, 8000, 16000, 32000)):
     return SystemSpec(
         core_count=cores,
-        l1=CacheLevelConfig(l1_sets, l1_ways, line, l1_hit, "private"),
-        l2=CacheLevelConfig(l2_sets, l2_ways, line, l2_hit, "shared"),
+        l1=CacheLevelConfig(l1_sets, l1_ways, line, l1_hit),
+        l2=CacheLevelConfig(l2_sets, l2_ways, line, l2_hit),
         mem_latency=mem,
         base_cpi=1,
         period_table=period_table,

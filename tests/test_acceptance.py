@@ -181,7 +181,7 @@ def test_criterion_05_mwis_exactness():
 
 
 def test_criterion_06_eviction_condition():
-    cls = lambda age: AccessClassification("a", "b", "NC", "AH", age, 0, 0, "MISS")
+    cls = lambda age: AccessClassification("a", "b", "NC", "AH", age, 0, 0)
     assert refine_chmc(cls(3), 2, 4) == "NC"
     assert refine_chmc(cls(3), 1, 4) == "AH"  # boundary: ways - age == bound keeps
     assert refine_chmc(cls(1), 0, 4) == "AH"

@@ -186,8 +186,8 @@ def test_exclusive_arms_inside_loop():
 def test_sub_line_geometry_two_cores():
     sys2 = SystemSpec(
         core_count=2,
-        l1=CacheLevelConfig(1, 1, 16, 1, "private"),
-        l2=CacheLevelConfig(4, 2, 64, 6, "shared"),
+        l1=CacheLevelConfig(1, 1, 16, 1),
+        l2=CacheLevelConfig(4, 2, 64, 6),
         mem_latency=30,
         base_cpi=1,
         period_table=(2000,),

@@ -55,8 +55,8 @@ def test_l2_hit_after_sub_line_reuse():
     # line loaded in the shared cache with age 1.
     system = SystemSpec(
         core_count=1,
-        l1=CacheLevelConfig(1, 1, 16, 1, "private"),
-        l2=CacheLevelConfig(4, 4, 64, 6, "shared"),
+        l1=CacheLevelConfig(1, 1, 16, 1),
+        l2=CacheLevelConfig(4, 4, 64, 6),
         mem_latency=30,
         base_cpi=1,
         period_table=(10000,),
@@ -94,21 +94,21 @@ def test_scope_pressure_above_ways_is_nc():
 def test_refine_chmc_downgrade():
     from chainlat.cache_ai import AccessClassification
 
-    cls = AccessClassification("a", "b", NC, AH, 3, 0, 0, "MISS")
+    cls = AccessClassification("a", "b", NC, AH, 3, 0, 0)
     assert refine_chmc(cls, 2, 4) == NC
 
 
 def test_refine_chmc_boundary_keeps():
     from chainlat.cache_ai import AccessClassification
 
-    cls = AccessClassification("a", "b", NC, AH, 3, 0, 0, "MISS")
+    cls = AccessClassification("a", "b", NC, AH, 3, 0, 0)
     assert refine_chmc(cls, 1, 4) == AH
 
 
 def test_refine_chmc_zero_interference():
     from chainlat.cache_ai import AccessClassification
 
-    cls = AccessClassification("a", "b", NC, AH, 1, 0, 0, "MISS")
+    cls = AccessClassification("a", "b", NC, AH, 1, 0, 0)
     assert refine_chmc(cls, 0, 4) == AH
 
 
@@ -178,7 +178,9 @@ def test_must_analysis_sound_standalone(system):
 
 
 def test_set_blocks_are_the_sorted_visible_blocks_of_each_set():
+    # The blocks of each set's weight-table entry are its interference candidates.
     from chainlat import generate_workload
+    from chainlat.interference import COUNT_ACCESS, COUNT_DISTINCT, set_weights
 
     for seed in range(1, 6):
         bundle = generate_workload(seed=seed, cores=2, collision=0.8)
@@ -186,4 +188,6 @@ def test_set_blocks_are_the_sorted_visible_blocks_of_each_set():
             cls = classify_task(task, bundle.system)
             for s in range(bundle.system.l2.sets):
                 want = tuple(sorted({c.block_id for c in cls.visible() if c.l2_set == s}))
-                assert cls.set_blocks(s) == want, (seed, task.id, s)
+                for counting in (COUNT_DISTINCT, COUNT_ACCESS):
+                    table = set_weights(cls, counting).get(s, (0, {}))
+                    assert tuple(table[1]) == want, (seed, task.id, s)

@@ -104,6 +104,28 @@ def test_analyze_malformed_document_exits_2(tmp_path, capsys, kind, edit):
     assert os.path.basename(path) in err
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("system", "mem_latency", 30.9),
+    ("system", "cores", "2"),
+    ("system", "base_cpi", True),
+    ("chain", "core", 0.5),
+    ("chain", "tasks", "t0"),
+])
+def test_analyze_wrong_json_type_exits_2(tmp_path, capsys, kind, field, value):
+    system, tasks, chains = _generated(tmp_path)
+    path = system if kind == "system" else chains[0]
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID, err
+    assert "%s must be" % field in err and os.path.basename(path) in err
+
+
 def test_analyze_deterministic_across_jobs(tmp_path):
     system, tasks, chains = _generated(tmp_path)
     outs = []

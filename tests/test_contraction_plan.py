@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat.cache_ai import AH, NC, PS, TaskClassification, classify_task
+from chainlat.cache_ai import AH, NC, PS, TaskClassification, all_miss, classify_task
 from chainlat.context import TaskContext
-from chainlat.cost import INIT_WORST, WORST, ContractedTask, ContractionPlan, contract_task
+from chainlat.cost import ContractedTask, ContractionPlan, contract_task
 from chainlat.ingest import _TaskBuilder, default_system
 from chainlat.model import BasicBlock, LoopNode, TaskGraph, ValidationError
 
@@ -47,31 +47,33 @@ def test_shared_plan_matches_per_call_contraction(seed, depth, n_blocks, collisi
         {aid: data.draw(st.sampled_from((AH, PS, NC))) for aid in sorted(cls.accesses)}
         for _ in range(3)
     ]
-    calls = [(None, INIT_WORST), (None, WORST)] + [(r, WORST) for r in refined_maps] \
-        + [(refined_maps[0], INIT_WORST)]
-    for refined, mode in calls:
-        ref = reference_contract_task(task, cls, system, refined, mode)
-        _assert_same(contract_task(task, cls, system, refined=refined, worst_mode=mode, plan=plan), ref)
-        _assert_same(contract_task(task, cls, system, refined=refined, worst_mode=mode), ref)
+    # The all-miss map prices what the reference's "init_worst" mode does,
+    # whatever map it is handed.
+    calls = [(all_miss(cls), None, "init_worst"), (None, None, "worst")] \
+        + [(r, r, "worst") for r in refined_maps] + [(all_miss(cls), refined_maps[0], "init_worst")]
+    for refined, ref_refined, ref_mode in calls:
+        ref = reference_contract_task(task, cls, system, ref_refined, ref_mode)
+        _assert_same(contract_task(task, cls, system, refined=refined, plan=plan), ref)
+        _assert_same(contract_task(task, cls, system, refined=refined), ref)
 
 
 def test_contractions_from_one_plan_do_not_alias():
     task, cls, system = _generated_task(28, 3, 12)
     assert any(c.l2_chmc == PS for c in cls.accesses.values())
     plan = ContractionPlan(task, system)
-    first = contract_task(task, cls, system, worst_mode=WORST, plan=plan)
+    first = contract_task(task, cls, system, plan=plan)
     assert any(s.ps_surcharge for s in first.summaries.values())
     snapshot = {f.name: copy.deepcopy(getattr(first, f.name)) for f in fields(ContractedTask)
                 if f.name not in ("task", "classification")}
     TaskContext(first)  # the windows read the shared best-case dicts
     all_nc = {aid: NC for aid in cls.accesses}
-    second = contract_task(task, cls, system, refined=all_nc, worst_mode=WORST, plan=plan)
-    contract_task(task, cls, system, worst_mode=INIT_WORST, plan=plan)
+    second = contract_task(task, cls, system, refined=all_nc, plan=plan)
+    contract_task(task, cls, system, refined=all_miss(cls), plan=plan)
     assert second.wcet > first.wcet
     assert not any(s.ps_surcharge for s in second.summaries.values())
     for name, value in snapshot.items():
         assert getattr(first, name) == value, name
-    _assert_same(second, reference_contract_task(task, cls, system, all_nc, WORST))
+    _assert_same(second, reference_contract_task(task, cls, system, all_nc, "worst"))
 
 
 # Hand-built graphs below bypass ingest's validation, so only the

@@ -3,16 +3,8 @@ import random
 
 import pytest
 
-from chainlat.cache_ai import classify_task
-from chainlat.cost import (
-    BEST,
-    INIT_BEST,
-    INIT_WORST,
-    WORST,
-    block_cost,
-    contract_task,
-    virtual_id,
-)
+from chainlat.cache_ai import all_miss, classify_task
+from chainlat.cost import ContractionPlan, block_cost, contract_task, virtual_id
 from chainlat.model import LoopNode
 
 from conftest import acc, block, build_task, diamond_loop_task, make_system, straight_task
@@ -27,8 +19,9 @@ def test_block_cost_no_memory(system):
     task = straight_task("t", [3])
     cls = classified(task, system)
     b = task.blocks["t_b0"]
-    for mode in (BEST, WORST, INIT_BEST, INIT_WORST):
-        assert block_cost(b, cls, system, mode) == 3
+    for refined in (None, all_miss(cls)):
+        assert block_cost(b, cls, system, refined) == 3
+    assert ContractionPlan(task, system).node_best["t_b0"] == 3
 
 
 def test_block_cost_l1_hit(system):
@@ -38,24 +31,22 @@ def test_block_cost_l1_hit(system):
     assert cls.accesses["a1"].l1_chmc == "AH"
     b = task.blocks["t_b0"]
     # a0 worst: cold shared-cache miss; a1: private hit.
-    assert block_cost(b, cls, system, INIT_WORST) == 2 + 30 + 1
+    assert block_cost(b, cls, system, all_miss(cls)) == 2 + 30 + 1
 
 
 def test_block_cost_init_worst_is_mem(system):
     task = straight_task("t", [1], accesses={0: (acc("a0", 0),)})
     cls = classified(task, system)
     b = task.blocks["t_b0"]
-    assert block_cost(b, cls, system, INIT_WORST) == 1 + 30
+    assert block_cost(b, cls, system, all_miss(cls)) == 1 + 30
 
 
 def test_block_cost_best_floors_at_l1(system):
     # Lower bounds must hold for any concrete cache state, so best-flavored
     # costs charge the private-cache hit latency for every access.
     task = straight_task("t", [1], accesses={0: (acc("a0", 0),)})
-    cls = classified(task, system)
-    b = task.blocks["t_b0"]
-    assert block_cost(b, cls, system, INIT_BEST) == 1 + 1
-    assert block_cost(b, cls, system, BEST) == 1 + 1
+    plan = ContractionPlan(task, system)
+    assert plan.node_best["t_b0"] == 1 + 1
 
 
 def test_loop_path_costs_diamond(system, diamond):
@@ -173,10 +164,11 @@ def test_wcet_refined_not_above_init(system):
     bundle = generate_workload(seed=5, cores=1, tasks_per_chain=2)
     for tid, task in bundle.tasks.items():
         cls = classify_task(task, bundle.system)
-        init = contract_task(task, cls, bundle.system, worst_mode=INIT_WORST)
+        init = contract_task(task, cls, bundle.system, refined=all_miss(cls))
         refined_all_nc = {a: ("NC" if c.l2_chmc != "BYPASS" else c.l2_chmc) for a, c in cls.accesses.items()}
-        ref = contract_task(task, cls, bundle.system, refined=refined_all_nc, worst_mode=WORST)
+        ref = contract_task(task, cls, bundle.system, refined=refined_all_nc)
         assert ref.wcet <= init.wcet
+        assert contract_task(task, cls, bundle.system).wcet <= init.wcet
 
 
 def test_unrolled_oracle_matches_top_windows(system, diamond):

@@ -1,12 +1,13 @@
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat.cache_ai import classify_task
-from chainlat.cost import INIT_WORST, contract_task
+from chainlat.cache_ai import all_miss, classify_task
+from chainlat.cost import contract_task
 from chainlat.ingest import (
     assign_period,
     assign_tt_offsets,
@@ -185,7 +186,7 @@ def test_generator_hits_utilization_target():
             for tid in chain.tasks:
                 task = bundle.tasks[tid]
                 cls = classify_task(task, bundle.system)
-                cips.append(contract_task(task, cls, bundle.system, worst_mode=INIT_WORST).wcet)
+                cips.append(contract_task(task, cls, bundle.system, refined=all_miss(cls)).wcet)
             ratio = sum(cips) / chain.period
             assert 0.8 <= ratio <= 1.0, (seed, chain.id, ratio)
 
@@ -197,7 +198,7 @@ def test_generated_chains_schedulable():
             cips = []
             for tid in chain.tasks:
                 cls = classify_task(bundle.tasks[tid], bundle.system)
-                cips.append(contract_task(bundle.tasks[tid], cls, bundle.system, worst_mode=INIT_WORST).wcet)
+                cips.append(contract_task(bundle.tasks[tid], cls, bundle.system, refined=all_miss(cls)).wcet)
             assert sum(cips) <= chain.period
             if chain.trigger == "TT":
                 assert chain.offsets == assign_tt_offsets(cips)
@@ -242,6 +243,39 @@ def test_parsers_reject_non_finite_integers(parse, path, value):
     doc = next(d for p, d in VALID_DOCS if p is parse)
     with pytest.raises(ValidationError, match="malformed"):
         parse(_replaced(doc, path, value))
+
+
+# (parser, position, wrong value, field the message names)
+WRONG_TYPES = [
+    (parse_system, ("mem_latency",), 30.9, "mem_latency"),
+    (parse_system, ("cores",), "2", "cores"),
+    (parse_system, ("base_cpi",), True, "base_cpi"),
+    (parse_chain, ("core",), 0.5, "core"),
+    (parse_chain, ("tasks",), "t0", "tasks"),
+    (parse_system, ("l2", "ways"), 4.0, "l2.ways"),
+    (parse_system, ("period_table", 0), "2000", "period_table[0]"),
+    (parse_chain, ("id",), 0, "id"),
+    (parse_chain, ("offsets",), [0, 1.5], "offsets[1]"),
+    (parse_task, ("task_id",), 7, "task_id"),
+    (parse_task, ("blocks", 0, "id"), 0, "blocks[0].id"),
+    (parse_task, ("blocks", 0, "instructions"), False, "blocks[0].instructions"),
+    (parse_task, ("edges", 0), "ab", "edges[0]"),
+]
+
+
+@pytest.mark.parametrize("parse,path,value,field", WRONG_TYPES,
+                         ids=["%s-%s" % (p.__name__, f) for p, _, _, f in WRONG_TYPES])
+def test_parsers_reject_wrong_json_types(parse, path, value, field):
+    doc = next(d for p, d in VALID_DOCS if p is parse)
+    with pytest.raises(ValidationError, match=r"malformed \w+ document \(%s must be" % re.escape(field)):
+        parse(_replaced(doc, path, value))
+
+
+def test_parse_task_rejects_identical_exclusive_pair():
+    doc = VALID_DOCS[3][1]
+    block = doc["exclusive_pairs"][0][0]
+    with pytest.raises(ValidationError, match="exclusive pair with identical blocks %s" % block):
+        parse_task(_replaced(doc, ("exclusive_pairs",), [[block, block]]))
 
 
 @pytest.mark.parametrize("constant", ("Infinity", "-Infinity", "NaN"))

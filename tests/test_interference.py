@@ -4,11 +4,10 @@ from chainlat.cache_ai import classify_task
 from chainlat.interference import (
     ET_RULE_MAX,
     ExclusionGraph,
-    block_contribution,
     interference_bound,
     job_contribution,
-    job_set_weight,
     mwis_bound,
+    set_weights,
 )
 from chainlat.model import Interval
 
@@ -61,8 +60,8 @@ def _sub_line_system():
 
     return SystemSpec(
         core_count=1,
-        l1=CacheLevelConfig(1, 1, 16, 1, "private"),
-        l2=CacheLevelConfig(4, 4, 64, 6, "shared"),
+        l1=CacheLevelConfig(1, 1, 16, 1),
+        l2=CacheLevelConfig(4, 4, 64, 6),
         mem_latency=30,
         base_cpi=1,
         period_table=(10000,),
@@ -74,19 +73,26 @@ def _contribution_task(addresses):
     return build_task("t", [block("b0", max(1, len(accesses)), accesses), block("b1", 1)], [("b0", "b1")])
 
 
+def _block_weight(cls, block_id, l2_set, counting):
+    """One block's same-set weight read from the task's weight table."""
+    table = set_weights(cls, counting).get(l2_set)
+    return table[1].get(block_id, 0) if table else 0
+
+
 def test_block_contribution_same_line():
     system = _sub_line_system()
     task = _contribution_task([0, 16, 32])  # one shared line, three sites
     cls = classify_task(task, system)
-    assert block_contribution(cls, "b0", 0, "distinct") == 1
-    assert block_contribution(cls, "b0", 0, "access") == 3
+    assert _block_weight(cls, "b0", 0, "distinct") == 1
+    assert _block_weight(cls, "b0", 0, "access") == 3
 
 
 def test_block_contribution_other_set():
     system = _sub_line_system()
     task = _contribution_task([0, 16])
     cls = classify_task(task, system)
-    assert block_contribution(cls, "b0", 1, "distinct") == 0
+    assert _block_weight(cls, "b0", 1, "distinct") == 0
+    assert 1 not in set_weights(cls, "distinct")
 
 
 def test_block_contribution_two_distinct():
@@ -94,7 +100,7 @@ def test_block_contribution_two_distinct():
     # Lines A, B, A within one set: addresses 0 and 4*64 share set 0.
     task = _contribution_task([0, 4 * 64, 16])
     cls = classify_task(task, system)
-    assert block_contribution(cls, "b0", 0, "distinct") == 2
+    assert _block_weight(cls, "b0", 0, "distinct") == 2
 
 
 def test_job_contribution_caps_at_job_lines():
@@ -107,17 +113,18 @@ def test_job_contribution_caps_at_job_lines():
     task = build_task("t", blocks, [("b0", "b1"), ("b1", "b2")])
     cls = classify_task(task, system)
     s = 7 % system.l2.sets
-    raw, bounded = job_contribution(cls, task, ["b0", "b1"], s, "distinct")
+    raw, bounded = job_contribution(set_weights(cls, "distinct")[s], task, ["b0", "b1"])
     assert raw == 2 and bounded == 1
+    assert job_contribution(set_weights(cls, "distinct")[s], task, []) == (0, 0)
 
 
 def test_job_set_weight_counting_units():
     # Three sites on shared line 0 plus one on line 4, all in set 0.
     system = _sub_line_system()
     cls = classify_task(_contribution_task([0, 16, 32, 4 * 64]), system)
-    assert job_set_weight(cls, 0, "distinct") == 2
-    assert job_set_weight(cls, 0, "access") == 4
-    assert job_set_weight(cls, 1, "access") == 0
+    assert set_weights(cls, "distinct")[0][0] == 2
+    assert set_weights(cls, "access")[0][0] == 4
+    assert 1 not in set_weights(cls, "access")
 
 
 def test_interference_bound_et_max_rule():

@@ -1,6 +1,6 @@
 import pytest
 
-from chainlat.cost import WORST, contract_task
+from chainlat.cost import contract_task
 from chainlat.ingest import generate_workload
 from chainlat.latency import (
     AnalysisOptions,
@@ -107,7 +107,7 @@ def test_tsc_without_foreign_cores_is_exclusive():
     res = analyze_instance(setup, ("c0", 0, 0), "TSC")
     assert all(v == 0 for v in res.mc.values())
     cls = setup.tasks["t0"].classification
-    excl = contract_task(bundle.tasks["t0"], cls, bundle.system, worst_mode=WORST)
+    excl = contract_task(bundle.tasks["t0"], cls, bundle.system)
     assert res.wcet == excl.wcet
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from chainlat.cache_ai import BYPASS
 from chainlat.context import compute_prs_time
 from chainlat.ingest import generate_workload
-from chainlat.interference import COUNT_ACCESS, COUNT_DISTINCT, job_set_weight
+from chainlat.interference import COUNT_ACCESS, COUNT_DISTINCT
 from chainlat.latency import (
     ChainSetup,
     LifetimeIndex,
@@ -87,8 +87,14 @@ def test_index_equals_scan_on_arbitrary_lifetimes(hyper, spans, lo, length):
     assert index.overlapping(target) == _brute_pairs(jobs, hyper, "c", target)
 
 
+def _scanned_set_weight(cls, l2_set, counting):
+    """One job's whole-job weight in the set, scanned from its accesses."""
+    lines = [c.l2_line for c in cls.accesses.values() if c.l2_chmc != BYPASS and c.l2_set == l2_set]
+    return len(lines) if counting == COUNT_ACCESS else len(set(lines))
+
+
 def _old_tlt_pressure(setup, key, sets, counting):
-    """Per-job job_set_weight summed over every foreign job and shift."""
+    """Per-job scanned set weight summed over every foreign job and shift."""
     target = setup.jobs[key]
     out = {s: 0 for s in sets}
     core = setup.chains[key[0]].chain.core
@@ -99,7 +105,7 @@ def _old_tlt_pressure(setup, key, sets, counting):
         for shift in (-setup.hyper, 0, setup.hyper):
             if target.lifetime.overlaps(fj.lifetime.shift(shift)):
                 for s in out:
-                    out[s] += job_set_weight(setup.tasks[fj.task_id].classification, s, counting)
+                    out[s] += _scanned_set_weight(setup.tasks[fj.task_id].classification, s, counting)
     return out
 
 
@@ -131,10 +137,15 @@ def test_classification_tables_equal_scans(seed):
         cls = ta.classification
         visible = [c for c in cls.accesses.values() if c.l2_chmc != BYPASS]
         blocks = sorted(bundle.tasks[ta.task_id].blocks)
+        distinct, access = ta.weights[COUNT_DISTINCT], ta.weights[COUNT_ACCESS]
         for s in range(bundle.system.l2.sets):
-            assert cls.task_set_lines(s) == {c.l2_line for c in visible if c.l2_set == s}
-            assert job_set_weight(cls, s, COUNT_ACCESS) == sum(1 for c in visible if c.l2_set == s)
+            in_set = [c for c in visible if c.l2_set == s]
+            if not in_set:
+                assert s not in distinct and s not in access
+                continue
+            assert distinct[s][0] == len({c.l2_line for c in in_set})
+            assert access[s][0] == len(in_set)
             for b in blocks:
-                on = [c for c in visible if c.block_id == b and c.l2_set == s]
-                assert cls.block_set_lines(b, s) == {c.l2_line for c in on}
-                assert cls.block_set_access_count(b, s) == len(on)
+                on = [c for c in in_set if c.block_id == b]
+                assert distinct[s][1].get(b, 0) == len({c.l2_line for c in on})
+                assert access[s][1].get(b, 0) == len(on)

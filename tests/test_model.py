@@ -7,7 +7,6 @@ from chainlat.model import (
     LoopNode,
     TaskGraph,
     ValidationError,
-    map_address_to_set,
     validate_task_graph,
 )
 
@@ -16,25 +15,6 @@ from conftest import block, build_task, diamond_loop_task
 
 def level(sets=32, line=32, ways=4, hit=6):
     return CacheLevelConfig(sets, ways, line, hit)
-
-
-def test_map_address_to_set_zero():
-    assert map_address_to_set(0, level()) == 0
-
-
-def test_map_address_to_set_one_line_offset():
-    assert map_address_to_set(32, level()) == 1
-
-
-def test_map_address_to_set_wraps():
-    # (1024 / 32) mod 32 == 32 mod 32
-    assert map_address_to_set(1024, level()) == 0
-
-
-def test_map_address_to_set_periodicity():
-    lv = level()
-    for addr in (0, 5, 31, 900, 12345):
-        assert map_address_to_set(addr, lv) == map_address_to_set(addr + lv.sets * lv.line_size, lv)
 
 
 def test_interval_rejects_inverted():

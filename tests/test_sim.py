@@ -174,8 +174,8 @@ def contended_bundle():
 
     sys2 = SystemSpec(
         core_count=2,
-        l1=CacheLevelConfig(1, 1, 32, 1, "private"),
-        l2=CacheLevelConfig(4, 2, 32, 6, "shared"),
+        l1=CacheLevelConfig(1, 1, 32, 1),
+        l2=CacheLevelConfig(4, 2, 32, 6),
         mem_latency=30,
         base_cpi=1,
         period_table=(4000,),
