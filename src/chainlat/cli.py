@@ -1,8 +1,10 @@
 """Command-line orchestration: generate, analyze and verify workloads.
 
 Exit codes: 0 success, 1 internal error, 2 input validation failure,
-3 safety violation found by verify.  All randomness flows from --seed and
-outputs are canonicalized, so repeated invocations are byte-identical.
+3 safety violation found by verify.  An internal error prints one line;
+--debug (before the command) adds its full traceback.  All randomness
+flows from --seed and outputs are canonicalized, so repeated invocations
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import __version__
 from .ingest import (
@@ -215,6 +218,7 @@ def _add_analysis_options(parser):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="chainlat", description=__doc__)
     p.add_argument("--version", action="version", version="chainlat %s" % __version__)
+    p.add_argument("--debug", action="store_true", help="print the traceback of an internal error")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit a synthetic workload")
@@ -272,7 +276,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if args.debug:
+            traceback.print_exc()
         print("internal error: %r" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 

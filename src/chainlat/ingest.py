@@ -443,7 +443,8 @@ class _TaskBuilder:
 def _resolve_loop_parents(task: TaskGraph) -> TaskGraph:
     from .model import _natural_loop_body
 
-    bodies = {lid: _natural_loop_body(task, l.head_block, l.tail_block) for lid, l in task.loops.items()}
+    pred = task.predecessors(include_back=True)
+    bodies = {lid: _natural_loop_body(pred, l.head_block, l.tail_block) for lid, l in task.loops.items()}
     loops = {}
     for lid, loop in task.loops.items():
         parent, best = None, None

@@ -42,9 +42,14 @@ class ExclusionGraph:
 def mwis_bound(graph: ExclusionGraph, exact_cap: int = MWIS_EXACT_CAP) -> int:
     """Maximum-weight independent set value; exact up to exact_cap vertices.
 
-    Above the cap the safe over-approximation sum(weights) is returned.
-    Solved by memoized branch and bound over vertex bitmasks.
+    A graph without edges is one independent set, so its weight sum is the
+    exact value at any size; most overlap sets have no exclusive pair.
+    Otherwise, above the cap the safe over-approximation sum(weights) is
+    returned, and below it the value is solved by memoized branch and bound
+    over vertex bitmasks.
     """
+    if not graph.edges:
+        return sum(graph.weights.values())
     verts = sorted(graph.weights)
     if not verts:
         return 0
@@ -98,7 +103,7 @@ def collect_overlap_set(target_view, foreign_job_ctx, blocks):
     """Foreign blocks whose windows can overlap the target window."""
     return [
         bid for bid in blocks
-        if hierarchical_overlap(target_view, foreign_job_ctx.block_view(bid))
+        if hierarchical_overlap(target_view, foreign_job_ctx.block_view(bid)).result
     ]
 
 
@@ -110,15 +115,16 @@ def job_contribution(set_table, task_graph, overlapping_blocks):
     exclusive blocks cannot both run in one job, so an independent set
     bounds their joint contribution; the whole-job weight caps the result
     because block-wise sums may double-count lines shared between blocks.
+    A task without exclusive pairs gives an edgeless graph, which mwis_bound
+    sums exactly.
     """
     if not overlapping_blocks:
         return 0, 0
     job_weight, block_weights = set_table
     weights = {bid: block_weights[bid] for bid in overlapping_blocks}
     raw = sum(weights.values())
-    edges = frozenset(
-        p for p in task_graph.exclusive_pairs if all(b in weights for b in p)
-    )
+    pairs = task_graph.exclusive_pairs
+    edges = frozenset(p for p in pairs if weights.keys() >= p) if pairs else frozenset()
     return raw, min(mwis_bound(ExclusionGraph(weights, edges)), job_weight)
 
 

@@ -274,6 +274,17 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
     cls_table = setup.tasks[job.task_id].classification
     overlaps = _foreign_overlaps(setup, (job.chain_id, job.period_index, job.task_index))
     shifts = sorted({shift for _, pairs in overlaps for _, shift in pairs})
+    # Per foreign chain, what each overlapping job contributes with, looked
+    # up once: its weight table, task graph, context, shift and shifted release.
+    foreign = []
+    for fcs, pairs in overlaps:
+        fjobs = []
+        for fkey, shift in pairs:
+            fj = setup.jobs[fkey]
+            rlo, rhi = fj.release
+            fjobs.append((setup.tasks[fj.task_id].weights[options.counting], setup.bundle.tasks[fj.task_id],
+                          setup.foreign_ctx(fkey), shift, (rlo + shift, rhi + shift)))
+        foreign.append((fcs.chain.trigger, fjobs))
 
     targets = [c for c in cls_table.visible() if c.l2_chmc in (AH, PS)]
     mc, debug = {}, {}
@@ -286,21 +297,19 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
         views = {shift: BlockView((life_lo - shift, life_hi - shift), None, (((lo - shift, hi - shift),),))
                  for shift in shifts}
         total = raw_total = mwis_total = 0
-        for fcs, pairs in overlaps:
+        for trigger, fjobs in foreign:
             per_job = []
-            for fkey, shift in pairs:
-                fj = setup.jobs[fkey]
-                table = setup.tasks[fj.task_id].weights[options.counting].get(cls.l2_set)
+            for weights, graph, fctx, shift, release in fjobs:
+                table = weights.get(cls.l2_set)
                 if table is None:
                     continue
-                blocks = collect_overlap_set(views[shift], setup.foreign_ctx(fkey), table[1])
-                raw, contrib = job_contribution(table, setup.bundle.tasks[fj.task_id], blocks)
+                blocks = collect_overlap_set(views[shift], fctx, table[1])
+                raw, contrib = job_contribution(table, graph, blocks)
                 raw_total += raw
                 mwis_total += contrib
                 if contrib:
-                    rlo, rhi = fj.release
-                    per_job.append(((rlo + shift, rhi + shift), contrib))
-            total += interference_bound(per_job, fcs.chain.trigger, options.et_rule)
+                    per_job.append((release, contrib))
+            total += interference_bound(per_job, trigger, options.et_rule)
         mc[cls.access_id] = total
         debug[cls.access_id] = (raw_total, mwis_total)
     return mc, debug

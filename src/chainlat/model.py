@@ -237,9 +237,8 @@ def topo_order(task: TaskGraph):
     return order
 
 
-def _dominators(task: TaskGraph, entry: str) -> dict:
-    """Dominator sets via the iterative dataflow over the full CFG."""
-    pred = task.predecessors(include_back=True)
+def _dominators(task: TaskGraph, pred: dict, entry: str) -> dict:
+    """Dominator sets via the iterative dataflow over the full CFG (pred includes back edges)."""
     all_ids = frozenset(task.blocks)
     dom = {b: (frozenset({entry}) if b == entry else all_ids) for b in task.blocks}
     changed = True
@@ -256,9 +255,8 @@ def _dominators(task: TaskGraph, entry: str) -> dict:
     return dom
 
 
-def _natural_loop_body(task: TaskGraph, head: str, tail: str) -> frozenset:
-    """Blocks of the natural loop of back edge tail->head."""
-    pred = task.predecessors(include_back=True)
+def _natural_loop_body(pred: dict, head: str, tail: str) -> frozenset:
+    """Blocks of the natural loop of back edge tail->head; pred includes back edges."""
     body = {head, tail}
     stack = [tail]
     while stack:
@@ -278,7 +276,7 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
     entries = [b for b in task.blocks if not pred[b]]
     if len(entries) != 1:
         raise ValidationError("need exactly one entry block, found %r" % sorted(entries), task.id)
-    dom = _dominators(task, entries[0])
+    dom = _dominators(task, pred, entries[0])
 
     bodies = {}
     for lid, loop in task.loops.items():
@@ -290,7 +288,7 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
                 % (lid, loop.head_block, loop.tail_block),
                 task.id,
             )
-        bodies[lid] = _natural_loop_body(task, loop.head_block, loop.tail_block)
+        bodies[lid] = _natural_loop_body(pred, loop.head_block, loop.tail_block)
 
     # Nesting: a child body must be a strict subset of its parent body.
     for lid, loop in task.loops.items():
@@ -353,8 +351,11 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     task = elaborate_loops(task)  # raises unless there is exactly one entry block
     topo_order(task)  # raises on irreducible graphs
 
+    # Adjacency maps, built once: with and without back edges.
     pred = task.predecessors(include_back=True)
     succ = task.successors(include_back=True)
+    fpred = task.predecessors(include_back=False)
+    fsucc = task.successors(include_back=False)
     entries = [b for b in task.blocks if not pred[b]]
     exits = [b for b in task.blocks if not succ[b]]
     if len(exits) != 1:
@@ -368,7 +369,6 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     # Reachability: every block on some entry->exit path.
     seen = {entry}
     stack = [entry]
-    fsucc = task.successors(include_back=False)
     while stack:
         for d in fsucc[stack.pop()]:
             if d not in seen:
@@ -377,6 +377,7 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if seen != ids:
         raise ValidationError("unreachable blocks: %r" % sorted(ids - seen), task.id)
 
+    forward = task.forward_edges()
     for lid, loop in task.loops.items():
         body = loop.body_blocks
         if loop.head_block not in ids or loop.tail_block not in ids:
@@ -384,13 +385,12 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
         if loop.back_edge not in task.edges:
             raise ValidationError("loop %s: declared back edge missing from edge set" % lid, task.id)
         # The loop is entered only through its head and left only from its tail.
-        for src, dst in task.forward_edges():
+        for src, dst in forward:
             if dst in body and src not in body and dst != loop.head_block:
                 raise ValidationError("loop %s: side entry into %s" % (lid, dst), task.id)
             if src in body and dst not in body and src != loop.tail_block:
                 raise ValidationError("loop %s: exit from %s (only tail exits supported)" % (lid, src), task.id)
 
-    fpred = task.predecessors(include_back=False)
     for pair in task.exclusive_pairs:
         if len(pair) != 2:
             raise ValidationError("exclusive pair with identical blocks %s" % min(pair), task.id)
@@ -401,21 +401,21 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
             raise ValidationError(
                 "exclusive pair (%s,%s): blocks must be alternative arms of one branch" % (a, b), task.id
             )
-        if _reaches(task, a, b) or _reaches(task, b, a):
+        if _reaches(fsucc, a, b) or _reaches(fsucc, b, a):
             raise ValidationError("exclusive pair (%s,%s): blocks lie on a common path" % (a, b), task.id)
 
     return replace(task, entry_block=entry, exit_block=exit_)
 
 
-def _reaches(task: TaskGraph, src: str, dst: str) -> bool:
-    succ = task.successors(include_back=False)
+def _reaches(fsucc: dict, src: str, dst: str) -> bool:
+    """Whether dst is reachable from src over the forward successor map."""
     seen = {src}
     stack = [src]
     while stack:
         n = stack.pop()
         if n == dst:
             return True
-        for d in succ[n]:
+        for d in fsucc[n]:
             if d not in seen:
                 seen.add(d)
                 stack.append(d)

@@ -5,6 +5,11 @@ equals the pair.  Sequences are tuples sorted by lower bound.  A job's
 absolute windows are normalized once, by context.compute_bba_time; the
 overlap tests never normalize.  Overlap is inclusive: touching endpoints
 overlap, so verdicts are invariant under translating both operands.
+
+hierarchical_overlap sits in the TSC inner loop, so it allocates nothing:
+it returns one of the six shared, frozen verdicts in VERDICTS, reads the
+outer-loop envelopes inline, and compares two single-interval windows
+directly instead of sweeping them with seq_overlap.
 """
 
 from __future__ import annotations
@@ -71,12 +76,12 @@ class OverlapVerdict:
         return self.result
 
 
-def _span(view) -> tuple:
-    """Outer-loop envelope, else the hull of the normalized coarsest window."""
-    if view.outer_envelope is not None:
-        return view.outer_envelope
-    w = view.window_levels[-1]
-    return w[0][0], w[-1][1]
+# The six possible verdicts, shared by every test: (result, decided_at) -> verdict.
+VERDICTS = {(r, d): OverlapVerdict(r, d) for d in ("job", "outer-loop", "block") for r in (False, True)}
+_JOB_MISS = VERDICTS[False, "job"]
+_LOOP_MISS = VERDICTS[False, "outer-loop"]
+_BLOCK_MISS = VERDICTS[False, "block"]
+_BLOCK_HIT = VERDICTS[True, "block"]
 
 
 def hierarchical_overlap(a, b, threshold: int = PHASE3_THRESHOLD) -> OverlapVerdict:
@@ -86,18 +91,35 @@ def hierarchical_overlap(a, b, threshold: int = PHASE3_THRESHOLD) -> OverlapVerd
     carries the job lifetime, the outermost-loop envelope when the block
     sits inside a loop, and normalized absolute window sequences, finest
     first.  Phases reject from cheap to precise; a rejection at any phase
-    is final because every phase tests a superset of the next.
+    is final because every phase tests a superset of the next.  The middle
+    phase compares each side's envelope, else the hull of its coarsest
+    window.  The block phase compares the finest windows unless one is
+    longer than ``threshold``, then that side's window_within; two
+    single-interval windows are compared directly, others by seq_overlap.
     """
     alo, ahi = a.job_lifetime
     blo, bhi = b.job_lifetime
     if alo > bhi or blo > ahi:
-        return OverlapVerdict(False, "job")
+        return _JOB_MISS
 
-    if a.outer_envelope is not None or b.outer_envelope is not None:
-        alo, ahi = _span(a)
-        blo, bhi = _span(b)
-        if alo > bhi or blo > ahi:
-            return OverlapVerdict(False, "outer-loop")
+    ea, eb = a.outer_envelope, b.outer_envelope
+    if ea is not None or eb is not None:
+        if ea is None:
+            w = a.window_levels[-1]
+            ea = w[0][0], w[-1][1]
+        elif eb is None:
+            w = b.window_levels[-1]
+            eb = w[0][0], w[-1][1]
+        if ea[0] > eb[1] or eb[0] > ea[1]:
+            return _LOOP_MISS
 
-    found = seq_overlap(a.window_within(threshold), b.window_within(threshold))
-    return OverlapVerdict(found, "block")
+    wa, wb = a.window_levels[0], b.window_levels[0]
+    if len(wa) > threshold:
+        wa = a.window_within(threshold)
+    if len(wb) > threshold:
+        wb = b.window_within(threshold)
+    if len(wa) == 1 and len(wb) == 1:
+        (alo, ahi), = wa
+        (blo, bhi), = wb
+        return _BLOCK_HIT if alo <= bhi and blo <= ahi else _BLOCK_MISS
+    return _BLOCK_HIT if seq_overlap(wa, wb) else _BLOCK_MISS

@@ -1,4 +1,12 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci prints a failing example's reproduction blob; local
+# runs keep hypothesis's defaults.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Acceptance verdict lines, echoed after the test run regardless of capture.
 ACCEPTANCE_LINES = []
@@ -9,6 +17,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+from chainlat.context import BlockView
 from chainlat.model import (
     BasicBlock,
     CacheLevelConfig,
@@ -117,6 +126,18 @@ def boundary_bundle():
     return WorkloadBundle(
         make_system(cores=2), {"p": p, "f": f},
         {"c0": ChainSpec("c0", "ET", ("p",), 0, 231), "c1": ChainSpec("c1", "ET", ("f",), 1, 231)},
+    )
+
+
+def shift_view(view, delta):
+    """A BlockView with every interval moved by delta."""
+    def moved(pair):
+        return pair[0] + delta, pair[1] + delta
+
+    return BlockView(
+        moved(view.job_lifetime),
+        None if view.outer_envelope is None else moved(view.outer_envelope),
+        tuple(tuple(moved(iv) for iv in level) for level in view.window_levels),
     )
 
 

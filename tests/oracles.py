@@ -45,6 +45,37 @@ def brute_force_overlap(a, b):
     return any(max(x.lo, y.lo) <= min(x.hi, y.hi) for x in a for y in b)
 
 
+def reference_hierarchical_overlap(a, b, threshold):
+    """The three-phase overlap judgment as (result, decided_at), phase by phase.
+
+    Written straight from the phase definitions, apart from the shared
+    verdicts and the single-interval comparison of the library: envelopes
+    through a span helper, the window_within level choice on both sides,
+    and the block phase by all-pairs comparison of closed intervals.
+    """
+    def span(view):
+        if view.outer_envelope is not None:
+            return tuple(view.outer_envelope)
+        w = view.window_levels[-1]
+        return w[0][0], w[-1][1]
+
+    def within(view):
+        for w in view.window_levels:
+            if len(w) <= threshold:
+                return w
+        return view.window_levels[-1]
+
+    def meets(x, y):
+        return max(x[0], y[0]) <= min(x[1], y[1])
+
+    if not meets(a.job_lifetime, b.job_lifetime):
+        return False, "job"
+    if a.outer_envelope is not None or b.outer_envelope is not None:
+        if not meets(span(a), span(b)):
+            return False, "outer-loop"
+    return any(meets(x, y) for x in within(a) for y in within(b)), "block"
+
+
 def brute_force_mwis(weights, edges):
     """Exhaustive subset enumeration, vectorized over bitmasks."""
     verts = sorted(weights)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from chainlat import cli
-from chainlat.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSAFE, main
+from chainlat.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNSAFE, main
 
 
 def _read_all(outdir):
@@ -188,6 +188,27 @@ def test_analyze_debug_dumps(tmp_path):
     assert any(n.startswith("classification_") for n in names)
     header = (out / "interference.csv").read_text().splitlines()[0]
     assert header == "chain,period,task,access,set,raw_sum,after_mwis,final"
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_internal_error_traceback_only_with_debug(tmp_path, capsys, monkeypatch, debug):
+    system, tasks, chains = _generated(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "analyze_bundle", broken)
+    capsys.readouterr()
+    rc = main(["--debug"] * debug + ["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    if debug:
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "in broken\n" in err and "RuntimeError: boom\n" in err
+        assert err.endswith("\ninternal error: RuntimeError('boom')\n")
+    else:
+        assert err == "internal error: RuntimeError('boom')\n"
 
 
 def test_verify_small_run_passes(capsys):

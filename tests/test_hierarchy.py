@@ -1,12 +1,19 @@
 """Three-phase overlap judgment on worked context material."""
 
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chainlat.cache_ai import classify_task
-from chainlat.context import JobContext, TaskContext
+from chainlat.context import BlockView, JobContext, TaskContext
 from chainlat.cost import contract_task
 from chainlat.model import Interval, JobInstance
-from chainlat.overlap import hierarchical_overlap
+from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, normalize
 
-from conftest import diamond_loop_task, make_system, straight_task
+from conftest import diamond_loop_task, make_system, shift_view, straight_task
+from oracles import reference_hierarchical_overlap
 
 
 def _job_ctx(task, system, release, jid="c"):
@@ -97,3 +104,53 @@ def test_coarsening_never_flips_true_to_false(system):
         coarse = hierarchical_overlap(a.block_view("dl_t"), b.block_view("pr_b1"), threshold=1)
         if fine.result:
             assert coarse.result
+
+
+@st.composite
+def _block_views(draw):
+    """A view with 1-3 nested normalized levels of 1-6 intervals, finest first."""
+    spans = st.tuples(st.integers(0, 30), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
+    levels = [normalize(draw(st.lists(spans, min_size=1, max_size=6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        grow = st.tuples(st.integers(0, 6), st.integers(0, 6))
+        widths = draw(st.lists(grow, min_size=len(levels[-1]), max_size=len(levels[-1])))
+        levels.append(normalize([(lo - dl, hi + dh) for (lo, hi), (dl, dh) in zip(levels[-1], widths)]))
+    lo, hi = levels[-1][0][0], levels[-1][-1][1]
+    kind = draw(st.sampled_from(("none", "hull", "free")))
+    env = {"none": None, "hull": (lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5))),
+           "free": draw(spans)}[kind]
+    if env is not None:
+        lo, hi = min(lo, env[0]), max(hi, env[1])
+    life = (lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5)))
+    return BlockView(life, env, tuple(levels))
+
+
+@st.composite
+def _view_pairs(draw):
+    """Two views whose lifetimes are disjoint, touching or overlapping.
+
+    A fourth relation places b's first finest interval where a's last one
+    ends, so the block phase often meets touching windows.
+    """
+    a, b = draw(_block_views()), draw(_block_views())
+    (alo, ahi), (blo, bhi) = a.job_lifetime, b.job_lifetime
+    relation = draw(st.sampled_from(("disjoint", "touching", "overlapping", "windows-touch")))
+    if relation == "windows-touch":
+        return a, shift_view(b, a.window_levels[0][-1][1] - b.window_levels[0][0][0])
+    if relation == "overlapping":
+        start = draw(st.integers(alo - (bhi - blo), ahi))
+    else:
+        gap = draw(st.integers(1, 20)) if relation == "disjoint" else 0
+        start = ahi + gap if draw(st.booleans()) else alo - gap - (bhi - blo)
+    return a, shift_view(b, start - blo)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_view_pairs(), st.sampled_from((1, 2, PHASE3_THRESHOLD)), st.booleans())
+def test_hierarchical_overlap_matches_reference(pair, threshold, swap):
+    a, b = pair[::-1] if swap else pair
+    verdict = hierarchical_overlap(a, b, threshold)
+    assert (verdict.result, verdict.decided_at) == reference_hierarchical_overlap(a, b, threshold)
+    assert bool(verdict) is verdict.result
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.result = not verdict.result

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chainlat.cache_ai import classify_task
 from chainlat.interference import (
     ET_RULE_MAX,
@@ -51,6 +54,21 @@ def test_mwis_matches_brute_force_random():
                     edges.add(frozenset({verts[i], verts[j]}))
         g = ExclusionGraph(weights, frozenset(edges))
         assert mwis_bound(g) == brute_force_mwis(weights, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_mwis_matches_brute_force_at_any_density(n, density, rng):
+    verts = ["v%d" % i for i in range(n)]
+    weights = {v: rng.randint(0, 9) for v in verts}
+    edges = frozenset(frozenset({verts[i], verts[j]})
+                      for i in range(n) for j in range(i + 1, n) if rng.random() < density)
+    g = ExclusionGraph(weights, edges)
+    exact = brute_force_mwis(weights, edges)
+    assert mwis_bound(g) == mwis_bound(g, exact_cap=n) == exact
+    if n:
+        # One vertex over the cap: only an edgeless graph keeps its exact value.
+        assert mwis_bound(g, exact_cap=n - 1) == (sum(weights.values()) if edges else exact)
 
 
 def _sub_line_system():

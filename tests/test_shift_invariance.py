@@ -16,21 +16,7 @@ from chainlat.latency import prepare
 from chainlat.model import Interval
 from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, normalize
 
-from conftest import boundary_bundle
-
-
-def moved(pair, delta):
-    lo, hi = pair
-    return lo + delta, hi + delta
-
-
-def shift_view(view, delta):
-    """Every interval of a view moved by delta (the former foreign-view shift)."""
-    return BlockView(
-        moved(view.job_lifetime, delta),
-        None if view.outer_envelope is None else moved(view.outer_envelope, delta),
-        tuple(tuple(moved(iv, delta) for iv in level) for level in view.window_levels),
-    )
+from conftest import boundary_bundle, shift_view
 
 
 def reference_collect(target_view, foreign_job_ctx, blocks, shift):
