@@ -18,7 +18,7 @@ import csv
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import CacheLevelConfig, SystemSpec, TaskGraph, topo_order
+from .model import CacheLevelConfig, SystemSpec, TaskGraph
 
 AH = "AH"
 PS = "PS"
@@ -70,7 +70,7 @@ class _Fixpoint:
         self.task = task
         self.transfer = transfer
         self.join = join
-        self.order = topo_order(task)
+        self.order = task.topo_order
         self.pred = task.predecessors(include_back=True)
         self.entry_state = bottom_entry
         self.in_states = {}

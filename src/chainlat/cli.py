@@ -57,27 +57,14 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_generate(args) -> int:
-    bundle = generate_workload(
-        seed=args.seed,
-        cores=args.cores,
-        tasks_per_chain=args.tasks_per_chain,
-        blocks_per_task=args.blocks_per_task,
-        loop_depth=args.loop_depth,
-        utilization=args.utilization,
-        collision=args.collision,
-        trigger=args.trigger,
-    )
+    bundle = generate_workload(seed=args.seed, loop_depth=args.loop_depth, **_generator_options(args))
     os.makedirs(args.output, exist_ok=True)
     _write(os.path.join(args.output, "system.json"), _canonical_json(system_to_doc(bundle.system)))
     for tid in sorted(bundle.tasks):
         _write(os.path.join(args.output, "task_%s.json" % tid), _canonical_json(task_to_doc(bundle.tasks[tid])))
     for cid in sorted(bundle.chains):
         _write(os.path.join(args.output, "chain_%s.json" % cid), _canonical_json(chain_to_doc(bundle.chains[cid])))
-    _manifest(args.output, "generate", {
-        "seed": args.seed, "cores": args.cores, "tasks_per_chain": args.tasks_per_chain,
-        "blocks_per_task": args.blocks_per_task, "loop_depth": args.loop_depth,
-        "utilization": args.utilization, "collision": args.collision, "trigger": args.trigger,
-    })
+    _manifest(args.output, "generate", dict(seed=args.seed, loop_depth=args.loop_depth, **_generator_options(args)))
     print("generated %d tasks, %d chains -> %s" % (len(bundle.tasks), len(bundle.chains), args.output))
     return EXIT_OK
 
@@ -164,12 +151,13 @@ def cmd_verify(args) -> int:
     violations = 0
     dominance_checks = 0
     bundles = 0
+    configs = []
+    if args.sim_policy in ("random", "both"):
+        configs += [SimConfig(policy="random", seed=path_seed) for path_seed in range(args.paths_per_job)]
+    if args.sim_policy in ("worst", "both"):
+        configs.append(SimConfig(policy="worst", seed=0))
     for seed in range(args.seed, args.seed + args.seeds):
-        bundle = generate_workload(
-            seed=seed, cores=args.cores, tasks_per_chain=args.tasks_per_chain,
-            blocks_per_task=args.blocks_per_task, utilization=args.utilization,
-            collision=args.collision, trigger=args.trigger,
-        )
+        bundle = generate_workload(seed=seed, **_generator_options(args))
         bundles += 1
         options = AnalysisOptions(counting=args.counting, et_rule=args.et_rule,
                                   refinement_passes=args.passes, jobs=args.jobs)
@@ -190,22 +178,31 @@ def cmd_verify(args) -> int:
                 violations += 1
                 print("dominance violation on seed %d chain %s: %d/%d/%d" % (seed, cid, tsc, tlt, nct), file=sys.stderr)
 
-        random_paths = args.paths_per_job if args.sim_policy in ("random", "both") else 0
-        for path_seed in range(random_paths):
-            trace = simulate(bundle, SimConfig(policy="random", seed=path_seed), setup=setup)
-            found = check_safety(trace, report, setup)
+        for config in configs:
+            found = check_safety(simulate(bundle, config, setup=setup), report, setup)
             violations += len(found)
+            path = "worst-biased" if config.policy == "worst" else "sim %d" % config.seed
             for v in found[:5]:
-                print("seed %d sim %d: %r" % (seed, path_seed, v), file=sys.stderr)
-        if args.sim_policy in ("worst", "both"):
-            trace = simulate(bundle, SimConfig(policy="worst", seed=0), setup=setup)
-            found = check_safety(trace, report, setup)
-            violations += len(found)
-            for v in found[:5]:
-                print("seed %d worst-biased: %r" % (seed, v), file=sys.stderr)
+                print("seed %d %s: %r" % (seed, path, v), file=sys.stderr)
 
     print("%d violations / %d bundles (%d dominance checks)" % (violations, bundles, dominance_checks))
     return EXIT_UNSAFE if violations else EXIT_OK
+
+
+def _add_generator_options(parser):
+    """The generator options that generate and verify share."""
+    parser.add_argument("--cores", type=int, default=2)
+    parser.add_argument("--tasks-per-chain", type=int, default=2, choices=(1, 2, 4))
+    parser.add_argument("--blocks-per-task", type=int, default=8)
+    parser.add_argument("--utilization", type=float, default=0.9)
+    parser.add_argument("--collision", type=float, default=0.5)
+    parser.add_argument("--trigger", choices=("ET", "TT", "mix"), default="mix")
+
+
+def _generator_options(args) -> dict:
+    """The values of the flags _add_generator_options declares."""
+    return {name: getattr(args, name) for name in
+            ("cores", "tasks_per_chain", "blocks_per_task", "utilization", "collision", "trigger")}
 
 
 def _add_analysis_options(parser):
@@ -213,6 +210,7 @@ def _add_analysis_options(parser):
     parser.add_argument("--counting", choices=(COUNT_DISTINCT, COUNT_ACCESS), default=COUNT_DISTINCT)
     parser.add_argument("--et-rule", choices=(ET_RULE_SUM, ET_RULE_MAX), default=ET_RULE_SUM)
     parser.add_argument("--passes", type=_positive_int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,13 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="emit a synthetic workload")
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--cores", type=int, default=2)
-    g.add_argument("--tasks-per-chain", type=int, default=2, choices=(1, 2, 4))
-    g.add_argument("--blocks-per-task", type=int, default=8)
+    _add_generator_options(g)
     g.add_argument("--loop-depth", type=int, default=2)
-    g.add_argument("--utilization", type=float, default=0.9)
-    g.add_argument("--collision", type=float, default=0.5)
-    g.add_argument("--trigger", choices=("ET", "TT", "mix"), default="mix")
     g.add_argument("--output", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -239,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--chains", nargs="+", required=True)
     a.add_argument("--mode", choices=("tsc", "tlt", "nct", "all"), default="all")
     _add_analysis_options(a)
-    a.add_argument("--jobs", type=_positive_int, default=1)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--simulate-hit-ratio", action="store_true")
     a.add_argument("--debug-dumps", action="store_true")
@@ -249,17 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="generate, analyze, simulate and cross-check")
     v.add_argument("--seeds", type=_positive_int, default=10)
     v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--cores", type=int, default=2)
-    v.add_argument("--tasks-per-chain", type=int, default=2, choices=(1, 2, 4))
-    v.add_argument("--blocks-per-task", type=int, default=8)
-    v.add_argument("--utilization", type=float, default=0.9)
-    v.add_argument("--collision", type=float, default=0.5)
-    v.add_argument("--trigger", choices=("ET", "TT", "mix"), default="mix")
+    _add_generator_options(v)
     v.add_argument("--sim-policy", choices=("random", "worst", "both"), default="both")
     v.add_argument("--paths-per-job", type=_positive_int, default=10)
     v.add_argument("--inject-fault", choices=("none", "mc", "context"), default="none")
     _add_analysis_options(v)
-    v.add_argument("--jobs", type=_positive_int, default=1)
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cache_ai import AH, BYPASS, PS, TaskClassification
-from .model import SystemSpec, TaskGraph, ValidationError
+from .model import SystemSpec, TaskGraph, ValidationError, adjacency, topo_sort
 
 
 def virtual_id(loop_id: str) -> str:
@@ -148,35 +148,15 @@ def _level_graph(task: TaskGraph, level: Optional[str]) -> LevelGraph:
     return LevelGraph(tuple(sorted(members)), tuple(sorted(edges)), entry, exit_)
 
 
-def _level_topo(level: LevelGraph):
-    succ = {m: [] for m in level.members}
-    indeg = {m: 0 for m in level.members}
-    for src, dst in level.edges:
-        succ[src].append(dst)
-        indeg[dst] += 1
-    ready = sorted(m for m in level.members if indeg[m] == 0)
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for d in sorted(succ[n], reverse=True):
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                ready.append(d)
-    if len(order) != len(level.members):
-        raise ValidationError("cyclic level graph; loops not fully contracted")
-    return order
-
-
 class LevelPlan:
     """One level's graph, topological order, predecessors and best-case prefixes."""
 
     def __init__(self, task: TaskGraph, level: Optional[str], node_best: dict):
         self.graph = graph = _level_graph(task, level)
-        self.pred = {m: [] for m in graph.members}
-        for src, dst in graph.edges:
-            self.pred[dst].append(src)
-        self.order = tuple(_level_topo(graph))
+        self.pred = adjacency(graph.members, graph.edges)[0]
+        self.order = topo_sort(graph.members, graph.edges)
+        if self.order is None:
+            raise ValidationError("cyclic level graph; loops not fully contracted")
         for n in graph.members:
             # Every path into an unreachable node starts at a source other
             # than the entry, so checking the sources checks every node.

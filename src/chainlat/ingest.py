@@ -428,7 +428,7 @@ class _TaskBuilder:
         exit_ = self._new_block(want_access=False)
         self.edges.append((cur, exit_))
 
-        # Loop nesting is resolved by body containment once the graph exists.
+        # Validation derives the loop nesting from the loop bodies.
         task = TaskGraph(
             self.task_id,
             {b.id: b for b in self.blocks},
@@ -436,23 +436,7 @@ class _TaskBuilder:
             {l.id: l for l in self.loops},
             exclusive_pairs=frozenset(frozenset(p) for p in self.pairs),
         )
-        task = _resolve_loop_parents(task)
         return validate_task_graph(task)
-
-
-def _resolve_loop_parents(task: TaskGraph) -> TaskGraph:
-    from .model import _natural_loop_body
-
-    pred = task.predecessors(include_back=True)
-    bodies = {lid: _natural_loop_body(pred, l.head_block, l.tail_block) for lid, l in task.loops.items()}
-    loops = {}
-    for lid, loop in task.loops.items():
-        parent, best = None, None
-        for oid, obody in bodies.items():
-            if oid != lid and bodies[lid] < obody and (best is None or obody < best):
-                parent, best = oid, obody
-        loops[lid] = replace(loop, parent_loop=parent)
-    return replace(task, loops=loops)
 
 
 def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_depth=2,

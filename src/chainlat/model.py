@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 
@@ -135,8 +136,23 @@ class LoopNode:
             raise ValidationError("loop %s: MaxBd must be >= 1" % self.id)
 
 
+class _derived(cached_property):
+    """A cached_property stored with object.__setattr__: writing through the instance
+    __dict__, as cached_property does, makes later attribute reads ~3x slower (CPython 3.11)."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)
+        return value
+
+
 @dataclass(frozen=True)
 class TaskGraph:
+    """A task's CFG.  Adjacency maps and topological order are cached per object,
+    outside the fields: equality ignores them and dataclasses.replace rederives them."""
+
     id: str
     blocks: dict
     edges: tuple  # all edges incl. loop back edges, as (src, dst)
@@ -149,19 +165,31 @@ class TaskGraph:
         back = {loop.back_edge for loop in self.loops.values()}
         return tuple(e for e in self.edges if e not in back)
 
-    def successors(self, include_back=True):
-        succ = {b: [] for b in self.blocks}
-        edges = self.edges if include_back else self.forward_edges()
-        for src, dst in edges:
-            succ[src].append(dst)
-        return succ
+    @_derived
+    def _maps(self) -> tuple:
+        """(pred, succ) over all edges."""
+        return adjacency(self.blocks, self.edges)
 
-    def predecessors(self, include_back=True):
-        pred = {b: [] for b in self.blocks}
-        edges = self.edges if include_back else self.forward_edges()
-        for src, dst in edges:
-            pred[dst].append(src)
-        return pred
+    @_derived
+    def _forward_maps(self) -> tuple:
+        """(pred, succ) over the forward edges."""
+        return adjacency(self.blocks, self.forward_edges())
+
+    def successors(self, include_back=True) -> dict:
+        """Block id -> successor ids (a tuple); built once per graph, never mutate."""
+        return (self._maps if include_back else self._forward_maps)[1]
+
+    def predecessors(self, include_back=True) -> dict:
+        """Block id -> predecessor ids (a tuple); built once per graph, never mutate."""
+        return (self._maps if include_back else self._forward_maps)[0]
+
+    @_derived
+    def topo_order(self) -> tuple:
+        """Blocks in topological order over the forward edges; raises if cyclic."""
+        order = topo_sort(self.blocks, self.forward_edges())
+        if order is None:
+            raise ValidationError("irreducible control flow: cycle remains after removing declared back edges", self.id)
+        return order
 
     def loop_depth(self, loop_id):
         depth = 0
@@ -216,14 +244,27 @@ class JobInstance:
     lifetime: Interval
 
 
-def topo_order(task: TaskGraph):
-    """Topological order of blocks over forward edges; raises if cyclic."""
-    succ = task.successors(include_back=False)
-    indeg = {b: 0 for b in task.blocks}
-    for src, dsts in succ.items():
-        for d in dsts:
-            indeg[d] += 1
-    ready = sorted(b for b, d in indeg.items() if d == 0)
+def adjacency(nodes, edges) -> tuple:
+    """(pred, succ): node -> tuple of neighbours, in edge order."""
+    pred, succ = {n: [] for n in nodes}, {n: [] for n in nodes}
+    for src, dst in edges:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    return {n: tuple(ns) for n, ns in pred.items()}, {n: tuple(ns) for n, ns in succ.items()}
+
+
+def topo_sort(nodes, edges):
+    """Kahn's order of nodes over (src, dst) edges as a tuple; None when they close a cycle.
+
+    The ready list starts sorted and is popped from its end; successors are
+    pushed in reverse-sorted order, so the order depends on the sets alone.
+    """
+    succ = {n: [] for n in nodes}
+    indeg = dict.fromkeys(nodes, 0)
+    for src, dst in edges:
+        succ[src].append(dst)
+        indeg[dst] += 1
+    ready = sorted(n for n, d in indeg.items() if d == 0)
     order = []
     while ready:
         n = ready.pop()
@@ -232,9 +273,7 @@ def topo_order(task: TaskGraph):
             indeg[d] -= 1
             if indeg[d] == 0:
                 ready.append(d)
-    if len(order) != len(task.blocks):
-        raise ValidationError("irreducible control flow: cycle remains after removing declared back edges", task.id)
-    return order
+    return tuple(order) if len(order) == len(indeg) else None
 
 
 def _dominators(task: TaskGraph, pred: dict, entry: str) -> dict:
@@ -271,7 +310,12 @@ def _natural_loop_body(pred: dict, head: str, tail: str) -> frozenset:
 
 
 def elaborate_loops(task: TaskGraph) -> TaskGraph:
-    """Derive loop bodies, nesting links and per-block enclosing loops."""
+    """Derive loop bodies, nesting links and per-block enclosing loops.
+
+    Bodies are natural loops.  A loop's parent is the innermost loop whose
+    body strictly contains its body, a block's enclosing loop the innermost
+    one whose body holds it.  A declared parent must be the derived one.
+    """
     pred = task.predecessors(include_back=True)
     entries = [b for b in task.blocks if not pred[b]]
     if len(entries) != 1:
@@ -282,7 +326,9 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
     for lid, loop in task.loops.items():
         if loop.back_edge != (loop.tail_block, loop.head_block):
             raise ValidationError("loop %s: back edge must run tail->head" % lid, task.id)
-        if loop.head_block not in dom.get(loop.tail_block, frozenset()):
+        if loop.head_block not in task.blocks or loop.tail_block not in task.blocks:
+            raise ValidationError("loop %s references unknown blocks" % lid, task.id)
+        if loop.head_block not in dom[loop.tail_block]:
             raise ValidationError(
                 "loop %s: side entry, head %s does not dominate tail %s"
                 % (lid, loop.head_block, loop.tail_block),
@@ -290,13 +336,6 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
             )
         bodies[lid] = _natural_loop_body(pred, loop.head_block, loop.tail_block)
 
-    # Nesting: a child body must be a strict subset of its parent body.
-    for lid, loop in task.loops.items():
-        if loop.parent_loop is not None:
-            if loop.parent_loop not in task.loops:
-                raise ValidationError("loop %s: unknown parent %s" % (lid, loop.parent_loop), task.id)
-            if not bodies[lid] < bodies[loop.parent_loop]:
-                raise ValidationError("loop %s: body not nested in parent %s" % (lid, loop.parent_loop), task.id)
     for a in task.loops:
         for b in task.loops:
             if a >= b:
@@ -305,26 +344,35 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
             if inter and not (bodies[a] <= bodies[b] or bodies[b] <= bodies[a]):
                 raise ValidationError("loops %s and %s overlap without nesting" % (a, b), task.id)
 
-    children = {lid: [] for lid in task.loops}
-    for lid, loop in task.loops.items():
-        if loop.parent_loop is not None:
-            children[loop.parent_loop].append(lid)
-
-    # Innermost enclosing loop of each block: smallest containing body.
-    enclosing = {}
-    for bid in task.blocks:
+    def innermost(contains):
+        """The loop with the smallest body among those for which contains(body) holds."""
         best = None
         for lid, body in bodies.items():
-            if bid in body and (best is None or bodies[lid] < bodies[best]):
+            if contains(body) and (best is None or body < bodies[best]):
                 best = lid
-        enclosing[bid] = best
+        return best
+
+    parents = {lid: innermost(lambda body: bodies[lid] < body) for lid in task.loops}
+    for lid, loop in task.loops.items():
+        if loop.parent_loop is not None and loop.parent_loop != parents[lid]:
+            raise ValidationError(
+                "loop %s: declared parent %s is not its innermost enclosing loop (%s)"
+                % (lid, loop.parent_loop, "none" if parents[lid] is None else parents[lid]),
+                task.id,
+            )
+    children = {lid: [] for lid in task.loops}
+    for lid, parent in parents.items():
+        if parent is not None:
+            children[parent].append(lid)
 
     blocks = {
-        bid: replace(blk, enclosing_loop=enclosing[bid]) for bid, blk in task.blocks.items()
+        bid: replace(blk, enclosing_loop=innermost(lambda body: bid in body))
+        for bid, blk in task.blocks.items()
     }
     loops = {
         lid: replace(
             loop,
+            parent_loop=parents[lid],
             body_blocks=bodies[lid],
             children=tuple(sorted(children[lid])),
         )
@@ -336,8 +384,10 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
 def validate_task_graph(task: TaskGraph) -> TaskGraph:
     """Validate structure and return the elaborated graph.
 
-    Validation is idempotent: validating the result again yields an equal
-    graph and no new diagnostics.
+    Loop parents are optional, derived from the natural-loop bodies; a
+    declared parent must be the innermost enclosing loop.  Validation is
+    idempotent: validating the result again yields an equal graph and no new
+    diagnostics.
     """
     if not task.blocks:
         raise ValidationError("task has no blocks", task.id)
@@ -348,25 +398,23 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if len(set(task.edges)) != len(task.edges):
         raise ValidationError("duplicate edges", task.id)
 
-    task = elaborate_loops(task)  # raises unless there is exactly one entry block
-    topo_order(task)  # raises on irreducible graphs
-
-    # Adjacency maps, built once: with and without back edges.
-    pred = task.predecessors(include_back=True)
-    succ = task.successors(include_back=True)
-    fpred = task.predecessors(include_back=False)
-    fsucc = task.successors(include_back=False)
-    entries = [b for b in task.blocks if not pred[b]]
+    elaborated = elaborate_loops(task)  # raises unless there is exactly one entry block
+    # The validated graph is made before its order is checked, so the order
+    # cached on it is the one every later stage reads.
+    pred, succ = task.predecessors(), task.successors()
+    entry = next(b for b in task.blocks if not pred[b])
     exits = [b for b in task.blocks if not succ[b]]
+    graph = replace(elaborated, entry_block=entry, exit_block=exits[0] if len(exits) == 1 else "")
+    graph.topo_order  # raises on irreducible graphs
     if len(exits) != 1:
         raise ValidationError("need exactly one exit block, found %r" % sorted(exits), task.id)
-    entry, exit_ = entries[0], exits[0]
     if task.entry_block and task.entry_block != entry:
         raise ValidationError("declared entry %s is not the unique source" % task.entry_block, task.id)
-    if task.exit_block and task.exit_block != exit_:
+    if task.exit_block and task.exit_block != graph.exit_block:
         raise ValidationError("declared exit %s is not the unique sink" % task.exit_block, task.id)
 
     # Reachability: every block on some entry->exit path.
+    fpred, fsucc = graph.predecessors(include_back=False), graph.successors(include_back=False)
     seen = {entry}
     stack = [entry]
     while stack:
@@ -377,11 +425,9 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if seen != ids:
         raise ValidationError("unreachable blocks: %r" % sorted(ids - seen), task.id)
 
-    forward = task.forward_edges()
-    for lid, loop in task.loops.items():
+    forward = graph.forward_edges()
+    for lid, loop in graph.loops.items():
         body = loop.body_blocks
-        if loop.head_block not in ids or loop.tail_block not in ids:
-            raise ValidationError("loop %s references unknown blocks" % lid, task.id)
         if loop.back_edge not in task.edges:
             raise ValidationError("loop %s: declared back edge missing from edge set" % lid, task.id)
         # The loop is entered only through its head and left only from its tail.
@@ -404,7 +450,7 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
         if _reaches(fsucc, a, b) or _reaches(fsucc, b, a):
             raise ValidationError("exclusive pair (%s,%s): blocks lie on a common path" % (a, b), task.id)
 
-    return replace(task, entry_block=entry, exit_block=exit_)
+    return graph
 
 
 def _reaches(fsucc: dict, src: str, dst: str) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cache_ai import AH, BYPASS, PS
-from .model import ValidationError, topo_order
+from .model import ValidationError
 
 
 @dataclass
@@ -159,7 +159,7 @@ def _suffix_scores(task, node_worst) -> dict:
     """Worst-remaining-cost per block, the biased walker's branch heuristic."""
     scores = {}
     succ = task.successors(include_back=False)
-    for bid in reversed(topo_order(task)):
+    for bid in reversed(task.topo_order):
         nxt = max((scores[s] for s in succ[bid]), default=0)
         scores[bid] = node_worst.get(bid, 0) + nxt
     return scores

@@ -436,11 +436,9 @@ class _RefDecider:
 
 
 def _ref_suffix_scores(task, node_worst):
-    from chainlat.model import topo_order
-
     scores = {}
     succ = task.successors(include_back=False)
-    for bid in reversed(topo_order(task)):
+    for bid in reversed(task.topo_order):
         scores[bid] = node_worst.get(bid, 0) + max((scores[s] for s in succ[bid]), default=0)
     return scores
 

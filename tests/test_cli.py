@@ -275,3 +275,53 @@ def test_module_entry_point_runs_from_source(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout == "chainlat %s\n" % __version__
+
+
+def test_verify_fault_lines_keep_their_order_and_form(capsys):
+    # Random paths first, then the worst-biased one, per seed; at most five lines each.
+    rc = main(["verify", "--seeds", "2", "--paths-per-job", "2", "--collision", "0.8", "--inject-fault", "mc"])
+    assert rc == EXIT_UNSAFE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "seed 1 sim 0: {'kind': 'ah-miss', 'access': 't2_a2', 'cycle': 101, 'job': ('c1', 0, 0)}",
+        "seed 1 sim 1: {'kind': 'ah-miss', 'access': 't2_a2', 'cycle': 101, 'job': ('c1', 0, 0)}",
+        "seed 1 worst-biased: {'kind': 'ah-miss', 'access': 't2_a2', 'cycle': 101, 'job': ('c1', 0, 0)}",
+        "seed 2 sim 0: {'kind': 'ah-miss', 'access': 't3_a2', 'cycle': 149, 'job': ('c1', 0, 1)}",
+        "seed 2 sim 1: {'kind': 'ah-miss', 'access': 't3_a2', 'cycle': 151, 'job': ('c1', 0, 1)}",
+        "seed 2 worst-biased: {'kind': 'ah-miss', 'access': 't3_a2', 'cycle': 157, 'job': ('c1', 0, 1)}",
+    ]
+    assert captured.out == "6 violations / 2 bundles (4 dominance checks)\n"
+
+
+def _nested_loop_task_doc(parents):
+    """Task t0 with three nested loops l0 > l1 > l2, each loop's parent as given."""
+    blocks = ("t0_e", "t0_h0", "t0_h1", "t0_h2", "t0_t2", "t0_t1", "t0_t0", "t0_x")
+    edges = [("e", "h0"), ("h0", "h1"), ("h1", "h2"), ("h2", "t2"), ("t2", "h2"), ("t2", "t1"),
+             ("t1", "h1"), ("t1", "t0"), ("t0", "h0"), ("t0", "x")]
+    return {
+        "task_id": "t0",
+        "blocks": [{"id": b, "instructions": 2, "accesses": []} for b in blocks],
+        "edges": [["t0_" + s, "t0_" + d] for s, d in edges],
+        "loops": [{"id": "l%d" % i, "head": "t0_h%d" % i, "tail": "t0_t%d" % i,
+                   "back_edge": ["t0_t%d" % i, "t0_h%d" % i], "min_bound": 1, "max_bound": 2,
+                   "parent": parents[i]} for i in range(3)],
+        "exclusive_pairs": [],
+    }
+
+
+@pytest.mark.parametrize("parents,expected", [
+    ((None, "l0", "l1"), EXIT_OK),
+    ((None, None, None), EXIT_OK),  # derived from the loop bodies
+    ((None, "l0", "l0"), EXIT_INVALID),  # l2's grandparent
+], ids=("declared", "derived", "grandparent"))
+def test_analyze_checks_loop_parents(tmp_path, capsys, parents, expected):
+    system, tasks, chains = _generated(tmp_path)
+    path = next(t for t in tasks if t.endswith("task_t0.json"))
+    with open(path, "w") as fh:
+        json.dump(_nested_loop_task_doc(parents), fh)
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == expected, err
+    if expected == EXIT_INVALID:
+        assert err == "error: t0: loop l2: declared parent l0 is not its innermost enclosing loop (l1)\n"

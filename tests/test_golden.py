@@ -5,7 +5,8 @@ Each report digest is the sha256 of ``report_to_json`` followed by the
 and ``OPTION_DIGESTS`` each non-default option.  ``INTERFERENCE_DIGESTS``
 pins the ``interference.csv`` debug dump (raw and after-MWIS sums per
 access) under every option set.  ``TRACE_DIGESTS`` pins the simulator's
-``trace.csv`` for the worst-biased path and random path 0.  A change that
+``trace.csv`` for the worst-biased path and random path 0.
+``GENERATOR_DIGESTS`` pins every file ``chainlat generate`` writes.  A change that
 keeps the analysis must keep every digest; one that means to alter reports
 or traces records them again and says why.
 """
@@ -18,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from chainlat import generate_workload
+from chainlat.cli import main
 from chainlat.interference import write_interference_csv
 from chainlat.latency import AnalysisOptions, analyze_bundle, report_to_csv_rows, report_to_json
 from chainlat.sim import SimConfig, simulate, write_trace_csv
@@ -196,3 +198,61 @@ def test_trace_csv_digest(policy, name, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[policy][name]
+
+
+# sha256 of every file `chainlat generate` writes, per setting.
+GENERATOR_SETTINGS = {
+    "dual_mix": ["--seed", "1", "--cores", "2"],
+    "quad": ["--seed", "3", "--cores", "4", "--blocks-per-task", "16"],
+    "dual_et_4tasks": ["--seed", "2", "--cores", "2", "--tasks-per-chain", "4", "--trigger", "ET"],
+}
+
+GENERATOR_DIGESTS = {
+    "dual_mix": {
+        "chain_c0.json": "d654afae73d47f889debd3892fa1e59fc182553b3f1c76e380221a672cd9dbae",
+        "chain_c1.json": "b6c335f2e9bd244d2fc765bc052b46f29f5c68884fd14baa5a84434ac1bf848b",
+        "manifest.json": "db5f617548dbbe2707b975e43286659b57b03ec784d174c5d56b4c712d309b66",
+        "system.json": "781afc3fb0a6efc76cccbcd41b33e0c3a0eddaec9cedaef6f7b731765679decc",
+        "task_t0.json": "7296ed573dac80717ecba8a121efc23b1fe07b7565e7fd4d63ac310486ba3d17",
+        "task_t1.json": "e22f163263266fa2a09cebd3c41818b083f1c88e429d3cb8a8329cc7e74203eb",
+        "task_t2.json": "a215f2fe88b0d67c9ac4358cc7f684611aeaa625203799182be09079ca92708e",
+        "task_t3.json": "0086a4a0e262cc99d6af584763026789efdcb502a2c4fc547a93e0dfb1be95a9",
+    },
+    "quad": {
+        "chain_c0.json": "84a307c0d2e9857fbc7f37cbce021ff86073e3503861bdfb9d2ecdc240730776",
+        "chain_c1.json": "6edf6da81a8ad63ac428ede5b53f63699a6c908ee54622369f7c6df258b76a8e",
+        "chain_c2.json": "ca9d1b046a5522b57111587c8f1009ad9749ed25d1b1035c453e8802882f2e20",
+        "chain_c3.json": "e94ce876f0798dbb3fe3219e1648ae5b68b5761523541e834d139a1045fd3b6b",
+        "manifest.json": "43ed65adbddf81731421611258b3217024c7677f037c70de1c6af64cf79a9202",
+        "system.json": "a6842ea3c10d48787c03c0a13d6f3d26f74e224803aea116b1b23515d496c8f7",
+        "task_t0.json": "dc1b62c2481ca68f7394702e648a45f88a9047e75a5511e7920dc5e6289837a3",
+        "task_t1.json": "07f2414b7962bc61aff72320bd395ae505f2b7f657a6f15a22cf9fe4e3680f83",
+        "task_t2.json": "dcc6df14602269257abe6629f9de4813a6012bdb3b5d3aaed243ae01f92dfb0c",
+        "task_t3.json": "83b7bb8c3a5f27947e162a635bce0d96fbddba934daa9ed5490044ae66b39d58",
+        "task_t4.json": "e4d98301db4af161089495946960e4df988a5e702e5817540c9b071ca8213892",
+        "task_t5.json": "c60e36a328ce8b0af2dfda044e28a786eafc2057c0fbe0a6e91d1b5fda921a11",
+        "task_t6.json": "c98ddba786bf14ebe9c27df3f79a1a8ab501f8edf4ef127408f613caceca1075",
+        "task_t7.json": "71d6133e0af5db9bc7c7c4cb911947f241cb48e1a576349dad8c36b2c8a5b2af",
+    },
+    "dual_et_4tasks": {
+        "chain_c0.json": "37a736dbdb5be273fdab3a5d2e5dca7eb92ce565dafd93840c6e4c1303cccf86",
+        "chain_c1.json": "862dbf5b3c04d574cd25303358718c260392c0f8dbdf538842b640c52f97ed06",
+        "manifest.json": "984b2d76c6666f223aa6d1ef6d3684e5a58879380dfe7e71c51cf47c825fbc14",
+        "system.json": "781afc3fb0a6efc76cccbcd41b33e0c3a0eddaec9cedaef6f7b731765679decc",
+        "task_t0.json": "fa1e2c12aad0d46ba60131194456ad4f97c06a535e8dfd4aac4d6ee76e2cd661",
+        "task_t1.json": "7eeec732ea1c8dd1766ef5960aedccafb98b113ac14df70727d78cf1e1aa5b4b",
+        "task_t2.json": "b6f8ab3899d69673af13083aae62514e37f8eeab9f6e2258b47c140b39e33249",
+        "task_t3.json": "f2f8fdab084894959622f7d7feed2bbd9401a85175779533180a85a32d10c090",
+        "task_t4.json": "d96872ee4d9696b40747863eaab73b8b18ca9ed214f62e0b2d9a5ef6cf5a3045",
+        "task_t5.json": "ab9657aa27773ec7dd8174d7c62e4333277a09a09460d5828088e6967250ee97",
+        "task_t6.json": "ffb2d45dc4a44af2969be0f13bb451fbc71fe5e272b20585837400fb055121e5",
+        "task_t7.json": "fca955e72077e9bcbc9d25c7b82e665af99a75c332eb232508765030e5469e1e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETTINGS))
+def test_generated_file_digests(name, tmp_path, capsys):
+    assert main(["generate", *GENERATOR_SETTINGS[name], "--output", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GENERATOR_DIGESTS[name]
