@@ -21,7 +21,18 @@ and the whole best-case side.  Best costs never read the classification or
 the refined map, because the L1 floor charges every access alike, so one
 plan serves every contraction of a task.  What the refined map decides
 (worst node costs, persistence surcharges, longest prefixes, the WCET) is
-computed per call by contract_task.
+computed by contract_task.
+
+A contraction reads the refined map only through each access's effective
+shared-cache CHMC, so the jobs of one task that refine to the same CHMCs
+share one contraction.  The plan memoizes them: the key is the effective
+CHMC (_chmc) of every access, in the plan's fixed access order, and an
+entry serves a call only if it was contracted under the very same
+TaskClassification object (the L1 CHMCs and the unrefined shared-cache
+ones come from it); otherwise the call contracts and replaces the entry.
+Contracting without a plan builds a fresh one and memoizes nothing.  A
+memoized ContractedTask is returned to every caller that asks for it, so
+all of its fields are read-only.
 """
 
 from __future__ import annotations
@@ -83,9 +94,10 @@ class LevelGraph:
 class ContractedTask:
     """One contraction of a task.
 
+    Every field is read-only.  A contraction from a plan is memoized on it
+    and handed to every later call with the same effective CHMCs, and
     node_best, levels, bbesot and each summary's bbsc are the plan's own
-    dicts, shared by every contraction from that plan: read them, never
-    mutate them.
+    dicts, shared by every contraction from that plan.
     """
 
     task: TaskGraph
@@ -195,7 +207,9 @@ class ContractionPlan:
     """The classification-free part of a task's contraction, built once per task.
 
     Depends on the task graph and the system only; the structural checks
-    (acyclic levels, every member reachable from its entry) run here.
+    (acyclic levels, every member reachable from its entry) run here.  It
+    also holds the memo of the task's contractions, keyed by the effective
+    CHMCs of access_ids.
     """
 
     def __init__(self, task: TaskGraph, system: SystemSpec):
@@ -210,6 +224,8 @@ class ContractionPlan:
             self.node_best[virtual_id(lid)] = level.shortest * task.loops[lid].min_bound
         self.levels[None] = LevelPlan(task, None, self.node_best)
         self.graphs = {lid: level.graph for lid, level in self.levels.items()}
+        self.access_ids = tuple(a.id for b in task.blocks.values() for a in b.accesses)
+        self.memo = {}  # effective CHMCs of access_ids -> ContractedTask
 
 
 def contract_task(task: TaskGraph, classification: TaskClassification, system: SystemSpec,
@@ -218,10 +234,22 @@ def contract_task(task: TaskGraph, classification: TaskClassification, system: S
     """Summarize all loops innermost-first and compute program bounds.
 
     Worst costs follow `refined` (the classification's own CHMCs when
-    None).  `plan` must be the task's own ContractionPlan; without one a
-    fresh plan is built.
+    None).  `plan` must be the task's own ContractionPlan; a call with one
+    may return the contraction memoized on it.  Without one a fresh plan is
+    built and nothing is memoized.
     """
-    plan = plan or ContractionPlan(task, system)
+    if plan is None:
+        return _contract(task, classification, system, refined, ContractionPlan(task, system))
+    accesses = classification.accesses
+    key = tuple(_chmc(accesses[aid], refined) for aid in plan.access_ids)
+    con = plan.memo.get(key)
+    if con is None or con.classification is not classification:
+        con = plan.memo[key] = _contract(task, classification, system, refined, plan)
+    return con
+
+
+def _contract(task: TaskGraph, classification: TaskClassification, system: SystemSpec,
+              refined: Optional[dict], plan: ContractionPlan) -> ContractedTask:
     node_worst = {bid: block_cost(block, classification, system, refined)
                   for bid, block in task.blocks.items()}
     surcharge_unit = system.mem_latency - system.l2.hit_latency

@@ -137,7 +137,10 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
     all_ids = {a.id for b in task.blocks.values() for a in b.accesses}
     if len(all_ids) != sum(len(b.accesses) for b in task.blocks.values()):
         raise ValidationError("duplicate access ids", where)
-    return validate_task_graph(task)
+    try:
+        return validate_task_graph(task)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), where)
 
 
 def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:

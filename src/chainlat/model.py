@@ -322,10 +322,15 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
         raise ValidationError("need exactly one entry block, found %r" % sorted(entries), task.id)
     dom = _dominators(task, pred, entries[0])
 
-    bodies = {}
+    bodies, by_back_edge = {}, {}
     for lid, loop in task.loops.items():
         if loop.back_edge != (loop.tail_block, loop.head_block):
             raise ValidationError("loop %s: back edge must run tail->head" % lid, task.id)
+        other = by_back_edge.setdefault(loop.back_edge, lid)
+        if other != lid:
+            raise ValidationError(
+                "loops %s and %s declare the same back edge %s->%s" % (other, lid, *loop.back_edge), task.id
+            )
         if loop.head_block not in task.blocks or loop.tail_block not in task.blocks:
             raise ValidationError("loop %s references unknown blocks" % lid, task.id)
         if loop.head_block not in dom[loop.tail_block]:

@@ -324,4 +324,18 @@ def test_analyze_checks_loop_parents(tmp_path, capsys, parents, expected):
     err = capsys.readouterr().err
     assert rc == expected, err
     if expected == EXIT_INVALID:
-        assert err == "error: t0: loop l2: declared parent l0 is not its innermost enclosing loop (l1)\n"
+        assert err == "error: %s: t0: loop l2: declared parent l0 is not its innermost enclosing loop (l1)\n" % path
+
+
+def test_analyze_rejects_duplicate_back_edges(tmp_path, capsys):
+    system, tasks, chains = _generated(tmp_path)
+    path = next(t for t in tasks if t.endswith("task_t0.json"))
+    doc = _nested_loop_task_doc((None, None, None))
+    doc["loops"].append(dict(doc["loops"][2], id="l3"))  # l2's back edge again
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == \
+        "error: %s: t0: loops l2 and l3 declare the same back edge t0_t2->t0_h2\n" % path

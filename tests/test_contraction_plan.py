@@ -1,8 +1,9 @@
-"""The per-task contraction plan: equivalence, no aliasing, structural checks."""
+"""The per-task contraction plan: equivalence, no aliasing, the memo, structural checks."""
 
 import copy
+import pickle
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from chainlat.cache_ai import AH, NC, PS, TaskClassification, all_miss, classify_task
 from chainlat.context import TaskContext
 from chainlat.cost import ContractedTask, ContractionPlan, contract_task
-from chainlat.ingest import _TaskBuilder, default_system
+from chainlat.ingest import _TaskBuilder, default_system, generate_workload
+from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import BasicBlock, LoopNode, TaskGraph, ValidationError
 
 from oracles import reference_contract_task
@@ -55,6 +57,13 @@ def test_shared_plan_matches_per_call_contraction(seed, depth, n_blocks, collisi
         ref = reference_contract_task(task, cls, system, ref_refined, ref_mode)
         _assert_same(contract_task(task, cls, system, refined=refined, plan=plan), ref)
         _assert_same(contract_task(task, cls, system, refined=refined), ref)
+    # Repeated and interleaved maps on one plan: memo hits equal the reference too.
+    a, b = refined_maps[:2]
+    miss = all_miss(cls)
+    for refined, ref_refined, ref_mode in ((a, a, "worst"), (b, b, "worst"), (a, a, "worst"),
+                                           (miss, None, "init_worst"), (a, a, "worst")):
+        ref = reference_contract_task(task, cls, system, ref_refined, ref_mode)
+        _assert_same(contract_task(task, cls, system, refined=dict(refined), plan=plan), ref)
 
 
 def test_contractions_from_one_plan_do_not_alias():
@@ -74,6 +83,62 @@ def test_contractions_from_one_plan_do_not_alias():
     for name, value in snapshot.items():
         assert getattr(first, name) == value, name
     _assert_same(second, reference_contract_task(task, cls, system, all_nc, "worst"))
+
+
+def _snapshot(con):
+    return {f.name: copy.deepcopy(getattr(con, f.name)) for f in fields(ContractedTask)
+            if f.name not in ("task", "classification")}
+
+
+def test_repeated_map_returns_the_memoized_contraction():
+    task, cls, system = _generated_task(28, 3, 12)
+    plan = ContractionPlan(task, system)
+    first = contract_task(task, cls, system, plan=plan)
+    # An explicit map with the same effective CHMCs is the same key.
+    own = {aid: c.l2_chmc for aid, c in cls.accesses.items()}
+    assert contract_task(task, cls, system, refined=own, plan=plan) is first
+    assert contract_task(task, cls, system, refined=all_miss(cls), plan=plan) is not first
+    assert contract_task(task, cls, system, plan=plan) is first
+    # Without a plan nothing is memoized.
+    assert contract_task(task, cls, system) is not contract_task(task, cls, system)
+
+
+def test_other_classification_on_one_plan_never_gets_a_stale_entry():
+    task, cls, system = _generated_task(28, 3, 12)
+    ps = min(aid for aid, c in cls.accesses.items() if c.l2_chmc == PS)
+    other = TaskClassification(cls.task_id, dict(cls.accesses, **{ps: replace(cls.accesses[ps], l2_chmc=NC)}),
+                               cls.l1_passes, cls.l2_passes)
+    plan = ContractionPlan(task, system)
+    # The map names the changed access, so both classifications give one key.
+    refined = {aid: AH for aid in cls.accesses}
+    for c in (cls, other, cls, other):
+        for r in (None, refined):
+            con = contract_task(task, c, system, refined=r, plan=plan)
+            assert con.classification is c
+            _assert_same(con, reference_contract_task(task, c, system, r, "worst"))
+    assert contract_task(task, other, system, plan=plan).wcet > contract_task(task, cls, system, plan=plan).wcet
+
+
+def test_analysis_leaves_memoized_contractions_unchanged():
+    bundle = generate_workload(seed=1, cores=2, tasks_per_chain=4, trigger="ET", collision=0.8)
+    setup = prepare(bundle)
+    analyze_bundle(bundle, setup=setup)
+    entries = [(ta.contracted_init, _snapshot(ta.contracted_init)) for ta in setup.tasks.values()]
+    entries += [(con, _snapshot(con)) for ta in setup.tasks.values() for con in ta.plan.memo.values()]
+    assert len(entries) > 2 * len(setup.tasks)
+    analyze_bundle(bundle, AnalysisOptions(refinement_passes=2), setup=setup)
+    for con, snapshot in entries:
+        assert _snapshot(con) == snapshot
+
+
+def test_pickled_setup_keeps_its_memo():
+    # --jobs hands each worker a pickled Setup; its memo entries must still hit.
+    bundle = generate_workload(seed=1, cores=2, tasks_per_chain=4, trigger="ET", collision=0.8)
+    setup = pickle.loads(pickle.dumps(prepare(bundle)))
+    for tid, ta in setup.tasks.items():
+        assert list(ta.plan.memo.values()) == [ta.contracted_init]
+        assert contract_task(bundle.tasks[tid], ta.classification, bundle.system,
+                             refined=dict(ta.all_miss), plan=ta.plan) is ta.contracted_init
 
 
 # Hand-built graphs below bypass ingest's validation, so only the

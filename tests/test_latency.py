@@ -226,6 +226,20 @@ def test_reused_setup_matches_fresh_setup():
     assert reports[1] != reports[0] and reports[3] != reports[0]
 
 
+def test_jobs_on_a_memoized_setup_match_fresh_setup():
+    # Workers receive the shared Setup pickled, with the contractions the
+    # earlier runs memoized; each report must equal a fresh prepare's.
+    bundle = generate_workload(seed=1, cores=2, tasks_per_chain=4, trigger="ET", collision=0.8)
+    shared = prepare(bundle)
+    for options in (AnalysisOptions(), AnalysisOptions(counting="access"),
+                    AnalysisOptions(et_rule="max", refinement_passes=2)):
+        fresh = _report_bytes(analyze_bundle(bundle, options, setup=prepare(bundle)), bundle)
+        assert _report_bytes(analyze_bundle(bundle, options, setup=shared), bundle) == fresh
+        assert sum(len(ta.plan.memo) for ta in shared.tasks.values()) > len(shared.tasks)
+        options.jobs = 2
+        assert _report_bytes(analyze_bundle(bundle, options, setup=shared), bundle) == fresh
+
+
 def test_multipass_never_worse():
     for seed in (3, 5):
         bundle = generate_workload(seed=seed, cores=2, tasks_per_chain=2, collision=0.8)

@@ -59,6 +59,15 @@ def test_two_back_edges_rejected():
         build_task("bad", blocks, edges, loops)
 
 
+def test_duplicate_back_edge_rejected():
+    # Two loops on one back edge have one body; the contraction would lose a level.
+    blocks = [block("e", 1), block("h", 1), block("t", 1), block("x", 1)]
+    edges = [("e", "h"), ("h", "t"), ("t", "h"), ("t", "x")]
+    loops = [LoopNode("la", "h", "t", ("t", "h"), 1, 2), LoopNode("lb", "h", "t", ("t", "h"), 1, 3)]
+    with pytest.raises(ValidationError, match=r"^bad: loops la and lb declare the same back edge t->h$"):
+        build_task("bad", blocks, edges, loops)
+
+
 def test_dangling_edge_rejected():
     with pytest.raises(ValidationError):
         build_task("bad", [block("b0", 1)], [("b0", "nope")])
