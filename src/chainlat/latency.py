@@ -50,6 +50,9 @@ from .model import Interval, JobInstance, ValidationError, WorkloadBundle
 MODES = ("TSC", "TLT", "NCT")
 
 MAX_HYPERPERIOD = 1 << 62
+# Jobs one hyperperiod may hold over all chains; prepare refuses more
+# before it enumerates any.
+MAX_JOBS = 100_000
 
 
 @dataclass
@@ -128,15 +131,17 @@ class Setup:
     jobs: dict  # (chain id, period index, task index) -> JobInstance
     lifetimes: dict  # chain id -> LifetimeIndex
     # Caches filled lazily by the analysis (the first two) and by the
-    # simulator and its oracle (the last two).  Each value depends on nothing
-    # but the fields above, never on options or a report, so a Setup reused
-    # across options never reads a stale one.  The oracle keeps its own
-    # windows apart from foreign_ctxs.  Edit a task's contexts (fault
-    # injection) before the first check_safety on the Setup, not after.
+    # simulator and its oracle (the last three).  Each value depends on
+    # nothing but the fields above, never on options or a report, so a Setup
+    # reused across options never reads a stale one.  The oracle keeps its
+    # own windows apart from foreign_ctxs.  Edit a task's contexts or
+    # classification (fault injection) before the first check_safety on the
+    # Setup, not after.
     foreign_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
     walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table
     oracle_windows: dict = field(default_factory=dict, repr=False)  # (*job key, block id) -> (lo, hi) pairs
+    oracle_chmcs: dict = field(default_factory=dict, repr=False)  # task id -> {access id: base L2 CHMC}
 
     def job_ctx(self, key) -> JobContext:
         """A fresh context of one job; the oracle builds its own through this."""
@@ -224,6 +229,15 @@ def prepare(bundle: WorkloadBundle) -> Setup:
         chains[cid] = ChainSetup(chain, cips, bcets)
 
     hyper = hyperperiod([cs.chain.period for cs in chains.values()])
+    per_chain = {cid: hyper // cs.chain.period * len(cs.chain.tasks) for cid, cs in chains.items()}
+    n_jobs = sum(per_chain.values())
+    if n_jobs > MAX_JOBS:
+        raise ValidationError(
+            "hyperperiod %d needs %d jobs, over the limit of %d: %s"
+            % (hyper, n_jobs, MAX_JOBS,
+               ", ".join("chain %s period %d (%d jobs)" % (cid, chains[cid].chain.period, n)
+                         for cid, n in per_chain.items()))
+        )
     jobs = {}
     for cid, cs in chains.items():
         for k in range(hyper // cs.chain.period):

@@ -12,9 +12,12 @@ Path policies: seeded random choices, a worst-biased walker that steers
 branches toward the heavier suffix and runs loops to their upper bounds,
 and exhaustive enumeration of all decision tapes for small problems.
 
-A Setup keeps the per-task walk tables and the oracle's absolute windows,
-each built on first use, so every path after the first on one Setup pays
-only for its own walk and its own checks.
+A Setup keeps the per-task walk tables, the oracle's absolute windows and
+its base classifications, each built on first use, so every path after the first on one Setup pays
+only for its own walk and its own checks.  The walker records each access
+and block occurrence as a plain tuple row; the AccessEvent and
+BlockOccurrence records are read-only views built from the rows when a
+reader asks for them, and the oracle reads the rows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cache_ai import AH, BYPASS, PS
+from .latency import MODES, prepare
 from .model import ValidationError
+
+
+POLICIES = ("random", "worst", "tape")
 
 
 @dataclass
@@ -35,6 +42,13 @@ class SimConfig:
     seed: int = 0
     tape: Optional[list] = None  # decision tape when policy == "tape"
     max_exhaustive_paths: int = 100_000
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ValueError("unknown simulation policy %r; expected one of %s"
+                             % (self.policy, ", ".join(POLICIES)))
+        if self.policy == "tape" and self.tape is None:
+            raise ValueError("simulation policy 'tape' needs a tape")
 
 
 @dataclass
@@ -74,11 +88,31 @@ class BlockOccurrence:
 
 @dataclass
 class SimTrace:
+    """One run.  Accesses and block occurrences are kept as rows: tuples of
+    the AccessEvent and BlockOccurrence fields, in the same order.  The
+    `accesses` and `blocks` properties are read-only tuples of records built
+    from the rows on first read, and rebuilt only if rows were appended."""
+
     jobs: list = field(default_factory=list)
-    accesses: list = field(default_factory=list)
-    blocks: list = field(default_factory=list)
+    access_rows: list = field(default_factory=list)
+    block_rows: list = field(default_factory=list)
     overruns: list = field(default_factory=list)
     l2_state: list = field(default_factory=list)
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _records(self, rows, record) -> tuple:
+        view = self._views.get(record)
+        if view is None or len(view) != len(rows):
+            view = self._views[record] = tuple(record(*row) for row in rows)
+        return view
+
+    @property
+    def accesses(self) -> tuple:
+        return self._records(self.access_rows, AccessEvent)
+
+    @property
+    def blocks(self) -> tuple:
+        return self._records(self.block_rows, BlockOccurrence)
 
 
 class LRUCache:
@@ -99,9 +133,6 @@ class LRUCache:
         if len(s) > self.ways:
             s.pop()
         return False
-
-    def flush(self):
-        self.state = [[] for _ in range(self.sets)]
 
     def snapshot(self):
         return [list(s) for s in self.state]
@@ -170,8 +201,9 @@ class _TaskWalk:
 
     blocks maps a block id to a record (accesses, idle cycles, loop headed,
     exclusive arms, successors):
-      - the accesses as (access id, private line, shared line), in program
-        order; each is one instruction, issued before the access-free ones;
+      - the accesses as (access id, private set, private line, shared
+        line), in program order; each is one instruction, issued before the
+        access-free ones;
       - the cycles of the block's access-free instructions;
       - (loop id, tail block, min bound, max bound) of the loop the block
         heads, or None;
@@ -193,10 +225,11 @@ class _TaskWalk:
             exclusive.setdefault(a, set()).add(b)
             exclusive.setdefault(b, set()).add(a)
         succ = task.successors(include_back=False)
+        l1 = system.l1
         self.blocks = {
             bid: (
-                tuple((a.id, system.l1.line_of(a.address), system.l2.line_of(a.address))
-                      for a in b.accesses),
+                tuple((a.id, l1.line_of(a.address) % l1.sets, l1.line_of(a.address),
+                       system.l2.line_of(a.address)) for a in b.accesses),
                 system.base_cpi * (b.instruction_count - len(b.accesses)),
                 heads.get(bid),
                 exclusive.get(bid),
@@ -220,9 +253,8 @@ def _core_walker(core, setup, cid, decider, trace, walks):
     chain = setup.chains[cid].chain
     system = setup.bundle.system
     cpi, l1_hit = system.base_cpi, system.l1.hit_latency
-    l1 = LRUCache(system.l1.sets, system.l1.ways)
-    l1_access = l1.access
-    accesses, blocks = trace.accesses, trace.blocks
+    l1_sets, l1_ways = system.l1.sets, system.l1.ways
+    access_rows, block_rows = trace.access_rows, trace.block_rows
     clock = 0
     n_instances = setup.hyper // chain.period
 
@@ -239,7 +271,7 @@ def _core_walker(core, setup, cid, decider, trace, walks):
             if clock > release:
                 trace.overruns.append((core, cid, k, i, release, clock))
             clock = max(clock, release)
-            l1.flush()
+            l1 = [[] for _ in range(l1_sets)]  # the private LRU level, cold per job, MRU first
             job_key = "%s/%d/%d" % (cid, k, i)
             start = clock
 
@@ -260,17 +292,24 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                     forbidden |= excluded
                 scope = (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None
                 b_start = clock
-                for aid, l1_line, l2_line in block_accesses:
+                for aid, l1_set, l1_line, l2_line in block_accesses:
                     clock += cpi
-                    if l1_access(l1_line):
+                    ways = l1[l1_set]
+                    if l1_line in ways:
+                        if ways[0] != l1_line:
+                            ways.remove(l1_line)
+                            ways.insert(0, l1_line)
                         clock += l1_hit
                         level = "L1"
                     else:
+                        ways.insert(0, l1_line)
+                        if len(ways) > l1_ways:
+                            ways.pop()
                         latency, level = yield (clock, l2_line)
                         clock += latency
-                    accesses.append(AccessEvent(clock, core, cid, k, i, cur, aid, level, scope))
+                    access_rows.append((clock, core, cid, k, i, cur, aid, level, scope))
                 clock += idle
-                blocks.append(BlockOccurrence(core, cid, k, i, cur, b_start, clock))
+                block_rows.append((core, cid, k, i, cur, b_start, clock))
 
                 # Repeat or leave loops whose tail this block is, innermost first.
                 advanced = False
@@ -288,7 +327,8 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                     break
                 if forbidden:
                     succ = [s for s in succ if s not in forbidden] or succ
-                cur = decider.branch(succ, job_key, walk.scores)
+                # A single successor is no decision point: it draws nothing.
+                cur = succ[0] if len(succ) == 1 else decider.branch(succ, job_key, walk.scores)
 
             trace.jobs.append(JobRecord(core, cid, k, i, tid, start, clock))
 
@@ -333,16 +373,12 @@ def simulate(bundle, config: SimConfig, setup=None) -> SimTrace:
     The walk tables are built on the Setup's first simulation and reused,
     so a Setup shared across paths pays for them once.
     """
-    from .latency import prepare
-
     setup = setup or prepare(bundle)
     return _run(setup, _Decider(config))
 
 
 def simulate_exhaustive(bundle, config: SimConfig = None, setup=None):
     """Yield one trace per decision tape, enumerated like an odometer."""
-    from .latency import prepare
-
     config = config or SimConfig()
     setup = setup or prepare(bundle)
     tape = []
@@ -366,10 +402,10 @@ def simulate_exhaustive(bundle, config: SimConfig = None, setup=None):
 
 def trace_hit_ratio(trace: SimTrace) -> Optional[float]:
     """Shared-cache hits over shared-cache accesses; None without L2 traffic."""
-    l2 = [e for e in trace.accesses if e.level in ("L2", "MEM")]
-    if not l2:
+    levels = [row[7] for row in trace.access_rows if row[7] != "L1"]
+    if not levels:
         return None
-    return sum(1 for e in l2 if e.level == "L2") / len(l2)
+    return levels.count("L2") / len(levels)
 
 
 def _oracle_window(setup, key) -> tuple:
@@ -386,17 +422,20 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
     """Compare a concrete trace against the refined analysis results.
 
     Returns violation records; an empty list certifies the run.  Checks:
-    job and chain latencies against the refined bounds, always-hit accesses
-    never missing, persistent accesses missing at most once per scope entry,
-    and every block occurrence covered by its absolute window.  The bounds
-    checked are the TSC results, so a report without them raises
+    job and chain latencies against the refined TSC bounds, and every
+    block occurrence covered by its absolute window.  For the always-hit
+    and persistent claims of every mode in the report: no access the
+    private level always hits reaches the shared level, always-hit accesses
+    never miss it, and persistent accesses miss at most once per scope
+    entry, counted per mode.  A claim record of a mode other than TSC
+    carries that mode under "mode".  A report without TSC results raises
     ValueError.  Everything read from the report is read per call: callers
     may edit a report between checks.
     """
     setup = setup or report.setup
-    tsc = {key[1:]: res for key, res in report.instances.items() if key[0] == "TSC"}
-    if not tsc:
-        modes = sorted({key[0] for key in report.instances} | {key[1] for key in report.chain_results})
+    instances = report.instances
+    if not any(key[0] == "TSC" for key in instances):
+        modes = sorted({key[0] for key in instances} | {key[1] for key in report.chain_results})
         raise ValueError("check_safety needs TSC results; the report has modes %s"
                          % (", ".join(modes) or "none"))
     violations = []
@@ -405,7 +444,7 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
     for j in trace.jobs:
         key = (j.chain_id, j.period_index, j.task_index)
         by_instance[key] = j
-        res = tsc.get(key)
+        res = instances.get(("TSC",) + key)
         if res is None:
             continue
         if j.finish - j.start > res.wcet:
@@ -426,41 +465,56 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
                     violations.append({"kind": "chain-latency", "chain": cid, "instance": k,
                                        "latency": latency, "bound": mel})
 
+    # Each job's claims are resolved on its first shared-cache row: the
+    # task's base CHMCs and every mode's refined map.  Private-level hits
+    # are skipped unread; they break no claim.
+    claims = {}  # job key -> (base CHMCs, ((mode, refined map), ...)) or None
     ps_misses = {}
-    for e in trace.accesses:
-        job = (e.chain_id, e.period_index, e.task_index)
-        res = tsc.get(job)
-        if res is None:
+    for row in trace.access_rows:
+        if row[7] == "L1":
             continue
-        cls = setup.tasks[res.task_id].classification.accesses[e.access_id]
-        chmc = res.refined.get(e.access_id, cls.l2_chmc)
-        if cls.l2_chmc == BYPASS and e.level != "L1":
-            violations.append({"kind": "l1-ah-miss", "access": e.access_id, "cycle": e.cycle})
-        if e.level == "MEM":
+        cycle, _, cid, k, i, _, aid, level, scope = row
+        job = (cid, k, i)
+        entry = claims.get(job, False)
+        if entry is False:
+            entry = claims[job] = _job_claims(setup, instances, job)
+        if entry is None:
+            continue
+        base, by_mode = entry
+        chmc0 = base[aid]
+        if chmc0 == BYPASS:
+            violations.append({"kind": "l1-ah-miss", "access": aid, "cycle": cycle})
+        if level != "MEM":
+            continue
+        for mode, refined in by_mode:
+            chmc = refined.get(aid, chmc0)
             if chmc == AH:
-                violations.append({"kind": "ah-miss", "access": e.access_id, "cycle": e.cycle,
-                                   "job": job})
+                record = {"kind": "ah-miss", "access": aid, "cycle": cycle, "job": job}
             elif chmc == PS:
-                key = job + (e.access_id, e.scope)
-                ps_misses[key] = ps_misses.get(key, 0) + 1
-                if ps_misses[key] > 1:
-                    violations.append({"kind": "ps-extra-miss", "access": e.access_id,
-                                       "scope": e.scope, "count": ps_misses[key]})
+                key = (mode, job, aid, scope)
+                count = ps_misses[key] = ps_misses.get(key, 0) + 1
+                if count == 1:
+                    continue
+                record = {"kind": "ps-extra-miss", "access": aid, "scope": scope, "count": count}
+            else:
+                continue
+            if mode != "TSC":
+                record["mode"] = mode
+            violations.append(record)
 
     windows = setup.oracle_windows
-    for occ in trace.blocks:
-        key = (occ.chain_id, occ.period_index, occ.task_index, occ.block_id)
+    for _, cid, k, i, bid, start, end in trace.block_rows:
+        key = (cid, k, i, bid)
         window = windows.get(key)
         if window is None:
             window = windows[key] = _oracle_window(setup, key)
         # Covered when the occurrence lies inside one interval of the window.
-        lo_occ, hi_occ = occ.start, occ.end
         for lo, hi in window:
-            if lo <= lo_occ and hi_occ <= hi:
+            if lo <= start and end <= hi:
                 break
         else:
-            violations.append({"kind": "context-coverage", "block": occ.block_id,
-                               "job": key[:3], "window": (occ.start, occ.end)})
+            violations.append({"kind": "context-coverage", "block": bid,
+                               "job": (cid, k, i), "window": (start, end)})
 
     for core, cid, k, i, release, actual in trace.overruns:
         violations.append({"kind": "deadline-overrun", "job": (cid, k, i),
@@ -468,9 +522,26 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
     return violations
 
 
+def _job_claims(setup, instances, job):
+    """(base CHMCs, ((mode, refined map), ...)) of one job, TSC first; None without results.
+
+    A job without a TSC result is checked against the other modes only.
+    """
+    cid, k, i = job
+    found = [(mode, res) for mode in MODES if (res := instances.get((mode, cid, k, i))) is not None]
+    if not found:
+        return None
+    tid = found[0][1].task_id
+    base = setup.oracle_chmcs.get(tid)
+    if base is None:
+        accesses = setup.tasks[tid].classification.accesses
+        base = setup.oracle_chmcs[tid] = {aid: c.l2_chmc for aid, c in accesses.items()}
+    return base, tuple((mode, res.refined) for mode, res in found)
+
+
 def write_trace_csv(path, trace: SimTrace):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["cycle", "core", "chain", "period", "task", "block", "access", "level"])
-        for e in sorted(trace.accesses, key=lambda e: (e.cycle, e.core, e.access_id)):
-            w.writerow([e.cycle, e.core, e.chain_id, e.period_index, e.task_index, e.block_id, e.access_id, e.level])
+        for row in sorted(trace.access_rows, key=lambda r: (r[0], r[1], r[6])):
+            w.writerow(row[:8])

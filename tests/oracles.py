@@ -444,7 +444,7 @@ def _ref_suffix_scores(task, node_worst):
 
 
 def _ref_core_walker(core, setup, cid, decider, trace, system, scores_by_task):
-    from chainlat.sim import AccessEvent, BlockOccurrence, JobRecord
+    from chainlat.sim import JobRecord
 
     chain = setup.chains[cid].chain
     clock = 0
@@ -499,8 +499,8 @@ def _ref_core_walker(core, setup, cid, decider, trace, system, scores_by_task):
                         else:
                             latency, level = yield (clock, acc.address)
                             clock += latency
-                        trace.accesses.append(AccessEvent(clock, core, cid, k, i, cur, acc.id, level, scope))
-                trace.blocks.append(BlockOccurrence(core, cid, k, i, cur, b_start, clock))
+                        trace.access_rows.append((clock, core, cid, k, i, cur, acc.id, level, scope))
+                trace.block_rows.append((core, cid, k, i, cur, b_start, clock))
 
                 advanced = False
                 while loop_stack and task.loops[loop_stack[-1][0]].tail_block == cur:
@@ -578,3 +578,75 @@ def reference_simulate_exhaustive(setup, limit):
             return
         tape = grown[: pos + 1]
         tape[pos] += 1
+
+
+# ---------------------------------------------------------------------------
+# Reference safety oracle: the TSC-only check over materialized trace records
+# (AccessEvent / BlockOccurrence), with no per-job tables and no caches.
+
+
+def reference_check_safety(trace, report, setup=None):
+    """Violation records of a trace against a report's TSC results, in check order."""
+    from chainlat.cache_ai import AH, BYPASS, PS
+
+    setup = setup or report.setup
+    tsc = {key[1:]: res for key, res in report.instances.items() if key[0] == "TSC"}
+    violations = []
+
+    by_instance = {}
+    for j in trace.jobs:
+        key = (j.chain_id, j.period_index, j.task_index)
+        by_instance[key] = j
+        res = tsc.get(key)
+        if res is None:
+            continue
+        if j.finish - j.start > res.wcet:
+            violations.append(
+                {"kind": "job-latency", "job": key, "latency": j.finish - j.start, "bound": res.wcet}
+            )
+
+    for cid, cs in setup.chains.items():
+        if (cid, "TSC") not in report.chain_results:
+            continue
+        mel = report.chain_results[(cid, "TSC")].mel
+        for k in range(setup.hyper // cs.chain.period):
+            first = by_instance.get((cid, k, 0))
+            last = by_instance.get((cid, k, len(cs.chain.tasks) - 1))
+            if first and last:
+                latency = last.finish - first.start
+                if latency > mel:
+                    violations.append({"kind": "chain-latency", "chain": cid, "instance": k,
+                                       "latency": latency, "bound": mel})
+
+    ps_misses = {}
+    for e in trace.accesses:
+        job = (e.chain_id, e.period_index, e.task_index)
+        res = tsc.get(job)
+        if res is None:
+            continue
+        cls = setup.tasks[res.task_id].classification.accesses[e.access_id]
+        chmc = res.refined.get(e.access_id, cls.l2_chmc)
+        if cls.l2_chmc == BYPASS and e.level != "L1":
+            violations.append({"kind": "l1-ah-miss", "access": e.access_id, "cycle": e.cycle})
+        if e.level == "MEM":
+            if chmc == AH:
+                violations.append({"kind": "ah-miss", "access": e.access_id, "cycle": e.cycle,
+                                   "job": job})
+            elif chmc == PS:
+                key = job + (e.access_id, e.scope)
+                ps_misses[key] = ps_misses.get(key, 0) + 1
+                if ps_misses[key] > 1:
+                    violations.append({"kind": "ps-extra-miss", "access": e.access_id,
+                                       "scope": e.scope, "count": ps_misses[key]})
+
+    for occ in trace.blocks:
+        key = (occ.chain_id, occ.period_index, occ.task_index, occ.block_id)
+        window = setup.job_ctx(key[:3]).bba_time(key[3])
+        if not any(lo <= occ.start and occ.end <= hi for lo, hi in window):
+            violations.append({"kind": "context-coverage", "block": occ.block_id,
+                               "job": key[:3], "window": (occ.start, occ.end)})
+
+    for core, cid, k, i, release, actual in trace.overruns:
+        violations.append({"kind": "deadline-overrun", "job": (cid, k, i),
+                           "release": release, "actual_start": actual})
+    return violations

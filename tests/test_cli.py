@@ -1,10 +1,12 @@
 import json
 import os
+import time
 
 import pytest
 
 from chainlat import cli
 from chainlat.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNSAFE, main
+from chainlat.latency import MAX_JOBS
 
 
 def _read_all(outdir):
@@ -291,6 +293,32 @@ def test_verify_fault_lines_keep_their_order_and_form(capsys):
         "seed 2 worst-biased: {'kind': 'ah-miss', 'access': 't3_a2', 'cycle': 157, 'job': ('c1', 0, 1)}",
     ]
     assert captured.out == "6 violations / 2 bundles (4 dominance checks)\n"
+
+
+def test_analyze_fails_fast_on_job_explosion(tmp_path, capsys):
+    # Near-coprime periods pass the hyperperiod check but would need about
+    # 10^8 jobs per chain; prepare refuses before enumerating any.
+    out = tmp_path / "w"
+    main(["generate", "--seed", "3", "--cores", "3", "--output", str(out)])
+    chains = []
+    for cid, period in (("c0", 9973), ("c1", 9967), ("c2", 9949)):
+        path = out / ("chain_%s.json" % cid)
+        doc = json.loads(path.read_text())
+        doc["period"] = period
+        path.write_text(json.dumps(doc))
+        chains.append(str(path))
+    tasks = sorted(str(out / n) for n in os.listdir(out) if n.startswith("task_"))
+    begin = time.perf_counter()
+    rc = main(["analyze", "--system", str(out / "system.json"), "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    elapsed = time.perf_counter() - begin
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID, err
+    assert elapsed < 1.0
+    assert err.startswith("error: hyperperiod %d needs " % (9973 * 9967 * 9949))
+    assert "over the limit of %d" % MAX_JOBS in err
+    for cid, period in (("c0", 9973), ("c1", 9967), ("c2", 9949)):
+        assert "chain %s period %d (%d jobs)" % (cid, period, 9973 * 9967 * 9949 // period * 2) in err
 
 
 def _nested_loop_task_doc(parents):

@@ -6,6 +6,7 @@ from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import ChainSpec, Interval, WorkloadBundle
 from chainlat.sim import (
     AccessEvent,
+    BlockOccurrence,
     LRUCache,
     SimConfig,
     SimTrace,
@@ -148,6 +149,45 @@ def _addr_of(bundle, event):
     raise KeyError(event.access_id)
 
 
+def test_sim_config_rejects_unknown_policy_and_missing_tape():
+    with pytest.raises(ValueError, match="unknown simulation policy 'wrost'"):
+        SimConfig(policy="wrost")
+    with pytest.raises(ValueError, match="'tape' needs a tape"):
+        SimConfig(policy="tape")
+    assert SimConfig(policy="tape", tape=[]).tape == []
+
+
+def test_trace_records_are_read_only_views_of_rows():
+    task = straight_task("t", [2, 1], accesses={0: (acc("a0", 0), acc("a1", 0))})
+    trace = simulate(single_chain_bundle(task, make_system(cores=1)), SimConfig("random", 0))
+    assert isinstance(trace.accesses, tuple) and isinstance(trace.blocks, tuple)
+    assert trace.accesses == tuple(AccessEvent(*row) for row in trace.access_rows)
+    assert trace.blocks == tuple(BlockOccurrence(*row) for row in trace.block_rows)
+    assert trace.accesses is trace.accesses  # built once
+    trace.access_rows.append((99, 0, "c0", 0, 0, "t_b1", "late", "L2", None))
+    assert trace.accesses[-1].access_id == "late"  # appended rows rebuild the view
+
+
+def test_simulate_and_check_build_no_records(monkeypatch):
+    # The hot path reads rows only: records exist for readers who ask.
+    bundle = contended_bundle()
+    report = analyze_bundle(bundle)
+    res = report.instances[("TSC", "c0", 0, 0)]
+    res.refined["x2"] = "AH"  # a violation, so the violation paths run too
+
+    def refuse(*args):
+        raise AssertionError("record built on the simulate -> check_safety path")
+
+    monkeypatch.setattr("chainlat.sim.AccessEvent", refuse)
+    monkeypatch.setattr("chainlat.sim.BlockOccurrence", refuse)
+    for config in (SimConfig("random", 0), SimConfig("worst", 0)):
+        trace = simulate(bundle, config, setup=report.setup)
+        assert [v["kind"] for v in check_safety(trace, report)] == ["ah-miss"]
+        assert trace_hit_ratio(trace) is not None
+    with pytest.raises(AssertionError, match="record built"):
+        trace.accesses
+
+
 def test_trace_hit_ratio_absent_without_l2_traffic():
     task = straight_task("t", [3])
     bundle = single_chain_bundle(task, make_system(cores=1))
@@ -158,9 +198,9 @@ def test_trace_hit_ratio_absent_without_l2_traffic():
 def test_trace_hit_ratio_fraction():
     trace = SimTrace()
     for i in range(3):
-        trace.accesses.append(AccessEvent(i, 0, "c", 0, 0, "b", "a%d" % i, "L2", None))
+        trace.access_rows.append((i, 0, "c", 0, 0, "b", "a%d" % i, "L2", None))
     for i in range(7):
-        trace.accesses.append(AccessEvent(10 + i, 0, "c", 0, 0, "b", "x%d" % i, "MEM", None))
+        trace.access_rows.append((10 + i, 0, "c", 0, 0, "b", "x%d" % i, "MEM", None))
     assert trace_hit_ratio(trace) == 0.3
 
 
@@ -216,6 +256,33 @@ def test_check_safety_flags_corrupted_interference():
     trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
     kinds = {v["kind"] for v in check_safety(trace, report)}
     assert "ah-miss" in kinds
+
+
+def test_check_safety_flags_forced_tlt_claim():
+    # TLT downgrades x2 too; forcing its TLT claim back to always-hit must be
+    # caught even though the TSC claim still says NC.
+    bundle = contended_bundle()
+    report = analyze_bundle(bundle)
+    res = report.instances[("TLT", "c0", 0, 0)]
+    base = report.setup.tasks["t0"].classification.accesses["x2"].l2_chmc
+    assert (base, res.refined["x2"]) == ("AH", "NC")
+    res.refined["x2"] = "AH"
+    trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
+    found = check_safety(trace, report)
+    assert [(v["kind"], v["access"], v.get("mode")) for v in found] == [("ah-miss", "x2", "TLT")]
+    assert found[0]["job"] == ("c0", 0, 0)
+    res.refined["x2"] = "PS"  # one miss per scope entry is allowed
+    assert check_safety(trace, report) == []
+    # A second miss in the same scope breaks the claim of each mode that
+    # makes it, counted per mode.
+    report.instances[("TSC", "c0", 0, 0)].refined["x2"] = "PS"
+    miss = next(row for row in trace.access_rows if row[6] == "x2")
+    assert miss[7] == "MEM"
+    trace.access_rows.append(miss)
+    assert check_safety(trace, report) == [
+        {"kind": "ps-extra-miss", "access": "x2", "scope": None, "count": 2},
+        {"kind": "ps-extra-miss", "access": "x2", "scope": None, "count": 2, "mode": "TLT"},
+    ]
 
 
 def test_check_safety_flags_shrunken_window():
