@@ -10,6 +10,13 @@ access propagates to L2: a guaranteed L1 hit never reaches L2 (BYPASS), a
 guaranteed L1 miss updates the L2 state strongly, anything else joins the
 accessed and not-accessed outcomes.  Analysis assumes a cold cache at each
 job release; no credit is taken for inter-job reuse.
+
+Each fixpoint runs round-robin passes in topological order, and a pass
+still means one such sweep, so the pass counts (l1_passes, l2_passes) are
+those of transferring every block every pass.  Only blocks with a changed
+predecessor are re-transferred, though: the others would compute the same
+out-state again (chaotic iteration reaches the same least fixpoint).  The
+lines each access touches are looked up once per task, not per pass.
 """
 
 from __future__ import annotations
@@ -33,10 +40,13 @@ def _age_update(state: dict, line: int, ways: int, sets: int) -> dict:
     """LRU age update shared by must and may abstractions.
 
     Lines younger than the accessed line (or all same-set lines when it is
-    absent) age by one and leave the state past the associativity.
+    absent) age by one and leave the state past the associativity.  States
+    are never mutated, so a line already at age 1 returns its input.
     """
-    s = line % sets
     old = state.get(line)
+    if old == 1:
+        return state
+    s = line % sets
     new = {}
     for l, a in state.items():
         if l == line:
@@ -64,7 +74,17 @@ def _join_may(s1: dict, s2: dict) -> dict:
 
 
 class _Fixpoint:
-    """Iterates block transfer functions over the full CFG to a fixed point."""
+    """Iterates block transfer functions over the full CFG to a fixed point.
+
+    Each pass is one round-robin sweep in topological order, but only dirty
+    blocks are transferred.  Every block starts dirty; a block whose
+    out-state changes marks its successors (back edges included) dirty.  A
+    clean block's in-state would be joined from unchanged out-states, and a
+    dirty block whose joined in-state equals the one it was last transferred
+    with is skipped as well.  Transfers are pure, so the skips leave every
+    state, every pass's `changed` flag and so the pass count as a full sweep
+    would; `transfers` counts the transfers made.
+    """
 
     def __init__(self, task: TaskGraph, transfer, join, bottom_entry):
         self.task = task
@@ -72,34 +92,47 @@ class _Fixpoint:
         self.join = join
         self.order = task.topo_order
         self.pred = task.predecessors(include_back=True)
+        self.succ = task.successors(include_back=True)
         self.entry_state = bottom_entry
         self.in_states = {}
         self.passes = 0
+        self.transfers = 0
 
     def run(self, max_passes: int) -> dict:
+        order, pred, succ, join, transfer = self.order, self.pred, self.succ, self.join, self.transfer
+        entry, in_states = self.task.entry_block, self.in_states
         out_states = {}
+        dirty = set(order)
         changed = True
         while changed:
             self.passes += 1
             if self.passes > max_passes:
                 raise RuntimeError("cache fixpoint did not converge in %d passes" % max_passes)
             changed = False
-            for bid in self.order:
-                preds = [p for p in self.pred[bid] if p in out_states]
-                if bid == self.task.entry_block:
+            for bid in order:
+                if bid not in dirty:
+                    continue
+                dirty.discard(bid)
+                if bid == entry:
                     state = dict(self.entry_state)
-                elif not preds:
-                    continue  # not yet reachable this pass
                 else:
-                    state = out_states[preds[0]]
-                    for p in preds[1:]:
-                        state = self.join(state, out_states[p])
-                self.in_states[bid] = state
-                out = self.transfer(bid, state)
+                    state = None
+                    for p in pred[bid]:
+                        pout = out_states.get(p)
+                        if pout is not None:
+                            state = pout if state is None else join(state, pout)
+                    if state is None:
+                        continue  # not yet reachable this pass; a predecessor's first out-state re-marks it
+                    if in_states.get(bid) == state:
+                        continue  # a changed predecessor left the joined in-state as it was
+                in_states[bid] = state
+                out = transfer(bid, state)
+                self.transfers += 1
                 if out_states.get(bid) != out:
                     out_states[bid] = out
+                    dirty.update(succ[bid])
                     changed = True
-        return self.in_states
+        return in_states
 
 
 @dataclass(frozen=True)
@@ -131,13 +164,16 @@ class TaskClassification:
         return {c.block_id for c in self.visible() if c.l2_line == l2_line}
 
 
-def l1_analysis(task: TaskGraph, l1: CacheLevelConfig):
-    """L1 must and may fixpoints; returns per-access labels and pass count."""
+def l1_analysis(task: TaskGraph, l1: CacheLevelConfig, lines: dict):
+    """L1 must and may fixpoints; returns per-access labels and pass count.
+
+    `lines` maps each block to the L1 lines of its accesses, in access order.
+    """
     ways, sets = l1.ways, l1.sets
 
     def transfer(bid, state):
-        for acc in task.blocks[bid].accesses:
-            state = _age_update(state, l1.line_of(acc.address), ways, sets)
+        for line in lines[bid]:
+            state = _age_update(state, line, ways, sets)
         return state
 
     cap = max(4, len(task.blocks) * ways)
@@ -147,11 +183,10 @@ def l1_analysis(task: TaskGraph, l1: CacheLevelConfig):
     may_in = may.run(cap)
 
     labels = {}
-    for bid in task.blocks:
-        ms = dict(must_in.get(bid, {}))
-        ys = dict(may_in.get(bid, {}))
-        for acc in task.blocks[bid].accesses:
-            line = l1.line_of(acc.address)
+    for bid, block in task.blocks.items():
+        ms = must_in.get(bid, {})
+        ys = may_in.get(bid, {})
+        for acc, line in zip(block.accesses, lines[bid]):
             if line in ms:
                 labels[acc.id] = AH
             elif line not in ys:
@@ -163,41 +198,48 @@ def l1_analysis(task: TaskGraph, l1: CacheLevelConfig):
     return labels, max(must.passes, may.passes)
 
 
-def l2_must_analysis(task: TaskGraph, l2: CacheLevelConfig, l1_labels: dict):
-    """L2 must fixpoint under exclusive use, honoring L1 filtering."""
+def _l2_step(state: dict, label: str, line: int, ways: int, sets: int) -> dict:
+    """L2 must update for one access that misses or may miss L1."""
+    touched = _age_update(state, line, ways, sets)
+    return touched if label == _L1_MISS else _join_must(touched, state)
+
+
+def l2_must_analysis(task: TaskGraph, l2: CacheLevelConfig, visible: dict):
+    """L2 must fixpoint under exclusive use, honoring L1 filtering.
+
+    `visible` maps each block to (access id, L1 label, L2 line) for its
+    accesses that are not guaranteed L1 hits, in access order; the others
+    never reach L2.  Returns the state before each of those accesses.
+    """
     ways, sets = l2.ways, l2.sets
 
-    def step(state, acc):
-        label = l1_labels[acc.id]
-        if label == AH:
-            return state
-        touched = _age_update(state, l2.line_of(acc.address), ways, sets)
-        if label == _L1_MISS:
-            return touched
-        return _join_must(touched, state)
-
     def transfer(bid, state):
-        for acc in task.blocks[bid].accesses:
-            state = step(state, acc)
+        for _, label, line in visible[bid]:
+            state = _l2_step(state, label, line, ways, sets)
         return state
 
     fp = _Fixpoint(task, transfer, _join_must, {})
     in_states = fp.run(max(4, len(task.blocks) * ways))
 
     pre_access = {}
-    for bid in task.blocks:
-        state = dict(in_states.get(bid, {}))
-        for acc in task.blocks[bid].accesses:
-            pre_access[acc.id] = state
-            state = step(state, acc)
+    for bid, rows in visible.items():
+        state = in_states.get(bid, {})
+        for aid, label, line in rows:
+            pre_access[aid] = state
+            state = _l2_step(state, label, line, ways, sets)
     return pre_access, fp.passes
 
 
 def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
     """Exclusive-use CHMC and LRU age for every access of the task."""
     l1, l2 = system.l1, system.l2
-    l1_labels, l1_passes = l1_analysis(task, l1)
-    l2_pre, l2_passes = l2_must_analysis(task, l2, l1_labels)
+    l1_lines = {bid: tuple(l1.line_of(acc.address) for acc in block.accesses)
+                for bid, block in task.blocks.items()}
+    l1_labels, l1_passes = l1_analysis(task, l1, l1_lines)
+    visible = {bid: tuple((acc.id, l1_labels[acc.id], l2.line_of(acc.address))
+                          for acc in block.accesses if l1_labels[acc.id] != AH)
+               for bid, block in task.blocks.items()}
+    l2_pre, l2_passes = l2_must_analysis(task, l2, visible)
 
     # Set pressure per loop scope: distinct L2-visible lines per cache set
     # over the whole loop body, nested loops included.
@@ -205,10 +247,7 @@ def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
     for lid, loop in task.loops.items():
         per_set = {}
         for bid in loop.body_blocks:
-            for acc in task.blocks[bid].accesses:
-                if l1_labels[acc.id] == AH:
-                    continue
-                line = l2.line_of(acc.address)
+            for _, _, line in visible[bid]:
                 per_set.setdefault(line % l2.sets, set()).add(line)
         for s, lines in per_set.items():
             pressure[(lid, s)] = len(lines)

@@ -151,6 +151,7 @@ def cmd_verify(args) -> int:
     violations = 0
     dominance_checks = 0
     bundles = 0
+    injected = False
     configs = []
     if args.sim_policy in ("random", "both"):
         configs += [SimConfig(policy="random", seed=path_seed) for path_seed in range(args.paths_per_job)]
@@ -165,7 +166,7 @@ def cmd_verify(args) -> int:
         setup = report.setup
 
         if args.inject_fault == "mc":
-            _inject_mc_fault(report, setup)
+            injected = _inject_mc_fault(report, setup) or injected
         elif args.inject_fault == "context":
             _inject_context_fault(setup)
 
@@ -185,6 +186,11 @@ def cmd_verify(args) -> int:
             for v in found[:5]:
                 print("seed %d %s: %r" % (seed, path, v), file=sys.stderr)
 
+    if args.inject_fault == "mc" and not injected and not violations:
+        # "0 violations" would read as an oracle that missed the fault.
+        print("error: --inject-fault mc corrupted nothing: no bundle had a downgraded access "
+              "(a higher --collision makes downgrades likelier)", file=sys.stderr)
+        return EXIT_INVALID
     print("%d violations / %d bundles (%d dominance checks)" % (violations, bundles, dominance_checks))
     return EXIT_UNSAFE if violations else EXIT_OK
 

@@ -21,7 +21,9 @@ and the whole best-case side.  Best costs never read the classification or
 the refined map, because the L1 floor charges every access alike, so one
 plan serves every contraction of a task.  What the refined map decides
 (worst node costs, persistence surcharges, longest prefixes, the WCET) is
-computed by contract_task.
+computed by contract_task.  The plan builds every level's graph in one
+pass over the blocks and one over the forward edges: an edge belongs to
+the level of the innermost loop that holds both of its endpoints.
 
 A contraction reads the refined map only through each access's effective
 shared-cache CHMC, so the jobs of one task that refine to the same CHMCs
@@ -113,58 +115,50 @@ class ContractedTask:
     wcet: int = 0
 
     def outermost_virtual(self, block_id: str) -> Optional[str]:
-        loops = self.task.loop_ancestors(block_id)
+        loops = self.task.ancestry[block_id]
         return virtual_id(loops[-1]) if loops else None
 
 
-def _level_graph(task: TaskGraph, level: Optional[str]) -> LevelGraph:
-    if level is None:
-        scope = set(task.blocks)
-        entry, exit_ = task.entry_block, task.exit_block
-        own_back = None
-    else:
-        loop = task.loops[level]
-        scope = set(loop.body_blocks)
-        entry, exit_ = loop.head_block, loop.tail_block
-        own_back = loop.back_edge
+def _level_graphs(task: TaskGraph) -> dict:
+    """Every level's graph, keyed by loop id (None for the top level), in one pass.
 
-    def rep(bid):
-        if task.blocks[bid].enclosing_loop == level:
-            return bid
-        chain = task.loop_ancestors(bid)
-        for lid in chain:
-            if task.loops[lid].parent_loop == level:
-                return virtual_id(lid)
-        return None
-
-    members, edges = set(), set()
-    for bid in scope:
-        r = rep(bid)
-        if r is not None:
-            members.add(r)
-    if level is not None:
-        for child in task.loops[level].children:
-            members.add(virtual_id(child))
-    else:
-        for lid, loop in task.loops.items():
-            if loop.parent_loop is None:
-                members.add(virtual_id(lid))
-    for src, dst in task.edges:
-        if (src, dst) == own_back:
-            continue
-        if src in scope and dst in scope:
-            rs, rd = rep(src), rep(dst)
-            if rs is None or rd is None or rs == rd:
-                continue
-            edges.add((rs, rd))
-    return LevelGraph(tuple(sorted(members)), tuple(sorted(edges)), entry, exit_)
+    A block is a member of its enclosing loop's level, and each loop's
+    virtual node one of its parent's.  A forward edge belongs to exactly one
+    level, the innermost loop that holds both endpoints: there each endpoint
+    is the block itself or the virtual node of the child loop holding it,
+    and at every coarser level both ends map to one virtual node.  Back
+    edges belong to no level.
+    """
+    members = {lid: {virtual_id(c) for c in loop.children} for lid, loop in task.loops.items()}
+    members[None] = {virtual_id(lid) for lid, loop in task.loops.items() if loop.parent_loop is None}
+    edges = {level: set() for level in members}
+    ancestry = task.ancestry
+    for bid, chain in ancestry.items():
+        members[chain[0] if chain else None].add(bid)
+    for src, dst in task.forward_edges():
+        outer_s, outer_d = ancestry[src][::-1], ancestry[dst][::-1]  # outermost first
+        k = 0
+        while k < len(outer_s) and k < len(outer_d) and outer_s[k] == outer_d[k]:
+            k += 1
+        rs = virtual_id(outer_s[k]) if k < len(outer_s) else src
+        rd = virtual_id(outer_d[k]) if k < len(outer_d) else dst
+        if rs != rd:
+            edges[outer_s[k - 1] if k else None].add((rs, rd))
+    graphs = {}
+    for level, nodes in members.items():
+        if level is None:
+            entry, exit_ = task.entry_block, task.exit_block
+        else:
+            entry, exit_ = task.loops[level].head_block, task.loops[level].tail_block
+        graphs[level] = LevelGraph(tuple(sorted(nodes)), tuple(sorted(edges[level])), entry, exit_)
+    return graphs
 
 
 class LevelPlan:
     """One level's graph, topological order, predecessors and best-case prefixes."""
 
-    def __init__(self, task: TaskGraph, level: Optional[str], node_best: dict):
-        self.graph = graph = _level_graph(task, level)
+    def __init__(self, task: TaskGraph, graph: LevelGraph, node_best: dict):
+        self.graph = graph
         self.pred = adjacency(graph.members, graph.edges)[0]
         self.order = topo_sort(graph.members, graph.edges)
         if self.order is None:
@@ -218,11 +212,12 @@ class ContractionPlan:
         self.node_best = {bid: b.instruction_count * system.base_cpi + len(b.accesses) * system.l1.hit_latency
                           for bid, b in task.blocks.items()}
         self.loops = tuple(sorted(task.loops, key=lambda lid: -task.loop_depth(lid)))
+        graphs = _level_graphs(task)
         self.levels = {}
         for lid in self.loops:
-            level = self.levels[lid] = LevelPlan(task, lid, self.node_best)
+            level = self.levels[lid] = LevelPlan(task, graphs[lid], self.node_best)
             self.node_best[virtual_id(lid)] = level.shortest * task.loops[lid].min_bound
-        self.levels[None] = LevelPlan(task, None, self.node_best)
+        self.levels[None] = LevelPlan(task, graphs[None], self.node_best)
         self.graphs = {lid: level.graph for lid, level in self.levels.items()}
         self.access_ids = tuple(a.id for b in task.blocks.values() for a in b.accesses)
         self.memo = {}  # effective CHMCs of access_ids -> ContractedTask

@@ -8,7 +8,7 @@ after construction and safe to share across parallel workers.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -150,8 +150,9 @@ class _derived(cached_property):
 
 @dataclass(frozen=True)
 class TaskGraph:
-    """A task's CFG.  Adjacency maps and topological order are cached per object,
-    outside the fields: equality ignores them and dataclasses.replace rederives them."""
+    """A task's CFG.  Adjacency maps, topological order and loop ancestry are cached
+    per object, outside the fields: equality ignores them and dataclasses.replace
+    rederives them."""
 
     id: str
     blocks: dict
@@ -161,7 +162,12 @@ class TaskGraph:
     exit_block: str = ""
     exclusive_pairs: frozenset = frozenset()
 
-    def forward_edges(self):
+    def forward_edges(self) -> tuple:
+        """The edges that are no loop's back edge; built once per graph."""
+        return self._forward_edges
+
+    @_derived
+    def _forward_edges(self) -> tuple:
         back = {loop.back_edge for loop in self.loops.values()}
         return tuple(e for e in self.edges if e not in back)
 
@@ -199,14 +205,22 @@ class TaskGraph:
             cur = self.loops[cur.parent_loop]
         return depth
 
+    @_derived
+    def ancestry(self) -> dict:
+        """Block id -> the loop ids enclosing it, innermost first (a tuple); never mutate."""
+        chains = {}
+        for bid, block in self.blocks.items():
+            chain = []
+            cur = block.enclosing_loop
+            while cur is not None:
+                chain.append(cur)
+                cur = self.loops[cur].parent_loop
+            chains[bid] = tuple(chain)
+        return chains
+
     def loop_ancestors(self, block_id):
         """Loop ids enclosing the block, innermost first."""
-        chain = []
-        cur = self.blocks[block_id].enclosing_loop
-        while cur is not None:
-            chain.append(cur)
-            cur = self.loops[cur].parent_loop
-        return chain
+        return list(self.ancestry[block_id])
 
 
 @dataclass(frozen=True)
@@ -277,13 +291,32 @@ def topo_sort(nodes, edges):
 
 
 def _dominators(task: TaskGraph, pred: dict, entry: str) -> dict:
-    """Dominator sets via the iterative dataflow over the full CFG (pred includes back edges)."""
+    """Dominator sets via the iterative dataflow over the full CFG (pred includes back edges).
+
+    The sweeps visit the blocks reachable from the entry in reverse
+    postorder, then the others.  Iterating down from all blocks reaches the
+    same greatest fixpoint in any order; this one needs the fewest sweeps.
+    """
+    succ = task.successors(include_back=True)
+    post, seen = [], {entry}
+    stack = [(entry, iter(succ[entry]))]
+    while stack:
+        node, todo = stack[-1]
+        for d in todo:
+            if d not in seen:
+                seen.add(d)
+                stack.append((d, iter(succ[d])))
+                break
+        else:
+            stack.pop()
+            post.append(node)
+    order = post[::-1] + [b for b in task.blocks if b not in seen]
     all_ids = frozenset(task.blocks)
     dom = {b: (frozenset({entry}) if b == entry else all_ids) for b in task.blocks}
     changed = True
     while changed:
         changed = False
-        for b in task.blocks:
+        for b in order:
             if b == entry:
                 continue
             ps = [dom[p] for p in pred[b]]
@@ -309,12 +342,14 @@ def _natural_loop_body(pred: dict, head: str, tail: str) -> frozenset:
     return frozenset(body)
 
 
-def elaborate_loops(task: TaskGraph) -> TaskGraph:
+def elaborate_loops(task: TaskGraph) -> tuple:
     """Derive loop bodies, nesting links and per-block enclosing loops.
 
     Bodies are natural loops.  A loop's parent is the innermost loop whose
     body strictly contains its body, a block's enclosing loop the innermost
     one whose body holds it.  A declared parent must be the derived one.
+    Returns the elaborated (blocks, loops) maps; a block whose enclosing
+    loop is already right is reused.
     """
     pred = task.predecessors(include_back=True)
     entries = [b for b in task.blocks if not pred[b]]
@@ -349,16 +384,19 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
             if inter and not (bodies[a] <= bodies[b] or bodies[b] <= bodies[a]):
                 raise ValidationError("loops %s and %s overlap without nesting" % (a, b), task.id)
 
-    def innermost(contains):
-        """The loop with the smallest body among those for which contains(body) holds."""
-        best = None
-        for lid, body in bodies.items():
-            if contains(body) and (best is None or body < bodies[best]):
-                best = lid
-        return best
-
-    parents = {lid: innermost(lambda body: bodies[lid] < body) for lid in task.loops}
+    # The bodies are laminar, so the loops holding a block (or a loop's head)
+    # are nested and the smallest is the innermost.  The sort is stable, so
+    # among equal bodies the first declared wins, as a strict-subset search
+    # in declaration order would pick.
+    by_size = sorted(bodies, key=lambda lid: len(bodies[lid]))
+    enclosing = {}
+    for lid in by_size:
+        for bid in bodies[lid]:
+            enclosing.setdefault(bid, lid)
+    parents = {}
     for lid, loop in task.loops.items():
+        size = len(bodies[lid])
+        parents[lid] = next((m for m in by_size if len(bodies[m]) > size and loop.head_block in bodies[m]), None)
         if loop.parent_loop is not None and loop.parent_loop != parents[lid]:
             raise ValidationError(
                 "loop %s: declared parent %s is not its innermost enclosing loop (%s)"
@@ -370,20 +408,16 @@ def elaborate_loops(task: TaskGraph) -> TaskGraph:
         if parent is not None:
             children[parent].append(lid)
 
-    blocks = {
-        bid: replace(blk, enclosing_loop=innermost(lambda body: bid in body))
-        for bid, blk in task.blocks.items()
-    }
+    blocks = {}
+    for bid, blk in task.blocks.items():
+        lid = enclosing.get(bid)
+        blocks[bid] = blk if blk.enclosing_loop == lid else BasicBlock(blk.id, blk.instruction_count, blk.accesses, lid)
     loops = {
-        lid: replace(
-            loop,
-            parent_loop=parents[lid],
-            body_blocks=bodies[lid],
-            children=tuple(sorted(children[lid])),
-        )
+        lid: LoopNode(loop.id, loop.head_block, loop.tail_block, loop.back_edge, loop.min_bound, loop.max_bound,
+                      parents[lid], bodies[lid], tuple(sorted(children[lid])))
         for lid, loop in task.loops.items()
     }
-    return replace(task, blocks=blocks, loops=loops)
+    return blocks, loops
 
 
 def validate_task_graph(task: TaskGraph) -> TaskGraph:
@@ -403,13 +437,15 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if len(set(task.edges)) != len(task.edges):
         raise ValidationError("duplicate edges", task.id)
 
-    elaborated = elaborate_loops(task)  # raises unless there is exactly one entry block
+    blocks, loops = elaborate_loops(task)  # raises unless there is exactly one entry block
     # The validated graph is made before its order is checked, so the order
     # cached on it is the one every later stage reads.
     pred, succ = task.predecessors(), task.successors()
     entry = next(b for b in task.blocks if not pred[b])
     exits = [b for b in task.blocks if not succ[b]]
-    graph = replace(elaborated, entry_block=entry, exit_block=exits[0] if len(exits) == 1 else "")
+    graph = TaskGraph(task.id, blocks, task.edges, loops, entry, exits[0] if len(exits) == 1 else "",
+                      task.exclusive_pairs)
+    object.__setattr__(graph, "_maps", task._maps)  # same block ids and edges: reuse the adjacency
     graph.topo_order  # raises on irreducible graphs
     if len(exits) != 1:
         raise ValidationError("need exactly one exit block, found %r" % sorted(exits), task.id)

@@ -97,6 +97,40 @@ def brute_force_mwis(weights, edges):
     return int(value[ok].max()) if ok.any() else 0
 
 
+def reference_fixpoint(task, transfer, join, entry_state, max_passes):
+    """Round-robin fixpoint that transfers every reachable block on every pass.
+
+    Returns (in-states, passes, transfers); the passes are topological
+    sweeps over the full CFG, repeated until no out-state changes.
+    """
+    pred = task.predecessors(include_back=True)
+    in_states, out_states = {}, {}
+    passes = transfers = 0
+    changed = True
+    while changed:
+        passes += 1
+        if passes > max_passes:
+            raise RuntimeError("cache fixpoint did not converge in %d passes" % max_passes)
+        changed = False
+        for bid in task.topo_order:
+            preds = [p for p in pred[bid] if p in out_states]
+            if bid == task.entry_block:
+                state = dict(entry_state)
+            elif not preds:
+                continue  # not yet reachable this pass
+            else:
+                state = out_states[preds[0]]
+                for p in preds[1:]:
+                    state = join(state, out_states[p])
+            in_states[bid] = state
+            out = transfer(bid, state)
+            transfers += 1
+            if out_states.get(bid) != out:
+                out_states[bid] = out
+                changed = True
+    return in_states, passes, transfers
+
+
 def enumerate_task_paths(task, cap=200_000):
     """All feasible block sequences of one job.
 

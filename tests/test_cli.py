@@ -252,6 +252,17 @@ def test_verify_detects_injected_mc_fault(capsys):
     assert rc == EXIT_UNSAFE
 
 
+def test_verify_mc_fault_with_nothing_to_corrupt_exits_2(capsys):
+    # At the default collision seeds 1-2 downgrade no access, so the mc
+    # fault corrupts nothing; "0 violations" would read as a blind oracle.
+    rc = main(["verify", "--seeds", "2", "--paths-per-job", "2", "--inject-fault", "mc"])
+    assert rc == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --inject-fault mc corrupted nothing: no bundle had a downgraded access "
+                            "(a higher --collision makes downgrades likelier)\n")
+
+
 def test_verify_detects_injected_context_fault(capsys):
     rc = main(["verify", "--seeds", "2", "--paths-per-job", "3",
                "--inject-fault", "context"])

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from chainlat import model, sim
 from chainlat.cache_ai import classify_task
+from chainlat.cost import ContractionPlan
 from chainlat.ingest import _TaskBuilder, default_system, parse_task, task_to_doc
-from chainlat.model import LoopNode, ValidationError
+from chainlat.model import LoopNode, ValidationError, validate_task_graph
 
 from conftest import block, build_task
+from oracles import _o_level_graph
 
 
 def _generated_task(seed, loop_depth, n_blocks):
@@ -81,6 +83,36 @@ def test_parents_are_derived_and_checked_at_parse(seed, depth, n_blocks, data):
     assert sorted(order) == sorted(task.blocks)
     position = {b: i for i, b in enumerate(order)}
     assert all(position[src] < position[dst] for src, dst in task.forward_edges())
+
+
+def _innermost(bodies, contains):
+    """Test-local copy of the per-object nesting rule: the loop with the
+    smallest body among those for which contains(body) holds, the first
+    declared among equal bodies."""
+    best = None
+    for lid, body in bodies.items():
+        if contains(body) and (best is None or body < bodies[best]):
+            best = lid
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(2, 24))
+def test_one_pass_nesting_and_level_graphs_match_the_per_object_rules(seed, depth, n_blocks):
+    task = parse_task(task_to_doc(_generated_task(seed, depth, n_blocks)))
+    bodies = {lid: loop.body_blocks for lid, loop in task.loops.items()}
+    for bid, blk in task.blocks.items():
+        assert blk.enclosing_loop == _innermost(bodies, lambda body: bid in body), bid
+    for lid, loop in task.loops.items():
+        assert loop.parent_loop == _innermost(bodies, lambda body: bodies[lid] < body), lid
+
+    # Validating again rebuilds no block: each one's enclosing loop is already right.
+    again = validate_task_graph(task)
+    assert again == task
+    assert all(again.blocks[bid] is blk for bid, blk in task.blocks.items())
+
+    plan = ContractionPlan(task, default_system())
+    assert plan.graphs == {level: _o_level_graph(task, level) for level in [*task.loops, None]}
 
 
 def _three_nested_loops():
