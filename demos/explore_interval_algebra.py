@@ -91,7 +91,7 @@ pcon = contract_task(peer, classify_task(peer, system), system)
 pctx = TaskContext(pcon)
 
 print()
-print("loop envelope of the tail block:", jctx.block_view("t").outer_envelope)
+print("loop envelope of the tail block:", jctx.block_view("t").window_levels[-1])
 for peer_release in (200, 50, 20):
     pjob = JobInstance("c1", 0, "peer", 0, Interval(peer_release, peer_release),
                        Interval(peer_release, peer_release + pcon.wcet))

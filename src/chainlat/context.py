@@ -9,6 +9,12 @@ interference stages.  Windows derived from costs are validated Intervals,
 their sums plain (lo, hi) pairs; compute_bba_time normalizes every absolute
 window once, where it is built.
 
+A block's view for the overlap phases is a ladder of absolute windows:
+its own, then that of each enclosing loop's virtual node, innermost
+first.  The coarsest rung of a block inside a loop is the one-interval
+envelope of its outermost loop, [earliest start, latest end], which the
+middle overlap phase compares.
+
 Upper bounds account for one-time persistence misses: the first iteration
 carries the surcharges reachable up to the block, later iterations carry
 the full scope surcharge, since an early miss delays everything after it.
@@ -18,7 +24,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 from .cache_ai import AH, PS
 from .cost import ContractedTask, virtual_id
@@ -97,10 +102,15 @@ def compute_bba_time(release: Interval, window: tuple) -> tuple:
 
 @dataclass
 class BlockView:
-    """One block occurrence context as seen by the overlap phases."""
+    """One block occurrence context as seen by the overlap phases.
+
+    window_levels runs from the block's own absolute window out to that of
+    its outermost loop's virtual node, so a block inside a loop has more
+    than one level and its coarsest is the one-interval loop envelope; a
+    top-level block has one level.
+    """
 
     job_lifetime: tuple  # (lo, hi)
-    outer_envelope: Optional[tuple]
     window_levels: tuple  # normalized absolute sequences, finest first
 
     def window_within(self, threshold: int) -> tuple:
@@ -136,25 +146,6 @@ class TaskContext:
             for node in contracted.levels[lid].members:
                 self.bbrp[node] = seq_merge(base, self.bbo[node])
 
-        # Envelope of the outermost enclosing loop, for the middle phase.
-        self.outer_env = {}
-        for bid in t.blocks:
-            v = contracted.outermost_virtual(bid)
-            if v is None:
-                self.outer_env[bid] = None
-            else:
-                self.outer_env[bid] = Interval(
-                    contracted.bbesot[v], contracted.bblsot[v] + contracted.node_worst[v]
-                )
-
-        # Coarsening ladder per block: own window, then enclosing virtual nodes.
-        self.window_ladder = {}
-        for bid in t.blocks:
-            levels = [self.bbrp[bid]]
-            for lid in t.loop_ancestors(bid):
-                levels.append(self.bbrp[virtual_id(lid)])
-            self.window_ladder[bid] = tuple(levels)
-
         # Reuse windows for interference targets: an always-hit access is
         # vulnerable from the earliest point its line can be loaded until its
         # own latest end; a persistent access is vulnerable across its whole
@@ -182,25 +173,24 @@ class JobContext:
         self._views = {}
         self._bba = {}
 
-    def bba_time(self, block_id: str) -> tuple:
-        if block_id not in self._bba:
-            self._bba[block_id] = compute_bba_time(self.release, self.task_ctx.bbrp[block_id])
-        return self._bba[block_id]
+    def bba_time(self, node: str) -> tuple:
+        """Absolute window of a code block or virtual node, computed once per job."""
+        if node not in self._bba:
+            self._bba[node] = compute_bba_time(self.release, self.task_ctx.bbrp[node])
+        return self._bba[node]
 
     def block_view(self, block_id: str) -> BlockView:
         if block_id not in self._views:
-            ctx = self.task_ctx
-            env = ctx.outer_env[block_id]
-            if env is not None:
-                (env,) = compute_bba_time(self.release, (env,))
-            levels = tuple(compute_bba_time(self.release, w) for w in ctx.window_ladder[block_id])
-            self._views[block_id] = BlockView(self.lifetime, env, levels)
+            levels = [self.bba_time(block_id)]
+            for lid in self.task_ctx.task.ancestry[block_id]:
+                levels.append(self.bba_time(virtual_id(lid)))
+            self._views[block_id] = BlockView(self.lifetime, tuple(levels))
         return self._views[block_id]
 
     def target_view(self, access_id: str) -> BlockView:
         """Single-interval view of an access's reuse window."""
         window = compute_bba_time(self.release, (self.task_ctx.line_window[access_id],))
-        return BlockView(self.lifetime, None, (window,))
+        return BlockView(self.lifetime, (window,))
 
 
 def write_context_csv(path, jobs_with_ctx):

@@ -114,10 +114,6 @@ class ContractedTask:
     bcet: int = 0
     wcet: int = 0
 
-    def outermost_virtual(self, block_id: str) -> Optional[str]:
-        loops = self.task.ancestry[block_id]
-        return virtual_id(loops[-1]) if loops else None
-
 
 def _level_graphs(task: TaskGraph) -> dict:
     """Every level's graph, keyed by loop id (None for the top level), in one pass.

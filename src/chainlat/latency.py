@@ -308,7 +308,7 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
         # target view the other way; overlap is translation-invariant.
         life_lo, life_hi = tv.job_lifetime
         ((lo, hi),), = tv.window_levels
-        views = {shift: BlockView((life_lo - shift, life_hi - shift), None, (((lo - shift, hi - shift),),))
+        views = {shift: BlockView((life_lo - shift, life_hi - shift), (((lo - shift, hi - shift),),))
                  for shift in shifts}
         total = raw_total = mwis_total = 0
         for trigger, fjobs in foreign:
@@ -403,7 +403,7 @@ def predicted_hit_ratio(setup: Setup, chain_id: str, results: dict) -> Optional[
         accesses = []
         for cls in setup.tasks[tid].classification.visible():
             weight = 1
-            for lid in task.loop_ancestors(cls.block_id):
+            for lid in task.ancestry[cls.block_id]:
                 weight *= task.loops[lid].max_bound
             accesses.append((cls, weight))
         weighted.append(accesses)

@@ -40,12 +40,6 @@ class Interval(namedtuple("Interval", "lo hi")):
             raise ValueError("interval lo %d > hi %d" % (lo, hi))
         return super().__new__(cls, lo, hi)
 
-    def shift(self, delta: int) -> "Interval":
-        return Interval(self.lo + delta, self.hi + delta)
-
-    def overlaps(self, other) -> bool:
-        return max(self.lo, other[0]) <= min(self.hi, other[1])
-
 
 @dataclass(frozen=True)
 class CacheLevelConfig:
@@ -217,10 +211,6 @@ class TaskGraph:
                 cur = self.loops[cur].parent_loop
             chains[bid] = tuple(chain)
         return chains
-
-    def loop_ancestors(self, block_id):
-        """Loop ids enclosing the block, innermost first."""
-        return list(self.ancestry[block_id])
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ overlap, so verdicts are invariant under translating both operands.
 
 hierarchical_overlap sits in the TSC inner loop, so it allocates nothing:
 it returns one of the six shared, frozen verdicts in VERDICTS, reads the
-outer-loop envelopes inline, and compares two single-interval windows
-directly instead of sweeping them with seq_overlap.
+hulls of the coarsest window levels inline, and compares two
+single-interval windows directly instead of sweeping them with seq_overlap.
 """
 
 from __future__ import annotations
@@ -88,32 +88,28 @@ def hierarchical_overlap(a, b, threshold: int = PHASE3_THRESHOLD) -> OverlapVerd
     """Three-phase overlap judgment between two block occurrences.
 
     ``a`` and ``b`` are BlockView descriptors (see chainlat.context): each
-    carries the job lifetime, the outermost-loop envelope when the block
-    sits inside a loop, and normalized absolute window sequences, finest
-    first.  Phases reject from cheap to precise; a rejection at any phase
-    is final because every phase tests a superset of the next.  The middle
-    phase compares each side's envelope, else the hull of its coarsest
-    window.  The block phase compares the finest windows unless one is
-    longer than ``threshold``, then that side's window_within; two
-    single-interval windows are compared directly, others by seq_overlap.
+    carries the job lifetime and normalized absolute window sequences,
+    finest first, whose coarsest level is the outermost-loop envelope when
+    the block sits inside a loop.  Phases reject from cheap to precise; a
+    rejection at any phase is final because every phase tests a superset
+    of the next.  The middle phase runs when either view has more than one
+    level and compares the hulls of both coarsest levels.  The block phase
+    compares the finest windows unless one is longer than ``threshold``,
+    then that side's window_within; two single-interval windows are
+    compared directly, others by seq_overlap.
     """
     alo, ahi = a.job_lifetime
     blo, bhi = b.job_lifetime
     if alo > bhi or blo > ahi:
         return _JOB_MISS
 
-    ea, eb = a.outer_envelope, b.outer_envelope
-    if ea is not None or eb is not None:
-        if ea is None:
-            w = a.window_levels[-1]
-            ea = w[0][0], w[-1][1]
-        elif eb is None:
-            w = b.window_levels[-1]
-            eb = w[0][0], w[-1][1]
-        if ea[0] > eb[1] or eb[0] > ea[1]:
+    la, lb = a.window_levels, b.window_levels
+    if len(la) > 1 or len(lb) > 1:
+        ca, cb = la[-1], lb[-1]
+        if ca[0][0] > cb[-1][1] or cb[0][0] > ca[-1][1]:
             return _LOOP_MISS
 
-    wa, wb = a.window_levels[0], b.window_levels[0]
+    wa, wb = la[0], lb[0]
     if len(wa) > threshold:
         wa = a.window_within(threshold)
     if len(wb) > threshold:

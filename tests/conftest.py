@@ -136,7 +136,6 @@ def shift_view(view, delta):
 
     return BlockView(
         moved(view.job_lifetime),
-        None if view.outer_envelope is None else moved(view.outer_envelope),
         tuple(tuple(moved(iv) for iv in level) for level in view.window_levels),
     )
 

@@ -49,15 +49,15 @@ def reference_hierarchical_overlap(a, b, threshold):
     """The three-phase overlap judgment as (result, decided_at), phase by phase.
 
     Written straight from the phase definitions, apart from the shared
-    verdicts and the single-interval comparison of the library: envelopes
-    through a span helper, the window_within level choice on both sides,
-    and the block phase by all-pairs comparison of closed intervals.
+    verdicts and the single-interval comparison of the library: the middle
+    phase runs when either view has more than one level and compares the
+    spans of both coarsest levels (min lo, max hi over every interval), the
+    window_within level choice on both sides, and the block phase by
+    all-pairs comparison of closed intervals.
     """
     def span(view):
-        if view.outer_envelope is not None:
-            return tuple(view.outer_envelope)
         w = view.window_levels[-1]
-        return w[0][0], w[-1][1]
+        return min(lo for lo, _ in w), max(hi for _, hi in w)
 
     def within(view):
         for w in view.window_levels:
@@ -70,7 +70,7 @@ def reference_hierarchical_overlap(a, b, threshold):
 
     if not meets(a.job_lifetime, b.job_lifetime):
         return False, "job"
-    if a.outer_envelope is not None or b.outer_envelope is not None:
+    if len(a.window_levels) > 1 or len(b.window_levels) > 1:
         if not meets(span(a), span(b)):
             return False, "outer-loop"
     return any(meets(x, y) for x in within(a) for y in within(b)), "block"
@@ -270,7 +270,7 @@ def _o_level_graph(task, level):
     def rep(bid):
         if task.blocks[bid].enclosing_loop == level:
             return bid
-        for lid in task.loop_ancestors(bid):
+        for lid in task.ancestry[bid]:
             if task.loops[lid].parent_loop == level:
                 return _o_vid(lid)
         return None

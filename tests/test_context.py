@@ -144,11 +144,19 @@ def test_in_loop_sequence_has_maxbd_intervals(system, diamond):
     assert len(compute_bbo_time(con, "dl_t", "dl_l1")) == diamond.loops["dl_l1"].max_bound
 
 
-def test_outer_envelope(system, diamond):
+def test_outermost_virtual_window_is_the_loop_envelope(system, diamond):
+    # The loop's virtual node spans [earliest start, latest start + worst
+    # cost], and it is the coarsest level of a block inside the loop.
     con = contracted(diamond, system)
     ctx = TaskContext(con)
-    assert ctx.outer_env["dl_t"] == Interval(10, 10 + 42)
-    assert ctx.outer_env["dl_b0"] is None
+    v = virtual_id("dl_l1")
+    assert ctx.bbrp[v] == (Interval(10, 10 + 42),)
+    assert ctx.bbrp[v] == (Interval(con.bbesot[v], con.bblsot[v] + con.node_worst[v]),)
+    job = JobInstance("c", 0, diamond.id, 0, Interval(5, 9), Interval(5, 9 + con.wcet))
+    jctx = JobContext(job, ctx)
+    assert jctx.block_view("dl_t").window_levels[-1] == ((15, 61),)
+    assert len(jctx.block_view("dl_t").window_levels) == 2
+    assert len(jctx.block_view("dl_b0").window_levels) == 1
 
 
 def test_coverage_against_exhaustive_enumeration(system, diamond):
@@ -170,12 +178,13 @@ def test_coverage_against_exhaustive_enumeration(system, diamond):
 
 
 def test_nesting_containment(system):
-    # Each block's absolute window lies inside its enclosing loop's envelope
-    # stretched by the loop's own worst cost.
+    # Each block's window lies inside the window of its outermost loop's
+    # virtual node: the loop's start stretched by its own worst cost.
     task = nested_loops_task()
     con = contracted(task, system)
     ctx = TaskContext(con)
     for bid in ("ch", "ct"):
-        env = ctx.outer_env[bid]
+        assert task.ancestry[bid] == ("l2", "l1")
+        env, = ctx.bbrp[virtual_id("l1")]
         for lo, hi in ctx.bbrp[bid]:
             assert env.lo <= lo and hi <= env.hi

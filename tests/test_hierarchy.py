@@ -40,7 +40,7 @@ def test_phase2_loop_envelope_rejects(system):
     peer = straight_task("pr", [10, 30, 5])
     a, con = _job_ctx(diamond, system, 0)
     b, _ = _job_ctx(peer, system, 50)
-    assert a.block_view("dl_t").outer_envelope == Interval(10, 52)
+    assert a.block_view("dl_t").window_levels[-1] == (Interval(10, 52),)
     assert b.block_view("pr_b1").window_levels[0] == (Interval(60, 90),)
     v = hierarchical_overlap(a.block_view("dl_t"), b.block_view("pr_b1"))
     assert not v.result and v.decided_at == "outer-loop"
@@ -106,9 +106,41 @@ def test_coarsening_never_flips_true_to_false(system):
             assert coarse.result
 
 
+def test_top_level_blocks_skip_the_loop_phase(system):
+    # One level on each side: lifetimes overlap, windows are disjoint, and
+    # the block phase decides, even for a top-level block of a task with loops.
+    diamond = diamond_loop_task()
+    peer = straight_task("pr", [10, 30, 5])
+    a, _ = _job_ctx(diamond, system, 0)
+    b, _ = _job_ctx(peer, system, 0)
+    c, _ = _job_ctx(straight_task("pc", [10, 30, 5]), system, 0)
+    for va, vb in ((a.block_view("dl_b3"), b.block_view("pr_b0")),
+                   (b.block_view("pr_b2"), c.block_view("pc_b0"))):
+        assert len(va.window_levels) == len(vb.window_levels) == 1
+        for x, y in ((va, vb), (vb, va)):
+            v = hierarchical_overlap(x, y)
+            assert not v.result and v.decided_at == "block"
+
+
+def test_loop_block_against_disjoint_top_level_block(system):
+    # The loop envelope [10, 52] against [53, 63]: either side having more
+    # than one level runs the loop phase, which rejects.
+    diamond = diamond_loop_task()
+    peer = straight_task("pr", [10, 30, 5])
+    a, _ = _job_ctx(diamond, system, 0)
+    b, _ = _job_ctx(peer, system, 53)
+    loop_view, top_view = a.block_view("dl_h"), b.block_view("pr_b0")
+    assert len(loop_view.window_levels) == 2 and len(top_view.window_levels) == 1
+    assert top_view.window_levels[0] == (Interval(53, 63),)
+    for x, y in ((loop_view, top_view), (top_view, loop_view)):
+        v = hierarchical_overlap(x, y)
+        assert not v.result and v.decided_at == "outer-loop"
+
+
 @st.composite
 def _block_views(draw):
-    """A view with 1-3 nested normalized levels of 1-6 intervals, finest first."""
+    """A view with 1-3 nested normalized levels of 1-6 intervals, finest first,
+    sometimes closed by a one-interval envelope level as a loop block's view is."""
     spans = st.tuples(st.integers(0, 30), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
     levels = [normalize(draw(st.lists(spans, min_size=1, max_size=6)))]
     for _ in range(draw(st.integers(0, 2))):
@@ -116,13 +148,11 @@ def _block_views(draw):
         widths = draw(st.lists(grow, min_size=len(levels[-1]), max_size=len(levels[-1])))
         levels.append(normalize([(lo - dl, hi + dh) for (lo, hi), (dl, dh) in zip(levels[-1], widths)]))
     lo, hi = levels[-1][0][0], levels[-1][-1][1]
-    kind = draw(st.sampled_from(("none", "hull", "free")))
-    env = {"none": None, "hull": (lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5))),
-           "free": draw(spans)}[kind]
-    if env is not None:
-        lo, hi = min(lo, env[0]), max(hi, env[1])
+    if draw(st.booleans()):
+        lo, hi = lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5))
+        levels.append(((lo, hi),))
     life = (lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5)))
-    return BlockView(life, env, tuple(levels))
+    return BlockView(life, tuple(levels))
 
 
 @st.composite

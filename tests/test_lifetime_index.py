@@ -24,11 +24,12 @@ from conftest import boundary_bundle
 
 def _brute_pairs(jobs, hyper, cid, lifetime):
     """The scan the index replaces: every job of the chain under every shift."""
+    lo, hi = lifetime
     return [
         (key, shift)
         for key in sorted(k for k in jobs if k[0] == cid)
         for shift in (-hyper, 0, hyper)
-        if lifetime.overlaps(jobs[key].lifetime.shift(shift))
+        if max(lo, jobs[key].lifetime.lo + shift) <= min(hi, jobs[key].lifetime.hi + shift)
     ]
 
 
@@ -103,7 +104,7 @@ def _old_tlt_pressure(setup, key, sets, counting):
             continue
         fj = setup.jobs[fkey]
         for shift in (-setup.hyper, 0, setup.hyper):
-            if target.lifetime.overlaps(fj.lifetime.shift(shift)):
+            if max(target.lifetime.lo, fj.lifetime.lo + shift) <= min(target.lifetime.hi, fj.lifetime.hi + shift):
                 for s in out:
                     out[s] += _scanned_set_weight(setup.tasks[fj.task_id].classification, s, counting)
     return out

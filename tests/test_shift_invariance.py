@@ -33,10 +33,8 @@ intervals = st.builds(
 )
 # Views hold normalized windows, as JobContext builds them.
 sequences = st.lists(intervals, min_size=1, max_size=4).map(normalize)
-target_views = st.builds(lambda life, w: BlockView(life, None, ((w,),)), intervals, intervals)
-foreign_views = st.builds(
-    BlockView, intervals, st.none() | intervals, st.lists(sequences, min_size=1, max_size=3).map(tuple)
-)
+target_views = st.builds(lambda life, w: BlockView(life, ((w,),)), intervals, intervals)
+foreign_views = st.builds(BlockView, intervals, st.lists(sequences, min_size=1, max_size=3).map(tuple))
 views = target_views | foreign_views
 deltas = st.integers(-10**6, 10**6)
 

@@ -128,7 +128,7 @@ def test_nested_loops_without_parents_are_elaborated():
     task = build_task("n", *_three_nested_loops())
     assert [task.loops[l].parent_loop for l in ("l0", "l1", "l2")] == [None, "l0", "l1"]
     assert [task.loops[l].children for l in ("l0", "l1", "l2")] == [("l1",), ("l2",), ()]
-    assert task.loop_ancestors("h2") == ["l2", "l1", "l0"]
+    assert task.ancestry["h2"] == ("l2", "l1", "l0")
 
 
 @pytest.mark.parametrize("loop,parent,innermost", [

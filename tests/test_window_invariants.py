@@ -4,8 +4,11 @@ hierarchical_overlap takes the hull of a window as (w[0][0], w[-1][1]) and
 sweeps windows without normalizing them, so every window must be
 normalized where it is built.  Its job and outer-loop phases reject only
 supersets of the block windows, so each level must lie inside the job
-lifetime, the finest inside the outer-loop envelope, and each coarser level
-must cover the finer one.
+lifetime and each coarser level must cover the finer one.  The outer-loop
+phase runs exactly when a view has more than one level, so a block inside
+a loop must have one level per enclosing loop past its own, the coarsest a
+single interval (the outermost loop's envelope) covering the finest, and a
+top-level block exactly one level.
 """
 
 from hypothesis import given, settings
@@ -44,8 +47,10 @@ def check_block_views(setup) -> int:
             for w in levels:
                 assert w and is_normalized(w), (key, bid, w)
                 assert inside(w, view.job_lifetime), (key, bid, w, view.job_lifetime)
-            if view.outer_envelope is not None:
-                assert inside(levels[0], view.outer_envelope), (key, bid, view.outer_envelope)
+            ancestors = jctx.task_ctx.task.ancestry[bid]
+            assert len(levels) == 1 + len(ancestors), (key, bid, ancestors)
+            if ancestors:
+                assert len(levels[-1]) == 1 and inside(levels[0], levels[-1][0]), (key, bid, levels[-1])
             for fine, coarse in zip(levels, levels[1:]):
                 assert covered(fine, coarse), (key, bid, fine, coarse)
             seen += sum(map(len, levels))
