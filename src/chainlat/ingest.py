@@ -38,59 +38,68 @@ from .model import (
 # Types are exact: an integer field takes a JSON integer, not a bool, a
 # float or a string; list fields take lists and ids take strings.  A wrong
 # type raises TypeError naming the field, reported as a malformed document.
-# An optional field may be absent or null.
+# An optional field may be absent or null.  A field is located by its path,
+# a tuple of keys and list indices, and named only in an error.
 
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
 _REQUIRED = object()
 
 
-def _typed(value, kind, name):
+def _name(path):
+    """The field a path names: ("blocks", 3, "id") -> "blocks[3].id"."""
+    name = ""
+    for part in path:
+        name += "[%d]" % part if type(part) is int else ("." if name else "") + part
+    return name
+
+
+def _typed(value, kind, path):
     """`value` if its JSON type is exactly `kind`; kind (list, k) asks for a list of k."""
     if isinstance(kind, tuple):
-        items = value if type(value) is list else _typed(value, list, name)
+        items = value if type(value) is list else _typed(value, list, path)
         for i, item in enumerate(items):
             if type(item) is not kind[1]:
-                _typed(item, kind[1], "%s[%d]" % (name, i))
+                _typed(item, kind[1], path + (i,))
         return items
     if type(value) is not kind:
         raise TypeError("%s must be %s, not %s" % (
-            name, _JSON_TYPES[kind], _JSON_TYPES.get(type(value), type(value).__name__)))
+            _name(path), _JSON_TYPES[kind], _JSON_TYPES.get(type(value), type(value).__name__)))
     return value
 
 
-def _field(doc, key, kind, where, prefix="", default=_REQUIRED):
-    """doc[key] typed as `kind`, or `default` for an absent or null optional field."""
+def _field(doc, key, kind, where, at=(), default=_REQUIRED):
+    """doc[key] typed as `kind`, or `default` for an absent or null optional field; `at` is doc's path."""
     value = doc.get(key)
     if type(value) is kind:
         return value
     if value is None and default is not _REQUIRED:
         return default
     if value is None and key not in doc:
-        raise ValidationError("missing key %r" % (prefix + key), where)
-    return _typed(value, kind, prefix + key)
+        raise ValidationError("missing key %r" % _name(at + (key,)), where)
+    return _typed(value, kind, at + (key,))
 
 
-def _objects(doc, key, where, prefix="", default=_REQUIRED):
-    """(field prefix, object) for each object in the list doc[key]."""
-    items = _field(doc, key, (list, dict), where, prefix, default)
-    return [("%s%s[%d]." % (prefix, key, i), item) for i, item in enumerate(items)]
+def _objects(doc, key, where, at=(), default=_REQUIRED):
+    """(path, object) for each object in the list doc[key]."""
+    items = _field(doc, key, (list, dict), where, at, default)
+    return [(at + (key, i), item) for i, item in enumerate(items)]
 
 
-def _pair(value, name):
+def _pair(value, path):
     """A list of two strings, as a tuple."""
     if type(value) is not list or len(value) != 2 or type(value[0]) is not str or type(value[1]) is not str:
-        raise TypeError("%s must be a list of two strings" % name)
+        raise TypeError("%s must be a list of two strings" % _name(path))
     return tuple(value)
 
 
 def parse_system(doc: dict, where: str = "system") -> SystemSpec:
     def level(name):
         cfg = _field(doc, name, dict, where)
-        return CacheLevelConfig(*(_field(cfg, key, int, where, name + ".") for key in ("sets", "ways", "line", "hit")))
+        return CacheLevelConfig(*(_field(cfg, key, int, where, (name,)) for key in ("sets", "ways", "line", "hit")))
 
     try:
-        _typed(doc, dict, "the document")
+        _typed(doc, dict, ("the document",))
         return SystemSpec(
             core_count=_field(doc, "cores", int, where),
             l1=level("l1"),
@@ -105,7 +114,7 @@ def parse_system(doc: dict, where: str = "system") -> SystemSpec:
 
 def parse_task(doc: dict, where: str = "task") -> TaskGraph:
     try:
-        _typed(doc, dict, "the document")
+        _typed(doc, dict, ("the document",))
         blocks = {}
         for at, b in _objects(doc, "blocks", where):
             accesses = tuple(MemAccess(_field(a, "id", str, where, p), _field(a, "address", int, where, p))
@@ -114,14 +123,14 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
             if blk.id in blocks:
                 raise ValidationError("duplicate block id %s" % blk.id, where)
             blocks[blk.id] = blk
-        edges = tuple(_pair(e, "edges[%d]" % i) for i, e in enumerate(_field(doc, "edges", list, where)))
+        edges = tuple(_pair(e, ("edges", i)) for i, e in enumerate(_field(doc, "edges", list, where)))
         loops = {}
         for at, l in _objects(doc, "loops", where, default=()):
             loop = LoopNode(
                 id=_field(l, "id", str, where, at),
                 head_block=_field(l, "head", str, where, at),
                 tail_block=_field(l, "tail", str, where, at),
-                back_edge=_pair(_field(l, "back_edge", list, where, at), at + "back_edge"),
+                back_edge=_pair(_field(l, "back_edge", list, where, at), at + ("back_edge",)),
                 min_bound=_field(l, "min_bound", int, where, at),
                 max_bound=_field(l, "max_bound", int, where, at),
                 parent_loop=_field(l, "parent", str, where, at, default=None),
@@ -129,7 +138,7 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
             if loop.id in loops:
                 raise ValidationError("duplicate loop id %s" % loop.id, where)
             loops[loop.id] = loop
-        pairs = frozenset(frozenset(_pair(p, "exclusive_pairs[%d]" % i))
+        pairs = frozenset(frozenset(_pair(p, ("exclusive_pairs", i)))
                           for i, p in enumerate(_field(doc, "exclusive_pairs", list, where, default=())))
         task = TaskGraph(_field(doc, "task_id", str, where), blocks, edges, loops, exclusive_pairs=pairs)
     except TypeError as exc:
@@ -145,7 +154,7 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
 
 def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:
     try:
-        _typed(doc, dict, "the document")
+        _typed(doc, dict, ("the document",))
         offsets = _field(doc, "offsets", (list, int), where, default=None)
         return ChainSpec(
             id=_field(doc, "id", str, where),
@@ -197,14 +206,15 @@ def parse_workload(system_path, task_paths, chain_paths) -> WorkloadBundle:
             raise ValidationError("chain %s mapped to core %d of %d" % (chain.id, chain.core, system.core_count), where)
 
     by_core = {}
-    for chain, _ in chains:
-        by_core.setdefault(chain.core, []).append(chain)
-    merged = {}
+    for chain, where in chains:
+        by_core.setdefault(chain.core, []).append((chain, where))
+    merged, files = {}, {}
     for core in sorted(by_core):
-        chain = merge_core_chains(by_core[core])
+        where = ", ".join(w for _, w in by_core[core])
+        chain = merge_core_chains([c for c, _ in by_core[core]], where)
         if chain.id in merged:
-            raise ValidationError("duplicate chain id %s" % chain.id)
-        merged[chain.id] = chain
+            raise ValidationError("duplicate chain id %s" % chain.id, "%s, %s" % (files[chain.id], where))
+        merged[chain.id], files[chain.id] = chain, where
     return WorkloadBundle(system, tasks, merged)
 
 
@@ -286,20 +296,21 @@ def assign_tt_offsets(cip_wcets) -> tuple:
     return tuple(out)
 
 
-def merge_core_chains(chains) -> ChainSpec:
+def merge_core_chains(chains, where=None) -> ChainSpec:
     """Concatenate same-core chains in priority order into one chain.
 
     The input order is the priority order.  Offsets are dropped so the
     analysis recomputes them back-to-back from the merged task list.
+    Errors are located at `where`, the chains' files.
     """
     if len(chains) == 1:
         return chains[0]
     triggers = {c.trigger for c in chains}
     if len(triggers) != 1:
-        raise ValidationError("core %d mixes trigger types %s" % (chains[0].core, sorted(triggers)))
+        raise ValidationError("core %d mixes trigger types %s" % (chains[0].core, sorted(triggers)), where)
     periods = {c.period for c in chains if c.period is not None}
     if len(periods) > 1:
-        raise ValidationError("core %d mixes explicit periods %s" % (chains[0].core, sorted(periods)))
+        raise ValidationError("core %d mixes explicit periods %s" % (chains[0].core, sorted(periods)), where)
     tasks = tuple(t for c in chains for t in c.tasks)
     return ChainSpec(
         id="+".join(c.id for c in chains),

@@ -280,64 +280,36 @@ def topo_sort(nodes, edges):
     return tuple(order) if len(order) == len(indeg) else None
 
 
-def _dominators(task: TaskGraph, pred: dict, entry: str) -> dict:
-    """Dominator sets via the iterative dataflow over the full CFG (pred includes back edges).
-
-    The sweeps visit the blocks reachable from the entry in reverse
-    postorder, then the others.  Iterating down from all blocks reaches the
-    same greatest fixpoint in any order; this one needs the fewest sweeps.
-    """
-    succ = task.successors(include_back=True)
-    post, seen = [], {entry}
-    stack = [(entry, iter(succ[entry]))]
-    while stack:
-        node, todo = stack[-1]
-        for d in todo:
-            if d not in seen:
-                seen.add(d)
-                stack.append((d, iter(succ[d])))
-                break
-        else:
-            stack.pop()
-            post.append(node)
-    order = post[::-1] + [b for b in task.blocks if b not in seen]
-    all_ids = frozenset(task.blocks)
-    dom = {b: (frozenset({entry}) if b == entry else all_ids) for b in task.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for b in order:
-            if b == entry:
-                continue
-            ps = [dom[p] for p in pred[b]]
-            new = frozenset({b}) | (frozenset.intersection(*ps) if ps else frozenset())
-            if new != dom[b]:
-                dom[b] = new
-                changed = True
-    return dom
-
-
-def _natural_loop_body(pred: dict, head: str, tail: str) -> frozenset:
-    """Blocks of the natural loop of back edge tail->head; pred includes back edges."""
-    body = {head, tail}
-    stack = [tail]
+def _reachable(adj: dict, start: str, stop=()) -> set:
+    """The nodes reachable from start over adj, start included; nodes in stop are not expanded."""
+    seen = {start}
+    stack = [start]
     while stack:
         n = stack.pop()
-        if n == head:
+        if n in stop:
             continue
-        for p in pred[n]:
-            if p not in body:
-                body.add(p)
-                stack.append(p)
-    return frozenset(body)
+        for d in adj[n]:
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
 
 
 def elaborate_loops(task: TaskGraph) -> tuple:
     """Derive loop bodies, nesting links and per-block enclosing loops.
 
-    Bodies are natural loops.  A loop's parent is the innermost loop whose
-    body strictly contains its body, a block's enclosing loop the innermost
-    one whose body holds it.  A declared parent must be the derived one.
+    A loop's body is its natural loop: the head plus every block with a path
+    to the tail, over all edges, that does not pass through the head.  The
+    task's entry block is the one block without a predecessor.  So:
+
+    * the head dominates the tail exactly when the entry is not in the body
+      past its head; otherwise the loop is rejected as entered from the side;
+    * every edge into the body past its head starts inside the body, so the
+      head is the loop's only way in and no edge scan has to check it.
+
+    A loop's parent is the innermost loop whose body strictly contains its
+    body, a block's enclosing loop the innermost one whose body holds it.  A
+    declared parent must be the derived one; bodies that meet must nest.
     Returns the elaborated (blocks, loops) maps; a block whose enclosing
     loop is already right is reused.
     """
@@ -345,26 +317,26 @@ def elaborate_loops(task: TaskGraph) -> tuple:
     entries = [b for b in task.blocks if not pred[b]]
     if len(entries) != 1:
         raise ValidationError("need exactly one entry block, found %r" % sorted(entries), task.id)
-    dom = _dominators(task, pred, entries[0])
+    entry = entries[0]
 
     bodies, by_back_edge = {}, {}
     for lid, loop in task.loops.items():
-        if loop.back_edge != (loop.tail_block, loop.head_block):
+        head, tail = loop.head_block, loop.tail_block
+        if loop.back_edge != (tail, head):
             raise ValidationError("loop %s: back edge must run tail->head" % lid, task.id)
         other = by_back_edge.setdefault(loop.back_edge, lid)
         if other != lid:
             raise ValidationError(
                 "loops %s and %s declare the same back edge %s->%s" % (other, lid, *loop.back_edge), task.id
             )
-        if loop.head_block not in task.blocks or loop.tail_block not in task.blocks:
+        if head not in task.blocks or tail not in task.blocks:
             raise ValidationError("loop %s references unknown blocks" % lid, task.id)
-        if loop.head_block not in dom[loop.tail_block]:
+        body = frozenset(_reachable(pred, tail, (head,))) | {head}
+        if entry in body and entry != head:
             raise ValidationError(
-                "loop %s: side entry, head %s does not dominate tail %s"
-                % (lid, loop.head_block, loop.tail_block),
-                task.id,
+                "loop %s: side entry, head %s does not dominate tail %s" % (lid, head, tail), task.id
             )
-        bodies[lid] = _natural_loop_body(pred, loop.head_block, loop.tail_block)
+        bodies[lid] = body
 
     for a in task.loops:
         for b in task.loops:
@@ -413,10 +385,14 @@ def elaborate_loops(task: TaskGraph) -> tuple:
 def validate_task_graph(task: TaskGraph) -> TaskGraph:
     """Validate structure and return the elaborated graph.
 
-    Loop parents are optional, derived from the natural-loop bodies; a
-    declared parent must be the innermost enclosing loop.  Validation is
-    idempotent: validating the result again yields an equal graph and no new
-    diagnostics.
+    Edges must join known blocks, once each.  `elaborate_loops` checks the
+    loops against their bodies.  The graph needs one exit block, no cycle
+    but the declared back edges, and every block on the forward path from
+    the entry; declared endpoints must be the derived ones.  Each loop's
+    back edge must be an edge, and the loop may be left only from its tail.
+    An exclusive pair names two alternative arms of one branch that no
+    forward path joins.  Validation is idempotent: validating the result
+    again yields an equal graph and no new diagnostics.
     """
     if not task.blocks:
         raise ValidationError("task has no blocks", task.id)
@@ -444,15 +420,8 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if task.exit_block and task.exit_block != graph.exit_block:
         raise ValidationError("declared exit %s is not the unique sink" % task.exit_block, task.id)
 
-    # Reachability: every block on some entry->exit path.
     fpred, fsucc = graph.predecessors(include_back=False), graph.successors(include_back=False)
-    seen = {entry}
-    stack = [entry]
-    while stack:
-        for d in fsucc[stack.pop()]:
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
+    seen = _reachable(fsucc, entry)
     if seen != ids:
         raise ValidationError("unreachable blocks: %r" % sorted(ids - seen), task.id)
 
@@ -461,10 +430,7 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
         body = loop.body_blocks
         if loop.back_edge not in task.edges:
             raise ValidationError("loop %s: declared back edge missing from edge set" % lid, task.id)
-        # The loop is entered only through its head and left only from its tail.
         for src, dst in forward:
-            if dst in body and src not in body and dst != loop.head_block:
-                raise ValidationError("loop %s: side entry into %s" % (lid, dst), task.id)
             if src in body and dst not in body and src != loop.tail_block:
                 raise ValidationError("loop %s: exit from %s (only tail exits supported)" % (lid, src), task.id)
 
@@ -478,25 +444,10 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
             raise ValidationError(
                 "exclusive pair (%s,%s): blocks must be alternative arms of one branch" % (a, b), task.id
             )
-        if _reaches(fsucc, a, b) or _reaches(fsucc, b, a):
+        if b in _reachable(fsucc, a) or a in _reachable(fsucc, b):
             raise ValidationError("exclusive pair (%s,%s): blocks lie on a common path" % (a, b), task.id)
 
     return graph
-
-
-def _reaches(fsucc: dict, src: str, dst: str) -> bool:
-    """Whether dst is reachable from src over the forward successor map."""
-    seen = {src}
-    stack = [src]
-    while stack:
-        n = stack.pop()
-        if n == dst:
-            return True
-        for d in fsucc[n]:
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return False
 
 
 @dataclass(frozen=True)

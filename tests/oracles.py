@@ -131,6 +131,45 @@ def reference_fixpoint(task, transfer, join, entry_state, max_passes):
     return in_states, passes, transfers
 
 
+def reference_dominators(blocks, edges, entry):
+    """Block -> the set of blocks that dominate it, by the iterative dataflow over all edges.
+
+    The sweeps visit the blocks reachable from the entry in reverse
+    postorder, then the others.  Iterating down from all blocks reaches the
+    greatest fixpoint in any order, so a block no path from the entry
+    reaches keeps every block as a dominator.
+    """
+    pred = {b: [s for s, d in edges if d == b] for b in blocks}
+    succ = {b: [d for s, d in edges if s == b] for b in blocks}
+    post, seen = [], {entry}
+    stack = [(entry, iter(succ[entry]))]
+    while stack:
+        node, todo = stack[-1]
+        for d in todo:
+            if d not in seen:
+                seen.add(d)
+                stack.append((d, iter(succ[d])))
+                break
+        else:
+            stack.pop()
+            post.append(node)
+    order = post[::-1] + [b for b in blocks if b not in seen]
+    all_ids = frozenset(blocks)
+    dom = {b: (frozenset({entry}) if b == entry else all_ids) for b in blocks}
+    changed = True
+    while changed:
+        changed = False
+        for b in order:
+            if b == entry:
+                continue
+            ps = [dom[p] for p in pred[b]]
+            new = frozenset({b}) | (frozenset.intersection(*ps) if ps else frozenset())
+            if new != dom[b]:
+                dom[b] = new
+                changed = True
+    return dom
+
+
 def enumerate_task_paths(task, cap=200_000):
     """All feasible block sequences of one job.
 

@@ -378,3 +378,23 @@ def test_analyze_rejects_duplicate_back_edges(tmp_path, capsys):
     assert rc == EXIT_INVALID
     assert capsys.readouterr().err == \
         "error: %s: t0: loops l2 and l3 declare the same back edge t0_t2->t0_h2\n" % path
+
+
+@pytest.mark.parametrize("edits,message", [
+    (({"trigger": "ET", "offsets": None}, {"core": 0, "trigger": "TT", "offsets": None}),
+     "core 0 mixes trigger types ['ET', 'TT']"),
+    (({"trigger": "ET", "period": 4000}, {"core": 0, "trigger": "ET", "period": 8000}),
+     "core 0 mixes explicit periods [4000, 8000]"),
+    (({}, {"id": "c0"}), "duplicate chain id c0"),
+], ids=("triggers", "periods", "chain-id"))
+def test_analyze_chain_merge_errors_name_the_chain_files(tmp_path, capsys, edits, message):
+    system, tasks, chains = _generated(tmp_path)
+    for path, edit in zip(chains, edits):
+        with open(path) as fh:
+            doc = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(dict(doc, **edit), fh)
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s, %s: %s\n" % (chains[0], chains[1], message)

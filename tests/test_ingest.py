@@ -271,6 +271,44 @@ def test_parsers_reject_wrong_json_types(parse, path, value, field):
         parse(_replaced(doc, path, value))
 
 
+# (document, position, wrong value, whole message): field names in nested objects and lists.
+NESTED_FIELDS = [
+    (0, ("l2", "ways"), 4.0, "system: malformed system document (l2.ways must be an integer, not a number)"),
+    (0, ("l1",), {"sets": 2, "ways": 4, "line": 32}, "system: missing key 'l1.hit'"),
+    (0, ("period_table", 1), "4000",
+     "system: malformed system document (period_table[1] must be an integer, not a string)"),
+    (1, ("offsets",), [0, 1.5], "chain: malformed chain document (offsets[1] must be an integer, not a number)"),
+    (2, ("blocks", 1, "accesses", 1, "address"), "0",
+     "task: malformed task document (blocks[1].accesses[1].address must be an integer, not a string)"),
+    (2, ("blocks", 2, "accesses", 0, "id"), 3,
+     "task: malformed task document (blocks[2].accesses[0].id must be a string, not an integer)"),
+    (2, ("blocks", 1, "accesses"), {},
+     "task: malformed task document (blocks[1].accesses must be a list, not an object)"),
+    (2, ("blocks", 1, "accesses", 0), 5,
+     "task: malformed task document (blocks[1].accesses[0] must be an object, not an integer)"),
+    (2, ("blocks", 2, "accesses", 0), {"id": "z"}, "task: missing key 'blocks[2].accesses[0].address'"),
+    (2, ("blocks", 3), {"id": "z"}, "task: missing key 'blocks[3].instructions'"),
+    (2, ("loops", 1, "max_bound"), 6.0,
+     "task: malformed task document (loops[1].max_bound must be an integer, not a number)"),
+    (2, ("loops", 0, "back_edge"), ["t0_b3"],
+     "task: malformed task document (loops[0].back_edge must be a list of two strings)"),
+    (2, ("loops", 0, "parent"), 1, "task: malformed task document (loops[0].parent must be a string, not an integer)"),
+    (2, ("loops", 1), {"id": "l"}, "task: missing key 'loops[1].head'"),
+    (2, ("edges", 2), ["a"], "task: malformed task document (edges[2] must be a list of two strings)"),
+    (2, ("exclusive_pairs",), [["a"]],
+     "task: malformed task document (exclusive_pairs[0] must be a list of two strings)"),
+]
+
+
+@pytest.mark.parametrize("index,path,value,message", NESTED_FIELDS,
+                         ids=[".".join(map(str, path)) for _, path, _, _ in NESTED_FIELDS])
+def test_messages_spell_nested_field_names(index, path, value, message):
+    parse, doc = VALID_DOCS[index]
+    with pytest.raises(ValidationError) as info:
+        parse(_replaced(doc, path, value))
+    assert str(info.value) == message
+
+
 def test_parse_task_rejects_identical_exclusive_pair():
     doc = VALID_DOCS[3][1]
     block = doc["exclusive_pairs"][0][0]
