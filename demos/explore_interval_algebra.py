@@ -81,8 +81,9 @@ ctx = TaskContext(con)
 print("loop summary: shortest pass %d, longest pass %d cycles" % (
     con.summaries["l1"].lpsc, con.summaries["l1"].lplc))
 print("tail block windows per iteration (relative to the loop start):")
-for i, iv in enumerate(ctx.bbo["t"], 1):
-    print("  iteration %d: [%d, %d]" % (i, iv.lo, iv.hi))
+(start_lo, start_hi), = ctx.lpb["l1"]  # the loop starts in one window
+for i, (lo, hi) in enumerate(ctx.bbrp["t"], 1):
+    print("  iteration %d: [%d, %d]" % (i, lo - start_lo, hi - start_hi))
 
 job = JobInstance("c0", 0, "demo", 0, Interval(0, 0), Interval(0, con.wcet))
 jctx = JobContext(job, ctx)

@@ -1,13 +1,18 @@
 """Relative and absolute execution-time windows.
 
-Every block gets an offset-time sequence relative to its innermost loop
-(one interval per iteration), loops get start-time sequences relative to
-their parent and, recursively, to the program, and jobs get release windows
-relative to the system start.  Composing the three with the pairwise
-interval sum yields the absolute window (BBATime) used by the overlap and
-interference stages.  Windows derived from costs are validated Intervals,
-their sums plain (lo, hi) pairs; compute_bba_time normalizes every absolute
-window once, where it is built.
+Every level of a task is a loop: the program is one that runs once and
+starts at cycle 0.  TaskContext walks the levels from the outermost
+inward.  Each node of a level has one window per iteration of it, its
+offset within the iteration (BBOTime), and the level's start sequence is
+added to it with the pairwise interval sum; a child loop's start is built
+the same way from its virtual node, without the node's own cost.  So a
+block's program-relative window composes its offset, each enclosing
+loop's start relative to its parent (LPRTime) and the outermost loop's
+start relative to the program (LPBTime).  Jobs get release windows
+relative to the system start, and the release plus the program-relative
+window is the absolute window (BBATime) used by the overlap and
+interference stages.  Windows summed from costs are plain (lo, hi) pairs;
+compute_bba_time normalizes every absolute window once, where it is built.
 
 A block's view for the overlap phases is a ladder of absolute windows:
 its own, then that of each enclosing loop's virtual node, innermost
@@ -16,8 +21,8 @@ envelope of its outermost loop, [earliest start, latest end], which the
 middle overlap phase compares.
 
 Upper bounds account for one-time persistence misses: the first iteration
-carries the surcharges reachable up to the block, later iterations carry
-the full scope surcharge, since an early miss delays everything after it.
+carries the surcharges reachable up to the node, later iterations carry
+the level's full surcharge, since an early miss delays everything after it.
 """
 
 from __future__ import annotations
@@ -29,56 +34,6 @@ from .cache_ai import AH, PS
 from .cost import ContractedTask, virtual_id
 from .model import ChainSpec, Interval, JobInstance
 from .overlap import hull, normalize, seq_merge
-
-
-def compute_bbo_time(contracted: ContractedTask, node: str, loop_id: str) -> tuple:
-    """Offset-time sequence of a node relative to its enclosing loop's head."""
-    s = contracted.summaries[loop_id]
-    own = contracted.node_worst[node]
-    out = []
-    for i in range(1, s.max_bound + 1):
-        late_ps = s.ps_prefix_incl[node] if i == 1 else s.ps_surcharge
-        out.append(
-            Interval(
-                (i - 1) * s.lpsc + s.bbsc[node],
-                (i - 1) * s.lplc + s.bblc[node] + own + late_ps,
-            )
-        )
-    return tuple(out)
-
-
-def compute_lpr_time(contracted: ContractedTask, loop_id: str) -> tuple:
-    """Start-time sequence of an inner loop relative to its parent loop."""
-    parent = contracted.task.loops[loop_id].parent_loop
-    if parent is None:
-        raise ValueError("outermost loop %s has no relative time" % loop_id)
-    s = contracted.summaries[parent]
-    vid = virtual_id(loop_id)
-    out = []
-    for i in range(1, s.max_bound + 1):
-        late_ps = s.ps_prefix_excl[vid] if i == 1 else s.ps_surcharge
-        out.append(
-            Interval(
-                s.lpsc * (i - 1) + s.bbsc[vid],
-                s.lplc * (i - 1) + s.bblc[vid] + late_ps,
-            )
-        )
-    return tuple(out)
-
-
-def compute_lpb_time(contracted: ContractedTask, loop_id: str, lpb_cache: dict) -> tuple:
-    """Start-time sequence of a loop relative to the program start."""
-    if loop_id in lpb_cache:
-        return lpb_cache[loop_id]
-    loop = contracted.task.loops[loop_id]
-    vid = virtual_id(loop_id)
-    if loop.parent_loop is None:
-        out = (Interval(contracted.bbesot[vid], contracted.bblsot[vid]),)
-    else:
-        out = seq_merge(compute_lpr_time(contracted, loop_id),
-                        compute_lpb_time(contracted, loop.parent_loop, lpb_cache))
-    lpb_cache[loop_id] = out
-    return out
 
 
 def compute_prs_time(chain: ChainSpec, task_index: int, period_index: int,
@@ -120,31 +75,36 @@ class BlockView:
         return self.window_levels[-1]
 
 
+def _iterations(s, node: str, own: int, first_ps: int) -> tuple:
+    """One window per iteration of level s for a node costing `own`, relative
+    to the level's start; the first carries `first_ps`, the later ones the
+    level's whole surcharge."""
+    lo, hi = s.bbsc[node], s.bblc[node] + own
+    return ((lo, hi + first_ps),) + tuple((lo + i * s.lpsc, hi + i * s.lplc + s.ps_surcharge)
+                                          for i in range(1, s.max_bound))
+
+
 class TaskContext:
     """All release-independent window material for one task."""
 
     def __init__(self, contracted: ContractedTask):
-        self.task = contracted.task
+        self.task = t = contracted.task
         self.classification = contracted.classification
-        t = self.task
+        node_worst = contracted.node_worst
+        loop_of = {virtual_id(lid): lid for lid in t.loops}
 
-        self.bbo = {}
-        for lid in t.loops:
-            level = contracted.levels[lid]
-            for node in level.members:
-                self.bbo[node] = compute_bbo_time(contracted, node, lid)
-
-        lpb_cache = {}
-        self.lpb = {lid: compute_lpb_time(contracted, lid, lpb_cache) for lid in t.loops}
-
-        # Program-relative window per node (code blocks and virtual nodes).
-        self.bbrp = {}
-        for node in contracted.levels[None].members:
-            self.bbrp[node] = (Interval(contracted.bbesot[node], contracted.bbleot[node]),)
-        for lid in t.loops:
-            base = self.lpb[lid]
-            for node in contracted.levels[lid].members:
-                self.bbrp[node] = seq_merge(base, self.bbo[node])
+        # One walk over the levels, outermost first: each node's window is
+        # its level's start plus its per-iteration windows, and a child
+        # loop's start is its virtual node's, without the node's own cost.
+        self.lpb = {}  # loop id -> start sequence relative to the program
+        self.bbrp = {}  # node -> program-relative window (code blocks and virtual nodes)
+        for lid, s in reversed(contracted.summaries.items()):
+            start = ((0, 0),) if lid is None else self.lpb[lid]
+            for node in s.bbsc:
+                self.bbrp[node] = seq_merge(start, _iterations(s, node, node_worst[node], s.ps_prefix_incl[node]))
+                child = loop_of.get(node)
+                if child is not None:
+                    self.lpb[child] = seq_merge(start, _iterations(s, node, 0, s.ps_prefix_excl[node]))
 
         # Reuse windows for interference targets: an always-hit access is
         # vulnerable from the earliest point its line can be loaded until its
@@ -159,7 +119,7 @@ class TaskContext:
             elif cls.l2_chmc == PS:
                 lid = t.blocks[cls.block_id].enclosing_loop
                 lo, hi = hull(self.lpb[lid])
-                self.line_window[cls.access_id] = Interval(lo, hi + contracted.node_worst[virtual_id(lid)])
+                self.line_window[cls.access_id] = Interval(lo, hi + node_worst[virtual_id(lid)])
 
 
 class JobContext:

@@ -1,10 +1,12 @@
 """Per-block execution costs, loop summarization and structural BCET/WCET.
 
 Loops are contracted innermost-first into virtual nodes carrying summarized
-best/worst costs; the remaining DAG yields program bounds by shortest and
-longest path.  Best-case costs floor every memory access at the L1 hit
-latency so that all derived earliest-start times are true lower bounds for
-any concrete cache state; worst-case costs follow one refined CHMC map.
+best/worst costs.  The program is one more level, summarized last: a loop
+that runs once, starts at cycle 0 and holds no persistence scope, so its
+summary (summaries[None]) gives the BCET and WCET as shortest and longest
+path.  Best-case costs floor every memory access at the L1 hit latency so
+that all derived earliest-start times are true lower bounds for any
+concrete cache state; worst-case costs follow one refined CHMC map.
 
 There is one cost model: the worst side reads only the refined map, which
 is the exclusive-use CHMCs by default, the interference-refined ones for
@@ -12,7 +14,10 @@ TLT and TSC, and cache_ai.all_miss for the pessimistic NCT/CIP bound.
 
 Persistent accesses are charged the shared-cache hit latency per iteration
 plus a one-time (miss - hit) surcharge per scope entry, accounted on the
-virtual node and in the first-iteration offset bounds.
+virtual node and in the level's persistence prefixes: each level has one
+window per iteration, and the first carries the surcharge reached so far
+(context.TaskContext builds them).  A level without a persistent access,
+the program's included, shares its plan's table of zero prefixes.
 
 A contraction has two parts.  The ContractionPlan depends on the task graph
 and the system alone: the innermost-first loop order, each level's graph
@@ -72,7 +77,9 @@ def block_cost(block, classification: TaskClassification, system: SystemSpec,
 
 @dataclass
 class LoopCostSummary:
-    loop_id: str
+    """One level's costs; the program level (loop_id None) runs once, from cycle 0."""
+
+    loop_id: Optional[str]
     lpsc: int
     lplc: int
     bbsc: dict  # node -> shortest head->node cost excluding the node
@@ -97,20 +104,17 @@ class ContractedTask:
     """One contraction of a task.
 
     Every field is read-only.  A contraction from a plan is memoized on it
-    and handed to every later call with the same effective CHMCs, and
-    node_best, levels, bbesot and each summary's bbsc are the plan's own
-    dicts, shared by every contraction from that plan.
+    and handed to every later call with the same effective CHMCs.  These
+    dicts are the plan's own, shared by every contraction from it:
+    node_best, each summary's bbsc, and the persistence prefixes of every
+    level without a persistent access.
     """
 
     task: TaskGraph
     classification: TaskClassification
     node_best: dict
     node_worst: dict
-    summaries: dict  # loop id -> LoopCostSummary
-    levels: dict  # loop id or None -> LevelGraph
-    bbesot: dict  # top-level node -> earliest start (cost excl. node)
-    bbleot: dict  # top-level node -> latest end (cost incl. node)
-    bblsot: dict  # top-level node -> latest start (cost excl. node)
+    summaries: dict  # loop id -> LoopCostSummary, innermost first; None -> the program, last
     bcet: int = 0
     wcet: int = 0
 
@@ -151,9 +155,13 @@ def _level_graphs(task: TaskGraph) -> dict:
 
 
 class LevelPlan:
-    """One level's graph, topological order, predecessors and best-case prefixes."""
+    """One level's graph, topological order, predecessors and best-case prefixes.
 
-    def __init__(self, task: TaskGraph, graph: LevelGraph, node_best: dict):
+    `loop` is the level's loop, None for the program level, which runs once
+    and holds no persistent access: a persistence scope is a loop.
+    """
+
+    def __init__(self, task: TaskGraph, graph: LevelGraph, node_best: dict, loop=None):
         self.graph = graph
         self.pred = adjacency(graph.members, graph.edges)[0]
         self.order = topo_sort(graph.members, graph.edges)
@@ -164,7 +172,10 @@ class LevelPlan:
             # than the entry, so checking the sources checks every node.
             if n != graph.entry and not self.pred[n]:
                 raise ValidationError("node %s unreachable from %s" % (n, graph.entry))
-        self.blocks = tuple(n for n in graph.members if n in task.blocks)  # carry PS accesses
+        self.min_bound, self.max_bound = (1, 1) if loop is None else (loop.min_bound, loop.max_bound)
+        # The code blocks that may carry persistent accesses.
+        self.blocks = () if loop is None else tuple(n for n in graph.members if n in task.blocks)
+        self.no_ps = dict.fromkeys(graph.members, 0)  # prefixes when no access persists
         self.best = self.distances(node_best, min)
         self.shortest = self.best[graph.exit] + node_best[graph.exit]
 
@@ -176,21 +187,19 @@ class LevelPlan:
             dist[n] = 0 if n == entry else combine(dist[p] + node_cost[p] for p in self.pred[n])
         return dist
 
-    def ps_reach(self, ps_at: dict):
-        """Scope-persistent access ids reachable at-or-before and strictly before each node."""
-        incl_sets = {}
+    def ps_reach(self, ps_at: dict, unit: int):
+        """Surcharge of the persistent accesses reachable at-or-before and strictly
+        before each node, at `unit` per access, in one topological pass."""
+        reach, incl, excl = {}, {}, {}
         for n in self.order:
-            ids = set(ps_at.get(n, ()))
-            for p in self.pred[n]:
-                ids |= incl_sets[p]
-            incl_sets[n] = ids
-        excl = {}
-        for n in self.graph.members:
             ids = set()
             for p in self.pred[n]:
-                ids |= incl_sets[p]
-            excl[n] = ids
-        return incl_sets, excl
+                ids |= reach[p]
+            excl[n] = unit * len(ids)
+            ids.update(ps_at.get(n, ()))
+            incl[n] = unit * len(ids)
+            reach[n] = ids
+        return incl, excl
 
 
 class ContractionPlan:
@@ -211,10 +220,9 @@ class ContractionPlan:
         graphs = _level_graphs(task)
         self.levels = {}
         for lid in self.loops:
-            level = self.levels[lid] = LevelPlan(task, graphs[lid], self.node_best)
-            self.node_best[virtual_id(lid)] = level.shortest * task.loops[lid].min_bound
+            level = self.levels[lid] = LevelPlan(task, graphs[lid], self.node_best, task.loops[lid])
+            self.node_best[virtual_id(lid)] = level.shortest * level.min_bound
         self.levels[None] = LevelPlan(task, graphs[None], self.node_best)
-        self.graphs = {lid: level.graph for lid, level in self.levels.items()}
         self.access_ids = tuple(a.id for b in task.blocks.values() for a in b.accesses)
         self.memo = {}  # effective CHMCs of access_ids -> ContractedTask
 
@@ -249,43 +257,21 @@ def _contract(task: TaskGraph, classification: TaskClassification, system: Syste
         return [a.id for a in task.blocks[bid].accesses if _chmc(classification.accesses[a.id], refined) == PS]
 
     summaries = {}
-    for lid in plan.loops:
-        loop = task.loops[lid]
+    for lid in (*plan.loops, None):  # innermost first, the program last
         level = plan.levels[lid]
-        members, exit_ = level.graph.members, level.graph.exit
-        ps_at = {n: ps_ids_of(n) for n in level.blocks}
-        incl_sets, excl_sets = level.ps_reach(ps_at)
+        exit_ = level.graph.exit
+        ps_at = {n: ids for n in level.blocks if (ids := ps_ids_of(n))}
+        incl, excl = level.ps_reach(ps_at, surcharge_unit) if ps_at else (level.no_ps, level.no_ps)
         bblc = level.distances(node_worst, max)
         # Each surcharged access is charged once, whichever nodes reach it.
         total = surcharge_unit * len({aid for ids in ps_at.values() for aid in ids})
-        summaries[lid] = LoopCostSummary(
-            loop_id=lid,
-            lpsc=level.shortest,
-            lplc=bblc[exit_] + node_worst[exit_],
-            bbsc=level.best,
-            bblc=bblc,
-            ps_surcharge=total,
-            ps_prefix_incl={n: surcharge_unit * len(incl_sets[n]) for n in members},
-            ps_prefix_excl={n: surcharge_unit * len(excl_sets[n]) for n in members},
-            min_bound=loop.min_bound,
-            max_bound=loop.max_bound,
-        )
-        node_worst[virtual_id(lid)] = summaries[lid].lplc * loop.max_bound + total
+        s = summaries[lid] = LoopCostSummary(
+            loop_id=lid, lpsc=level.shortest, lplc=bblc[exit_] + node_worst[exit_], bbsc=level.best, bblc=bblc,
+            ps_surcharge=total, ps_prefix_incl=incl, ps_prefix_excl=excl,
+            min_bound=level.min_bound, max_bound=level.max_bound)
+        if lid is not None:
+            node_worst[virtual_id(lid)] = s.lplc * s.max_bound + total
 
-    top = plan.levels[None]
-    worst_d = top.distances(node_worst, max)
-    bbleot = {n: worst_d[n] + node_worst[n] for n in top.graph.members}
-
-    return ContractedTask(
-        task=task,
-        classification=classification,
-        node_best=plan.node_best,
-        node_worst=node_worst,
-        summaries=summaries,
-        levels=plan.graphs,
-        bbesot=top.best,
-        bbleot=bbleot,
-        bblsot=worst_d,
-        bcet=top.shortest,
-        wcet=bbleot[top.graph.exit],
-    )
+    program = summaries[None]
+    return ContractedTask(task, classification, plan.node_best, node_worst, summaries,
+                          bcet=program.lpsc, wcet=program.lplc)

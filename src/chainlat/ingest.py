@@ -194,9 +194,14 @@ def parse_workload(system_path, task_paths, chain_paths) -> WorkloadBundle:
         if tg.id in tasks:
             raise ValidationError("duplicate task id %s" % tg.id, str(p))
         tasks[tg.id] = tg
-    chains = []
+    chains, chain_files = [], {}
     for p in chain_paths:
-        chains.append((parse_chain(_load_json(p), str(p)), str(p)))
+        chain = parse_chain(_load_json(p), str(p))
+        # Checked before merging, which would join two same-core duplicates into one id.
+        if chain.id in chain_files:
+            raise ValidationError("duplicate chain id %s" % chain.id, "%s, %s" % (chain_files[chain.id], p))
+        chain_files[chain.id] = str(p)
+        chains.append((chain, str(p)))
 
     for chain, where in chains:
         for tid in chain.tasks:
@@ -212,7 +217,7 @@ def parse_workload(system_path, task_paths, chain_paths) -> WorkloadBundle:
     for core in sorted(by_core):
         where = ", ".join(w for _, w in by_core[core])
         chain = merge_core_chains([c for c, _ in by_core[core]], where)
-        if chain.id in merged:
+        if chain.id in merged:  # a merged id such as a+b may repeat a chain's own
             raise ValidationError("duplicate chain id %s" % chain.id, "%s, %s" % (files[chain.id], where))
         merged[chain.id], files[chain.id] = chain, where
     return WorkloadBundle(system, tasks, merged)

@@ -300,7 +300,9 @@ def elaborate_loops(task: TaskGraph) -> tuple:
 
     A loop's body is its natural loop: the head plus every block with a path
     to the tail, over all edges, that does not pass through the head.  The
-    task's entry block is the one block without a predecessor.  So:
+    task's entry block is the one block without a predecessor; a task whose
+    every block has one, but with a head reached only over back edges,
+    begins inside that loop and is rejected naming it.  So:
 
     * the head dominates the tail exactly when the entry is not in the body
       past its head; otherwise the loop is rejected as entered from the side;
@@ -315,6 +317,16 @@ def elaborate_loops(task: TaskGraph) -> tuple:
     """
     pred = task.predecessors(include_back=True)
     entries = [b for b in task.blocks if not pred[b]]
+    if not entries:
+        # Every block has a predecessor; a head entered only over back edges
+        # is where the task begins, and the entry must lie outside every loop.
+        fpred = task.predecessors(include_back=False)
+        for lid, loop in task.loops.items():
+            if loop.head_block in fpred and not fpred[loop.head_block]:
+                raise ValidationError(
+                    "loop %s: head %s is the task's entry; the entry must lie outside every loop"
+                    % (lid, loop.head_block), task.id
+                )
     if len(entries) != 1:
         raise ValidationError("need exactly one entry block, found %r" % sorted(entries), task.id)
     entry = entries[0]

@@ -416,11 +416,10 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
                 out.append(a.id)
         return tuple(out)
 
-    summaries, levels = {}, {}
+    summaries = {}
     for lid in sorted(task.loops, key=lambda lid: -task.loop_depth(lid)):
         loop = task.loops[lid]
         level = _o_level_graph(task, lid)
-        levels[lid] = level
         ps_at = {n: ps_ids_of(n, lid) for n in level.members if n in task.blocks}
         incl_sets, excl_sets = _o_ps_reach(level, ps_at)
         surcharges = {aid: surcharge_unit for n in level.members for aid in ps_at.get(n, ())}
@@ -443,24 +442,97 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
         node_best[vid] = summaries[lid].lpsc * loop.min_bound
         node_worst[vid] = summaries[lid].lplc * loop.max_bound + total
 
+    # The program: a level that runs once and holds no persistence scope.
     top = _o_level_graph(task, None)
-    levels[None] = top
     best_d = _o_dag_distances(top, node_best, min)
     worst_d = _o_dag_distances(top, node_worst, max)
-    bbleot = {n: worst_d[n] + node_worst[n] for n in top.members}
+    zero = {n: 0 for n in top.members}
+    program = summaries[None] = LoopCostSummary(
+        loop_id=None,
+        lpsc=best_d[top.exit] + node_best[top.exit],
+        lplc=worst_d[top.exit] + node_worst[top.exit],
+        bbsc=best_d,
+        bblc=worst_d,
+        ps_surcharge=0,
+        ps_prefix_incl=zero,
+        ps_prefix_excl=zero,
+    )
     return ContractedTask(
         task=task,
         classification=classification,
         node_best=node_best,
         node_worst=node_worst,
         summaries=summaries,
-        levels=levels,
-        bbesot=dict(best_d),
-        bbleot=bbleot,
-        bblsot=dict(worst_d),
-        bcet=best_d[top.exit] + node_best[top.exit],
-        wcet=bbleot[top.exit],
+        bcet=program.lpsc,
+        wcet=program.lplc,
     )
+
+
+def _o_pair_sum(a, b):
+    return tuple(sorted((alo + blo, ahi + bhi) for alo, ahi in a for blo, bhi in b))
+
+
+def reference_windows(contracted):
+    """A task's program-relative windows composed as the paper does.
+
+    Each loop member's offset within an iteration of its loop (BBOTime),
+    each inner loop's start relative to its parent (LPRTime) and each
+    loop's start relative to the program (LPBTime, the outermost loops'
+    read off the top-level prefixes) are built separately and summed
+    pairwise.  Reads the contraction's loop summaries and node costs only;
+    the top-level prefixes are recomputed here.  Returns (bbrp, lpb,
+    line_window) as TaskContext holds them.
+    """
+    task, cls = contracted.task, contracted.classification
+    node_best, node_worst = contracted.node_best, contracted.node_worst
+    top = _o_level_graph(task, None)
+    best_d = _o_dag_distances(top, node_best, min)
+    worst_d = _o_dag_distances(top, node_worst, max)
+
+    def bbo(node, lid):
+        s = contracted.summaries[lid]
+        own = node_worst[node]
+        return tuple(((i - 1) * s.lpsc + s.bbsc[node],
+                      (i - 1) * s.lplc + s.bblc[node] + own
+                      + (s.ps_prefix_incl[node] if i == 1 else s.ps_surcharge))
+                     for i in range(1, s.max_bound + 1))
+
+    def lpr(lid):
+        s = contracted.summaries[task.loops[lid].parent_loop]
+        vid = _o_vid(lid)
+        return tuple(((i - 1) * s.lpsc + s.bbsc[vid],
+                      (i - 1) * s.lplc + s.bblc[vid] + (s.ps_prefix_excl[vid] if i == 1 else s.ps_surcharge))
+                     for i in range(1, s.max_bound + 1))
+
+    lpb = {}
+
+    def lpb_of(lid):
+        if lid not in lpb:
+            parent = task.loops[lid].parent_loop
+            if parent is None:
+                vid = _o_vid(lid)
+                lpb[lid] = ((best_d[vid], worst_d[vid]),)
+            else:
+                lpb[lid] = _o_pair_sum(lpr(lid), lpb_of(parent))
+        return lpb[lid]
+
+    bbrp = {n: ((best_d[n], worst_d[n] + node_worst[n]),) for n in top.members}
+    for lid in task.loops:
+        for n in _o_level_graph(task, lid).members:
+            bbrp[n] = _o_pair_sum(lpb_of(lid), bbo(n, lid))
+
+    line_window = {}
+    for c in cls.accesses.values():
+        if c.l2_chmc == "AH":
+            sources = {o.block_id for o in cls.accesses.values()
+                       if o.l2_chmc != "BYPASS" and o.l2_line == c.l2_line}
+            lo = min(lo for b in sources for lo, _ in bbrp[b])
+            line_window[c.access_id] = (lo, max(hi for _, hi in bbrp[c.block_id]))
+        elif c.l2_chmc == "PS":
+            lid = task.blocks[c.block_id].enclosing_loop
+            line_window[c.access_id] = (min(lo for lo, _ in lpb_of(lid)),
+                                        max(hi for _, hi in lpb_of(lid)) + node_worst[_o_vid(lid)])
+    return bbrp, lpb, line_window
 
 
 # ---------------------------------------------------------------------------

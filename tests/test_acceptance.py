@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chainlat.cache_ai import AccessClassification, classify_task, refine_chmc
-from chainlat.context import TaskContext, compute_bbo_time
+from chainlat.context import TaskContext
 from chainlat.cost import contract_task
 from chainlat.ingest import generate_workload
 from chainlat.interference import ExclusionGraph, mwis_bound
@@ -245,8 +245,11 @@ def test_criterion_07_context_coverage():
     system = make_system(cores=1)
     diamond = diamond_loop_task()
     con = contract_task(diamond, classify_task(diamond, system), system)
-    assert compute_bbo_time(con, "dl_t", "dl_l1")[1] == Interval(20, 28)
-    assert TaskContext(con).bbrp["dl_b3"] == (Interval(43, 58),)
+    ctx = TaskContext(con)
+    (start, _), = ctx.lpb["dl_l1"]  # the loop starts at one point
+    lo, hi = ctx.bbrp["dl_t"][1]  # the tail's second iteration
+    assert Interval(lo - start, hi - start) == Interval(20, 28)
+    assert ctx.bbrp["dl_b3"] == (Interval(43, 58),)
     assert (con.bcet, con.wcet) == (49, 58)
 
     paths_total = 0

@@ -386,7 +386,10 @@ def test_analyze_rejects_duplicate_back_edges(tmp_path, capsys):
     (({"trigger": "ET", "period": 4000}, {"core": 0, "trigger": "ET", "period": 8000}),
      "core 0 mixes explicit periods [4000, 8000]"),
     (({}, {"id": "c0"}), "duplicate chain id c0"),
-], ids=("triggers", "periods", "chain-id"))
+    # On one core the two would merge into c0+c0 and fail later, naming no file.
+    (({"trigger": "ET", "offsets": None}, {"id": "c0", "core": 0, "trigger": "ET", "offsets": None}),
+     "duplicate chain id c0"),
+], ids=("triggers", "periods", "chain-id", "chain-id-one-core"))
 def test_analyze_chain_merge_errors_name_the_chain_files(tmp_path, capsys, edits, message):
     system, tasks, chains = _generated(tmp_path)
     for path, edit in zip(chains, edits):

@@ -1,30 +1,43 @@
-import pytest
+import random
 
-from chainlat.cache_ai import classify_task
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainlat.cache_ai import AH, NC, PS, all_miss, classify_task
 from chainlat.context import (
     JobContext,
     TaskContext,
     compute_bba_time,
-    compute_bbo_time,
-    compute_lpb_time,
-    compute_lpr_time,
     compute_prs_time,
 )
-from chainlat.cost import contract_task, virtual_id
+from chainlat.cost import ContractionPlan, contract_task, virtual_id
+from chainlat.ingest import _TaskBuilder, default_system
 from chainlat.model import ChainSpec, Interval, JobInstance, LoopNode
 from chainlat.overlap import normalize, seq
 
 from conftest import block, build_task, diamond_loop_task, make_system, straight_task
-from oracles import unrolled_iteration_windows, unrolled_window_oracle
+from oracles import reference_windows, unrolled_iteration_windows, unrolled_window_oracle
 
 
 def contracted(task, system):
     return contract_task(task, classify_task(task, system), system)
 
 
+def minus(window, start):
+    """A window relative to a one-interval start: the pair sum with it undone."""
+    (slo, shi), = start
+    return tuple((lo - slo, hi - shi) for lo, hi in window)
+
+
+def iteration_windows(con, node, loop_id):
+    """A node's per-iteration windows relative to its loop's start (BBOTime)."""
+    ctx = TaskContext(con)
+    return minus(ctx.bbrp[node], ctx.lpb[loop_id])
+
+
 def test_bbo_time_diamond_tail(system, diamond):
     con = contracted(diamond, system)
-    bbo = compute_bbo_time(con, "dl_t", "dl_l1")
+    bbo = iteration_windows(con, "dl_t", "dl_l1")
     assert len(bbo) == 3
     assert bbo[1] == Interval(20, 28)
 
@@ -38,7 +51,7 @@ def test_bbo_time_diamond_tail(system, diamond):
 
 def test_bbo_time_head_first_iteration(system, diamond):
     con = contracted(diamond, system)
-    bbo = compute_bbo_time(con, "dl_h", "dl_l1")
+    bbo = iteration_windows(con, "dl_h", "dl_l1")
     assert bbo[0] == Interval(0, con.node_worst["dl_h"])
 
 
@@ -75,35 +88,40 @@ def nested_loops_task():
 def test_lpr_time_inner_loop(system):
     task = nested_loops_task()
     con = contracted(task, system)
-    lpr = compute_lpr_time(con, "l2")
+    ctx = TaskContext(con)
+    lpr = minus(ctx.lpb["l2"], ctx.lpb["l1"])  # LPRTime: the start relative to the parent's
     assert lpr[0] == Interval(3, 3)
     # Successive iterations shift by [LPSC, LPLC] of the parent.
     s = con.summaries["l1"]
     assert lpr[1] == Interval(3 + s.lpsc, 3 + s.lplc)
 
 
-def test_lpr_time_outermost_rejected(system):
+def test_lpr_time_outermost_is_the_program_level(system):
+    # An outermost loop has no parent loop: its start is taken in the
+    # program level, which runs once from cycle 0.
     task = nested_loops_task()
     con = contracted(task, system)
-    with pytest.raises(ValueError):
-        compute_lpr_time(con, "l1")
+    program = con.summaries[None]
+    assert (program.min_bound, program.max_bound, program.ps_surcharge) == (1, 1, 0)
+    v = virtual_id("l1")
+    assert TaskContext(con).lpb["l1"] == ((program.bbsc[v], program.bblc[v]),)
 
 
 def test_lpb_time_outermost(system):
     task = nested_loops_task()
     con = contracted(task, system)
-    lpb = compute_lpb_time(con, "l1", {})
+    lpb = TaskContext(con).lpb["l1"]
     assert lpb == (Interval(10, 10),)
 
 
 def test_lpb_time_nested_composition(system):
     task = nested_loops_task()
     con = contracted(task, system)
-    cache = {}
-    lpb2 = compute_lpb_time(con, "l2", cache)
+    ctx = TaskContext(con)
+    lpb2 = ctx.lpb["l2"]
     assert lpb2[0] == Interval(13, 13)
     # |A (x) B| = |A| * |B| before normalization
-    assert len(lpb2) == 2 * len(compute_lpb_time(con, "l1", cache))
+    assert len(lpb2) == 2 * len(ctx.lpb["l1"])
 
 
 def test_prs_time_tt():
@@ -141,7 +159,7 @@ def test_bba_loop_head_composition(system, diamond):
 
 def test_in_loop_sequence_has_maxbd_intervals(system, diamond):
     con = contracted(diamond, system)
-    assert len(compute_bbo_time(con, "dl_t", "dl_l1")) == diamond.loops["dl_l1"].max_bound
+    assert len(iteration_windows(con, "dl_t", "dl_l1")) == diamond.loops["dl_l1"].max_bound
 
 
 def test_outermost_virtual_window_is_the_loop_envelope(system, diamond):
@@ -151,7 +169,8 @@ def test_outermost_virtual_window_is_the_loop_envelope(system, diamond):
     ctx = TaskContext(con)
     v = virtual_id("dl_l1")
     assert ctx.bbrp[v] == (Interval(10, 10 + 42),)
-    assert ctx.bbrp[v] == (Interval(con.bbesot[v], con.bblsot[v] + con.node_worst[v]),)
+    program = con.summaries[None]
+    assert ctx.bbrp[v] == (Interval(program.bbsc[v], program.bblc[v] + con.node_worst[v]),)
     job = JobInstance("c", 0, diamond.id, 0, Interval(5, 9), Interval(5, 9 + con.wcet))
     jctx = JobContext(job, ctx)
     assert jctx.block_view("dl_t").window_levels[-1] == ((15, 61),)
@@ -185,6 +204,24 @@ def test_nesting_containment(system):
     ctx = TaskContext(con)
     for bid in ("ch", "ct"):
         assert task.ancestry[bid] == ("l2", "l1")
-        env, = ctx.bbrp[virtual_id("l1")]
+        (env_lo, env_hi), = ctx.bbrp[virtual_id("l1")]
         for lo, hi in ctx.bbrp[bid]:
-            assert env.lo <= lo and hi <= env.hi
+            assert env_lo <= lo and hi <= env_hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(2, 24), st.sampled_from((0.2, 0.8)),
+       st.data())
+def test_task_context_matches_reference_windows(seed, depth, n_blocks, collision, data):
+    # The windows composed per level (offset in the iteration, start relative
+    # to the parent, start relative to the program) equal TaskContext's.
+    system = default_system()
+    task = _TaskBuilder(random.Random(seed), "t0", 0, system, n_blocks, depth, 0.3, collision).build()
+    cls = classify_task(task, system)
+    plan = ContractionPlan(task, system)
+    refined = {aid: data.draw(st.sampled_from((AH, PS, NC))) for aid in sorted(cls.accesses)}
+    for r in (None, refined, all_miss(cls)):
+        for con in (contract_task(task, cls, system, refined=r, plan=plan),
+                    contract_task(task, cls, system, refined=r)):
+            ctx = TaskContext(con)
+            assert (ctx.bbrp, ctx.lpb, ctx.line_window) == reference_windows(con)

@@ -176,6 +176,7 @@ def test_unrolled_oracle_matches_top_windows(system, diamond):
     con = contract_task(diamond, cls, system)
     costs = {bid: b.instruction_count for bid, b in diamond.blocks.items()}
     lo, hi = unrolled_window_oracle(diamond, costs)
-    assert con.bbesot["dl_b3"] == lo["dl_b3"] == 43
-    assert con.bbleot["dl_b3"] == hi["dl_b3"] == 58
+    program = con.summaries[None]
+    assert program.bbsc["dl_b3"] == lo["dl_b3"] == 43
+    assert program.bblc["dl_b3"] + con.node_worst["dl_b3"] == hi["dl_b3"] == 58
 

@@ -4,7 +4,9 @@ Each report digest is the sha256 of ``report_to_json`` followed by the
 ``report_to_csv_rows`` text; ``DIGESTS`` holds the default analysis options
 and ``OPTION_DIGESTS`` each non-default option.  ``INTERFERENCE_DIGESTS``
 pins the ``interference.csv`` debug dump (raw and after-MWIS sums per
-access) under every option set.  ``TRACE_DIGESTS`` pins the simulator's
+access) under every option set.  ``CONTEXT_DIGESTS`` pins the
+``contexts.csv`` debug dump (every job's absolute block windows) under the
+default options.  ``TRACE_DIGESTS`` pins the simulator's
 ``trace.csv`` for the worst-biased path and random path 0.
 ``GENERATOR_DIGESTS`` pins every file ``chainlat generate`` writes.  A change that
 keeps the analysis must keep every digest; one that means to alter reports
@@ -20,6 +22,7 @@ import pytest
 
 from chainlat import generate_workload
 from chainlat.cli import main
+from chainlat.context import write_context_csv
 from chainlat.interference import write_interference_csv
 from chainlat.latency import AnalysisOptions, analyze_bundle, report_to_csv_rows, report_to_json
 from chainlat.sim import SimConfig, simulate, write_trace_csv
@@ -135,6 +138,17 @@ INTERFERENCE_DIGESTS = {
 }
 
 
+CONTEXT_DIGESTS = {
+    "dual_et": "52c7c22f05a044c1bdf76296cc9119302ae3e05fcf136c5db1a88f3730f121b9",
+    "dual_et_4tasks": "69d0e0cd1199645aead9d5e2e4f335748d1997dc650204efbf5bc5036d2569ac",
+    "dual_mix": "d47f2d7f233fef0911e1ba87d662a113b99aeb0ce6ac2201f658bbeca77d4a77",
+    "dual_periods_2000_2080": "22b50f4497c51b8c94c3c6dba7459c0938e0d0ddfc030e3e9290d5d1ed9dd26e",
+    "dual_tt": "76f9f975e5f36b7785b409beb093374a4d4e8eba2d158d7f75a69e66ac5698dc",
+    "hyperperiod_boundary": "424835ea37d0754a2f576a506c15d681892aa1d960c7ac39e34c4018ec6c20e9",
+    "quad_mix": "2f3dd368dcab319755df86f866120d9f9397ba4e9bdc9e95fe96975bf103bed4",
+}
+
+
 TRACE_DIGESTS = {
     "random": {
         "dual_et": "20d44165f2bfd52a672f60431be7528cb86b813334fc26df966e6ecbd2607560",
@@ -189,6 +203,14 @@ def test_interference_csv_digest(option, name, tmp_path):
     path = tmp_path / "interference.csv"
     write_interference_csv(path, report)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INTERFERENCE_DIGESTS[option][name]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_context_csv_digest(name, tmp_path):
+    setup = analyze_bundle(BUNDLES[name]()).setup
+    path = tmp_path / "contexts.csv"
+    write_context_csv(path, [(setup.jobs[k], setup.job_ctx(k)) for k in sorted(setup.jobs)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTEXT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("policy", sorted(TRACE_DIGESTS))

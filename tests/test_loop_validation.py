@@ -46,7 +46,10 @@ MESSAGES = [
     ("two-entries", _doc(["a", "b", "c"], [("a", "c"), ("b", "c")]),
      "need exactly one entry block, found ['a', 'b']"),
     ("no-entry", _doc(["a", "b"], [("a", "b"), ("b", "a")], [_loop("l", "a", "b")]),
-     "need exactly one entry block, found []"),
+     "loop l: head a is the task's entry; the entry must lie outside every loop"),
+    ("head-entry-then-exit", _doc(["a", "b", "x"], [("a", "b"), ("b", "a"), ("b", "x")], [_loop("l", "a", "b")]),
+     "loop l: head a is the task's entry; the entry must lie outside every loop"),
+    ("cycle-without-loop", _doc(["a", "b"], [("a", "b"), ("b", "a")]), "need exactly one entry block, found []"),
     ("back-edge-direction", _doc(LOOP_BLOCKS, LOOP_EDGES, [_loop("l", "h", "t", back=("h", "t"))]),
      "loop l: back edge must run tail->head"),
     ("shared-back-edge", _doc(LOOP_BLOCKS, LOOP_EDGES, [_loop("la", "h", "t"), _loop("lb", "h", "t")]),
@@ -188,8 +191,14 @@ def _loop_graphs(draw):
 def test_loop_entry_follows_the_dominator_rule(task):
     blocks, edges = list(task.blocks), list(task.edges)
     entries = [b for b in blocks if all(d != b for _, d in edges)]
+    back = {loop.back_edge for loop in task.loops.values()}
+    # Heads that only back edges enter: with no entry block, the task begins in such a loop.
+    head_entries = [(lid, loop.head_block) for lid, loop in task.loops.items()
+                    if all(d != loop.head_block for s, d in edges if (s, d) not in back)]
     expected = None
-    if len(entries) != 1:
+    if not entries and head_entries:
+        expected = "loop %s: head %s is the task's entry; the entry must lie outside every loop" % head_entries[0]
+    elif len(entries) != 1:
         expected = "need exactly one entry block, found %r" % sorted(entries)
     else:
         entry = entries[0]

@@ -291,8 +291,8 @@ def test_check_safety_flags_shrunken_window():
     bundle = contended_bundle()
     report = analyze_bundle(bundle)
     ctx = report.setup.tasks["t0"].ctx
-    iv = ctx.bbrp["t0_b2"][0]
-    ctx.bbrp["t0_b2"] = (Iv(iv.lo, iv.lo),)  # claim the block ends instantly
+    lo, _ = ctx.bbrp["t0_b2"][0]
+    ctx.bbrp["t0_b2"] = (Iv(lo, lo),)  # claim the block ends instantly
     trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
     kinds = {v["kind"] for v in check_safety(trace, report)}
     assert "context-coverage" in kinds

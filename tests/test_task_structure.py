@@ -112,7 +112,8 @@ def test_one_pass_nesting_and_level_graphs_match_the_per_object_rules(seed, dept
     assert all(again.blocks[bid] is blk for bid, blk in task.blocks.items())
 
     plan = ContractionPlan(task, default_system())
-    assert plan.graphs == {level: _o_level_graph(task, level) for level in [*task.loops, None]}
+    assert {level: lp.graph for level, lp in plan.levels.items()} == \
+        {level: _o_level_graph(task, level) for level in [*task.loops, None]}
 
 
 def _three_nested_loops():
