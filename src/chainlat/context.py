@@ -11,8 +11,12 @@ loop's start relative to its parent (LPRTime) and the outermost loop's
 start relative to the program (LPBTime).  Jobs get release windows
 relative to the system start, and the release plus the program-relative
 window is the absolute window (BBATime) used by the overlap and
-interference stages.  Windows summed from costs are plain (lo, hi) pairs;
-compute_bba_time normalizes every absolute window once, where it is built.
+interference stages.  Windows summed from costs are plain (lo, hi) pairs.
+Every window is normalized where it is built: each level's start and each
+node's window here, each absolute window in compute_bba_time.  A pairwise
+sum distributes over union, so normalizing a start before adding to it
+covers the same cycles, and a block's window costs the sum of its loops'
+bounds, not their product.
 
 A block's view for the overlap phases is a ladder of absolute windows:
 its own, then that of each enclosing loop's virtual node, innermost
@@ -101,10 +105,13 @@ class TaskContext:
         for lid, s in reversed(contracted.summaries.items()):
             start = ((0, 0),) if lid is None else self.lpb[lid]
             for node in s.bbsc:
-                self.bbrp[node] = seq_merge(start, _iterations(s, node, node_worst[node], s.ps_prefix_incl[node]))
+                first_ps = s.ps_prefix_incl[node]
+                self.bbrp[node] = normalize(seq_merge(start, _iterations(s, node, node_worst[node], first_ps)))
                 child = loop_of.get(node)
                 if child is not None:
-                    self.lpb[child] = seq_merge(start, _iterations(s, node, 0, s.ps_prefix_excl[node]))
+                    # A virtual node holds no persistent access of its own,
+                    # so the surcharge reached at it is the one before it.
+                    self.lpb[child] = normalize(seq_merge(start, _iterations(s, node, 0, first_ps)))
 
         # Reuse windows for interference targets: an always-hit access is
         # vulnerable from the earliest point its line can be loaded until its

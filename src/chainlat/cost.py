@@ -86,7 +86,6 @@ class LoopCostSummary:
     bblc: dict  # node -> longest head->node cost excluding the node
     ps_surcharge: int
     ps_prefix_incl: dict  # node -> surcharge reachable at-or-before the node
-    ps_prefix_excl: dict  # node -> surcharge strictly before the node
     min_bound: int = 1
     max_bound: int = 1
 
@@ -187,19 +186,22 @@ class LevelPlan:
             dist[n] = 0 if n == entry else combine(dist[p] + node_cost[p] for p in self.pred[n])
         return dist
 
-    def ps_reach(self, ps_at: dict, unit: int):
-        """Surcharge of the persistent accesses reachable at-or-before and strictly
-        before each node, at `unit` per access, in one topological pass."""
-        reach, incl, excl = {}, {}, {}
+    def ps_reach(self, ps_at: dict, unit: int) -> dict:
+        """Surcharge of the persistent accesses reachable at-or-before each node,
+        at `unit` per access, in one topological pass.
+
+        A virtual node carries no persistent access of its own in this level,
+        so its value is also the surcharge strictly before it, which is what
+        a child loop's start reads.
+        """
+        reach, incl = {}, {}
         for n in self.order:
-            ids = set()
+            ids = set(ps_at.get(n, ()))
             for p in self.pred[n]:
                 ids |= reach[p]
-            excl[n] = unit * len(ids)
-            ids.update(ps_at.get(n, ()))
             incl[n] = unit * len(ids)
             reach[n] = ids
-        return incl, excl
+        return incl
 
 
 class ContractionPlan:
@@ -261,13 +263,13 @@ def _contract(task: TaskGraph, classification: TaskClassification, system: Syste
         level = plan.levels[lid]
         exit_ = level.graph.exit
         ps_at = {n: ids for n in level.blocks if (ids := ps_ids_of(n))}
-        incl, excl = level.ps_reach(ps_at, surcharge_unit) if ps_at else (level.no_ps, level.no_ps)
+        incl = level.ps_reach(ps_at, surcharge_unit) if ps_at else level.no_ps
         bblc = level.distances(node_worst, max)
         # Each surcharged access is charged once, whichever nodes reach it.
         total = surcharge_unit * len({aid for ids in ps_at.values() for aid in ids})
         s = summaries[lid] = LoopCostSummary(
             loop_id=lid, lpsc=level.shortest, lplc=bblc[exit_] + node_worst[exit_], bbsc=level.best, bblc=bblc,
-            ps_surcharge=total, ps_prefix_incl=incl, ps_prefix_excl=excl,
+            ps_surcharge=total, ps_prefix_incl=incl,
             min_bound=level.min_bound, max_bound=level.max_bound)
         if lid is not None:
             node_worst[virtual_id(lid)] = s.lplc * s.max_bound + total

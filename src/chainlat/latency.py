@@ -131,20 +131,22 @@ class Setup:
     jobs: dict  # (chain id, period index, task index) -> JobInstance
     lifetimes: dict  # chain id -> LifetimeIndex
     # Caches filled lazily by the analysis (the first two) and by the
-    # simulator and its oracle (the last three).  Each value depends on
+    # simulator and its oracle (the last four).  Each value depends on
     # nothing but the fields above, never on options or a report, so a Setup
-    # reused across options never reads a stale one.  The oracle keeps its
-    # own windows apart from foreign_ctxs.  Edit a task's contexts or
-    # classification (fault injection) before the first check_safety on the
-    # Setup, not after.
+    # reused across options never reads a stale one.  The oracle builds its
+    # windows from the task contexts' bbrp, apart from foreign_ctxs: each
+    # job's window is a relative one shifted to the release.  Edit a task's
+    # contexts or classification (fault injection) before the first
+    # check_safety on the Setup, not after.
     foreign_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
     walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table
+    oracle_relative: dict = field(default_factory=dict, repr=False)  # (task id, release width, block id) -> pairs
     oracle_windows: dict = field(default_factory=dict, repr=False)  # (*job key, block id) -> (lo, hi) pairs
     oracle_chmcs: dict = field(default_factory=dict, repr=False)  # task id -> {access id: base L2 CHMC}
 
     def job_ctx(self, key) -> JobContext:
-        """A fresh context of one job; the oracle builds its own through this."""
+        """A fresh context of one job, apart from the ones the analysis shares."""
         job = self.jobs[key]
         return JobContext(job, self.tasks[job.task_id].ctx)
 

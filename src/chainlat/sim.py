@@ -12,12 +12,24 @@ Path policies: seeded random choices, a worst-biased walker that steers
 branches toward the heavier suffix and runs loops to their upper bounds,
 and exhaustive enumeration of all decision tapes for small problems.
 
-A Setup keeps the per-task walk tables, the oracle's absolute windows and
-its base classifications, each built on first use, so every path after the first on one Setup pays
-only for its own walk and its own checks.  The walker records each access
-and block occurrence as a plain tuple row; the AccessEvent and
-BlockOccurrence records are read-only views built from the rows when a
-reader asks for them, and the oracle reads the rows.
+A job's blocks, scopes and private-cache outcomes never depend on the
+shared level: random draws come from a per-job generator, the worst-biased
+policy reads static scores, and the private level is cold at every
+release.  So under the worst-biased policy the first job of a task records
+its walk and every later job replays it, which is clock arithmetic,
+shared-cache lookups and row appends.  Random and tape walks walk the
+graph every time; they draw exactly as before.
+
+A Setup keeps the per-task walk tables (with the recorded worst-biased
+walk), the oracle's relative and absolute windows and its base
+classifications, each built on first use, so every path after the first
+on one Setup pays only for its own walk and its own checks.  An absolute
+window is its task's relative window for the job's release width, shifted
+to the release, so the oracle normalizes one window per (task, release
+width, block).  The walker records each access and block occurrence as a
+plain tuple row; the AccessEvent and BlockOccurrence records are read-only
+views built from the rows when a reader asks for them, and the oracle
+reads the rows.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from typing import Optional
 from .cache_ai import AH, BYPASS, PS
 from .latency import MODES, prepare
 from .model import ValidationError
+from .overlap import normalize
 
 
 POLICIES = ("random", "worst", "tape")
@@ -209,11 +222,19 @@ class _TaskWalk:
         heads, or None;
       - the blocks its exclusive pairs rule out, or None;
       - its forward successors, sorted.
+
+    worst is the worst-biased walk of a job of the task, recorded while the
+    first such job walks: one (block id, scope, accesses, idle cycles) per
+    block occurrence, each access as (access id, shared line), the line
+    None for a private-level hit.  Every job takes that walk: the policy
+    reads static scores and maximal bounds, and the private level is cold
+    at every release, so only the clock depends on the shared level.
     """
 
-    __slots__ = ("entry", "exit", "scores", "blocks")
+    __slots__ = ("entry", "exit", "scores", "blocks", "worst")
 
     def __init__(self, task, node_worst, system):
+        self.worst = None
         self.entry = task.entry_block
         self.exit = task.exit_block
         self.scores = _suffix_scores(task, node_worst)
@@ -249,12 +270,17 @@ def _walks(setup) -> dict:
 
 
 def _core_walker(core, setup, cid, decider, trace, walks):
-    """Generator running one core's chain; yields (cycle, shared line) at shared-cache lookups."""
+    """Generator running one core's chain; yields (cycle, shared line) at shared-cache lookups.
+
+    Under the worst-biased policy only a task's first job walks its graph;
+    it records the walk, and every later job replays the record.
+    """
     chain = setup.chains[cid].chain
     system = setup.bundle.system
     cpi, l1_hit = system.base_cpi, system.l1.hit_latency
     l1_sets, l1_ways = system.l1.sets, system.l1.ways
     access_rows, block_rows = trace.access_rows, trace.block_rows
+    replay = decider.policy == "worst" and decider.tape is None
     clock = 0
     n_instances = setup.hyper // chain.period
 
@@ -271,9 +297,29 @@ def _core_walker(core, setup, cid, decider, trace, walks):
             if clock > release:
                 trace.overruns.append((core, cid, k, i, release, clock))
             clock = max(clock, release)
+            start = clock
+
+            if replay and walk.worst is not None:
+                for cur, scope, accesses, idle in walk.worst:
+                    b_start = clock
+                    for aid, l2_line in accesses:
+                        clock += cpi
+                        if l2_line is None:
+                            clock += l1_hit
+                            level = "L1"
+                        else:
+                            latency, level = yield (clock, l2_line)
+                            clock += latency
+                        access_rows.append((clock, core, cid, k, i, cur, aid, level, scope))
+                    clock += idle
+                    block_rows.append((core, cid, k, i, cur, b_start, clock))
+                trace.jobs.append(JobRecord(core, cid, k, i, tid, start, clock))
+                continue
+
             l1 = [[] for _ in range(l1_sets)]  # the private LRU level, cold per job, MRU first
             job_key = "%s/%d/%d" % (cid, k, i)
-            start = clock
+            record = [] if replay else None
+            taken = None
 
             cur = walk.entry
             loop_stack = []  # [loop id, chosen iterations, done count, entry serial, head, tail]
@@ -291,6 +337,8 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                 if excluded is not None:
                     forbidden |= excluded
                 scope = (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None
+                if record is not None:
+                    taken = []
                 b_start = clock
                 for aid, l1_set, l1_line, l2_line in block_accesses:
                     clock += cpi
@@ -308,8 +356,12 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                         latency, level = yield (clock, l2_line)
                         clock += latency
                     access_rows.append((clock, core, cid, k, i, cur, aid, level, scope))
+                    if taken is not None:
+                        taken.append((aid, None if level == "L1" else l2_line))
                 clock += idle
                 block_rows.append((core, cid, k, i, cur, b_start, clock))
+                if record is not None:
+                    record.append((cur, scope, tuple(taken), idle))
 
                 # Repeat or leave loops whose tail this block is, innermost first.
                 advanced = False
@@ -330,6 +382,8 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                 # A single successor is no decision point: it draws nothing.
                 cur = succ[0] if len(succ) == 1 else decider.branch(succ, job_key, walk.scores)
 
+            if record is not None:
+                walk.worst = tuple(record)
             trace.jobs.append(JobRecord(core, cid, k, i, tid, start, clock))
 
 
@@ -411,11 +465,26 @@ def trace_hit_ratio(trace: SimTrace) -> Optional[float]:
 def _oracle_window(setup, key) -> tuple:
     """Absolute window, as (lo, hi) pairs, of a (chain id, k, task index, block id).
 
-    Built from a fresh job context, never from the contexts the analysis
-    shares, and from nothing a report holds, so check_safety keeps it on
-    the Setup.
+    The window is normalize(release + bbrp[block]), and normalizing
+    commutes with a shift: with w the release window's width it equals the
+    release's start plus normalize([(lo, hi + w) for lo, hi in bbrp[block]]).
+    So the oracle keeps one such relative window per (task id, w, block id)
+    on the Setup, read from the task's context on first use, and shifts it
+    per job.  It reads nothing the analysis caches and nothing a report
+    holds, so check_safety keeps the result on the Setup.
     """
-    return setup.job_ctx(key[:3]).bba_time(key[3])
+    job = setup.jobs[key[:3]]
+    rlo, rhi = job.release
+    w = rhi - rlo
+    rel_key = (job.task_id, w, key[3])
+    rel = setup.oracle_relative.get(rel_key)
+    if rel is None:
+        rel = setup.oracle_relative[rel_key] = normalize(
+            [(lo, hi + w) for lo, hi in setup.tasks[job.task_id].ctx.bbrp[key[3]]])
+    if len(rel) == 1:  # most windows: no generator needed
+        (lo, hi), = rel
+        return ((lo + rlo, hi + rlo),)
+    return tuple((lo + rlo, hi + rlo) for lo, hi in rel)
 
 
 def check_safety(trace: SimTrace, report, setup=None) -> list:

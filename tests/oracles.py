@@ -422,6 +422,9 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
         level = _o_level_graph(task, lid)
         ps_at = {n: ps_ids_of(n, lid) for n in level.members if n in task.blocks}
         incl_sets, excl_sets = _o_ps_reach(level, ps_at)
+        # A virtual node holds no persistent access of its own, so the
+        # surcharge reached at it is the one strictly before it.
+        assert all(incl_sets[n] == excl_sets[n] for n in level.members if n not in task.blocks)
         surcharges = {aid: surcharge_unit for n in level.members for aid in ps_at.get(n, ())}
         bbsc = _o_dag_distances(level, node_best, min)
         bblc = _o_dag_distances(level, node_worst, max)
@@ -434,7 +437,6 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
             bblc=bblc,
             ps_surcharge=total,
             ps_prefix_incl={n: sum(surcharges[a] for a in incl_sets[n]) for n in level.members},
-            ps_prefix_excl={n: sum(surcharges[a] for a in excl_sets[n]) for n in level.members},
             min_bound=loop.min_bound,
             max_bound=loop.max_bound,
         )
@@ -455,7 +457,6 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
         bblc=worst_d,
         ps_surcharge=0,
         ps_prefix_incl=zero,
-        ps_prefix_excl=zero,
     )
     return ContractedTask(
         task=task,
@@ -481,7 +482,8 @@ def reference_windows(contracted):
     read off the top-level prefixes) are built separately and summed
     pairwise.  Reads the contraction's loop summaries and node costs only;
     the top-level prefixes are recomputed here.  Returns (bbrp, lpb,
-    line_window) as TaskContext holds them.
+    line_window) as TaskContext holds them, but unnormalized:
+    one interval per combination of enclosing-loop iterations.
     """
     task, cls = contracted.task, contracted.classification
     node_best, node_worst = contracted.node_best, contracted.node_worst
@@ -500,8 +502,10 @@ def reference_windows(contracted):
     def lpr(lid):
         s = contracted.summaries[task.loops[lid].parent_loop]
         vid = _o_vid(lid)
+        # The virtual node's prefix at-or-before it is the one before it:
+        # reference_contract_task checks that it holds no persistent access.
         return tuple(((i - 1) * s.lpsc + s.bbsc[vid],
-                      (i - 1) * s.lplc + s.bblc[vid] + (s.ps_prefix_excl[vid] if i == 1 else s.ps_surcharge))
+                      (i - 1) * s.lplc + s.bblc[vid] + (s.ps_prefix_incl[vid] if i == 1 else s.ps_surcharge))
                      for i in range(1, s.max_bound + 1))
 
     lpb = {}

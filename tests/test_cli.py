@@ -332,6 +332,38 @@ def test_analyze_fails_fast_on_job_explosion(tmp_path, capsys):
         assert "chain %s period %d (%d jobs)" % (cid, period, 9973 * 9967 * 9949 // period * 2) in err
 
 
+def test_analyze_nested_loop_windows_cost_the_sum_of_their_bounds(tmp_path, capsys):
+    # Two nested loops of 3,000 iterations each: unnormalized, a block of the
+    # inner loop would have 9 * 10^6 window intervals; normalized where each
+    # level is built, the task analyzes in well under a second.
+    system, tasks, chains = _generated(tmp_path)
+    blocks = ("e", "h0", "h1", "t1", "t0", "x")
+    edges = [("e", "h0"), ("h0", "h1"), ("h1", "t1"), ("t1", "h1"), ("t1", "t0"), ("t0", "h0"), ("t0", "x")]
+    doc = {
+        "task_id": "t0",
+        "blocks": [{"id": "t0_" + b, "instructions": 2, "accesses": []} for b in blocks],
+        "edges": [["t0_" + s, "t0_" + d] for s, d in edges],
+        "loops": [{"id": "l0", "head": "t0_h0", "tail": "t0_t0", "back_edge": ["t0_t0", "t0_h0"],
+                   "min_bound": 1, "max_bound": 3000},
+                  {"id": "l1", "head": "t0_h1", "tail": "t0_t1", "back_edge": ["t0_t1", "t0_h1"],
+                   "min_bound": 1, "max_bound": 3000, "parent": "l0"}],
+        "exclusive_pairs": [],
+    }
+    with open(next(t for t in tasks if t.endswith("task_t0.json")), "w") as fh:
+        json.dump(doc, fh)
+    for path in chains:  # long enough for 9 * 10^6 inner iterations
+        with open(path) as fh:
+            chain = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(dict(chain, trigger="ET", offsets=None, period=100_000_000), fh)
+    begin = time.perf_counter()
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    elapsed = time.perf_counter() - begin
+    assert rc == EXIT_OK, capsys.readouterr().err
+    assert elapsed < 5.0
+
+
 def _nested_loop_task_doc(parents):
     """Task t0 with three nested loops l0 > l1 > l2, each loop's parent as given."""
     blocks = ("t0_e", "t0_h0", "t0_h1", "t0_h2", "t0_t2", "t0_t1", "t0_t0", "t0_x")

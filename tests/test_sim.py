@@ -1,7 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainlat.context import compute_bba_time
 from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import ChainSpec, Interval, WorkloadBundle
 from chainlat.sim import (
@@ -10,6 +14,7 @@ from chainlat.sim import (
     LRUCache,
     SimConfig,
     SimTrace,
+    _oracle_window,
     check_safety,
     simulate,
     simulate_exhaustive,
@@ -296,6 +301,24 @@ def test_check_safety_flags_shrunken_window():
     trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
     kinds = {v["kind"] for v in check_safety(trace, report)}
     assert "context-coverage" in kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=st.lists(st.tuples(st.integers(-50, 500), st.integers(0, 60)), min_size=1, max_size=12),
+       releases=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from((0, 1, 7, 40, 300))),
+                         min_size=1, max_size=8))
+def test_oracle_window_is_a_translated_relative_window(window, releases):
+    # Any interval sequence, sorted or not, overlapping or touching: the
+    # oracle's window of each job is its relative window for the job's
+    # release width, shifted by the release's start.
+    bbrp = tuple((lo, lo + d) for lo, d in window)
+    jobs = {("c", k, 0): SimpleNamespace(task_id="t", release=Interval(lo, lo + w))
+            for k, (lo, w) in enumerate(releases)}
+    setup = SimpleNamespace(jobs=jobs, tasks={"t": SimpleNamespace(ctx=SimpleNamespace(bbrp={"b": bbrp}))},
+                            oracle_relative={})
+    for (cid, k, i), job in jobs.items():
+        assert _oracle_window(setup, (cid, k, i, "b")) == compute_bba_time(job.release, bbrp)
+    assert sorted(setup.oracle_relative) == sorted({("t", w, "b") for _, w in releases})
 
 
 @pytest.mark.parametrize("modes", [("TLT",), ("TLT", "NCT"), ("NCT",)])

@@ -72,6 +72,31 @@ def test_simulator_matches_reference(seed, trigger, depth, collision, n_blocks, 
         _assert_same(trace, ref, ("tape", n))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), trigger=st.sampled_from(("ET", "TT", "mix")),
+       n_blocks=st.integers(4, 12), pad=st.sampled_from((0, 700)), ratio=st.sampled_from((2, 3)))
+def test_worst_replay_matches_reference_across_jobs(seed, trigger, n_blocks, pad, ratio):
+    # Unequal periods give every task of chain c0 `ratio` jobs.  Only each
+    # task's first worst-biased job walks its graph; the later ones, and
+    # every job of the second run on the Setup, replay that walk.
+    bundle = _bundle(seed, trigger, 3, 0.8, n_blocks, pad)
+    period = max(cs.chain.period for cs in prepare(bundle).chains.values())
+    chains = {cid: replace(c, period=period * (1 if cid == "c0" else ratio))
+              for cid, c in bundle.chains.items()}
+    bundle = replace(bundle, chains=chains)
+    setup = prepare(bundle)
+    assert setup.hyper // setup.chains["c0"].chain.period == ratio
+    ref = reference_simulate(setup, "worst", 0)
+    for run in range(2):
+        _assert_same(simulate(bundle, SimConfig("worst", 0), setup=setup), ref, ("worst", run))
+        assert all(walk.worst is not None for walk in setup.walks.values())
+    # Other policies on the same Setup never read the recorded walk.
+    for policy, s in (("random", 3), ("tape", 0)):
+        tape = [1] * 6 if policy == "tape" else None
+        _assert_same(simulate(bundle, SimConfig(policy, s, tape=tape), setup=setup),
+                     reference_simulate(setup, policy, s, tape), (policy, s))
+
+
 def test_generated_bundles_reach_loops_exclusive_arms_and_idle_runs():
     # The property above draws from this builder; make sure it reaches the
     # walker's loop, exclusive-arm and idle-instruction paths.
