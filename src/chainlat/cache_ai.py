@@ -291,10 +291,9 @@ def all_miss(classification: TaskClassification) -> dict:
     return {aid: (BYPASS if c.l2_chmc == BYPASS else NC) for aid, c in classification.accesses.items()}
 
 
-def write_classification_csv(path, classification: TaskClassification, mc=None, refined=None):
-    """Debug dump: one row per access with optional refinement columns."""
-    mc = mc or {}
-    refined = refined or {}
+def write_classification_csv(path, classification: TaskClassification):
+    """Debug dump: one row per access.  The mc column is empty and refined
+    repeats the access's own L2 CHMC."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["access", "block", "set", "l1", "l2", "age", "mc", "refined"])
@@ -308,7 +307,7 @@ def write_classification_csv(path, classification: TaskClassification, mc=None, 
                     c.l1_chmc,
                     c.l2_chmc,
                     "" if c.l2_age is None else c.l2_age,
-                    mc.get(aid, ""),
-                    refined.get(aid, c.l2_chmc),
+                    "",
+                    c.l2_chmc,
                 ]
             )

@@ -8,15 +8,20 @@ added to it with the pairwise interval sum; a child loop's start is built
 the same way from its virtual node, without the node's own cost.  So a
 block's program-relative window composes its offset, each enclosing
 loop's start relative to its parent (LPRTime) and the outermost loop's
-start relative to the program (LPBTime).  Jobs get release windows
-relative to the system start, and the release plus the program-relative
-window is the absolute window (BBATime) used by the overlap and
-interference stages.  Windows summed from costs are plain (lo, hi) pairs.
-Every window is normalized where it is built: each level's start and each
-node's window here, each absolute window in compute_bba_time.  A pairwise
-sum distributes over union, so normalizing a start before adding to it
-covers the same cycles, and a block's window costs the sum of its loops'
-bounds, not their product.
+start relative to the program (LPBTime).  Windows summed from costs are
+plain (lo, hi) pairs.  Every window is normalized where it is built, and a
+pairwise sum distributes over union, so normalizing a start before adding
+to it covers the same cycles, and a block's window costs the sum of its
+loops' bounds, not their product.
+
+One rule makes every absolute window: a job's release window relative to
+the system start (PRSTime) plus a block's program-relative window is the
+block's absolute window (BBATime), normalize(release + bbrp[block]).
+Normalizing commutes with a shift, so with w the release window's width
+that equals the release's start plus TaskContext.window(block, w), the
+relative window widened by w.  The task context memoizes it per (node, w);
+JobContext.bba_time shifts it for the analysis, and the simulator's oracle
+shifts the same window.
 
 A block's view for the overlap phases is a ladder of absolute windows:
 its own, then that of each enclosing loop's virtual node, innermost
@@ -50,13 +55,6 @@ def compute_prs_time(chain: ChainSpec, task_index: int, period_index: int,
     lo = base + sum(bcets[:task_index])
     hi = base + sum(cip_wcets[:task_index])
     return Interval(lo, hi)
-
-
-def compute_bba_time(release: Interval, window: tuple) -> tuple:
-    """Absolute window: each interval of a window relative to the release is
-    widened by the release window, then the result is normalized."""
-    rlo, rhi = release
-    return normalize([(lo + rlo, hi + rhi) for lo, hi in window])
 
 
 @dataclass
@@ -127,6 +125,24 @@ class TaskContext:
                 lid = t.blocks[cls.block_id].enclosing_loop
                 lo, hi = hull(self.lpb[lid])
                 self.line_window[cls.access_id] = Interval(lo, hi + node_worst[virtual_id(lid)])
+        self._windows = {}  # (node, release width) -> (bbrp[node] it was built from, window)
+
+    def window(self, node: str, width: int) -> tuple:
+        """The node's window relative to a release's start, for a release
+        window `width` cycles wide: its program-relative window with each
+        interval's end widened by `width`, normalized.
+
+        An entry serves only the bbrp[node] object it was built from, so a
+        window replaced after its first use is seen without clearing
+        anything.
+        """
+        relative = self.bbrp[node]
+        hit = self._windows.get((node, width))
+        if hit is not None and hit[0] is relative:
+            return hit[1]
+        window = normalize([(lo, hi + width) for lo, hi in relative])
+        self._windows[node, width] = (relative, window)
+        return window
 
 
 class JobContext:
@@ -135,15 +151,16 @@ class JobContext:
     def __init__(self, job: JobInstance, task_ctx: TaskContext):
         self.job = job
         self.task_ctx = task_ctx
-        self.release = job.release
         self.lifetime = job.lifetime
         self._views = {}
         self._bba = {}
 
     def bba_time(self, node: str) -> tuple:
-        """Absolute window of a code block or virtual node, computed once per job."""
+        """Absolute window of a code block or virtual node, computed once per
+        job: the task's window for the release's width, shifted to its start."""
         if node not in self._bba:
-            self._bba[node] = compute_bba_time(self.release, self.task_ctx.bbrp[node])
+            rlo, rhi = self.job.release
+            self._bba[node] = tuple((lo + rlo, hi + rlo) for lo, hi in self.task_ctx.window(node, rhi - rlo))
         return self._bba[node]
 
     def block_view(self, block_id: str) -> BlockView:
@@ -153,11 +170,6 @@ class JobContext:
                 levels.append(self.bba_time(virtual_id(lid)))
             self._views[block_id] = BlockView(self.lifetime, tuple(levels))
         return self._views[block_id]
-
-    def target_view(self, access_id: str) -> BlockView:
-        """Single-interval view of an access's reuse window."""
-        window = compute_bba_time(self.release, (self.task_ctx.line_window[access_id],))
-        return BlockView(self.lifetime, (window,))
 
 
 def write_context_csv(path, jobs_with_ctx):

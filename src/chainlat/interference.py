@@ -99,11 +99,11 @@ def set_weights(classification, counting: str) -> dict:
     }
 
 
-def collect_overlap_set(target_view, foreign_job_ctx, blocks):
-    """Foreign blocks whose windows can overlap the target window."""
+def collect_overlap_set(target, foreign_job_ctx, blocks):
+    """Foreign blocks whose windows can overlap the target's BlockView."""
     return [
         bid for bid in blocks
-        if hierarchical_overlap(target_view, foreign_job_ctx.block_view(bid)).result
+        if hierarchical_overlap(target, foreign_job_ctx.block_view(bid)).result
     ]
 
 

@@ -19,8 +19,8 @@ hyperperiod shift d in (-h, 0, +h) a bisection on
 [target.lo - d - longest lifetime, target.hi - d] followed by an exact
 overlap test yields the overlapping (job, shift) pairs.  TLT and TSC scan only those
 pairs, so the per-instance cost grows with the overlapping jobs rather than
-with all jobs of the hyperperiod.  Foreign job contexts are shared across
-targets on the Setup.
+with all jobs of the hyperperiod.  Job contexts, one per job, are shared
+across targets on the Setup.
 """
 
 from __future__ import annotations
@@ -131,30 +131,25 @@ class Setup:
     jobs: dict  # (chain id, period index, task index) -> JobInstance
     lifetimes: dict  # chain id -> LifetimeIndex
     # Caches filled lazily by the analysis (the first two) and by the
-    # simulator and its oracle (the last four).  Each value depends on
+    # simulator and its oracle (the last two).  Each value depends on
     # nothing but the fields above, never on options or a report, so a Setup
-    # reused across options never reads a stale one.  The oracle builds its
-    # windows from the task contexts' bbrp, apart from foreign_ctxs: each
-    # job's window is a relative one shifted to the release.  Edit a task's
-    # contexts or classification (fault injection) before the first
+    # reused across options never reads a stale one.  Every absolute window,
+    # the analysis's and the oracle's, is a task context's window for the
+    # job's release width shifted to the release (TaskContext.window).  Edit
+    # a task's contexts or classification (fault injection) before the first
     # check_safety on the Setup, not after.
-    foreign_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
+    job_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
     walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table
-    oracle_relative: dict = field(default_factory=dict, repr=False)  # (task id, release width, block id) -> pairs
     oracle_windows: dict = field(default_factory=dict, repr=False)  # (*job key, block id) -> (lo, hi) pairs
-    oracle_chmcs: dict = field(default_factory=dict, repr=False)  # task id -> {access id: base L2 CHMC}
 
     def job_ctx(self, key) -> JobContext:
-        """A fresh context of one job, apart from the ones the analysis shares."""
-        job = self.jobs[key]
-        return JobContext(job, self.tasks[job.task_id].ctx)
-
-    def foreign_ctx(self, key) -> JobContext:
-        """The job's context as a foreign interferer, shared across targets."""
-        if key not in self.foreign_ctxs:
-            self.foreign_ctxs[key] = self.job_ctx(key)
-        return self.foreign_ctxs[key]
+        """The one context of a job, shared by every reader of the Setup."""
+        ctx = self.job_ctxs.get(key)
+        if ctx is None:
+            job = self.jobs[key]
+            ctx = self.job_ctxs[key] = JobContext(job, self.tasks[job.task_id].ctx)
+        return ctx
 
 
 @dataclass
@@ -228,6 +223,16 @@ def prepare(bundle: WorkloadBundle) -> Setup:
             )
         if chain.trigger == "TT" and chain.offsets is None:
             chain = replace(chain, offsets=ingest.assign_tt_offsets(cips))
+        if chain.trigger == "TT":
+            # A TT job must end by the chain's next release: the next task's
+            # offset, or the next instance's for the last task (offsets start at 0).
+            ends = chain.offsets[1:] + (chain.period,)
+            for t, offset, cip, end in zip(chain.tasks, chain.offsets, cips, ends):
+                if offset + cip > end:
+                    raise ValidationError(
+                        "chain %s unschedulable: task %s at offset %d may run %d cycles, "
+                        "past the next release at %d" % (cid, t, offset, cip, end)
+                    )
         chains[cid] = ChainSetup(chain, cips, bcets)
 
     hyper = hyperperiod([cs.chain.period for cs in chains.values()])
@@ -284,11 +289,15 @@ def _tlt_pressure(setup: Setup, key, sets_of_interest, counting: str) -> dict:
     return out
 
 
-def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
-    """Interference bound per AH/PS access of one job under block-level windows."""
-    job = jctx.job
+def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> dict:
+    """Interference bound per AH/PS access of one job under block-level windows.
+
+    line_window maps each target access to its reuse window relative to the
+    job's release.
+    """
+    job = setup.jobs[key]
     cls_table = setup.tasks[job.task_id].classification
-    overlaps = _foreign_overlaps(setup, (job.chain_id, job.period_index, job.task_index))
+    overlaps = _foreign_overlaps(setup, key)
     shifts = sorted({shift for _, pairs in overlaps for _, shift in pairs})
     # Per foreign chain, what each overlapping job contributes with, looked
     # up once: its weight table, task graph, context, shift and shifted release.
@@ -299,17 +308,18 @@ def _tsc_mc(setup: Setup, jctx: JobContext, options: AnalysisOptions) -> dict:
             fj = setup.jobs[fkey]
             rlo, rhi = fj.release
             fjobs.append((setup.tasks[fj.task_id].weights[options.counting], setup.bundle.tasks[fj.task_id],
-                          setup.foreign_ctx(fkey), shift, (rlo + shift, rhi + shift)))
+                          setup.job_ctx(fkey), shift, (rlo + shift, rhi + shift)))
         foreign.append((fcs.chain.trigger, fjobs))
 
+    rlo, rhi = job.release
+    life_lo, life_hi = job.lifetime
     targets = [c for c in cls_table.visible() if c.l2_chmc in (AH, PS)]
     mc, debug = {}, {}
     for cls in sorted(targets, key=lambda c: c.access_id):
-        tv = jctx.target_view(cls.access_id)
+        lo, hi = line_window[cls.access_id]
+        lo, hi = lo + rlo, hi + rhi
         # Hyperperiod-shifted foreign jobs are met by shifting the one-interval
         # target view the other way; overlap is translation-invariant.
-        life_lo, life_hi = tv.job_lifetime
-        ((lo, hi),), = tv.window_levels
         views = {shift: BlockView((life_lo - shift, life_hi - shift), (((lo - shift, hi - shift),),))
                  for shift in shifts}
         total = raw_total = mwis_total = 0
@@ -362,17 +372,17 @@ def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = No
 
     if mode == "TSC":
         passes = options.refinement_passes
-        jctx = setup.job_ctx(key)
+        line_window = ta.ctx.line_window
         refined, mc, debug, wcet = {}, {}, {}, None
         for p in range(passes):
-            mc, debug = _tsc_mc(setup, jctx, options)
+            mc, debug = _tsc_mc(setup, key, line_window, options)
             refined, con = _refine_and_bound(setup, job.task_id, mc)
             wcet = con.wcet if wcet is None else min(wcet, con.wcet)
             if p + 1 < passes:
                 # Later passes tighten the intra-task windows with the costs
                 # the refined classifications imply; release windows keep
                 # their initialization-phase bounds.
-                jctx = JobContext(job, TaskContext(con))
+                line_window = TaskContext(con).line_window
         if tlt_result is None:
             tlt_result = analyze_instance(setup, key, "TLT", options)
         return InstanceResult(cid, k, i, job.task_id, mode, min(wcet, tlt_result.wcet), refined, mc, debug)

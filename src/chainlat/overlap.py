@@ -2,7 +2,7 @@
 
 An interval is a closed (lo, hi) pair; model.Interval, its validated form,
 equals the pair.  Sequences are tuples sorted by lower bound.  A job's
-absolute windows are normalized once, by context.compute_bba_time; the
+absolute windows are normalized once, by context.TaskContext.window; the
 overlap tests never normalize.  Overlap is inclusive: touching endpoints
 overlap, so verdicts are invariant under translating both operands.
 

@@ -21,15 +21,14 @@ shared-cache lookups and row appends.  Random and tape walks walk the
 graph every time; they draw exactly as before.
 
 A Setup keeps the per-task walk tables (with the recorded worst-biased
-walk), the oracle's relative and absolute windows and its base
-classifications, each built on first use, so every path after the first
-on one Setup pays only for its own walk and its own checks.  An absolute
-window is its task's relative window for the job's release width, shifted
-to the release, so the oracle normalizes one window per (task, release
-width, block).  The walker records each access and block occurrence as a
-plain tuple row; the AccessEvent and BlockOccurrence records are read-only
-views built from the rows when a reader asks for them, and the oracle
-reads the rows.
+walk) and the oracle's absolute windows, each built on first use, so every
+path after the first on one Setup pays only for its own walk and its own
+checks.  The oracle makes an absolute window by the analysis's one rule:
+the task context's window for the job's release width (TaskContext.window,
+normalized once per task, width and block), shifted to the release.  The
+walker records each access and block occurrence as a plain tuple row; the
+AccessEvent and BlockOccurrence records are read-only views built from the
+rows when a reader asks for them, and the oracle reads the rows.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from typing import Optional
 from .cache_ai import AH, BYPASS, PS
 from .latency import MODES, prepare
 from .model import ValidationError
-from .overlap import normalize
 
 
 POLICIES = ("random", "worst", "tape")
@@ -465,26 +463,19 @@ def trace_hit_ratio(trace: SimTrace) -> Optional[float]:
 def _oracle_window(setup, key) -> tuple:
     """Absolute window, as (lo, hi) pairs, of a (chain id, k, task index, block id).
 
-    The window is normalize(release + bbrp[block]), and normalizing
-    commutes with a shift: with w the release window's width it equals the
-    release's start plus normalize([(lo, hi + w) for lo, hi in bbrp[block]]).
-    So the oracle keeps one such relative window per (task id, w, block id)
-    on the Setup, read from the task's context on first use, and shifts it
-    per job.  It reads nothing the analysis caches and nothing a report
-    holds, so check_safety keeps the result on the Setup.
+    It is the task context's window for the job's release width, read on
+    each call, so a window replaced in the context (fault injection) is
+    seen, shifted to the release's start.  It reads nothing the analysis
+    caches per job and nothing a report holds, so check_safety keeps the
+    result on the Setup.
     """
     job = setup.jobs[key[:3]]
     rlo, rhi = job.release
-    w = rhi - rlo
-    rel_key = (job.task_id, w, key[3])
-    rel = setup.oracle_relative.get(rel_key)
-    if rel is None:
-        rel = setup.oracle_relative[rel_key] = normalize(
-            [(lo, hi + w) for lo, hi in setup.tasks[job.task_id].ctx.bbrp[key[3]]])
-    if len(rel) == 1:  # most windows: no generator needed
-        (lo, hi), = rel
+    window = setup.tasks[job.task_id].ctx.window(key[3], rhi - rlo)
+    if len(window) == 1:  # most windows: no generator needed
+        (lo, hi), = window
         return ((lo + rlo, hi + rlo),)
-    return tuple((lo + rlo, hi + rlo) for lo, hi in rel)
+    return tuple((lo + rlo, hi + rlo) for lo, hi in window)
 
 
 def check_safety(trace: SimTrace, report, setup=None) -> list:
@@ -535,9 +526,9 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
                                        "latency": latency, "bound": mel})
 
     # Each job's claims are resolved on its first shared-cache row: the
-    # task's base CHMCs and every mode's refined map.  Private-level hits
-    # are skipped unread; they break no claim.
-    claims = {}  # job key -> (base CHMCs, ((mode, refined map), ...)) or None
+    # task's base classifications and every mode's refined map.
+    # Private-level hits are skipped unread; they break no claim.
+    claims = {}  # job key -> (base classifications, ((mode, refined map), ...)) or None
     ps_misses = {}
     for row in trace.access_rows:
         if row[7] == "L1":
@@ -550,7 +541,7 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
         if entry is None:
             continue
         base, by_mode = entry
-        chmc0 = base[aid]
+        chmc0 = base[aid].l2_chmc
         if chmc0 == BYPASS:
             violations.append({"kind": "l1-ah-miss", "access": aid, "cycle": cycle})
         if level != "MEM":
@@ -592,7 +583,7 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
 
 
 def _job_claims(setup, instances, job):
-    """(base CHMCs, ((mode, refined map), ...)) of one job, TSC first; None without results.
+    """(base classifications, ((mode, refined map), ...)) of one job, TSC first; None without results.
 
     A job without a TSC result is checked against the other modes only.
     """
@@ -600,11 +591,7 @@ def _job_claims(setup, instances, job):
     found = [(mode, res) for mode in MODES if (res := instances.get((mode, cid, k, i))) is not None]
     if not found:
         return None
-    tid = found[0][1].task_id
-    base = setup.oracle_chmcs.get(tid)
-    if base is None:
-        accesses = setup.tasks[tid].classification.accesses
-        base = setup.oracle_chmcs[tid] = {aid: c.l2_chmc for aid, c in accesses.items()}
+    base = setup.tasks[found[0][1].task_id].classification.accesses
     return base, tuple((mode, res.refined) for mode, res in found)
 
 

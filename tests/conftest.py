@@ -140,6 +140,14 @@ def shift_view(view, delta):
     )
 
 
+def target_view(setup, key, access_id):
+    """The one-interval BlockView of a job's access: its reuse window
+    (line_window) widened by the job's release window."""
+    job = setup.jobs[key]
+    (rlo, rhi), (lo, hi) = job.release, setup.tasks[job.task_id].ctx.line_window[access_id]
+    return BlockView(job.lifetime, (((lo + rlo, hi + rhi),),))
+
+
 @pytest.fixture
 def system():
     return make_system()

@@ -469,6 +469,20 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
     )
 
 
+def reference_bba_time(release, window):
+    """A block's absolute window by its definition: each interval of its
+    program-relative window widened by the release window, then overlapping
+    or touching intervals coalesced."""
+    rlo, rhi = release
+    out = []
+    for lo, hi in sorted((lo + rlo, hi + rhi) for lo, hi in window):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
 def _o_pair_sum(a, b):
     return tuple(sorted((alo + blo, ahi + bhi) for alo, ahi in a for blo, bhi in b))
 
@@ -790,7 +804,8 @@ def reference_check_safety(trace, report, setup=None):
 
     for occ in trace.blocks:
         key = (occ.chain_id, occ.period_index, occ.task_index, occ.block_id)
-        window = setup.job_ctx(key[:3]).bba_time(key[3])
+        job = setup.jobs[key[:3]]
+        window = reference_bba_time(job.release, setup.tasks[job.task_id].ctx.bbrp[occ.block_id])
         if not any(lo <= occ.start and occ.end <= hi for lo, hi in window):
             violations.append({"kind": "context-coverage", "block": occ.block_id,
                                "job": key[:3], "window": (occ.start, occ.end)})

@@ -332,6 +332,25 @@ def test_analyze_fails_fast_on_job_explosion(tmp_path, capsys):
         assert "chain %s period %d (%d jobs)" % (cid, period, 9973 * 9967 * 9949 // period * 2) in err
 
 
+def test_analyze_rejects_tt_offset_overrunning_the_next_release(tmp_path, capsys):
+    # Seed 3's c0 is TT with period 2000 and CIP-WCETs 316 and 1484: t1 at
+    # offset 1999 may still run at the next instance's release.
+    system, tasks, chains = _generated(tmp_path)
+    path = next(c for c in chains if c.endswith("chain_c0.json"))
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert (doc["trigger"], doc["period"], doc["offsets"]) == ("TT", 2000, [0, 316])
+    doc["offsets"] = [0, 1999]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == ("error: chain c0 unschedulable: task t1 at offset 1999 may run 1484 "
+                                       "cycles, past the next release at 2000\n")
+    assert not (tmp_path / "rep").exists()
+
+
 def test_analyze_nested_loop_windows_cost_the_sum_of_their_bounds(tmp_path, capsys):
     # Two nested loops of 3,000 iterations each: unnormalized, a block of the
     # inner loop would have 9 * 10^6 window intervals; normalized where each

