@@ -158,10 +158,17 @@ class JobContext:
     def bba_time(self, node: str) -> tuple:
         """Absolute window of a code block or virtual node, computed once per
         job: the task's window for the release's width, shifted to its start."""
-        if node not in self._bba:
+        bba = self._bba.get(node)
+        if bba is None:
             rlo, rhi = self.job.release
-            self._bba[node] = tuple((lo + rlo, hi + rlo) for lo, hi in self.task_ctx.window(node, rhi - rlo))
-        return self._bba[node]
+            window = self.task_ctx.window(node, rhi - rlo)
+            if len(window) == 1:  # most windows: no generator needed
+                (lo, hi), = window
+                bba = ((lo + rlo, hi + rlo),)
+            else:
+                bba = tuple((lo + rlo, hi + rlo) for lo, hi in window)
+            self._bba[node] = bba
+        return bba
 
     def block_view(self, block_id: str) -> BlockView:
         if block_id not in self._views:

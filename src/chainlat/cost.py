@@ -32,9 +32,13 @@ the level of the innermost loop that holds both of its endpoints.
 
 A contraction reads the refined map only through each access's effective
 shared-cache CHMC, so the jobs of one task that refine to the same CHMCs
-share one contraction.  The plan memoizes them: the key is the effective
-CHMC (_chmc) of every access, in the plan's fixed access order, and an
-entry serves a call only if it was contracted under the very same
+share one contraction.  The plan memoizes them, keyed in the plan's fixed
+access order: a map that holds every access is keyed by its own values,
+read in one pass, and any other call by the effective CHMC (_chmc) of
+every access.  Equal keys of either form mean equal effective CHMCs,
+because a BYPASS access is BYPASS whatever the map gives it; at worst a
+map that gives one another CHMC takes an entry of its own.  An entry
+serves a call only if it was contracted under the very same
 TaskClassification object (the L1 CHMCs and the unrefined shared-cache
 ones come from it); otherwise the call contracts and replaces the entry.
 Contracting without a plan builds a fresh one and memoizes nothing.  A
@@ -241,8 +245,11 @@ def contract_task(task: TaskGraph, classification: TaskClassification, system: S
     """
     if plan is None:
         return _contract(task, classification, system, refined, ContractionPlan(task, system))
-    accesses = classification.accesses
-    key = tuple(_chmc(accesses[aid], refined) for aid in plan.access_ids)
+    try:
+        key = tuple(map(refined.__getitem__, plan.access_ids))
+    except (AttributeError, KeyError):  # no map, or a partial one
+        accesses = classification.accesses
+        key = tuple(_chmc(accesses[aid], refined) for aid in plan.access_ids)
     con = plan.memo.get(key)
     if con is None or con.classification is not classification:
         con = plan.memo[key] = _contract(task, classification, system, refined, plan)

@@ -123,7 +123,7 @@ def job_contribution(set_table, task_graph, overlapping_blocks):
     job_weight, block_weights = set_table
     weights = {bid: block_weights[bid] for bid in overlapping_blocks}
     raw = sum(weights.values())
-    pairs = task_graph.exclusive_pairs
+    pairs = task_graph.exclusive_pairs if len(weights) > 1 else ()  # a pair needs two blocks
     edges = frozenset(p for p in pairs if weights.keys() >= p) if pairs else frozenset()
     return raw, min(mwis_bound(ExclusionGraph(weights, edges)), job_weight)
 

@@ -17,10 +17,22 @@ so a lifetime index per chain precedes the paper's cheap-to-precise overlap
 hierarchy: it holds the chain's job lifetimes sorted by start, and per
 hyperperiod shift d in (-h, 0, +h) a bisection on
 [target.lo - d - longest lifetime, target.hi - d] followed by an exact
-overlap test yields the overlapping (job, shift) pairs.  TLT and TSC scan only those
-pairs, so the per-instance cost grows with the overlapping jobs rather than
-with all jobs of the hyperperiod.  Job contexts, one per job, are shared
-across targets on the Setup.
+overlap test yields the overlapping (job, shift) pairs; a shift whose
+query lies wholly outside the index's start range is skipped before it
+bisects.  TLT and TSC scan only those pairs, so the per-instance cost grows
+with the overlapping jobs rather than with all jobs of the hyperperiod.
+Job contexts, one per job, are shared across targets on the Setup.
+
+An instance pays only for its targets and for the foreign jobs that touch
+their sets.  Each task's option-free tables are built once, by the first
+instance that reads them (TaskAnalysis): its AH/PS targets, their
+shared-cache sets, the base refinement map (each access's own CHMC, which
+is what refinement leaves on every access but a target) and the hit-ratio
+weights.  A TSC instance
+groups each overlapping foreign job once, under every target set its task
+touches, and each target then reads only the group of its own set; a job
+that touches no target set is never looked at again.  Refinement copies
+the base map and refines the targets alone.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from . import ingest
@@ -39,6 +52,7 @@ from .cost import ContractionPlan, contract_task
 from .interference import (
     COUNT_ACCESS,
     COUNT_DISTINCT,
+    ET_RULE_MAX,
     ET_RULE_SUM,
     collect_overlap_set,
     interference_bound,
@@ -63,9 +77,35 @@ class AnalysisOptions:
     refinement_passes: int = 1
     jobs: int = 1
 
+    def __post_init__(self):
+        """Refuse a value the analysis cannot run, naming the field, the value and the allowed values."""
+        for name, allowed in (("counting", (COUNT_DISTINCT, COUNT_ACCESS)),
+                              ("et_rule", (ET_RULE_SUM, ET_RULE_MAX))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValidationError("AnalysisOptions.%s: %r is not one of %s"
+                                      % (name, value, ", ".join(map(repr, allowed))))
+        unknown = [m for m in self.modes if m not in MODES]
+        if unknown:
+            raise ValidationError("AnalysisOptions.modes: %s not among %s"
+                                  % (", ".join(map(repr, unknown)), ", ".join(map(repr, MODES))))
+        for name in ("refinement_passes", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValidationError("AnalysisOptions.%s: %r is not a positive integer" % (name, value))
+
 
 @dataclass
 class TaskAnalysis:
+    """One task's option-free analysis material.
+
+    Beside the classification, contractions and weight tables it holds the
+    per-instance tables, each O(accesses) and built once, at the first
+    instance that reads it, so an instance pays only for its targets.
+    prepare builds none of them: setup keeps exactly its work and its
+    allocations.
+    """
+
     task_id: str
     classification: object
     all_miss: dict  # the NCT refinement: access id -> CHMC
@@ -75,6 +115,35 @@ class TaskAnalysis:
     bcet: int
     weights: dict  # counting unit -> {set: (job weight, {block: weight})}
     plan: ContractionPlan  # shared by every contraction of the task
+
+    @cached_property
+    def targets(self) -> tuple:
+        """The AH/PS visible accesses, in access order."""
+        return tuple(c for c in self.classification.visible() if c.l2_chmc in (AH, PS))
+
+    @cached_property
+    def tsc_targets(self) -> tuple:
+        """The targets by access id."""
+        return tuple(sorted(self.targets, key=lambda c: c.access_id))
+
+    @cached_property
+    def target_sets(self) -> frozenset:
+        """The targets' shared-cache sets."""
+        return frozenset(c.l2_set for c in self.targets)
+
+    @cached_property
+    def base_refined(self) -> dict:
+        """Access id -> own CHMC: what refine_chmc gives every access but a target."""
+        return {aid: c.l2_chmc for aid, c in self.classification.accesses.items()}
+
+    @cached_property
+    def hit_weights(self) -> tuple:
+        """(access id, own CHMC, loop-bound weight) per visible access, in access order."""
+        task = self.ctx.task
+        return tuple(
+            (c.access_id, c.l2_chmc, math.prod(task.loops[lid].max_bound for lid in task.ancestry[c.block_id]))
+            for c in self.classification.visible()
+        )
 
 
 class LifetimeIndex:
@@ -97,12 +166,17 @@ class LifetimeIndex:
     def overlapping(self, lifetime: Interval) -> list:
         """(job key, shift) pairs whose shifted lifetime meets `lifetime`, in key then shift order."""
         out = []
+        starts = self.starts
         for shift in (-self.hyper, 0, self.hyper):
             lo, hi = lifetime.lo - shift, lifetime.hi - shift
-            first = bisect_left(self.starts, lo - self.maxlen)
-            last = bisect_right(self.starts, hi)
-            out.extend((key, shift) for elo, ehi, key in self.entries[first:last]
-                       if max(elo, lo) <= min(ehi, hi))
+            # A query wholly outside the start range meets nothing: most
+            # -h/+h probes end here, and an empty index always does.
+            if not starts or hi < starts[0] or lo - self.maxlen > starts[-1]:
+                continue
+            first = bisect_left(starts, lo - self.maxlen)
+            last = bisect_right(starts, hi)
+            # Each of these starts at or before hi, so it meets [lo, hi] when it ends at or after lo.
+            out += [(key, shift) for _, ehi, key in self.entries[first:last] if ehi >= lo]
         out.sort()
         return out
 
@@ -296,58 +370,75 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
     job's release.
     """
     job = setup.jobs[key]
-    cls_table = setup.tasks[job.task_id].classification
-    overlaps = _foreign_overlaps(setup, key)
-    shifts = sorted({shift for _, pairs in overlaps for _, shift in pairs})
-    # Per foreign chain, what each overlapping job contributes with, looked
-    # up once: its weight table, task graph, context, shift and shifted release.
+    ta = setup.tasks[job.task_id]
+    sets = ta.target_sets
+    # Per foreign chain, each overlapping job that touches a target set,
+    # grouped once under every such set, in pair order: its weight table
+    # entry, task graph, context, shift and shifted release.
     foreign = []
-    for fcs, pairs in overlaps:
-        fjobs = []
+    for fcs, pairs in _foreign_overlaps(setup, key):
+        by_set = {}
         for fkey, shift in pairs:
             fj = setup.jobs[fkey]
+            weights = setup.tasks[fj.task_id].weights[options.counting]
+            common = sets.intersection(weights)
+            if not common:
+                continue
             rlo, rhi = fj.release
-            fjobs.append((setup.tasks[fj.task_id].weights[options.counting], setup.bundle.tasks[fj.task_id],
-                          setup.job_ctx(fkey), shift, (rlo + shift, rhi + shift)))
-        foreign.append((fcs.chain.trigger, fjobs))
+            entry = (setup.bundle.tasks[fj.task_id], setup.job_ctx(fkey), shift, (rlo + shift, rhi + shift))
+            for s in common:
+                by_set.setdefault(s, []).append((weights[s], *entry))
+        if by_set:
+            foreign.append((fcs.chain.trigger, by_set))
 
     rlo, rhi = job.release
     life_lo, life_hi = job.lifetime
-    targets = [c for c in cls_table.visible() if c.l2_chmc in (AH, PS)]
     mc, debug = {}, {}
-    for cls in sorted(targets, key=lambda c: c.access_id):
+    for cls in ta.tsc_targets:
         lo, hi = line_window[cls.access_id]
         lo, hi = lo + rlo, hi + rhi
         # Hyperperiod-shifted foreign jobs are met by shifting the one-interval
         # target view the other way; overlap is translation-invariant.
-        views = {shift: BlockView((life_lo - shift, life_hi - shift), (((lo - shift, hi - shift),),))
-                 for shift in shifts}
+        views = {}
         total = raw_total = mwis_total = 0
-        for trigger, fjobs in foreign:
+        for trigger, by_set in foreign:
+            fjobs = by_set.get(cls.l2_set)
+            if fjobs is None:
+                continue
             per_job = []
-            for weights, graph, fctx, shift, release in fjobs:
-                table = weights.get(cls.l2_set)
-                if table is None:
+            for table, graph, fctx, shift, release in fjobs:
+                view = views.get(shift)
+                if view is None:
+                    view = views[shift] = BlockView((life_lo - shift, life_hi - shift),
+                                                    (((lo - shift, hi - shift),),))
+                blocks = collect_overlap_set(view, fctx, table[1])
+                if not blocks:
                     continue
-                blocks = collect_overlap_set(views[shift], fctx, table[1])
                 raw, contrib = job_contribution(table, graph, blocks)
                 raw_total += raw
                 mwis_total += contrib
                 if contrib:
                     per_job.append((release, contrib))
-            total += interference_bound(per_job, trigger, options.et_rule)
+            if per_job:
+                total += interference_bound(per_job, trigger, options.et_rule)
         mc[cls.access_id] = total
         debug[cls.access_id] = (raw_total, mwis_total)
     return mc, debug
 
 
 def _refine_and_bound(setup: Setup, task_id: str, mc: dict) -> tuple:
-    """Apply the eviction condition; returns the refined map and its contraction."""
+    """Apply the eviction condition; returns the refined map and its contraction.
+
+    mc holds every AH/PS access, so each other access keeps its own CHMC,
+    which is what refine_chmc gives it: only mc's accesses are refined.
+    """
     ta = setup.tasks[task_id]
-    cls_table = ta.classification
+    accesses = ta.classification.accesses
     ways = setup.bundle.system.l2.ways
-    refined = {aid: refine_chmc(cls, mc.get(aid, 0), ways) for aid, cls in cls_table.accesses.items()}
-    con = contract_task(setup.bundle.tasks[task_id], cls_table, setup.bundle.system,
+    refined = dict(ta.base_refined)
+    for aid, interference in mc.items():
+        refined[aid] = refine_chmc(accesses[aid], interference, ways)
+    con = contract_task(setup.bundle.tasks[task_id], ta.classification, setup.bundle.system,
                         refined=refined, plan=ta.plan)
     return refined, con
 
@@ -364,9 +455,8 @@ def analyze_instance(setup: Setup, key, mode: str, options: AnalysisOptions = No
         return InstanceResult(cid, k, i, job.task_id, mode, ta.cip_wcet, dict(ta.all_miss), {})
 
     if mode == "TLT":
-        targets = [c for c in ta.classification.visible() if c.l2_chmc in (AH, PS)]
-        pressure = _tlt_pressure(setup, key, {c.l2_set for c in targets}, options.counting)
-        mc = {c.access_id: pressure[c.l2_set] for c in targets}
+        pressure = _tlt_pressure(setup, key, ta.target_sets, options.counting)
+        mc = {c.access_id: pressure[c.l2_set] for c in ta.targets}
         refined, con = _refine_and_bound(setup, job.task_id, mc)
         return InstanceResult(cid, k, i, job.task_id, mode, min(con.wcet, ta.cip_wcet), refined, mc)
 
@@ -409,24 +499,15 @@ def mel_tt(instance_wcets, offsets) -> tuple:
 def predicted_hit_ratio(setup: Setup, chain_id: str, results: dict) -> Optional[float]:
     """Loop-bound weighted hit fraction over all shared-cache visible accesses."""
     cs = setup.chains[chain_id]
-    weighted = []  # per task index: (access, loop-bound weight) per visible access
-    for tid in cs.chain.tasks:
-        task = setup.bundle.tasks[tid]
-        accesses = []
-        for cls in setup.tasks[tid].classification.visible():
-            weight = 1
-            for lid in task.ancestry[cls.block_id]:
-                weight *= task.loops[lid].max_bound
-            accesses.append((cls, weight))
-        weighted.append(accesses)
     n = setup.hyper // cs.chain.period
-    total = n * sum(weight for accesses in weighted for _, weight in accesses)
-    hits = 0
-    for k in range(n):
-        for i, accesses in enumerate(weighted):
-            refined = results[(chain_id, k, i)].refined
-            for cls, weight in accesses:
-                chmc = refined.get(cls.access_id, cls.l2_chmc)
+    total = hits = 0
+    for i, tid in enumerate(cs.chain.tasks):
+        table = setup.tasks[tid].hit_weights
+        total += n * sum(weight for _, _, weight in table)
+        for k in range(n):
+            get = results[(chain_id, k, i)].refined.get
+            for aid, own, weight in table:
+                chmc = get(aid, own)
                 if chmc == AH:
                     hits += weight
                 elif chmc == PS:
@@ -472,21 +553,16 @@ def analyze_bundle(bundle: WorkloadBundle, options: AnalysisOptions = None,
     chain_results = {}
     for cid in sorted(setup.chains):
         cs = setup.chains[cid]
-        n = setup.hyper // cs.chain.period
+        n, width = setup.hyper // cs.chain.period, len(cs.chain.tasks)
+        chain_keys = [(cid, k, i) for k in range(n) for i in range(width)]  # instance order
         for mode in modes:
-            wcets = tuple(
-                tuple(instances[(mode, cid, k, i)].wcet for i in range(len(cs.chain.tasks)))
-                for k in range(n)
-            )
+            per_instance = {key: instances[(mode, *key)] for key in chain_keys}
+            flat = [res.wcet for res in per_instance.values()]
+            wcets = tuple(tuple(flat[k * width:(k + 1) * width]) for k in range(n))
             if cs.chain.trigger == "ET":
                 mel, lat = mel_et(wcets)
             else:
                 mel, lat = mel_tt(wcets, cs.chain.offsets)
-            per_instance = {
-                (cid, k, i): instances[(mode, cid, k, i)]
-                for k in range(n)
-                for i in range(len(cs.chain.tasks))
-            }
             chain_results[(cid, mode)] = ChainModeResult(
                 chain_id=cid,
                 mode=mode,

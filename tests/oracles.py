@@ -744,6 +744,121 @@ def reference_simulate_exhaustive(setup, limit):
 
 
 # ---------------------------------------------------------------------------
+# Reference per-instance analysis: every foreign job scanned under every
+# hyperperiod shift, every target's pair probed per set, every access
+# refined and every contraction made afresh (no per-task tables, no memo,
+# no lifetime index, no shared job contexts).
+
+
+def _ref_foreign_pairs(setup, key):
+    """Per foreign chain, its (job key, shift) pairs whose shifted lifetime meets job key's."""
+    lo, hi = setup.jobs[key].lifetime
+    core = setup.chains[key[0]].chain.core
+    out = []
+    for cid, cs in setup.chains.items():
+        if cs.chain.core == core:
+            continue
+        pairs = []
+        for fkey in sorted(k for k in setup.jobs if k[0] == cid):
+            flo, fhi = setup.jobs[fkey].lifetime
+            for shift in (-setup.hyper, 0, setup.hyper):
+                if max(lo, flo + shift) <= min(hi, fhi + shift):
+                    pairs.append((fkey, shift))
+        out.append((cs, pairs))
+    return out
+
+
+def _ref_targets(setup, task_id):
+    from chainlat.cache_ai import AH, PS
+
+    return [c for c in setup.tasks[task_id].classification.visible() if c.l2_chmc in (AH, PS)]
+
+
+def _ref_refine(setup, task_id, mc):
+    """The refined map of every access and its contraction, without a plan."""
+    from chainlat.cache_ai import refine_chmc
+    from chainlat.cost import contract_task
+
+    cls_table = setup.tasks[task_id].classification
+    ways = setup.bundle.system.l2.ways
+    refined = {aid: refine_chmc(cls, mc.get(aid, 0), ways) for aid, cls in cls_table.accesses.items()}
+    return refined, contract_task(setup.bundle.tasks[task_id], cls_table, setup.bundle.system, refined=refined)
+
+
+def _ref_tsc_mc(setup, key, line_window, options, contexts):
+    from chainlat.context import BlockView, JobContext
+    from chainlat.interference import collect_overlap_set, interference_bound, job_contribution
+
+    job = setup.jobs[key]
+    overlaps = _ref_foreign_pairs(setup, key)
+    rlo, rhi = job.release
+    life_lo, life_hi = job.lifetime
+    mc, debug = {}, {}
+    for cls in sorted(_ref_targets(setup, job.task_id), key=lambda c: c.access_id):
+        lo, hi = line_window[cls.access_id]
+        lo, hi = lo + rlo, hi + rhi
+        total = raw_total = mwis_total = 0
+        for fcs, pairs in overlaps:
+            per_job = []
+            for fkey, shift in pairs:
+                fj = setup.jobs[fkey]
+                table = setup.tasks[fj.task_id].weights[options.counting].get(cls.l2_set)
+                if table is None:
+                    continue
+                if fkey not in contexts:
+                    contexts[fkey] = JobContext(fj, setup.tasks[fj.task_id].ctx)
+                view = BlockView((life_lo - shift, life_hi - shift), (((lo - shift, hi - shift),),))
+                blocks = collect_overlap_set(view, contexts[fkey], table[1])
+                raw, contrib = job_contribution(table, setup.bundle.tasks[fj.task_id], blocks)
+                raw_total += raw
+                mwis_total += contrib
+                if contrib:
+                    flo, fhi = fj.release
+                    per_job.append(((flo + shift, fhi + shift), contrib))
+            total += interference_bound(per_job, fcs.chain.trigger, options.et_rule)
+        mc[cls.access_id] = total
+        debug[cls.access_id] = (raw_total, mwis_total)
+    return mc, debug
+
+
+def reference_instance(setup, key, mode, options, contexts=None):
+    """(wcet, refined, mc, debug) of one job instance in one mode.
+
+    `contexts` (job key -> fresh JobContext) may be shared across calls on
+    one Setup; it is never the Setup's own.
+    """
+    from chainlat.context import TaskContext
+
+    contexts = {} if contexts is None else contexts
+    job = setup.jobs[key]
+    ta = setup.tasks[job.task_id]
+    if mode == "NCT":
+        return ta.cip_wcet, dict(ta.all_miss), {}, {}
+    targets = _ref_targets(setup, job.task_id)
+    if mode == "TLT":
+        # Foreign same-set pressure at job-lifetime scope.
+        pressure = {c.l2_set: 0 for c in targets}
+        for _, pairs in _ref_foreign_pairs(setup, key):
+            for fkey, _ in pairs:
+                weights = setup.tasks[setup.jobs[fkey].task_id].weights[options.counting]
+                for s in pressure:
+                    if s in weights:
+                        pressure[s] += weights[s][0]
+        mc = {c.access_id: pressure[c.l2_set] for c in targets}
+        refined, con = _ref_refine(setup, job.task_id, mc)
+        return min(con.wcet, ta.cip_wcet), refined, mc, {}
+    line_window = ta.ctx.line_window
+    wcet = None
+    for p in range(options.refinement_passes):
+        mc, debug = _ref_tsc_mc(setup, key, line_window, options, contexts)
+        refined, con = _ref_refine(setup, job.task_id, mc)
+        wcet = con.wcet if wcet is None else min(wcet, con.wcet)
+        line_window = TaskContext(con).line_window
+    tlt_wcet = reference_instance(setup, key, "TLT", options, contexts)[0]
+    return min(wcet, tlt_wcet), refined, mc, debug
+
+
+# ---------------------------------------------------------------------------
 # Reference safety oracle: the TSC-only check over materialized trace records
 # (AccessEvent / BlockOccurrence), with no per-job tables and no caches.
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat.cache_ai import AH, NC, PS, TaskClassification, all_miss, classify_task
+from chainlat.cache_ai import AH, BYPASS, NC, PS, TaskClassification, all_miss, classify_task
 from chainlat.context import TaskContext
 from chainlat.cost import ContractedTask, ContractionPlan, contract_task
 from chainlat.ingest import _TaskBuilder, default_system, generate_workload
@@ -117,6 +117,35 @@ def test_other_classification_on_one_plan_never_gets_a_stale_entry():
             assert con.classification is c
             _assert_same(con, reference_contract_task(task, c, system, r, "worst"))
     assert contract_task(task, other, system, plan=plan).wcet > contract_task(task, cls, system, plan=plan).wcet
+
+
+def test_memo_serves_only_maps_with_equal_effective_chmcs():
+    # A full map is keyed by its own values and any other map by its
+    # effective CHMCs; neither key may let one map be served another's
+    # contraction.  The last two maps have equal lengths and differ only at
+    # `hit`: absent (so its own AH/PS) in one, an unknown CHMC (None, priced
+    # as a miss) in the other, so a key that read absent ids as None would
+    # serve one the other's contraction.
+    task, cls, system = _generated_task(1, 2, 12, 0.8)
+    bypass = min(aid for aid, c in cls.accesses.items() if c.l2_chmc == BYPASS)
+    hit = min(aid for aid, c in cls.accesses.items() if c.l2_chmc in (AH, PS) and c.l1_chmc != AH)
+    own = {aid: c.l2_chmc for aid, c in cls.accesses.items()}
+    partial = {aid: chmc for aid, chmc in own.items() if aid != hit}
+    maps = [
+        own,
+        dict(own, **{bypass: NC}),  # a BYPASS access given NC stays BYPASS
+        dict(own, extra=NC),  # an id the task does not have
+        partial,
+        dict(partial, extra=NC),
+        dict(own, **{hit: None}),
+    ]
+    for order in (maps, maps[::-1]):
+        plan = ContractionPlan(task, system)
+        for refined in order:
+            _assert_same(contract_task(task, cls, system, refined=refined, plan=plan),
+                         contract_task(task, cls, system, refined=refined))
+    assert contract_task(task, cls, system, refined=dict(partial, extra=NC)).wcet \
+        < contract_task(task, cls, system, refined=dict(own, **{hit: None})).wcet
 
 
 def test_analysis_leaves_memoized_contractions_unchanged():

@@ -317,3 +317,30 @@ def test_instance_wcet_never_exceeds_cip():
     report = analyze_bundle(bundle)
     for key, res in report.instances.items():
         assert res.wcet <= report.setup.tasks[res.task_id].cip_wcet
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("refinement_passes", 0, "AnalysisOptions.refinement_passes: 0 is not a positive integer"),
+    ("counting", "lines", "AnalysisOptions.counting: 'lines' is not one of 'distinct', 'access'"),
+    ("et_rule", "maximum", "AnalysisOptions.et_rule: 'maximum' is not one of 'sum', 'max'"),
+    ("modes", ("TSC", "XYZ"), "AnalysisOptions.modes: 'XYZ' not among 'TSC', 'TLT', 'NCT'"),
+    ("jobs", 0, "AnalysisOptions.jobs: 0 is not a positive integer"),
+], ids=("passes-0", "counting-lines", "et_rule-maximum", "modes-XYZ", "jobs-0"))
+def test_analysis_options_reject_values_the_analysis_cannot_run(field, value, message):
+    # Each of these used to crash mid-analysis (passes 0, counting "lines")
+    # or silently run something else (et_rule "maximum" ran the sum rule,
+    # "XYZ" was dropped, jobs 0 ran sequentially).
+    with pytest.raises(ValidationError) as err:
+        AnalysisOptions(**{field: value})
+    assert str(err.value) == message
+
+
+def test_analysis_options_accept_every_cli_choice():
+    from chainlat.cli import _mode_tuple
+
+    for mode in ("tsc", "tlt", "nct", "all"):
+        for counting in ("distinct", "access"):
+            for et_rule in ("sum", "max"):
+                options = AnalysisOptions(modes=_mode_tuple(mode), counting=counting, et_rule=et_rule,
+                                          refinement_passes=3, jobs=2)
+                assert options.modes == _mode_tuple(mode)
