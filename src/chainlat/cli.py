@@ -24,7 +24,7 @@ from .ingest import (
     task_to_doc,
 )
 from .interference import COUNT_ACCESS, COUNT_DISTINCT, ET_RULE_MAX, ET_RULE_SUM
-from .latency import AnalysisOptions, analyze_bundle, report_to_json, write_report_csv
+from .latency import MODES, AnalysisOptions, analyze_bundle, report_to_json, write_report_csv
 from .model import ValidationError
 from .sim import SimConfig, check_safety, simulate, trace_hit_ratio
 
@@ -70,7 +70,7 @@ def cmd_generate(args) -> int:
 
 
 def _mode_tuple(mode: str):
-    return ("TSC", "TLT", "NCT") if mode == "all" else (mode.upper(),)
+    return MODES if mode == "all" else (mode.upper(),)
 
 
 def cmd_analyze(args) -> int:
@@ -103,10 +103,7 @@ def cmd_analyze(args) -> int:
                 os.path.join(args.output, "classification_%s.csv" % tid),
                 report.setup.tasks[tid].classification,
             )
-        jobs_with_ctx = [
-            (report.setup.jobs[k], report.setup.job_ctx(k)) for k in sorted(report.setup.jobs)
-        ]
-        write_context_csv(os.path.join(args.output, "contexts.csv"), jobs_with_ctx)
+        write_context_csv(os.path.join(args.output, "contexts.csv"), report.setup)
         if "TSC" in options.modes:
             write_interference_csv(os.path.join(args.output, "interference.csv"), report)
         if trace is not None:
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--system", required=True)
     a.add_argument("--tasks", nargs="+", required=True)
     a.add_argument("--chains", nargs="+", required=True)
-    a.add_argument("--mode", choices=("tsc", "tlt", "nct", "all"), default="all")
+    a.add_argument("--mode", choices=tuple(m.lower() for m in MODES) + ("all",), default="all")
     _add_analysis_options(a)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--simulate-hit-ratio", action="store_true")

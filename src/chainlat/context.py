@@ -2,26 +2,33 @@
 
 Every level of a task is a loop: the program is one that runs once and
 starts at cycle 0.  TaskContext walks the levels from the outermost
-inward.  Each node of a level has one window per iteration of it, its
-offset within the iteration (BBOTime), and the level's start sequence is
-added to it with the pairwise interval sum; a child loop's start is built
-the same way from its virtual node, without the node's own cost.  So a
-block's program-relative window composes its offset, each enclosing
-loop's start relative to its parent (LPRTime) and the outermost loop's
-start relative to the program (LPBTime).  Windows summed from costs are
-plain (lo, hi) pairs.  Every window is normalized where it is built, and a
-pairwise sum distributes over union, so normalizing a start before adding
-to it covers the same cycles, and a block's window costs the sum of its
-loops' bounds, not their product.
+inward.  Each node of a level has a ladder, one window per iteration of
+the level (its offset within the iteration, BBOTime), and its window is
+the level's start plus its ladder, the pairwise interval sum.  A child
+loop's start is its virtual node's ladder without the node's cost plus
+the level's start; the virtual node's window is that start with every end
+widened by the node's cost.  So a block's program-relative window
+composes its offset, each enclosing loop's start relative to its parent
+(LPRTime) and the outermost loop's start relative to the program (LPBTime).
+
+Windows are plain (lo, hi) pairs, normalized where they are built by one
+sort of the pairwise sum.  A pairwise sum distributes over union, and
+widening every end by one constant commutes with normalizing, so this
+covers the same cycles as the full enumeration, and a block's window
+costs the sum of its loops' bounds, not their product.  A ladder's starts
+and ends never decrease, so from the first iteration that touches the one
+before it the rest merge into one tail.  A ladder of more than
+MAX_WINDOW_INTERVALS distinct windows (a deterministic body has one per
+iteration), or a sum of more pairs, is refused with a ValidationError.
 
 One rule makes every absolute window: a job's release window relative to
 the system start (PRSTime) plus a block's program-relative window is the
 block's absolute window (BBATime), normalize(release + bbrp[block]).
 Normalizing commutes with a shift, so with w the release window's width
 that equals the release's start plus TaskContext.window(block, w), the
-relative window widened by w.  The task context memoizes it per (node, w);
-JobContext.bba_time shifts it for the analysis, and the simulator's oracle
-shifts the same window.
+relative window widened by w and memoized per (node, w).
+TaskContext.bba_time makes that shift for every reader: the analysis's
+block views, the simulator's oracle and the contexts.csv dump.
 
 A block's view for the overlap phases is a ladder of absolute windows:
 its own, then that of each enclosing loop's virtual node, innermost
@@ -41,8 +48,12 @@ from dataclasses import dataclass
 
 from .cache_ai import AH, PS
 from .cost import ContractedTask, virtual_id
-from .model import ChainSpec, Interval, JobInstance
-from .overlap import hull, normalize, seq_merge
+from .model import ChainSpec, Interval, JobInstance, ValidationError
+from .overlap import hull, normalize
+
+# Most distinct windows one ladder may hold, and most pairs one window sum
+# may add, before a task is refused as too large to analyze.
+MAX_WINDOW_INTERVALS = 100_000
 
 
 def compute_prs_time(chain: ChainSpec, task_index: int, period_index: int,
@@ -77,13 +88,33 @@ class BlockView:
         return self.window_levels[-1]
 
 
-def _iterations(s, node: str, own: int, first_ps: int) -> tuple:
-    """One window per iteration of level s for a node costing `own`, relative
-    to the level's start; the first carries `first_ps`, the later ones the
-    level's whole surcharge."""
+def _iterations(task_id: str, s, node: str, own: int) -> list:
+    """The normalized ladder of a node costing `own` in level s, relative to
+    the level's start: the first iteration carries the surcharge reached at
+    the node, the later ones the level's whole surcharge."""
     lo, hi = s.bbsc[node], s.bblc[node] + own
-    return ((lo, hi + first_ps),) + tuple((lo + i * s.lpsc, hi + i * s.lplc + s.ps_surcharge)
-                                          for i in range(1, s.max_bound))
+    ladder = [(lo, hi + s.ps_prefix_incl[node])]
+    for i in range(1, s.max_bound):
+        start = lo + i * s.lpsc
+        if start <= ladder[-1][1]:
+            ladder[-1] = (ladder[-1][0], hi + (s.max_bound - 1) * s.lplc + s.ps_surcharge)
+            break
+        if len(ladder) == MAX_WINDOW_INTERVALS:
+            raise ValidationError("loop %s: node %s has more than %d distinct windows over %d iterations"
+                                  % (s.loop_id, node, MAX_WINDOW_INTERVALS, s.max_bound), task_id)
+        ladder.append((start, hi + i * s.lplc + s.ps_surcharge))
+    return ladder
+
+
+def _window(task_id: str, s, node: str, own: int, start: tuple) -> tuple:
+    """normalize(start + the node's ladder): the pairwise sum, sorted once."""
+    ladder = _iterations(task_id, s, node, own)
+    pairs = len(start) * len(ladder)
+    if pairs > MAX_WINDOW_INTERVALS:
+        raise ValidationError("loop %s: node %s sums %d start windows with %d iteration windows, "
+                              "%d pairs over the limit of %d"
+                              % (s.loop_id, node, len(start), len(ladder), pairs, MAX_WINDOW_INTERVALS), task_id)
+    return normalize([(slo + lo, shi + hi) for slo, shi in start for lo, hi in ladder])
 
 
 class TaskContext:
@@ -96,20 +127,20 @@ class TaskContext:
         loop_of = {virtual_id(lid): lid for lid in t.loops}
 
         # One walk over the levels, outermost first: each node's window is
-        # its level's start plus its per-iteration windows, and a child
-        # loop's start is its virtual node's, without the node's own cost.
+        # its level's start plus its ladder.  A virtual node holds no
+        # persistent access of its own, so the surcharge reached at it is
+        # the one before it, and its ladder without its cost is its loop's.
         self.lpb = {}  # loop id -> start sequence relative to the program
         self.bbrp = {}  # node -> program-relative window (code blocks and virtual nodes)
         for lid, s in reversed(contracted.summaries.items()):
             start = ((0, 0),) if lid is None else self.lpb[lid]
             for node in s.bbsc:
-                first_ps = s.ps_prefix_incl[node]
-                self.bbrp[node] = normalize(seq_merge(start, _iterations(s, node, node_worst[node], first_ps)))
                 child = loop_of.get(node)
-                if child is not None:
-                    # A virtual node holds no persistent access of its own,
-                    # so the surcharge reached at it is the one before it.
-                    self.lpb[child] = normalize(seq_merge(start, _iterations(s, node, 0, first_ps)))
+                if child is None:
+                    self.bbrp[node] = _window(t.id, s, node, node_worst[node], start)
+                else:
+                    lpb = self.lpb[child] = _window(t.id, s, node, 0, start)
+                    self.bbrp[node] = normalize([(lo, hi + node_worst[node]) for lo, hi in lpb])
 
         # Reuse windows for interference targets: an always-hit access is
         # vulnerable from the earliest point its line can be loaded until its
@@ -123,8 +154,7 @@ class TaskContext:
                 self.line_window[cls.access_id] = Interval(lo, hull(self.bbrp[cls.block_id]).hi)
             elif cls.l2_chmc == PS:
                 lid = t.blocks[cls.block_id].enclosing_loop
-                lo, hi = hull(self.lpb[lid])
-                self.line_window[cls.access_id] = Interval(lo, hi + node_worst[virtual_id(lid)])
+                self.line_window[cls.access_id] = hull(self.bbrp[virtual_id(lid)])
         self._windows = {}  # (node, release width) -> (bbrp[node] it was built from, window)
 
     def window(self, node: str, width: int) -> tuple:
@@ -144,47 +174,45 @@ class TaskContext:
         self._windows[node, width] = (relative, window)
         return window
 
+    def bba_time(self, node: str, release) -> tuple:
+        """Absolute window (BBATime) of a code block or virtual node for a
+        job released within `release`: the node's window for the release's
+        width, shifted to the release's start."""
+        rlo, rhi = release
+        window = self.window(node, rhi - rlo)
+        if len(window) == 1:  # most windows: no generator needed
+            (lo, hi), = window
+            return ((lo + rlo, hi + rlo),)
+        return tuple((lo + rlo, hi + rlo) for lo, hi in window)
+
 
 class JobContext:
-    """Absolute views of one job instance of a task."""
+    """Block views of one job instance of a task."""
 
     def __init__(self, job: JobInstance, task_ctx: TaskContext):
         self.job = job
         self.task_ctx = task_ctx
-        self.lifetime = job.lifetime
         self._views = {}
-        self._bba = {}
-
-    def bba_time(self, node: str) -> tuple:
-        """Absolute window of a code block or virtual node, computed once per
-        job: the task's window for the release's width, shifted to its start."""
-        bba = self._bba.get(node)
-        if bba is None:
-            rlo, rhi = self.job.release
-            window = self.task_ctx.window(node, rhi - rlo)
-            if len(window) == 1:  # most windows: no generator needed
-                (lo, hi), = window
-                bba = ((lo + rlo, hi + rlo),)
-            else:
-                bba = tuple((lo + rlo, hi + rlo) for lo, hi in window)
-            self._bba[node] = bba
-        return bba
 
     def block_view(self, block_id: str) -> BlockView:
         if block_id not in self._views:
-            levels = [self.bba_time(block_id)]
-            for lid in self.task_ctx.task.ancestry[block_id]:
-                levels.append(self.bba_time(virtual_id(lid)))
-            self._views[block_id] = BlockView(self.lifetime, tuple(levels))
+            ctx, release = self.task_ctx, self.job.release
+            levels = [ctx.bba_time(block_id, release)]
+            for lid in ctx.task.ancestry[block_id]:
+                levels.append(ctx.bba_time(virtual_id(lid), release))
+            self._views[block_id] = BlockView(self.job.lifetime, tuple(levels))
         return self._views[block_id]
 
 
-def write_context_csv(path, jobs_with_ctx):
-    """Debug dump: absolute windows, one row per (job, block, interval)."""
+def write_context_csv(path, setup):
+    """Debug dump: absolute windows of a Setup's jobs, one row per (job,
+    block, interval), jobs in key order."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["chain", "period", "task", "block", "index", "lo", "hi"])
-        for job, jctx in jobs_with_ctx:
-            for bid in sorted(jctx.task_ctx.task.blocks):
-                for idx, (lo, hi) in enumerate(jctx.bba_time(bid)):
+        for key in sorted(setup.jobs):
+            job = setup.jobs[key]
+            ctx = setup.tasks[job.task_id].ctx
+            for bid in sorted(ctx.task.blocks):
+                for idx, (lo, hi) in enumerate(ctx.bba_time(bid, job.release)):
                     w.writerow([job.chain_id, job.period_index, job.task_id, bid, idx, lo, hi])

@@ -208,10 +208,10 @@ class Setup:
     # simulator and its oracle (the last two).  Each value depends on
     # nothing but the fields above, never on options or a report, so a Setup
     # reused across options never reads a stale one.  Every absolute window,
-    # the analysis's and the oracle's, is a task context's window for the
-    # job's release width shifted to the release (TaskContext.window).  Edit
-    # a task's contexts or classification (fault injection) before the first
-    # check_safety on the Setup, not after.
+    # a block view's level and the oracle's alike, is
+    # TaskContext.bba_time(node, job.release).  Edit a task's contexts or
+    # classification (fault injection) before the first check_safety on the
+    # Setup, not after.
     job_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
     walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table

@@ -23,12 +23,13 @@ graph every time; they draw exactly as before.
 A Setup keeps the per-task walk tables (with the recorded worst-biased
 walk) and the oracle's absolute windows, each built on first use, so every
 path after the first on one Setup pays only for its own walk and its own
-checks.  The oracle makes an absolute window by the analysis's one rule:
-the task context's window for the job's release width (TaskContext.window,
-normalized once per task, width and block), shifted to the release.  The
-walker records each access and block occurrence as a plain tuple row; the
-AccessEvent and BlockOccurrence records are read-only views built from the
-rows when a reader asks for them, and the oracle reads the rows.
+checks.  The oracle reads each absolute window where the analysis does,
+from TaskContext.bba_time: the task context's window for the job's
+release width (normalized once per task, width and block), shifted to the
+release.  It keeps one per (job, block) on the Setup.  The walker records
+each access and block occurrence as a plain tuple row; the AccessEvent and
+BlockOccurrence records are read-only views built from the rows when a
+reader asks for them, and the oracle reads the rows.
 """
 
 from __future__ import annotations
@@ -460,24 +461,6 @@ def trace_hit_ratio(trace: SimTrace) -> Optional[float]:
     return levels.count("L2") / len(levels)
 
 
-def _oracle_window(setup, key) -> tuple:
-    """Absolute window, as (lo, hi) pairs, of a (chain id, k, task index, block id).
-
-    It is the task context's window for the job's release width, read on
-    each call, so a window replaced in the context (fault injection) is
-    seen, shifted to the release's start.  It reads nothing the analysis
-    caches per job and nothing a report holds, so check_safety keeps the
-    result on the Setup.
-    """
-    job = setup.jobs[key[:3]]
-    rlo, rhi = job.release
-    window = setup.tasks[job.task_id].ctx.window(key[3], rhi - rlo)
-    if len(window) == 1:  # most windows: no generator needed
-        (lo, hi), = window
-        return ((lo + rlo, hi + rlo),)
-    return tuple((lo + rlo, hi + rlo) for lo, hi in window)
-
-
 def check_safety(trace: SimTrace, report, setup=None) -> list:
     """Compare a concrete trace against the refined analysis results.
 
@@ -567,7 +550,8 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
         key = (cid, k, i, bid)
         window = windows.get(key)
         if window is None:
-            window = windows[key] = _oracle_window(setup, key)
+            job = setup.jobs[cid, k, i]
+            window = windows[key] = setup.tasks[job.task_id].ctx.bba_time(bid, job.release)
         # Covered when the occurrence lies inside one interval of the window.
         for lo, hi in window:
             if lo <= start and end <= hi:

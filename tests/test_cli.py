@@ -6,6 +6,7 @@ import pytest
 
 from chainlat import cli
 from chainlat.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNSAFE, main
+from chainlat.context import MAX_WINDOW_INTERVALS
 from chainlat.latency import MAX_JOBS
 
 
@@ -383,20 +384,49 @@ def test_analyze_nested_loop_windows_cost_the_sum_of_their_bounds(tmp_path, caps
     assert elapsed < 5.0
 
 
-def _nested_loop_task_doc(parents):
-    """Task t0 with three nested loops l0 > l1 > l2, each loop's parent as given."""
-    blocks = ("t0_e", "t0_h0", "t0_h1", "t0_h2", "t0_t2", "t0_t1", "t0_t0", "t0_x")
-    edges = [("e", "h0"), ("h0", "h1"), ("h1", "h2"), ("h2", "t2"), ("t2", "h2"), ("t2", "t1"),
-             ("t1", "h1"), ("t1", "t0"), ("t0", "h0"), ("t0", "x")]
+def _nested_loop_task_doc(parents, bounds=None):
+    """Task t0 of access-free blocks with nested loops l0 > l1 > ..., one per
+    entry of `parents`, each loop's parent and (min, max) bound as given
+    (default (1, 2))."""
+    n = len(parents)
+    bounds = bounds or ((1, 2),) * n
+    heads = ["h%d" % i for i in range(n)]
+    tails = ["t%d" % i for i in reversed(range(n))]
+    path = ["e"] + heads + tails + ["x"]
+    edges = list(zip(path, path[1:])) + [("t%d" % i, "h%d" % i) for i in range(n)]
     return {
         "task_id": "t0",
-        "blocks": [{"id": b, "instructions": 2, "accesses": []} for b in blocks],
+        "blocks": [{"id": "t0_" + b, "instructions": 2, "accesses": []} for b in path],
         "edges": [["t0_" + s, "t0_" + d] for s, d in edges],
         "loops": [{"id": "l%d" % i, "head": "t0_h%d" % i, "tail": "t0_t%d" % i,
-                   "back_edge": ["t0_t%d" % i, "t0_h%d" % i], "min_bound": 1, "max_bound": 2,
-                   "parent": parents[i]} for i in range(3)],
+                   "back_edge": ["t0_t%d" % i, "t0_h%d" % i], "min_bound": bounds[i][0],
+                   "max_bound": bounds[i][1], "parent": parents[i]} for i in range(n)],
         "exclusive_pairs": [],
     }
+
+
+@pytest.mark.parametrize("parents,bounds,message", [
+    # A deterministic body: every one of its 10^8 iterations is a distinct window.
+    ((None,), ((10 ** 8, 10 ** 8),),
+     "error: t0: loop l0: node t0_h0 has more than %d distinct windows over 100000000 iterations\n"
+     % MAX_WINDOW_INTERVALS),
+    # A deterministic nest: 1,000 distinct inner starts times 1,000 inner iterations.
+    ((None, "l0"), ((1000, 1000), (1000, 1000)),
+     "error: t0: loop l1: node t0_h1 sums 1000 start windows with 1000 iteration windows, "
+     "1000000 pairs over the limit of %d\n" % MAX_WINDOW_INTERVALS),
+], ids=("loop-1e8", "nest-1000x1000"))
+def test_analyze_refuses_windows_over_the_interval_limit(tmp_path, capsys, parents, bounds, message):
+    system, tasks, chains = _generated(tmp_path)
+    with open(next(t for t in tasks if t.endswith("task_t0.json")), "w") as fh:
+        json.dump(_nested_loop_task_doc(parents, bounds), fh)
+    begin = time.perf_counter()
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    elapsed = time.perf_counter() - begin
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == message
+    assert elapsed < 1.0
+    assert not (tmp_path / "rep").exists()
 
 
 @pytest.mark.parametrize("parents,expected", [

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -7,9 +8,10 @@ from chainlat.cache_ai import AH, NC, PS, all_miss, classify_task
 from chainlat.context import (
     JobContext,
     TaskContext,
+    _iterations,
     compute_prs_time,
 )
-from chainlat.cost import ContractionPlan, contract_task, virtual_id
+from chainlat.cost import ContractionPlan, LoopCostSummary, contract_task, virtual_id
 from chainlat.ingest import _TaskBuilder, default_system
 from chainlat.model import ChainSpec, Interval, JobInstance, LoopNode
 from chainlat.overlap import normalize, seq
@@ -188,10 +190,9 @@ def test_coverage_against_exhaustive_enumeration(system, diamond):
 
     release = Interval(70, 70)
     job = JobInstance("c", 0, diamond.id, 0, release, Interval(70, 70 + con.wcet))
-    jctx = JobContext(job, ctx)
     for path in enumerate_task_paths(diamond):
         for bid, s, e in path_occurrences(path, costs):
-            window = jctx.bba_time(bid)
+            window = ctx.bba_time(bid, job.release)
             assert any(lo <= 70 + s and 70 + e <= hi for lo, hi in window), (bid, s, e)
 
 
@@ -208,14 +209,27 @@ def test_nesting_containment(system):
             assert env_lo <= lo and hi <= env_hi
 
 
-@settings(max_examples=60, deadline=None)
+def with_bounds(task, bounds):
+    """The task with each loop's (min, max) bound replaced, in loop id order."""
+    loops = {lid: dataclasses.replace(task.loops[lid], min_bound=lo, max_bound=hi)
+             for lid, (lo, hi) in zip(sorted(task.loops), bounds)}
+    return dataclasses.replace(task, loops=loops)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 3), st.integers(2, 24), st.sampled_from((0.2, 0.8)),
-       st.data())
-def test_task_context_matches_reference_windows(seed, depth, n_blocks, collision, data):
+       st.sampled_from((None, 45)), st.data())
+def test_task_context_matches_reference_windows(seed, depth, n_blocks, collision, large, data):
     # The windows composed per level (offset in the iteration, start relative
     # to the parent, start relative to the program) equal TaskContext's.
+    # With `large`, every loop's bounds are redrawn up to it: the closed
+    # ladders still cover what the reference enumerates, at most 45^3
+    # windows per block at loop depth 3.
     system = default_system()
     task = _TaskBuilder(random.Random(seed), "t0", 0, system, n_blocks, depth, 0.3, collision).build()
+    if large:
+        bound = st.integers(1, large).flatmap(lambda hi: st.tuples(st.integers(0, hi), st.just(hi)))
+        task = with_bounds(task, [data.draw(bound) for _ in task.loops])
     cls = classify_task(task, system)
     plan = ContractionPlan(task, system)
     refined = {aid: data.draw(st.sampled_from((AH, PS, NC))) for aid in sorted(cls.accesses)}
@@ -229,3 +243,32 @@ def test_task_context_matches_reference_windows(seed, depth, n_blocks, collision
             assert ctx.bbrp == {n: normalize(w) for n, w in bbrp.items()}
             assert ctx.lpb == {lid: normalize(w) for lid, w in lpb.items()}
             assert ctx.line_window == line_window
+
+
+def full_ladder(s, node, own):
+    """Every iteration's window of a node, relative to its level's start."""
+    lo, hi = s.bbsc[node], s.bblc[node] + own
+    return [(lo, hi + s.ps_prefix_incl[node])] + [(lo + i * s.lpsc, hi + i * s.lplc + s.ps_surcharge)
+                                                   for i in range(1, s.max_bound)]
+
+
+@st.composite
+def level_summaries(draw):
+    """One node's level: lpsc <= lplc, bbsc <= bblc, a first surcharge at most
+    the level's; deterministic bodies (lpsc == lplc) and lpsc 0 included."""
+    lpsc = draw(st.integers(0, 300))
+    lplc = draw(st.sampled_from((lpsc, lpsc + draw(st.integers(0, 30)))))
+    bbsc = draw(st.integers(0, 200))
+    bblc = draw(st.integers(bbsc, bbsc + 60))
+    ps = draw(st.sampled_from((0, draw(st.integers(0, 100)))))
+    return LoopCostSummary("l", lpsc, lplc, {"n": bbsc}, {"n": bblc}, ps, {"n": draw(st.integers(0, ps))},
+                           max_bound=draw(st.integers(1, 3000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_summaries(), st.integers(0, 60))
+def test_closed_ladder_equals_the_normalized_enumeration(s, own):
+    # The ladder stops at its first touching iteration and closes with one
+    # merged tail; that is the normalized enumeration of every iteration.
+    assert tuple(_iterations("t", s, "n", own)) == normalize(full_ladder(s, "n", own))
+

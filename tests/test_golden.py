@@ -209,7 +209,7 @@ def test_interference_csv_digest(option, name, tmp_path):
 def test_context_csv_digest(name, tmp_path):
     setup = analyze_bundle(BUNDLES[name]()).setup
     path = tmp_path / "contexts.csv"
-    write_context_csv(path, [(setup.jobs[k], setup.job_ctx(k)) for k in sorted(setup.jobs)])
+    write_context_csv(path, setup)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTEXT_DIGESTS[name]
 
 

@@ -13,7 +13,6 @@ from chainlat.sim import (
     LRUCache,
     SimConfig,
     SimTrace,
-    _oracle_window,
     check_safety,
     simulate,
     simulate_exhaustive,
@@ -322,10 +321,11 @@ windows = st.lists(st.tuples(st.integers(-50, 500), st.integers(0, 60)), min_siz
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 300), st.sampled_from(("ET", "TT", "mix")), st.data())
 def test_job_and_oracle_windows_are_the_release_plus_the_relative_window(seed, trigger, data):
-    # Both absolute windows, the analysis's (JobContext.bba_time) and the
-    # oracle's, equal normalize(release + bbrp[node]) for every job and
-    # node of a generated bundle.  A few relative windows are first replaced
-    # by arbitrary sequences, sorted or not, overlapping or touching.
+    # Every absolute window comes from TaskContext.bba_time, which the
+    # oracle reads directly and a block view reads for each of its levels:
+    # both equal normalize(release + bbrp[node]) for every job and node of
+    # a generated bundle.  A few relative windows are first replaced by
+    # arbitrary sequences, sorted or not, overlapping or touching.
     setup = prepare(generate_workload(seed=seed, cores=2, trigger=trigger))
     for tid in data.draw(st.lists(st.sampled_from(sorted(setup.tasks)), max_size=2)):
         bbrp = setup.tasks[tid].ctx.bbrp
@@ -333,12 +333,13 @@ def test_job_and_oracle_windows_are_the_release_plus_the_relative_window(seed, t
     widths = set()
     for key, job in sorted(setup.jobs.items()):
         jctx = setup.job_ctx(key)
-        bbrp = setup.tasks[job.task_id].ctx.bbrp
+        ctx = setup.tasks[job.task_id].ctx
         widths.add(job.release.hi - job.release.lo)
-        for node in sorted(bbrp):
-            expected = reference_bba_time(job.release, bbrp[node])
-            assert jctx.bba_time(node) == expected
-            assert _oracle_window(setup, key + (node,)) == expected
+        for node in sorted(ctx.bbrp):
+            assert ctx.bba_time(node, job.release) == reference_bba_time(job.release, ctx.bbrp[node])
+        for bid in sorted(ctx.task.blocks):
+            expected = reference_bba_time(job.release, ctx.bbrp[bid])
+            assert jctx.block_view(bid).window_levels[0] == expected
     if trigger == "ET":
         assert max(widths) > 0
 
