@@ -23,7 +23,7 @@ from .ingest import (
     system_to_doc,
     task_to_doc,
 )
-from .interference import COUNT_ACCESS, COUNT_DISTINCT, ET_RULE_MAX, ET_RULE_SUM
+from .interference import COUNTINGS, ET_RULES
 from .latency import MODES, AnalysisOptions, analyze_bundle, report_to_json, write_report_csv
 from .model import ValidationError
 from .sim import SimConfig, check_safety, simulate, trace_hit_ratio
@@ -75,13 +75,7 @@ def _mode_tuple(mode: str):
 
 def cmd_analyze(args) -> int:
     bundle = parse_workload(args.system, args.tasks, args.chains)
-    options = AnalysisOptions(
-        modes=_mode_tuple(args.mode),
-        counting=args.counting,
-        et_rule=args.et_rule,
-        refinement_passes=args.passes,
-        jobs=args.jobs,
-    )
+    options = _analysis_options(args, _mode_tuple(args.mode))
     report = analyze_bundle(bundle, options)
     os.makedirs(args.output, exist_ok=True)
     trace = None
@@ -154,11 +148,10 @@ def cmd_verify(args) -> int:
         configs += [SimConfig(policy="random", seed=path_seed) for path_seed in range(args.paths_per_job)]
     if args.sim_policy in ("worst", "both"):
         configs.append(SimConfig(policy="worst", seed=0))
+    options = _analysis_options(args, MODES)
     for seed in range(args.seed, args.seed + args.seeds):
         bundle = generate_workload(seed=seed, **_generator_options(args))
         bundles += 1
-        options = AnalysisOptions(counting=args.counting, et_rule=args.et_rule,
-                                  refinement_passes=args.passes, jobs=args.jobs)
         report = analyze_bundle(bundle, options)
         setup = report.setup
 
@@ -210,10 +203,16 @@ def _generator_options(args) -> dict:
 
 def _add_analysis_options(parser):
     """The analysis options that analyze and verify share."""
-    parser.add_argument("--counting", choices=(COUNT_DISTINCT, COUNT_ACCESS), default=COUNT_DISTINCT)
-    parser.add_argument("--et-rule", choices=(ET_RULE_SUM, ET_RULE_MAX), default=ET_RULE_SUM)
-    parser.add_argument("--passes", type=_positive_int, default=1)
-    parser.add_argument("--jobs", type=_positive_int, default=1)
+    parser.add_argument("--counting", choices=COUNTINGS, default=AnalysisOptions.counting)
+    parser.add_argument("--et-rule", choices=ET_RULES, default=AnalysisOptions.et_rule)
+    parser.add_argument("--passes", type=_positive_int, default=AnalysisOptions.refinement_passes)
+    parser.add_argument("--jobs", type=_positive_int, default=AnalysisOptions.jobs)
+
+
+def _analysis_options(args, modes) -> AnalysisOptions:
+    """The AnalysisOptions over `modes` that the flags _add_analysis_options declares select."""
+    return AnalysisOptions(modes=modes, counting=args.counting, et_rule=args.et_rule,
+                           refinement_passes=args.passes, jobs=args.jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -96,11 +96,15 @@ def _pair(value, path):
 def parse_system(doc: dict, where: str = "system") -> SystemSpec:
     def level(name):
         cfg = _field(doc, name, dict, where)
-        return CacheLevelConfig(*(_field(cfg, key, int, where, (name,)) for key in ("sets", "ways", "line", "hit")))
+        values = [_field(cfg, key, int, where, (name,)) for key in ("sets", "ways", "line", "hit")]
+        try:
+            return CacheLevelConfig(*values)
+        except ValidationError as exc:
+            raise ValidationError("%s: %s" % (name, exc), where)
 
     try:
         _typed(doc, dict, ("the document",))
-        return SystemSpec(
+        fields = dict(
             core_count=_field(doc, "cores", int, where),
             l1=level("l1"),
             l2=level("l2"),
@@ -110,6 +114,10 @@ def parse_system(doc: dict, where: str = "system") -> SystemSpec:
         )
     except TypeError as exc:
         raise ValidationError("malformed system document (%s)" % exc, where)
+    try:
+        return SystemSpec(**fields)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), where)
 
 
 def parse_task(doc: dict, where: str = "task") -> TaskGraph:
@@ -156,7 +164,7 @@ def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:
     try:
         _typed(doc, dict, ("the document",))
         offsets = _field(doc, "offsets", (list, int), where, default=None)
-        return ChainSpec(
+        fields = dict(
             id=_field(doc, "id", str, where),
             trigger=_field(doc, "trigger", str, where),
             tasks=tuple(_field(doc, "tasks", (list, str), where)),
@@ -166,6 +174,10 @@ def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:
         )
     except TypeError as exc:
         raise ValidationError("malformed chain document (%s)" % exc, where)
+    try:
+        return ChainSpec(**fields)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), where)
 
 
 def _load_json(path):
@@ -344,9 +356,12 @@ def default_system(cores: int = 2) -> SystemSpec:
     )
 
 
+# Chance that a generated diamond's two arms are declared mutually exclusive.
+EXCLUSIVE_PROB = 0.3
+
+
 class _TaskBuilder:
-    def __init__(self, rng, task_id, task_index, system, n_blocks, loop_depth,
-                 exclusive_prob, collision):
+    def __init__(self, rng, task_id, task_index, system, n_blocks, loop_depth, collision):
         self.rng = rng
         self.task_id = task_id
         self.task_index = task_index
@@ -354,7 +369,6 @@ class _TaskBuilder:
         self.collision = collision
         self.budget = n_blocks
         self.loop_depth = loop_depth
-        self.exclusive_prob = exclusive_prob
         self.blocks = []
         self.edges = []
         self.loops = []
@@ -405,7 +419,7 @@ class _TaskBuilder:
         b = self._new_block()
         join = self._new_block()
         self.edges += [(cur, a), (cur, b), (a, join), (b, join)]
-        if self.rng.random() < self.exclusive_prob:
+        if self.rng.random() < EXCLUSIVE_PROB:
             self.pairs.append((a, b))
         return join
 
@@ -459,7 +473,7 @@ class _TaskBuilder:
 
 
 def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_depth=2,
-                      utilization=0.9, collision=0.5, trigger="mix", exclusive_prob=0.3) -> WorkloadBundle:
+                      utilization=0.9, collision=0.5, trigger="mix") -> WorkloadBundle:
     """Deterministic random bundle: one chain per core, periods sized to target."""
     if tasks_per_chain not in (1, 2, 4):
         raise ValidationError("tasks_per_chain must be one of 1, 2, 4")
@@ -484,8 +498,7 @@ def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_
         chain_tasks = []
         for _ in range(tasks_per_chain):
             tid = "t%d" % task_index
-            builder = _TaskBuilder(rng, tid, task_index, system, blocks_per_task,
-                                   loop_depth, exclusive_prob, collision)
+            builder = _TaskBuilder(rng, tid, task_index, system, blocks_per_task, loop_depth, collision)
             tasks[tid] = builder.build()
             chain_tasks.append(tid)
             task_index += 1

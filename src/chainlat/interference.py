@@ -26,9 +26,11 @@ from .overlap import hierarchical_overlap
 
 COUNT_DISTINCT = "distinct"
 COUNT_ACCESS = "access"
+COUNTINGS = (COUNT_DISTINCT, COUNT_ACCESS)
 
 ET_RULE_SUM = "sum"
 ET_RULE_MAX = "max"
+ET_RULES = (ET_RULE_SUM, ET_RULE_MAX)
 
 MWIS_EXACT_CAP = 40
 

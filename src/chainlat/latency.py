@@ -50,10 +50,10 @@ from .cache_ai import AH, PS, all_miss, classify_task, refine_chmc
 from .context import BlockView, JobContext, TaskContext, compute_prs_time
 from .cost import ContractionPlan, contract_task
 from .interference import (
-    COUNT_ACCESS,
     COUNT_DISTINCT,
-    ET_RULE_MAX,
+    COUNTINGS,
     ET_RULE_SUM,
+    ET_RULES,
     collect_overlap_set,
     interference_bound,
     job_contribution,
@@ -79,8 +79,7 @@ class AnalysisOptions:
 
     def __post_init__(self):
         """Refuse a value the analysis cannot run, naming the field, the value and the allowed values."""
-        for name, allowed in (("counting", (COUNT_DISTINCT, COUNT_ACCESS)),
-                              ("et_rule", (ET_RULE_SUM, ET_RULE_MAX))):
+        for name, allowed in (("counting", COUNTINGS), ("et_rule", ET_RULES)):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValidationError("AnalysisOptions.%s: %r is not one of %s"
@@ -181,13 +180,6 @@ class LifetimeIndex:
         return out
 
 
-@dataclass
-class ChainSetup:
-    chain: object
-    cips: tuple
-    bcets: tuple
-
-
 def lifetime_indexes(jobs: dict, hyper: int) -> dict:
     """One LifetimeIndex per chain id over the enumerated jobs."""
     by_chain = {}
@@ -200,7 +192,7 @@ def lifetime_indexes(jobs: dict, hyper: int) -> dict:
 class Setup:
     bundle: WorkloadBundle
     tasks: dict  # task id -> TaskAnalysis
-    chains: dict  # chain id -> ChainSetup
+    chains: dict  # chain id -> ChainSpec, its period and TT offsets filled in
     hyper: int
     jobs: dict  # (chain id, period index, task index) -> JobInstance
     lifetimes: dict  # chain id -> LifetimeIndex
@@ -281,14 +273,13 @@ def prepare(bundle: WorkloadBundle) -> Setup:
         plan = ContractionPlan(task, bundle.system)
         miss = all_miss(cls)
         con = contract_task(task, cls, bundle.system, refined=miss, plan=plan)
-        weights = {counting: set_weights(cls, counting) for counting in (COUNT_DISTINCT, COUNT_ACCESS)}
+        weights = {counting: set_weights(cls, counting) for counting in COUNTINGS}
         tasks[tid] = TaskAnalysis(tid, cls, miss, con, TaskContext(con), con.wcet, con.bcet, weights, plan)
 
     chains = {}
     for cid in sorted(bundle.chains):
         chain = bundle.chains[cid]
         cips = tuple(tasks[t].cip_wcet for t in chain.tasks)
-        bcets = tuple(tasks[t].bcet for t in chain.tasks)
         if chain.period is None:
             chain = replace(chain, period=ingest.assign_period(cips, bundle.system.period_table))
         if sum(cips) > chain.period:
@@ -307,25 +298,27 @@ def prepare(bundle: WorkloadBundle) -> Setup:
                         "chain %s unschedulable: task %s at offset %d may run %d cycles, "
                         "past the next release at %d" % (cid, t, offset, cip, end)
                     )
-        chains[cid] = ChainSetup(chain, cips, bcets)
+        chains[cid] = chain
 
-    hyper = hyperperiod([cs.chain.period for cs in chains.values()])
-    per_chain = {cid: hyper // cs.chain.period * len(cs.chain.tasks) for cid, cs in chains.items()}
+    hyper = hyperperiod([chain.period for chain in chains.values()])
+    per_chain = {cid: hyper // chain.period * len(chain.tasks) for cid, chain in chains.items()}
     n_jobs = sum(per_chain.values())
     if n_jobs > MAX_JOBS:
         raise ValidationError(
             "hyperperiod %d needs %d jobs, over the limit of %d: %s"
             % (hyper, n_jobs, MAX_JOBS,
-               ", ".join("chain %s period %d (%d jobs)" % (cid, chains[cid].chain.period, n)
+               ", ".join("chain %s period %d (%d jobs)" % (cid, chains[cid].period, n)
                          for cid, n in per_chain.items()))
         )
     jobs = {}
-    for cid, cs in chains.items():
-        for k in range(hyper // cs.chain.period):
-            for i, tid in enumerate(cs.chain.tasks):
-                release = compute_prs_time(cs.chain, i, k, cs.bcets, cs.cips)
+    for cid, chain in chains.items():
+        cips = tuple(tasks[t].cip_wcet for t in chain.tasks)
+        bcets = tuple(tasks[t].bcet for t in chain.tasks)
+        for k in range(hyper // chain.period):
+            for i, tid in enumerate(chain.tasks):
+                release = compute_prs_time(chain, i, k, bcets, cips)
                 jobs[(cid, k, i)] = JobInstance(
-                    cid, i, tid, k, release, Interval(release.lo, release.hi + cs.cips[i])
+                    cid, i, tid, k, release, Interval(release.lo, release.hi + cips[i])
                 )
     return Setup(bundle, tasks, chains, hyper, jobs, lifetime_indexes(jobs, hyper))
 
@@ -338,15 +331,15 @@ def _foreign_overlaps(setup: Setup, key) -> list:
     """Per foreign chain, the (job key, shift) pairs whose lifetime overlaps job `key`'s.
 
     Hyperperiod-shifted copies are distinct executions; a window may
-    straddle the boundary and meet two of them.  Returns [(ChainSetup,
+    straddle the boundary and meet two of them.  Returns [(ChainSpec,
     pairs)] in chain order, the pairs in (k, i, shift) order.
     """
     if key not in setup.overlaps:
         lifetime = setup.jobs[key].lifetime
-        core = setup.chains[key[0]].chain.core
+        core = setup.chains[key[0]].core
         setup.overlaps[key] = [
-            (cs, setup.lifetimes[cid].overlapping(lifetime))
-            for cid, cs in setup.chains.items() if cs.chain.core != core
+            (chain, setup.lifetimes[cid].overlapping(lifetime))
+            for cid, chain in setup.chains.items() if chain.core != core
         ]
     return setup.overlaps[key]
 
@@ -376,7 +369,7 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
     # grouped once under every such set, in pair order: its weight table
     # entry, task graph, context, shift and shifted release.
     foreign = []
-    for fcs, pairs in _foreign_overlaps(setup, key):
+    for fchain, pairs in _foreign_overlaps(setup, key):
         by_set = {}
         for fkey, shift in pairs:
             fj = setup.jobs[fkey]
@@ -389,7 +382,7 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
             for s in common:
                 by_set.setdefault(s, []).append((weights[s], *entry))
         if by_set:
-            foreign.append((fcs.chain.trigger, by_set))
+            foreign.append((fchain.trigger, by_set))
 
     rlo, rhi = job.release
     life_lo, life_hi = job.lifetime
@@ -498,10 +491,10 @@ def mel_tt(instance_wcets, offsets) -> tuple:
 
 def predicted_hit_ratio(setup: Setup, chain_id: str, results: dict) -> Optional[float]:
     """Loop-bound weighted hit fraction over all shared-cache visible accesses."""
-    cs = setup.chains[chain_id]
-    n = setup.hyper // cs.chain.period
+    chain = setup.chains[chain_id]
+    n = setup.hyper // chain.period
     total = hits = 0
-    for i, tid in enumerate(cs.chain.tasks):
+    for i, tid in enumerate(chain.tasks):
         table = setup.tasks[tid].hit_weights
         total += n * sum(weight for _, _, weight in table)
         for k in range(n):
@@ -552,17 +545,17 @@ def analyze_bundle(bundle: WorkloadBundle, options: AnalysisOptions = None,
 
     chain_results = {}
     for cid in sorted(setup.chains):
-        cs = setup.chains[cid]
-        n, width = setup.hyper // cs.chain.period, len(cs.chain.tasks)
+        chain = setup.chains[cid]
+        n, width = setup.hyper // chain.period, len(chain.tasks)
         chain_keys = [(cid, k, i) for k in range(n) for i in range(width)]  # instance order
         for mode in modes:
             per_instance = {key: instances[(mode, *key)] for key in chain_keys}
             flat = [res.wcet for res in per_instance.values()]
             wcets = tuple(tuple(flat[k * width:(k + 1) * width]) for k in range(n))
-            if cs.chain.trigger == "ET":
+            if chain.trigger == "ET":
                 mel, lat = mel_et(wcets)
             else:
-                mel, lat = mel_tt(wcets, cs.chain.offsets)
+                mel, lat = mel_tt(wcets, chain.offsets)
             chain_results[(cid, mode)] = ChainModeResult(
                 chain_id=cid,
                 mode=mode,
@@ -585,7 +578,7 @@ def analyze_bundle(bundle: WorkloadBundle, options: AnalysisOptions = None,
 def report_to_doc(report: AnalysisReport, bundle: WorkloadBundle) -> dict:
     chains = []
     for cid in sorted({c for c, _ in report.chain_results}):
-        cs = report.setup.chains[cid]
+        chain = report.setup.chains[cid]
         modes = {}
         for mode in MODES:
             r = report.chain_results.get((cid, mode))
@@ -598,19 +591,19 @@ def report_to_doc(report: AnalysisReport, bundle: WorkloadBundle) -> dict:
                 "simulated_hit_ratio": r.simulated_hit_ratio,
                 "instance_latencies": list(r.instance_latencies),
                 "instance_wcets": [
-                    [report.instances[(mode, cid, k, i)].wcet for i in range(len(cs.chain.tasks))]
-                    for k in range(report.setup.hyper // cs.chain.period)
+                    [report.instances[(mode, cid, k, i)].wcet for i in range(len(chain.tasks))]
+                    for k in range(report.setup.hyper // chain.period)
                 ],
             }
         chains.append(
             {
                 "chain": cid,
-                "core": cs.chain.core,
-                "trigger": cs.chain.trigger,
-                "period": cs.chain.period,
-                "offsets": None if cs.chain.offsets is None else list(cs.chain.offsets),
-                "tasks": list(cs.chain.tasks),
-                "cip_wcets": list(cs.cips),
+                "core": chain.core,
+                "trigger": chain.trigger,
+                "period": chain.period,
+                "offsets": None if chain.offsets is None else list(chain.offsets),
+                "tasks": list(chain.tasks),
+                "cip_wcets": [report.setup.tasks[t].cip_wcet for t in chain.tasks],
                 "modes": modes,
             }
         )

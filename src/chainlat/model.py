@@ -228,6 +228,8 @@ class ChainSpec:
         if not self.tasks:
             raise ValidationError("chain %s: empty task list" % self.id)
         if self.offsets is not None:
+            if self.trigger != "TT":
+                raise ValidationError("chain %s: offsets apply to TT chains only" % self.id)
             if len(self.offsets) != len(self.tasks):
                 raise ValidationError("chain %s: offsets/task count mismatch" % self.id)
             if self.offsets[0] != 0:

@@ -28,8 +28,8 @@ from TaskContext.bba_time: the task context's window for the job's
 release width (normalized once per task, width and block), shifted to the
 release.  It keeps one per (job, block) on the Setup.  The walker records
 each access and block occurrence as a plain tuple row; the AccessEvent and
-BlockOccurrence records are read-only views built from the rows when a
-reader asks for them, and the oracle reads the rows.
+BlockOccurrence records are built from the rows at each read, and the
+oracle reads the rows.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from .model import ValidationError
 
 
 POLICIES = ("random", "worst", "tape")
+# Most decision tapes simulate_exhaustive runs before it refuses the bundle.
+MAX_EXHAUSTIVE_PATHS = 100_000
 
 
 @dataclass
@@ -53,7 +55,6 @@ class SimConfig:
     policy: str = "random"  # random | worst | tape
     seed: int = 0
     tape: Optional[list] = None  # decision tape when policy == "tape"
-    max_exhaustive_paths: int = 100_000
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -103,28 +104,21 @@ class SimTrace:
     """One run.  Accesses and block occurrences are kept as rows: tuples of
     the AccessEvent and BlockOccurrence fields, in the same order.  The
     `accesses` and `blocks` properties are read-only tuples of records built
-    from the rows on first read, and rebuilt only if rows were appended."""
+    from the rows at each read."""
 
     jobs: list = field(default_factory=list)
     access_rows: list = field(default_factory=list)
     block_rows: list = field(default_factory=list)
     overruns: list = field(default_factory=list)
     l2_state: list = field(default_factory=list)
-    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _records(self, rows, record) -> tuple:
-        view = self._views.get(record)
-        if view is None or len(view) != len(rows):
-            view = self._views[record] = tuple(record(*row) for row in rows)
-        return view
 
     @property
     def accesses(self) -> tuple:
-        return self._records(self.access_rows, AccessEvent)
+        return tuple(AccessEvent(*row) for row in self.access_rows)
 
     @property
     def blocks(self) -> tuple:
-        return self._records(self.block_rows, BlockOccurrence)
+        return tuple(BlockOccurrence(*row) for row in self.block_rows)
 
 
 class LRUCache:
@@ -274,7 +268,7 @@ def _core_walker(core, setup, cid, decider, trace, walks):
     Under the worst-biased policy only a task's first job walks its graph;
     it records the walk, and every later job replays the record.
     """
-    chain = setup.chains[cid].chain
+    chain = setup.chains[cid]
     system = setup.bundle.system
     cpi, l1_hit = system.base_cpi, system.l1.hit_latency
     l1_sets, l1_ways = system.l1.sets, system.l1.ways
@@ -394,7 +388,7 @@ def _run(setup, decider) -> SimTrace:
 
     gens = {}
     for cid in sorted(setup.chains):
-        core = setup.chains[cid].chain.core
+        core = setup.chains[cid].core
         gens[core] = _core_walker(core, setup, cid, decider, trace, walks)
 
     heap = []
@@ -430,18 +424,20 @@ def simulate(bundle, config: SimConfig, setup=None) -> SimTrace:
     return _run(setup, _Decider(config))
 
 
-def simulate_exhaustive(bundle, config: SimConfig = None, setup=None):
-    """Yield one trace per decision tape, enumerated like an odometer."""
-    config = config or SimConfig()
+def simulate_exhaustive(bundle, setup=None):
+    """Yield one trace per decision tape, enumerated like an odometer.
+
+    A tape decides every choice, so no path draws a random number.
+    """
     setup = setup or prepare(bundle)
     tape = []
     paths = 0
     while True:
-        decider = _Decider(SimConfig(policy="tape", seed=config.seed, tape=tape))
+        decider = _Decider(SimConfig(policy="tape", tape=tape))
         trace = _run(setup, decider)
         paths += 1
-        if paths > config.max_exhaustive_paths:
-            raise ValidationError("exhaustive simulation exceeds %d paths" % config.max_exhaustive_paths)
+        if paths > MAX_EXHAUSTIVE_PATHS:
+            raise ValidationError("exhaustive simulation exceeds %d paths" % MAX_EXHAUSTIVE_PATHS)
         yield trace
         grown, counts = decider.tape, decider.counts
         pos = len(grown) - 1
@@ -495,13 +491,13 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
                 {"kind": "job-latency", "job": key, "latency": j.finish - j.start, "bound": res.wcet}
             )
 
-    for cid, cs in setup.chains.items():
+    for cid, chain in setup.chains.items():
         if (cid, "TSC") not in report.chain_results:
             continue
         mel = report.chain_results[(cid, "TSC")].mel
-        for k in range(setup.hyper // cs.chain.period):
+        for k in range(setup.hyper // chain.period):
             first = by_instance.get((cid, k, 0))
-            last = by_instance.get((cid, k, len(cs.chain.tasks) - 1))
+            last = by_instance.get((cid, k, len(chain.tasks) - 1))
             if first and last:
                 latency = last.finish - first.start
                 if latency > mel:

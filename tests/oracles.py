@@ -609,7 +609,7 @@ def _ref_suffix_scores(task, node_worst):
 def _ref_core_walker(core, setup, cid, decider, trace, system, scores_by_task):
     from chainlat.sim import JobRecord
 
-    chain = setup.chains[cid].chain
+    chain = setup.chains[cid]
     clock = 0
     for k in range(setup.hyper // chain.period):
         for i, tid in enumerate(chain.tasks):
@@ -699,7 +699,7 @@ def _ref_run(setup, decider):
     l2 = ReferenceLRU(system.l2.sets, system.l2.ways)
     gens = {}
     for cid in sorted(setup.chains):
-        core = setup.chains[cid].chain.core
+        core = setup.chains[cid].core
         gens[core] = _ref_core_walker(core, setup, cid, decider, trace, system, scores_by_task)
     heap = []
     for core in sorted(gens):
@@ -753,10 +753,10 @@ def reference_simulate_exhaustive(setup, limit):
 def _ref_foreign_pairs(setup, key):
     """Per foreign chain, its (job key, shift) pairs whose shifted lifetime meets job key's."""
     lo, hi = setup.jobs[key].lifetime
-    core = setup.chains[key[0]].chain.core
+    core = setup.chains[key[0]].core
     out = []
-    for cid, cs in setup.chains.items():
-        if cs.chain.core == core:
+    for cid, chain in setup.chains.items():
+        if chain.core == core:
             continue
         pairs = []
         for fkey in sorted(k for k in setup.jobs if k[0] == cid):
@@ -764,7 +764,7 @@ def _ref_foreign_pairs(setup, key):
             for shift in (-setup.hyper, 0, setup.hyper):
                 if max(lo, flo + shift) <= min(hi, fhi + shift):
                     pairs.append((fkey, shift))
-        out.append((cs, pairs))
+        out.append((chain, pairs))
     return out
 
 
@@ -798,7 +798,7 @@ def _ref_tsc_mc(setup, key, line_window, options, contexts):
         lo, hi = line_window[cls.access_id]
         lo, hi = lo + rlo, hi + rhi
         total = raw_total = mwis_total = 0
-        for fcs, pairs in overlaps:
+        for fchain, pairs in overlaps:
             per_job = []
             for fkey, shift in pairs:
                 fj = setup.jobs[fkey]
@@ -815,7 +815,7 @@ def _ref_tsc_mc(setup, key, line_window, options, contexts):
                 if contrib:
                     flo, fhi = fj.release
                     per_job.append(((flo + shift, fhi + shift), contrib))
-            total += interference_bound(per_job, fcs.chain.trigger, options.et_rule)
+            total += interference_bound(per_job, fchain.trigger, options.et_rule)
         mc[cls.access_id] = total
         debug[cls.access_id] = (raw_total, mwis_total)
     return mc, debug
@@ -883,13 +883,13 @@ def reference_check_safety(trace, report, setup=None):
                 {"kind": "job-latency", "job": key, "latency": j.finish - j.start, "bound": res.wcet}
             )
 
-    for cid, cs in setup.chains.items():
+    for cid, chain in setup.chains.items():
         if (cid, "TSC") not in report.chain_results:
             continue
         mel = report.chain_results[(cid, "TSC")].mel
-        for k in range(setup.hyper // cs.chain.period):
+        for k in range(setup.hyper // chain.period):
             first = by_instance.get((cid, k, 0))
-            last = by_instance.get((cid, k, len(cs.chain.tasks) - 1))
+            last = by_instance.get((cid, k, len(chain.tasks) - 1))
             if first and last:
                 latency = last.finish - first.start
                 if latency > mel:

@@ -261,7 +261,7 @@ def test_interference_bound_covers_true_reuse_windows():
     for bno, bundle in enumerate(bundles):
         report = analyze_bundle(bundle)
         l2 = bundle.system.l2
-        core_of = {cid: cs.chain.core for cid, cs in report.setup.chains.items()}
+        core_of = {cid: chain.core for cid, chain in report.setup.chains.items()}
         for s in range(10):
             trace = simulate(bundle, SimConfig("random", s), setup=report.setup)
             events = sorted(

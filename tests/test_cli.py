@@ -464,7 +464,8 @@ def test_analyze_rejects_duplicate_back_edges(tmp_path, capsys):
 @pytest.mark.parametrize("edits,message", [
     (({"trigger": "ET", "offsets": None}, {"core": 0, "trigger": "TT", "offsets": None}),
      "core 0 mixes trigger types ['ET', 'TT']"),
-    (({"trigger": "ET", "period": 4000}, {"core": 0, "trigger": "ET", "period": 8000}),
+    (({"trigger": "ET", "period": 4000, "offsets": None},
+      {"core": 0, "trigger": "ET", "period": 8000, "offsets": None}),
      "core 0 mixes explicit periods [4000, 8000]"),
     (({}, {"id": "c0"}), "duplicate chain id c0"),
     # On one core the two would merge into c0+c0 and fail later, naming no file.
@@ -482,3 +483,26 @@ def test_analyze_chain_merge_errors_name_the_chain_files(tmp_path, capsys, edits
               ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
     assert rc == EXIT_INVALID
     assert capsys.readouterr().err == "error: %s, %s: %s\n" % (chains[0], chains[1], message)
+
+
+@pytest.mark.parametrize("trigger,name,edit,message", [
+    ("ET", "chain_c0.json", lambda doc: doc.update(offsets=[0, 5]), "chain c0: offsets apply to TT chains only"),
+    ("TT", "chain_c0.json", lambda doc: doc.update(offsets=[5, 10]), "chain c0: first offset must be 0"),
+    ("mix", "system.json", lambda doc: doc["l2"].update(sets=33), "l2: sets=33 must be a power of two"),
+    ("mix", "system.json", lambda doc: doc.update(mem_latency=5), "need mem_latency > l2.hit > l1.hit"),
+], ids=("et-offsets", "first-offset", "l2-sets", "latencies"))
+def test_analyze_system_and_chain_errors_name_the_file(tmp_path, capsys, trigger, name, edit, message):
+    out = tmp_path / "w"
+    assert main(["generate", "--seed", "1", "--trigger", trigger, "--output", str(out)]) == EXIT_OK
+    path = out / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    tasks = sorted(str(p) for p in out.glob("task_*.json"))
+    chains = sorted(str(p) for p in out.glob("chain_*.json"))
+    capsys.readouterr()
+    rc = main(["analyze", "--system", str(out / "system.json"), "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
+    assert not (tmp_path / "rep").exists()

@@ -226,7 +226,7 @@ def test_task_context_matches_reference_windows(seed, depth, n_blocks, collision
     # ladders still cover what the reference enumerates, at most 45^3
     # windows per block at loop depth 3.
     system = default_system()
-    task = _TaskBuilder(random.Random(seed), "t0", 0, system, n_blocks, depth, 0.3, collision).build()
+    task = _TaskBuilder(random.Random(seed), "t0", 0, system, n_blocks, depth, collision).build()
     if large:
         bound = st.integers(1, large).flatmap(lambda hi: st.tuples(st.integers(0, hi), st.just(hi)))
         task = with_bounds(task, [data.draw(bound) for _ in task.loops])

@@ -21,7 +21,7 @@ from oracles import reference_contract_task
 
 def _generated_task(seed, loop_depth, n_blocks, collision=0.5):
     system = default_system()
-    task = _TaskBuilder(random.Random(seed), "t0", 0, system, n_blocks, loop_depth, 0.3, collision).build()
+    task = _TaskBuilder(random.Random(seed), "t0", 0, system, n_blocks, loop_depth, collision).build()
     return task, classify_task(task, system), system
 
 

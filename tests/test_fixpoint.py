@@ -18,7 +18,7 @@ from oracles import reference_fixpoint
 
 
 def _generated_task(seed, loop_depth, n_blocks, collision):
-    return _TaskBuilder(random.Random(seed), "t0", 0, default_system(), n_blocks, loop_depth, 0.3, collision).build()
+    return _TaskBuilder(random.Random(seed), "t0", 0, default_system(), n_blocks, loop_depth, collision).build()
 
 
 def _fixpoints(task, system):

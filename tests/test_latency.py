@@ -3,6 +3,7 @@ import pytest
 from chainlat.cost import contract_task
 from chainlat.ingest import generate_workload
 from chainlat.latency import (
+    MODES,
     AnalysisOptions,
     analyze_bundle,
     analyze_instance,
@@ -110,8 +111,8 @@ def test_tt_offsets_checked_against_cip_wcets(offsets, message):
         prepare(bundle(offsets))
     assert str(err.value) == message
     # A job may end exactly at the next release.
-    assert prepare(bundle((0, 10))).chains["c0"].chain.offsets == (0, 10)
-    assert prepare(bundle((0, 96))).chains["c0"].chain.offsets == (0, 96)
+    assert prepare(bundle((0, 10))).chains["c0"].offsets == (0, 10)
+    assert prepare(bundle((0, 96))).chains["c0"].offsets == (0, 96)
     # The total-CIP check still comes first.
     with pytest.raises(ValidationError, match="total CIP-WCET 14 > period 12"):
         prepare(bundle(offsets, period=12))
@@ -335,12 +336,31 @@ def test_analysis_options_reject_values_the_analysis_cannot_run(field, value, me
     assert str(err.value) == message
 
 
-def test_analysis_options_accept_every_cli_choice():
-    from chainlat.cli import _mode_tuple
+def _cli_choices(command):
+    """Flag dest -> choices, for the flags of one chainlat command that have choices."""
+    import argparse
 
-    for mode in ("tsc", "tlt", "nct", "all"):
-        for counting in ("distinct", "access"):
-            for et_rule in ("sum", "max"):
+    from chainlat.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.choices for a in commands.choices[command]._actions if a.choices is not None}
+
+
+def test_analysis_options_accept_every_cli_choice():
+    from chainlat.cli import _analysis_options, _mode_tuple, build_parser
+
+    analyze, verify = _cli_choices("analyze"), _cli_choices("verify")
+    for name in ("counting", "et_rule"):
+        assert verify[name] == analyze[name]
+    for mode in analyze["mode"]:
+        for counting in analyze["counting"]:
+            for et_rule in analyze["et_rule"]:
                 options = AnalysisOptions(modes=_mode_tuple(mode), counting=counting, et_rule=et_rule,
                                           refinement_passes=3, jobs=2)
                 assert options.modes == _mode_tuple(mode)
+
+    # Unset flags select the options' own defaults.
+    parser = build_parser()
+    args = parser.parse_args(["analyze", "--system", "s", "--tasks", "t", "--chains", "c", "--output", "o"])
+    assert _analysis_options(args, _mode_tuple(args.mode)) == AnalysisOptions()
+    assert _analysis_options(parser.parse_args(["verify"]), MODES) == AnalysisOptions()

@@ -8,7 +8,6 @@ from chainlat.context import compute_prs_time
 from chainlat.ingest import generate_workload
 from chainlat.interference import COUNT_ACCESS, COUNT_DISTINCT
 from chainlat.latency import (
-    ChainSetup,
     LifetimeIndex,
     Setup,
     _foreign_overlaps,
@@ -54,7 +53,7 @@ def chain_sets(draw):
             offsets = (0,) + tuple(sorted(draw(st.integers(0, period - 1)) for _ in cips[1:]))
         chain = ChainSpec(cid, trigger, tuple("t%d_%d" % (c, i) for i in range(n_tasks)),
                           draw(st.integers(0, 2)), period, offsets)
-        chains[cid] = ChainSetup(chain, cips, bcets)
+        chains[cid] = chain
         for k in range(hyper // period):
             for i, tid in enumerate(chain.tasks):
                 release = compute_prs_time(chain, i, k, bcets, cips)
@@ -67,10 +66,10 @@ def chain_sets(draw):
 @given(chain_sets())
 def test_foreign_overlaps_equal_full_scan(setup):
     for key in sorted(setup.jobs):
-        core = setup.chains[key[0]].chain.core
+        core = setup.chains[key[0]].core
         expected = [
-            (cs, _brute_pairs(setup.jobs, setup.hyper, cid, setup.jobs[key].lifetime))
-            for cid, cs in setup.chains.items() if cs.chain.core != core
+            (chain, _brute_pairs(setup.jobs, setup.hyper, cid, setup.jobs[key].lifetime))
+            for cid, chain in setup.chains.items() if chain.core != core
         ]
         assert _foreign_overlaps(setup, key) == expected
 
@@ -98,9 +97,9 @@ def _old_tlt_pressure(setup, key, sets, counting):
     """Per-job scanned set weight summed over every foreign job and shift."""
     target = setup.jobs[key]
     out = {s: 0 for s in sets}
-    core = setup.chains[key[0]].chain.core
+    core = setup.chains[key[0]].core
     for fkey in sorted(setup.jobs):
-        if setup.chains[fkey[0]].chain.core == core:
+        if setup.chains[fkey[0]].core == core:
             continue
         fj = setup.jobs[fkey]
         for shift in (-setup.hyper, 0, setup.hyper):

@@ -51,14 +51,14 @@ def _shift_cases(setup, extra_delta):
     """(target view, foreign job context, candidate blocks, shift) over a bundle."""
     h = setup.hyper
     for key, job in sorted(setup.jobs.items()):
-        core = setup.chains[job.chain_id].chain.core
+        core = setup.chains[job.chain_id].core
         cls_table = setup.tasks[job.task_id].classification
         for cls in cls_table.visible():
             if cls.l2_chmc not in (AH, PS):
                 continue
             tv = target_view(setup, key, cls.access_id)
             for fkey, fjob in sorted(setup.jobs.items()):
-                if setup.chains[fjob.chain_id].chain.core == core:
+                if setup.chains[fjob.chain_id].core == core:
                     continue
                 fcls = setup.tasks[fjob.task_id].classification
                 blocks = sorted({c.block_id for c in fcls.visible() if c.l2_set == cls.l2_set})

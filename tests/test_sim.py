@@ -92,13 +92,14 @@ def test_exhaustive_enumerates_all_paths(system, diamond):
     assert max(durations) == 58
 
 
-def test_exhaustive_path_cap():
+def test_exhaustive_path_cap(monkeypatch):
     from chainlat.model import ValidationError
 
+    monkeypatch.setattr("chainlat.sim.MAX_EXHAUSTIVE_PATHS", 3)
     task = diamond_loop_task("big")
     bundle = single_chain_bundle(task, make_system(cores=1))
-    gen = simulate_exhaustive(bundle, SimConfig(max_exhaustive_paths=3))
-    with pytest.raises(ValidationError):
+    gen = simulate_exhaustive(bundle)
+    with pytest.raises(ValidationError, match="exceeds 3 paths"):
         for _ in gen:
             pass
 
@@ -164,7 +165,6 @@ def test_trace_records_are_read_only_views_of_rows():
     assert isinstance(trace.accesses, tuple) and isinstance(trace.blocks, tuple)
     assert trace.accesses == tuple(AccessEvent(*row) for row in trace.access_rows)
     assert trace.blocks == tuple(BlockOccurrence(*row) for row in trace.block_rows)
-    assert trace.accesses is trace.accesses  # built once
     trace.access_rows.append((99, 0, "c0", 0, 0, "t_b1", "late", "L2", None))
     assert trace.accesses[-1].access_id == "late"  # appended rows rebuild the view
 

@@ -36,7 +36,7 @@ def _bundle(seed, trigger, depth, collision, n_blocks, pad):
         for j in range(2):
             index = 2 * core + j
             tid = "t%d" % index
-            tasks[tid] = _TaskBuilder(rng, tid, index, system, n_blocks, depth, 0.3, collision).build()
+            tasks[tid] = _TaskBuilder(rng, tid, index, system, n_blocks, depth, collision).build()
             tids.append(tid)
         last = tasks[tids[-1]]
         exit_blk = last.blocks[last.exit_block]
@@ -80,12 +80,12 @@ def test_worst_replay_matches_reference_across_jobs(seed, trigger, n_blocks, pad
     # task's first worst-biased job walks its graph; the later ones, and
     # every job of the second run on the Setup, replay that walk.
     bundle = _bundle(seed, trigger, 3, 0.8, n_blocks, pad)
-    period = max(cs.chain.period for cs in prepare(bundle).chains.values())
+    period = max(chain.period for chain in prepare(bundle).chains.values())
     chains = {cid: replace(c, period=period * (1 if cid == "c0" else ratio))
               for cid, c in bundle.chains.items()}
     bundle = replace(bundle, chains=chains)
     setup = prepare(bundle)
-    assert setup.hyper // setup.chains["c0"].chain.period == ratio
+    assert setup.hyper // setup.chains["c0"].period == ratio
     ref = reference_simulate(setup, "worst", 0)
     for run in range(2):
         _assert_same(simulate(bundle, SimConfig("worst", 0), setup=setup), ref, ("worst", run))

@@ -24,7 +24,7 @@ from oracles import _o_level_graph
 
 
 def _generated_task(seed, loop_depth, n_blocks):
-    return _TaskBuilder(random.Random(seed), "t0", 0, default_system(), n_blocks, loop_depth, 0.3, 0.5).build()
+    return _TaskBuilder(random.Random(seed), "t0", 0, default_system(), n_blocks, loop_depth, 0.5).build()
 
 
 def _kahn(task):
