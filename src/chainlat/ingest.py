@@ -316,15 +316,20 @@ def assign_tt_offsets(cip_wcets) -> tuple:
 def merge_core_chains(chains, where=None) -> ChainSpec:
     """Concatenate same-core chains in priority order into one chain.
 
-    The input order is the priority order.  Offsets are dropped so the
-    analysis recomputes them back-to-back from the merged task list.
-    Errors are located at `where`, the chains' files.
+    The input order is the priority order.  The merged chain has no
+    offsets: the analysis computes them back-to-back from the merged task
+    list.  A chain with explicit offsets is refused rather than merged, as
+    they would be lost.  Errors are located at `where`, the chains' files.
     """
     if len(chains) == 1:
         return chains[0]
     triggers = {c.trigger for c in chains}
     if len(triggers) != 1:
         raise ValidationError("core %d mixes trigger types %s" % (chains[0].core, sorted(triggers)), where)
+    with_offsets = [c.id for c in chains if c.offsets is not None]
+    if with_offsets:
+        raise ValidationError("core %d merges chains with explicit offsets (%s); merged chains take "
+                              "back-to-back offsets" % (chains[0].core, ", ".join(with_offsets)), where)
     periods = {c.period for c in chains if c.period is not None}
     if len(periods) > 1:
         raise ValidationError("core %d mixes explicit periods %s" % (chains[0].core, sorted(periods)), where)

@@ -15,13 +15,14 @@ and exhaustive enumeration of all decision tapes for small problems.
 A job's blocks, scopes and private-cache outcomes never depend on the
 shared level: random draws come from a per-job generator, the worst-biased
 policy reads static scores, and the private level is cold at every
-release.  So under the worst-biased policy the first job of a task records
-its walk and every later job replays it, which is clock arithmetic,
-shared-cache lookups and row appends.  Random and tape walks walk the
-graph every time; they draw exactly as before.
+release.  So under the worst-biased policy each task's walk is built once,
+before its first job runs, and every job replays it, which is clock
+arithmetic, shared-cache lookups and row appends.  The build copies the
+loop iterations that repeat the one before instead of walking them.
+Random and tape walks walk the graph for every job.
 
-A Setup keeps the per-task walk tables (with the recorded worst-biased
-walk) and the oracle's absolute windows, each built on first use, so every
+A Setup keeps the per-task walk tables (with the worst-biased walk) and
+the oracle's absolute windows, each built on first use, so every
 path after the first on one Setup pays only for its own walk and its own
 checks.  The oracle reads each absolute window where the analysis does,
 from TaskContext.bba_time: the task context's window for the job's
@@ -145,7 +146,7 @@ class LRUCache:
 
 
 class _Decider:
-    """Resolves branch and loop-bound choices for one simulation run."""
+    """Resolves the branch and loop-bound choices of random and tape walks for one run."""
 
     def __init__(self, config: SimConfig):
         self.policy = config.policy
@@ -171,16 +172,13 @@ class _Decider:
         self.tape.append(0)
         return 0
 
-    def branch(self, choices, job_key, scores) -> str:
+    def branch(self, choices, job_key) -> str:
         n = len(choices)
         if n == 1:
             return choices[0]
         idx = self._taped(n)
         if idx is None:
-            if self.policy == "worst":
-                idx = max(range(n), key=lambda i: (scores.get(choices[i], 0), -i))
-            else:
-                idx = self._rng(job_key).randrange(n)
+            idx = self._rng(job_key).randrange(n)
         return choices[idx]
 
     def iterations(self, lo: int, hi: int, job_key) -> int:
@@ -188,7 +186,7 @@ class _Decider:
             return lo
         idx = self._taped(hi - lo + 1)
         if idx is None:
-            idx = hi - lo if self.policy == "worst" else self._rng(job_key).randint(0, hi - lo)
+            idx = self._rng(job_key).randint(0, hi - lo)
         return lo + idx
 
 
@@ -216,12 +214,13 @@ class _TaskWalk:
       - the blocks its exclusive pairs rule out, or None;
       - its forward successors, sorted.
 
-    worst is the worst-biased walk of a job of the task, recorded while the
-    first such job walks: one (block id, scope, accesses, idle cycles) per
-    block occurrence, each access as (access id, shared line), the line
-    None for a private-level hit.  Every job takes that walk: the policy
-    reads static scores and maximal bounds, and the private level is cold
-    at every release, so only the clock depends on the shared level.
+    worst is the worst-biased walk of a job of the task, built by
+    _worst_walk before the first such job runs: one (block id, scope,
+    accesses, idle cycles) per block occurrence, each access as (access
+    id, shared line), the line None for a private-level hit.  Every job
+    takes that walk: the policy reads static scores and maximal bounds, and
+    the private level is cold at every release, so only the clock depends
+    on the shared level.
     """
 
     __slots__ = ("entry", "exit", "scores", "blocks", "worst")
@@ -262,11 +261,77 @@ def _walks(setup) -> dict:
     return setup.walks
 
 
+def _worst_walk(walk, l1_sets, l1_ways) -> tuple:
+    """The worst-biased walk of one job of the task, as _TaskWalk.worst holds it.
+
+    Branches take the first successor with the heaviest suffix and loops run
+    to their upper bounds, over a cold private level.  A loop iteration's
+    records depend only on the state it starts in: the private level and
+    the blocks ruled out so far (a growing set, so its size names it), and
+    it adds a fixed count to inner loops' entry serials.  Once an iteration
+    starts in the state the one before it did, the later ones repeat it:
+    they are copied with those inner serials shifted, not walked.
+    """
+    records, scores = walk.blocks, walk.scores
+    l1 = LRUCache(l1_sets, l1_ways)
+    out = []
+    cur = walk.entry
+    loop_stack = []  # [loop id, max, done, serial, head, tail, and at iteration start: len(out), state, serials]
+    entry_serial = {}
+    forbidden = set()
+
+    while True:
+        block_accesses, idle, loop, excluded, succ = records[cur]
+        if loop is not None and (not loop_stack or loop_stack[-1][0] != loop[0]):
+            lid, tail, _, hi = loop
+            serial = entry_serial.get(lid, 0)
+            entry_serial[lid] = serial + 1
+            loop_stack.append([lid, hi, 1, serial, cur, tail, len(out), (l1.snapshot(), len(forbidden)),
+                               dict(entry_serial)])
+
+        if excluded is not None:
+            forbidden |= excluded
+        taken = tuple((aid, None if l1.access(l1_line) else l2_line) for aid, _, l1_line, l2_line in block_accesses)
+        out.append((cur, (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None, taken, idle))
+
+        # Repeat or leave loops whose tail this block is, innermost first.
+        advanced = False
+        while loop_stack and loop_stack[-1][5] == cur:
+            top = loop_stack[-1]
+            copies = top[1] - top[2]
+            if copies:
+                state = (l1.snapshot(), len(forbidden))
+                if state != top[7]:
+                    top[2] += 1
+                    top[6:] = len(out), state, dict(entry_serial)
+                    cur = top[4]
+                    advanced = True
+                    break
+                body, before = out[top[6]:], top[8]
+                shift = {m: n - before.get(m, 0) for m, n in entry_serial.items() if n != before.get(m, 0)}
+                if shift:
+                    for rep in range(1, copies + 1):
+                        out.extend([(b, (sc[0], sc[1] + rep * shift[sc[0]]) if sc[0] in shift else sc, acc, c)
+                                    for b, sc, acc, c in body])
+                    for m, d in shift.items():
+                        entry_serial[m] += copies * d
+                else:
+                    out.extend(body * copies)
+            loop_stack.pop()
+        if advanced:
+            continue
+        if cur == walk.exit:
+            return tuple(out)
+        if forbidden:
+            succ = [s for s in succ if s not in forbidden] or succ
+        cur = max(succ, key=scores.__getitem__)  # the first of the heaviest
+
+
 def _core_walker(core, setup, cid, decider, trace, walks):
     """Generator running one core's chain; yields (cycle, shared line) at shared-cache lookups.
 
-    Under the worst-biased policy only a task's first job walks its graph;
-    it records the walk, and every later job replays the record.
+    Under the worst-biased policy every job replays its task's worst walk,
+    built before the task's first job runs.
     """
     chain = setup.chains[cid]
     system = setup.bundle.system
@@ -274,6 +339,10 @@ def _core_walker(core, setup, cid, decider, trace, walks):
     l1_sets, l1_ways = system.l1.sets, system.l1.ways
     access_rows, block_rows = trace.access_rows, trace.block_rows
     replay = decider.policy == "worst" and decider.tape is None
+    if replay:
+        for tid in chain.tasks:
+            if walks[tid].worst is None:
+                walks[tid].worst = _worst_walk(walks[tid], l1_sets, l1_ways)
     clock = 0
     n_instances = setup.hyper // chain.period
 
@@ -292,7 +361,7 @@ def _core_walker(core, setup, cid, decider, trace, walks):
             clock = max(clock, release)
             start = clock
 
-            if replay and walk.worst is not None:
+            if replay:
                 for cur, scope, accesses, idle in walk.worst:
                     b_start = clock
                     for aid, l2_line in accesses:
@@ -311,8 +380,6 @@ def _core_walker(core, setup, cid, decider, trace, walks):
 
             l1 = [[] for _ in range(l1_sets)]  # the private LRU level, cold per job, MRU first
             job_key = "%s/%d/%d" % (cid, k, i)
-            record = [] if replay else None
-            taken = None
 
             cur = walk.entry
             loop_stack = []  # [loop id, chosen iterations, done count, entry serial, head, tail]
@@ -330,8 +397,6 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                 if excluded is not None:
                     forbidden |= excluded
                 scope = (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None
-                if record is not None:
-                    taken = []
                 b_start = clock
                 for aid, l1_set, l1_line, l2_line in block_accesses:
                     clock += cpi
@@ -349,12 +414,8 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                         latency, level = yield (clock, l2_line)
                         clock += latency
                     access_rows.append((clock, core, cid, k, i, cur, aid, level, scope))
-                    if taken is not None:
-                        taken.append((aid, None if level == "L1" else l2_line))
                 clock += idle
                 block_rows.append((core, cid, k, i, cur, b_start, clock))
-                if record is not None:
-                    record.append((cur, scope, tuple(taken), idle))
 
                 # Repeat or leave loops whose tail this block is, innermost first.
                 advanced = False
@@ -373,10 +434,8 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                 if forbidden:
                     succ = [s for s in succ if s not in forbidden] or succ
                 # A single successor is no decision point: it draws nothing.
-                cur = succ[0] if len(succ) == 1 else decider.branch(succ, job_key, walk.scores)
+                cur = succ[0] if len(succ) == 1 else decider.branch(succ, job_key)
 
-            if record is not None:
-                walk.worst = tuple(record)
             trace.jobs.append(JobRecord(core, cid, k, i, tid, start, clock))
 
 

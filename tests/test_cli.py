@@ -471,7 +471,11 @@ def test_analyze_rejects_duplicate_back_edges(tmp_path, capsys):
     # On one core the two would merge into c0+c0 and fail later, naming no file.
     (({"trigger": "ET", "offsets": None}, {"id": "c0", "core": 0, "trigger": "ET", "offsets": None}),
      "duplicate chain id c0"),
-], ids=("triggers", "periods", "chain-id", "chain-id-one-core"))
+    # Merged chains take back-to-back offsets; explicit ones would be lost.
+    (({"trigger": "TT", "period": 8000, "offsets": [0, 3000]},
+      {"core": 0, "trigger": "TT", "period": 8000, "offsets": [0, 3000]}),
+     "core 0 merges chains with explicit offsets (c0, c1); merged chains take back-to-back offsets"),
+], ids=("triggers", "periods", "chain-id", "chain-id-one-core", "tt-offsets"))
 def test_analyze_chain_merge_errors_name_the_chain_files(tmp_path, capsys, edits, message):
     system, tasks, chains = _generated(tmp_path)
     for path, edit in zip(chains, edits):

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,16 @@ def test_merge_mixed_triggers_rejected():
     b = ChainSpec("b", "TT", ("t1",), 0, offsets=(0,))
     with pytest.raises(ValidationError):
         merge_core_chains([a, b])
+
+
+def test_merge_tt_chains_with_explicit_offsets_rejected():
+    a = ChainSpec("a", "TT", ("t0",), 0, period=100)
+    b = ChainSpec("b", "TT", ("t1", "t2"), 0, period=100, offsets=(0, 40))
+    with pytest.raises(ValidationError) as err:
+        merge_core_chains([a, b], "a.json, b.json")
+    assert str(err.value) == ("a.json, b.json: core 0 merges chains with explicit offsets (b); "
+                              "merged chains take back-to-back offsets")
+    assert merge_core_chains([a, replace(b, offsets=None)]).offsets is None
 
 
 def _write_bundle(tmp_path, bundle):

@@ -10,13 +10,15 @@ all policies.
 import random
 from dataclasses import replace
 from itertools import islice
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlat.ingest import _TaskBuilder, default_system
 from chainlat.latency import prepare
-from chainlat.model import ChainSpec, WorkloadBundle
+from chainlat.model import CacheLevelConfig, ChainSpec, LoopNode, WorkloadBundle
 from chainlat.sim import SimConfig, simulate, simulate_exhaustive
 
 from conftest import acc, block, build_task, make_system, single_chain_bundle
@@ -26,10 +28,15 @@ FIELDS = ("jobs", "accesses", "blocks", "overruns", "l2_state")
 EXHAUSTIVE_PREFIX = 12
 
 
-def _bundle(seed, trigger, depth, collision, n_blocks, pad):
-    """Two single-core chains of two generated tasks; the last exit block padded by `pad`."""
+def _bundle(seed, trigger, depth, collision, n_blocks, pad, l1=None):
+    """Two single-core chains of two generated tasks; the last exit block padded by `pad`.
+
+    `l1` replaces default_system's private level; generation reads only the shared one.
+    """
     rng = random.Random(seed)
     system = default_system(2)
+    if l1 is not None:
+        system = replace(system, l1=l1)
     tasks, chains = {}, {}
     for core in range(2):
         tids = []
@@ -76,10 +83,24 @@ def test_simulator_matches_reference(seed, trigger, depth, collision, n_blocks, 
 @given(seed=st.integers(0, 10_000), trigger=st.sampled_from(("ET", "TT", "mix")),
        n_blocks=st.integers(4, 12), pad=st.sampled_from((0, 700)), ratio=st.sampled_from((2, 3)))
 def test_worst_replay_matches_reference_across_jobs(seed, trigger, n_blocks, pad, ratio):
-    # Unequal periods give every task of chain c0 `ratio` jobs.  Only each
-    # task's first worst-biased job walks its graph; the later ones, and
-    # every job of the second run on the Setup, replay that walk.
-    bundle = _bundle(seed, trigger, 3, 0.8, n_blocks, pad)
+    # Unequal periods give every task of chain c0 `ratio` jobs.  Each task's
+    # worst walk is built once per Setup; every worst-biased job of both
+    # runs replays it.
+    _check_worst_replay(_bundle(seed, trigger, 3, 0.8, n_blocks, pad), ratio)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), trigger=st.sampled_from(("ET", "TT", "mix")),
+       n_blocks=st.integers(4, 12), ratio=st.sampled_from((2, 3)),
+       sets=st.sampled_from((1, 2, 4)), ways=st.sampled_from((1, 2, 4)))
+def test_worst_replay_matches_reference_across_private_geometries(seed, trigger, n_blocks, ratio, sets, ways):
+    # The private geometry decides when a loop iteration starts in the
+    # state of the one before it, and so how much of the worst walk is copied.
+    l1 = CacheLevelConfig(sets, ways, 32, 1)
+    _check_worst_replay(_bundle(seed, trigger, 3, 0.8, n_blocks, 0, l1=l1), ratio)
+
+
+def _check_worst_replay(bundle, ratio):
     period = max(chain.period for chain in prepare(bundle).chains.values())
     chains = {cid: replace(c, period=period * (1 if cid == "c0" else ratio))
               for cid, c in bundle.chains.items()}
@@ -122,3 +143,81 @@ def test_branch_choices_follow_sorted_block_ids_not_edge_order():
         trace = simulate(bundle, SimConfig(policy, seed), setup=setup)
         _assert_same(trace, reference_simulate(setup, policy, seed), (policy, seed))
     assert [o.block_id for o in simulate(bundle, SimConfig("worst", 0), setup=setup).blocks][1] == "b"
+
+
+# The worst walk copies a loop's remaining iterations once one starts in the
+# state the one before it started in.  Every block below holds an access,
+# so each walked record has its own access tuple and copies share one.
+
+
+def _worst_against_reference(task, setup=None):
+    """(walked, copied) records of the task's worst walk, after checking the trace."""
+    bundle = single_chain_bundle(task)
+    setup = setup or prepare(bundle)
+    _assert_same(simulate(bundle, SimConfig("worst", 0), setup=setup),
+                 reference_simulate(setup, "worst", 0), "worst")
+    worst = setup.walks[task.id].worst
+    walked = len({id(accesses) for _, _, accesses, _ in worst})
+    return walked, len(worst) - walked
+
+
+def _loop(lid, head, tail, bound):
+    return LoopNode(lid, head, tail, (tail, head), 1, bound)
+
+
+def test_copied_outer_iterations_shift_inner_scope_serials():
+    blocks = [block("e", 1, (acc("e0", 0),)), block("oh", 2, (acc("oh0", 32),)),
+              block("ih", 2, (acc("ih0", 64),)), block("it", 3, (acc("it0", 96), acc("it1", 128))),
+              block("ot", 1, (acc("ot0", 160),)), block("x", 1, (acc("x0", 0),))]
+    edges = [("e", "oh"), ("oh", "ih"), ("ih", "it"), ("it", "ih"), ("it", "ot"), ("ot", "oh"), ("ot", "x")]
+    task = build_task("t", blocks, edges, [_loop("lo", "oh", "ot", 5), _loop("li", "ih", "it", 4)])
+    walked, copied = _worst_against_reference(task)
+    # Per outer iteration: oh, ot and 4 inner iterations of 2 blocks.  The
+    # inner loop copies from its third iteration, the outer one from its third.
+    assert (walked, copied) == (2 + 2 * (2 + 2 * 2), 2 * 4 + 3 * 10)
+    bundle = single_chain_bundle(task)
+    scopes = {row[8] for row in simulate(bundle, SimConfig("worst", 0)).access_rows if row[5] == "ih"}
+    assert scopes == {("li", n) for n in range(5)}
+
+
+def test_inner_loop_ending_on_its_parents_tail():
+    blocks = [block("e", 1, (acc("e0", 0),)), block("oh", 1, (acc("oh0", 32),)),
+              block("ih", 2, (acc("ih0", 64),)), block("m", 1, (acc("m0", 96),)),
+              block("t", 2, (acc("t0", 128),)), block("x", 1, (acc("x0", 0),))]
+    edges = [("e", "oh"), ("oh", "ih"), ("ih", "m"), ("m", "t"), ("t", "ih"), ("t", "oh"), ("t", "x")]
+    task = build_task("t", blocks, edges, [_loop("lo", "oh", "t", 4), _loop("li", "ih", "t", 3)])
+    # The analysis contracts no such nest, so the walk runs on a stand-in
+    # Setup: one job, every suffix score 0.
+    bundle = single_chain_bundle(task, period=1000)
+    setup = SimpleNamespace(bundle=bundle, chains=bundle.chains, hyper=1000, walks={},
+                            tasks={"t": SimpleNamespace(contracted_init=SimpleNamespace(node_worst={}))})
+    # Per outer iteration: oh and 3 inner iterations of ih, m, t.  Both
+    # loops copy from their third iteration.
+    assert _worst_against_reference(task, setup) == (2 + 2 * (1 + 2 * 3), 2 * 3 + 2 * 10)
+
+
+def test_body_overflowing_its_private_set_copies_from_the_third_iteration():
+    # Five lines of set 0 in four ways: every iteration misses all of them.
+    # The line of set 1 misses only in the first, so the third iteration is
+    # the first to start in the state of the one before it.
+    body = tuple(acc("h%d" % n, 64 * n) for n in range(5)) + (acc("h5", 32),)
+    blocks = [block("e", 1, (acc("e0", 4096),)), block("h", 6, body), block("x", 1, (acc("x0", 0),))]
+    task = build_task("t", blocks, [("e", "h"), ("h", "h"), ("h", "x")], [_loop("l", "h", "h", 6)])
+    assert _worst_against_reference(task) == (4, 4)
+
+
+def test_exclusive_arms_inside_a_loop():
+    blocks = [block("e", 1, (acc("e0", 0),)), block("h", 1, (acc("h0", 32),)),
+              block("a", 4, (acc("a0", 64), acc("a1", 96))), block("b", 9, (acc("b0", 128),)),
+              block("t", 1, (acc("t0", 160),)), block("x", 1, (acc("x0", 0),))]
+    edges = [("e", "h"), ("h", "a"), ("h", "b"), ("a", "t"), ("b", "t"), ("t", "h"), ("t", "x")]
+    task = build_task("t", blocks, edges, [_loop("l", "h", "t", 5)], exclusive=[("a", "b")])
+    assert _worst_against_reference(task)[1] > 0
+
+
+@pytest.mark.parametrize("bound", (1, 2))
+def test_short_loops_copy_nothing(bound):
+    blocks = [block("e", 1, (acc("e0", 0),)), block("h", 2, (acc("h0", 32), acc("h1", 64))),
+              block("x", 1, (acc("x0", 0),))]
+    task = build_task("t", blocks, [("e", "h"), ("h", "h"), ("h", "x")], [_loop("l", "h", "h", bound)])
+    assert _worst_against_reference(task) == (2 + bound, 0)
