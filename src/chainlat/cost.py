@@ -30,18 +30,14 @@ computed by contract_task.  The plan builds every level's graph in one
 pass over the blocks and one over the forward edges: an edge belongs to
 the level of the innermost loop that holds both of its endpoints.
 
-A contraction reads the refined map only through each access's effective
-shared-cache CHMC, so the jobs of one task that refine to the same CHMCs
-share one contraction.  The plan memoizes them, keyed in the plan's fixed
-access order: a map that holds every access is keyed by its own values,
-read in one pass, and any other call by the effective CHMC (_chmc) of
-every access.  Equal keys of either form mean equal effective CHMCs,
-because a BYPASS access is BYPASS whatever the map gives it; at worst a
-map that gives one another CHMC takes an entry of its own.  An entry
-serves a call only if it was contracted under the very same
-TaskClassification object (the L1 CHMCs and the unrefined shared-cache
-ones come from it); otherwise the call contracts and replaces the entry.
-Contracting without a plan builds a fresh one and memoizes nothing.  A
+A refined map names every access of the task, so the jobs of one task
+that refine to the same CHMCs share one contraction.  The plan memoizes
+them, keyed by the map's values in the plan's fixed access order.  An
+access that always hits the private cache (BYPASS) is priced by its L1
+CHMC alone, whatever the map gives it.  An entry serves a call only if it
+was contracted under the very same TaskClassification object (the L1
+CHMCs come from it); otherwise the call contracts and replaces the entry.
+Contracting without a plan builds a fresh one, whose memo is dropped.  A
 memoized ContractedTask is returned to every caller that asks for it, so
 all of its fields are read-only.
 """
@@ -51,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cache_ai import AH, BYPASS, PS, TaskClassification
+from .cache_ai import AH, PS, TaskClassification
 from .model import SystemSpec, TaskGraph, ValidationError, adjacency, topo_sort
 
 
@@ -59,23 +55,14 @@ def virtual_id(loop_id: str) -> str:
     return "V:" + loop_id
 
 
-def _chmc(cls, refined: Optional[dict]) -> str:
-    """Shared-cache CHMC of one access under the refined map (its own without one)."""
-    if cls.l2_chmc == BYPASS or refined is None:
-        return cls.l2_chmc
-    return refined.get(cls.access_id, cls.l2_chmc)
-
-
-def block_cost(block, classification: TaskClassification, system: SystemSpec,
-               refined: Optional[dict] = None) -> int:
+def block_cost(block, classification: TaskClassification, system: SystemSpec, refined: dict) -> int:
     """Worst-case cost of one basic block under the refined CHMC map."""
     cost = block.instruction_count * system.base_cpi
     for acc in block.accesses:
-        cls = classification.accesses[acc.id]
-        if cls.l1_chmc == AH:
+        if classification.accesses[acc.id].l1_chmc == AH:
             cost += system.l1.hit_latency
         else:
-            cost += system.l2.hit_latency if _chmc(cls, refined) in (AH, PS) else system.mem_latency
+            cost += system.l2.hit_latency if refined[acc.id] in (AH, PS) else system.mem_latency
     return cost
 
 
@@ -126,11 +113,14 @@ def _level_graphs(task: TaskGraph) -> dict:
     """Every level's graph, keyed by loop id (None for the top level), in one pass.
 
     A block is a member of its enclosing loop's level, and each loop's
-    virtual node one of its parent's.  A forward edge belongs to exactly one
-    level, the innermost loop that holds both endpoints: there each endpoint
-    is the block itself or the virtual node of the child loop holding it,
-    and at every coarser level both ends map to one virtual node.  Back
-    edges belong to no level.
+    virtual node one of its parent's.  At a level that holds a block, the
+    block maps to its node there: itself, or the virtual node of the child
+    loop holding it (node_at).  A forward edge belongs to exactly one
+    level, the innermost loop that holds both endpoints, since at every
+    coarser level both ends map to one virtual node.  Back edges belong to
+    no level.  A level's entry and exit (its head and tail, or the task's
+    entry and exit) map by the same rule, so a loop may end on a child
+    loop's tail.
     """
     members = {lid: {virtual_id(c) for c in loop.children} for lid, loop in task.loops.items()}
     members[None] = {virtual_id(lid) for lid, loop in task.loops.items() if loop.parent_loop is None}
@@ -138,22 +128,28 @@ def _level_graphs(task: TaskGraph) -> dict:
     ancestry = task.ancestry
     for bid, chain in ancestry.items():
         members[chain[0] if chain else None].add(bid)
+
+    def node_at(level, bid):
+        """The node holding block bid at a level that holds it."""
+        chain = ancestry[bid]
+        k = chain.index(level) if level is not None else len(chain)
+        return virtual_id(chain[k - 1]) if k else bid
+
     for src, dst in task.forward_edges():
-        outer_s, outer_d = ancestry[src][::-1], ancestry[dst][::-1]  # outermost first
-        k = 0
-        while k < len(outer_s) and k < len(outer_d) and outer_s[k] == outer_d[k]:
-            k += 1
-        rs = virtual_id(outer_s[k]) if k < len(outer_s) else src
-        rd = virtual_id(outer_d[k]) if k < len(outer_d) else dst
+        dst_loops = ancestry[dst]
+        level = next((lid for lid in ancestry[src] if lid in dst_loops), None)  # the innermost holding both
+        rs, rd = node_at(level, src), node_at(level, dst)
         if rs != rd:
-            edges[outer_s[k - 1] if k else None].add((rs, rd))
+            edges[level].add((rs, rd))
+
     graphs = {}
     for level, nodes in members.items():
         if level is None:
             entry, exit_ = task.entry_block, task.exit_block
         else:
             entry, exit_ = task.loops[level].head_block, task.loops[level].tail_block
-        graphs[level] = LevelGraph(tuple(sorted(nodes)), tuple(sorted(edges[level])), entry, exit_)
+        graphs[level] = LevelGraph(tuple(sorted(nodes)), tuple(sorted(edges[level])),
+                                   node_at(level, entry), node_at(level, exit_))
     return graphs
 
 
@@ -238,18 +234,15 @@ def contract_task(task: TaskGraph, classification: TaskClassification, system: S
                   plan: Optional[ContractionPlan] = None) -> ContractedTask:
     """Summarize all loops innermost-first and compute program bounds.
 
-    Worst costs follow `refined` (the classification's own CHMCs when
-    None).  `plan` must be the task's own ContractionPlan; a call with one
-    may return the contraction memoized on it.  Without one a fresh plan is
-    built and nothing is memoized.
+    Worst costs follow `refined`, which names every access (the
+    classification's own CHMCs when None).  `plan` must be the task's own
+    ContractionPlan; a call with one may return the contraction memoized on
+    it.  Without one a fresh plan is built, and its memo is dropped with it.
     """
-    if plan is None:
-        return _contract(task, classification, system, refined, ContractionPlan(task, system))
-    try:
-        key = tuple(map(refined.__getitem__, plan.access_ids))
-    except (AttributeError, KeyError):  # no map, or a partial one
-        accesses = classification.accesses
-        key = tuple(_chmc(accesses[aid], refined) for aid in plan.access_ids)
+    if refined is None:
+        refined = {aid: c.l2_chmc for aid, c in classification.accesses.items()}
+    plan = plan or ContractionPlan(task, system)
+    key = tuple(map(refined.__getitem__, plan.access_ids))  # a partial map raises KeyError
     con = plan.memo.get(key)
     if con is None or con.classification is not classification:
         con = plan.memo[key] = _contract(task, classification, system, refined, plan)
@@ -257,13 +250,14 @@ def contract_task(task: TaskGraph, classification: TaskClassification, system: S
 
 
 def _contract(task: TaskGraph, classification: TaskClassification, system: SystemSpec,
-              refined: Optional[dict], plan: ContractionPlan) -> ContractedTask:
+              refined: dict, plan: ContractionPlan) -> ContractedTask:
     node_worst = {bid: block_cost(block, classification, system, refined)
                   for bid, block in task.blocks.items()}
     surcharge_unit = system.mem_latency - system.l2.hit_latency
 
     def ps_ids_of(bid):
-        return [a.id for a in task.blocks[bid].accesses if _chmc(classification.accesses[a.id], refined) == PS]
+        return [a.id for a in task.blocks[bid].accesses
+                if refined[a.id] == PS and classification.accesses[a.id].l1_chmc != AH]
 
     summaries = {}
     for lid in (*plan.loops, None):  # innermost first, the program last

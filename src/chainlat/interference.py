@@ -160,6 +160,6 @@ def write_interference_csv(path, report):
             res = report.instances[key]
             cls_table = report.setup.tasks[res.task_id].classification
             for aid in sorted(res.mc):
-                raw, mwis = res.debug.get(aid, (res.mc[aid], res.mc[aid]))
+                raw, mwis = res.debug[aid]
                 w.writerow([res.chain_id, res.period_index, res.task_id, aid,
                             cls_table.accesses[aid].l2_set, raw, mwis, res.mc[aid]])

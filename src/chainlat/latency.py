@@ -102,7 +102,9 @@ class TaskAnalysis:
     per-instance tables, each O(accesses) and built once, at the first
     instance that reads it, so an instance pays only for its targets.
     prepare builds none of them: setup keeps exactly its work and its
-    allocations.
+    allocations.  all_miss and base_refined, the maps every instance's
+    refined map starts from, name every access of the task, so each
+    InstanceResult.refined does too and its readers index it directly.
     """
 
     task_id: str
@@ -137,10 +139,10 @@ class TaskAnalysis:
 
     @cached_property
     def hit_weights(self) -> tuple:
-        """(access id, own CHMC, loop-bound weight) per visible access, in access order."""
+        """(access id, loop-bound weight) per visible access, in access order."""
         task = self.ctx.task
         return tuple(
-            (c.access_id, c.l2_chmc, math.prod(task.loops[lid].max_bound for lid in task.ancestry[c.block_id]))
+            (c.access_id, math.prod(task.loops[lid].max_bound for lid in task.ancestry[c.block_id]))
             for c in self.classification.visible()
         )
 
@@ -496,11 +498,11 @@ def predicted_hit_ratio(setup: Setup, chain_id: str, results: dict) -> Optional[
     total = hits = 0
     for i, tid in enumerate(chain.tasks):
         table = setup.tasks[tid].hit_weights
-        total += n * sum(weight for _, _, weight in table)
+        total += n * sum(weight for _, weight in table)
         for k in range(n):
-            get = results[(chain_id, k, i)].refined.get
-            for aid, own, weight in table:
-                chmc = get(aid, own)
+            refined = results[(chain_id, k, i)].refined
+            for aid, weight in table:
+                chmc = refined[aid]
                 if chmc == AH:
                     hits += weight
                 elif chmc == PS:

@@ -313,7 +313,8 @@ def elaborate_loops(task: TaskGraph) -> tuple:
 
     A loop's parent is the innermost loop whose body strictly contains its
     body, a block's enclosing loop the innermost one whose body holds it.  A
-    declared parent must be the derived one; bodies that meet must nest.
+    declared parent must be the derived one; bodies that meet must nest, and
+    nested loops must have distinct heads (a loop is entered at its head).
     Returns the elaborated (blocks, loops) maps; a block whose enclosing
     loop is already right is reused.
     """
@@ -359,6 +360,11 @@ def elaborate_loops(task: TaskGraph) -> tuple:
             inter = bodies[a] & bodies[b]
             if inter and not (bodies[a] <= bodies[b] or bodies[b] <= bodies[a]):
                 raise ValidationError("loops %s and %s overlap without nesting" % (a, b), task.id)
+            if task.loops[a].head_block == task.loops[b].head_block:
+                raise ValidationError(
+                    "loops %s and %s share the head %s; nested loops need distinct heads"
+                    % (a, b, task.loops[a].head_block), task.id
+                )
 
     # The bodies are laminar, so the loops holding a block (or a loop's head)
     # are nested and the smallest is the innermost.  The sort is stable, so

@@ -579,13 +579,12 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
         if entry is None:
             continue
         base, by_mode = entry
-        chmc0 = base[aid].l2_chmc
-        if chmc0 == BYPASS:
+        if base[aid].l2_chmc == BYPASS:
             violations.append({"kind": "l1-ah-miss", "access": aid, "cycle": cycle})
         if level != "MEM":
             continue
         for mode, refined in by_mode:
-            chmc = refined.get(aid, chmc0)
+            chmc = refined[aid]
             if chmc == AH:
                 record = {"kind": "ah-miss", "access": aid, "cycle": cycle, "job": job}
             elif chmc == PS:

@@ -103,6 +103,19 @@ def diamond_loop_task(tid="dl"):
     return build_task(tid, blocks, edges, loops)
 
 
+def shared_tail_task(tid="n"):
+    """e -> oh -> ih -> m -> t -> x with back edges t -> ih (li, up to 4) and t -> oh (lo, up to 3).
+
+    Both loops end on t, so the outer loop's tail lies in the inner loop.
+    """
+    blocks = [block("e", 1, (acc("e0", 0),)), block("oh", 1, (acc("oh0", 32),)),
+              block("ih", 2, (acc("ih0", 64),)), block("m", 1, (acc("m0", 1024),)),
+              block("t", 2, (acc("t0", 96),)), block("x", 1, (acc("x0", 0),))]
+    edges = [("e", "oh"), ("oh", "ih"), ("ih", "m"), ("m", "t"), ("t", "ih"), ("t", "oh"), ("t", "x")]
+    loops = [LoopNode("lo", "oh", "t", ("t", "oh"), 1, 3), LoopNode("li", "ih", "t", ("t", "ih"), 1, 4)]
+    return build_task(tid, blocks, edges, loops)
+
+
 def single_chain_bundle(task, system=None, trigger="ET", period=None):
     system = system or make_system(cores=1)
     chain = ChainSpec("c0", trigger, (task.id,), 0, period=period)

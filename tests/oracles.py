@@ -334,7 +334,8 @@ def _o_level_graph(task, level):
             if rs is None or rd is None or rs == rd:
                 continue
             edges.add((rs, rd))
-    return LevelGraph(tuple(sorted(members)), tuple(sorted(edges)), entry, exit_)
+    # The entry and exit map like every other block: a loop may end on a child loop's tail.
+    return LevelGraph(tuple(sorted(members)), tuple(sorted(edges)), rep(entry), rep(exit_))
 
 
 def _o_level_topo(level):

@@ -461,6 +461,38 @@ def test_analyze_rejects_duplicate_back_edges(tmp_path, capsys):
         "error: %s: t0: loops l2 and l3 declare the same back edge t0_t2->t0_h2\n" % path
 
 
+def _two_loop_task_doc(edges, loops):
+    blocks = sorted({b for e in edges for b in e})
+    return {"task_id": "t0", "blocks": [{"id": b, "instructions": 1} for b in blocks],
+            "edges": [list(e) for e in edges],
+            "loops": [{"id": lid, "head": h, "tail": t, "back_edge": [t, h], "min_bound": 1, "max_bound": 3}
+                      for lid, h, t in loops]}
+
+
+@pytest.mark.parametrize("edges,loops,message", [
+    # Both loops end on t: the outer loop's tail lies in the inner loop.
+    ((("e", "oh"), ("oh", "ih"), ("ih", "m"), ("m", "t"), ("t", "ih"), ("t", "oh"), ("t", "x")),
+     (("lo", "oh", "t"), ("li", "ih", "t")), None),
+    ((("e", "h"), ("h", "a"), ("a", "ti"), ("ti", "h"), ("ti", "to"), ("to", "h"), ("to", "x")),
+     (("li", "h", "ti"), ("lo", "h", "to")), "loops li and lo share the head h; nested loops need distinct heads"),
+], ids=("shared-tail", "shared-head"))
+def test_analyze_loop_nests_sharing_a_tail_or_a_head(tmp_path, capsys, edges, loops, message):
+    system, tasks, chains = _generated(tmp_path, "1")
+    path = next(t for t in tasks if t.endswith("task_t0.json"))
+    with open(path, "w") as fh:
+        json.dump(_two_loop_task_doc(edges, loops), fh)
+    out = tmp_path / "rep"
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks + ["--chains"] + chains + ["--output", str(out)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == EXIT_OK, err
+        assert (out / "report.json").exists()
+    else:
+        assert rc == EXIT_INVALID
+        assert err == "error: %s: t0: %s\n" % (path, message)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("edits,message", [
     (({"trigger": "ET", "offsets": None}, {"core": 0, "trigger": "TT", "offsets": None}),
      "core 0 mixes trigger types ['ET', 'TT']"),

@@ -16,6 +16,7 @@ from chainlat.ingest import _TaskBuilder, default_system, generate_workload
 from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import BasicBlock, LoopNode, TaskGraph, ValidationError
 
+from conftest import make_system, shared_tail_task
 from oracles import reference_contract_task
 
 
@@ -120,23 +121,19 @@ def test_other_classification_on_one_plan_never_gets_a_stale_entry():
 
 
 def test_memo_serves_only_maps_with_equal_effective_chmcs():
-    # A full map is keyed by its own values and any other map by its
-    # effective CHMCs; neither key may let one map be served another's
-    # contraction.  The last two maps have equal lengths and differ only at
-    # `hit`: absent (so its own AH/PS) in one, an unknown CHMC (None, priced
-    # as a miss) in the other, so a key that read absent ids as None would
-    # serve one the other's contraction.
+    # Every map names every access and is keyed by its values, so no map
+    # may be served another's contraction.  A BYPASS access is priced by its
+    # L1 CHMC whatever the map gives it, so its maps take entries of their
+    # own with equal contractions; an unknown CHMC (None) is priced as a miss.
     task, cls, system = _generated_task(1, 2, 12, 0.8)
     bypass = min(aid for aid, c in cls.accesses.items() if c.l2_chmc == BYPASS)
     hit = min(aid for aid, c in cls.accesses.items() if c.l2_chmc in (AH, PS) and c.l1_chmc != AH)
     own = {aid: c.l2_chmc for aid, c in cls.accesses.items()}
-    partial = {aid: chmc for aid, chmc in own.items() if aid != hit}
     maps = [
         own,
-        dict(own, **{bypass: NC}),  # a BYPASS access given NC stays BYPASS
+        dict(own, **{bypass: NC}),
+        dict(own, **{bypass: PS}),
         dict(own, extra=NC),  # an id the task does not have
-        partial,
-        dict(partial, extra=NC),
         dict(own, **{hit: None}),
     ]
     for order in (maps, maps[::-1]):
@@ -144,8 +141,23 @@ def test_memo_serves_only_maps_with_equal_effective_chmcs():
         for refined in order:
             _assert_same(contract_task(task, cls, system, refined=refined, plan=plan),
                          contract_task(task, cls, system, refined=refined))
-    assert contract_task(task, cls, system, refined=dict(partial, extra=NC)).wcet \
-        < contract_task(task, cls, system, refined=dict(own, **{hit: None})).wcet
+        assert len(plan.memo) == len(maps) - 1  # the extra id leaves the key of `own`
+    for refined in maps[1:4]:
+        _assert_same(contract_task(task, cls, system, refined=refined), contract_task(task, cls, system))
+    assert contract_task(task, cls, system).wcet < contract_task(task, cls, system, refined=maps[-1]).wcet
+
+
+def test_contraction_refuses_a_partial_map():
+    task, cls, system = _generated_task(1, 2, 12, 0.8)
+    hit = min(aid for aid, c in cls.accesses.items() if c.l2_chmc in (AH, PS) and c.l1_chmc != AH)
+    bypass = min(aid for aid, c in cls.accesses.items() if c.l2_chmc == BYPASS)
+    own = {aid: c.l2_chmc for aid, c in cls.accesses.items()}
+    # The key reads every access, a BYPASS one included, with or without a plan.
+    for missing in (hit, bypass):
+        partial = {aid: chmc for aid, chmc in own.items() if aid != missing}
+        for plan in (ContractionPlan(task, system), None):
+            with pytest.raises(KeyError, match=missing):
+                contract_task(task, cls, system, refined=partial, plan=plan)
 
 
 def test_analysis_leaves_memoized_contractions_unchanged():
@@ -168,6 +180,18 @@ def test_pickled_setup_keeps_its_memo():
         assert list(ta.plan.memo.values()) == [ta.contracted_init]
         assert contract_task(bundle.tasks[tid], ta.classification, bundle.system,
                              refined=dict(ta.all_miss), plan=ta.plan) is ta.contracted_init
+
+
+def test_loop_ending_on_a_child_loops_tail_contracts_like_the_reference():
+    # The outer loop's exit at its own level is the inner loop's virtual node.
+    task = shared_tail_task()
+    system = make_system()
+    cls = classify_task(task, system)
+    plan = ContractionPlan(task, system)
+    assert (plan.levels["lo"].graph.entry, plan.levels["lo"].graph.exit) == ("oh", "V:li")
+    for refined, mode in ((None, "worst"), (all_miss(cls), "init_worst")):
+        _assert_same(contract_task(task, cls, system, refined=refined, plan=plan),
+                     reference_contract_task(task, cls, system, refined, mode))
 
 
 # Hand-built graphs below bypass ingest's validation, so only the

@@ -65,6 +65,12 @@ MESSAGES = [
                       ("t2", "j"), ("j", "x")],
                      [_loop("l1", "h", "t1"), _loop("l2", "h", "t2")]),
      "loops l1 and l2 overlap without nesting"),
+    # The simulator keys loops by their head, so nested loops may not share one.
+    ("shared-head", _doc(["e", "h", "a", "ti", "to", "x"],
+                         [("e", "h"), ("h", "a"), ("a", "ti"), ("ti", "h"), ("ti", "to"), ("to", "h"),
+                          ("to", "x")],
+                         [_loop("li", "h", "ti"), _loop("lo", "h", "to")]),
+     "loops li and lo share the head h; nested loops need distinct heads"),
     ("declared-parent", _doc(LOOP_BLOCKS, LOOP_EDGES, [_loop("l", "h", "t", parent="zz")]),
      "loop l: declared parent zz is not its innermost enclosing loop (none)"),
     ("irreducible", _doc(["e", "a", "b", "x"], [("e", "a"), ("e", "b"), ("a", "b"), ("b", "a"), ("a", "x")]),
@@ -99,6 +105,9 @@ MESSAGES = [
      "loop l: side entry, head h does not dominate tail t"),
     ("side-entry-and-irreducible", _doc(LOOP_BLOCKS, SIDE_ENTRY + (("m", "h"),), [_loop("l", "h", "t")]),
      "loop l: side entry, head h does not dominate tail t"),
+    ("side-entry-then-shared-head", _doc(LOOP_BLOCKS, LOOP_EDGES + (("m", "h"), ("e", "t")),
+                                         [_loop("la", "h", "m"), _loop("lb", "h", "t")]),
+     "loop lb: side entry, head h does not dominate tail t"),
     # A loop no path from the entry reaches is no side-entry error: its blocks are unreachable.
     ("unreachable-loops", _doc(["e", "u", "w", "v", "x"],
                                [("e", "x"), ("u", "v"), ("w", "v"), ("v", "u"), ("v", "w"), ("v", "x")],

@@ -3,8 +3,9 @@
 check_safety reads the trace rows, skips private-level hits and resolves
 each job's claims once per call; the reference reads materialized records
 and looks everything up per event.  Both must return the same violation
-list, in the same order, on clean traces and under the fault injections
-`verify` offers.  The reference checks TSC claims only, and TLT claims
+list, in the same order, on clean traces, under the fault injections
+`verify` offers, and on a chain bound and a release broken by hand, the two
+kinds no injection produces.  The reference checks TSC claims only, and TLT claims
 hold on these bundles, so the lists match record for record.
 """
 
@@ -47,6 +48,33 @@ def test_oracle_matches_reference(seed, tasks_per_chain, collision, trigger, fau
     flagged = _compare(seed, tasks_per_chain, collision, trigger, fault)
     if fault == "none":
         assert flagged == 0
+
+
+def test_broken_chain_bound_and_overrun_are_flagged_identically():
+    # No clean trace breaks a chain bound or overruns a release, so both are
+    # broken by hand: one chain's TSC MEL drops below its observed latency,
+    # and the trace gains one overrun row.
+    bundle = generate_workload(seed=1, cores=2, tasks_per_chain=2, collision=0.8, trigger="mix")
+    report = analyze_bundle(bundle)
+    setup = report.setup
+    trace = simulate(bundle, SimConfig("worst", 0), setup=setup)
+    assert check_safety(trace, report, setup) == []
+    cid = min(setup.chains)
+    chain = setup.chains[cid]
+    jobs = {(j.chain_id, j.period_index, j.task_index): j for j in trace.jobs}
+    latencies = [jobs[cid, k, len(chain.tasks) - 1].finish - jobs[cid, k, 0].start
+                 for k in range(setup.hyper // chain.period)]
+    bound = max(latencies) - 1
+    report.chain_results[(cid, "TSC")].mel = bound
+    first = jobs[cid, 0, 0]
+    trace.overruns.append((chain.core, cid, 0, 0, first.start, first.start + 1))
+    expected = [{"kind": "chain-latency", "chain": cid, "instance": k, "latency": latency, "bound": bound}
+                for k, latency in enumerate(latencies) if latency > bound]
+    expected.append({"kind": "deadline-overrun", "job": (cid, 0, 0),
+                     "release": first.start, "actual_start": first.start + 1})
+    got = check_safety(trace, report, setup)
+    assert got == expected
+    assert got == reference_check_safety(trace, report, setup)
 
 
 def test_injected_faults_are_flagged_identically():

@@ -19,7 +19,16 @@ from chainlat.sim import (
     trace_hit_ratio,
 )
 
-from conftest import acc, block, build_task, diamond_loop_task, make_system, single_chain_bundle, straight_task
+from conftest import (
+    acc,
+    block,
+    build_task,
+    diamond_loop_task,
+    make_system,
+    shared_tail_task,
+    single_chain_bundle,
+    straight_task,
+)
 from oracles import ReferenceLRU, reference_bba_time
 
 
@@ -246,6 +255,23 @@ def test_check_safety_clean_on_contended_bundle():
         assert check_safety(trace, report) == []
     trace = simulate(bundle, SimConfig("worst", 0), setup=report.setup)
     assert check_safety(trace, report) == []
+
+
+def test_loop_ending_on_its_parents_tail_is_analyzed_and_safe_on_every_path():
+    # The nest's shared-cache set 0 also holds the foreign core's two lines.
+    foreign = straight_task("f", [3], accesses={0: (acc("f0", 2048), acc("f1", 3072))})
+    bundle = WorkloadBundle(make_system(cores=2), {"n": shared_tail_task(), "f": foreign},
+                            {"c0": ChainSpec("c0", "ET", ("n",), 0, 2000),
+                             "c1": ChainSpec("c1", "ET", ("f",), 1, 2000)})
+    report = analyze_bundle(bundle)
+    assert report.mel("c0", "TSC") <= report.mel("c0", "TLT") < report.mel("c0", "NCT")
+    setup = report.setup
+    traces = [simulate(bundle, SimConfig("worst", 0), setup=setup)]
+    traces += [simulate(bundle, SimConfig("random", s), setup=setup) for s in range(20)]
+    exhaustive = list(simulate_exhaustive(bundle, setup=setup))
+    assert len(exhaustive) == 4 + 4 ** 2 + 4 ** 3  # 1-3 outer iterations of 1-4 inner ones
+    for trace in traces + exhaustive:
+        assert check_safety(trace, report, setup) == []
 
 
 def test_check_safety_flags_corrupted_interference():

@@ -10,7 +10,6 @@ all policies.
 import random
 from dataclasses import replace
 from itertools import islice
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -186,14 +185,9 @@ def test_inner_loop_ending_on_its_parents_tail():
               block("t", 2, (acc("t0", 128),)), block("x", 1, (acc("x0", 0),))]
     edges = [("e", "oh"), ("oh", "ih"), ("ih", "m"), ("m", "t"), ("t", "ih"), ("t", "oh"), ("t", "x")]
     task = build_task("t", blocks, edges, [_loop("lo", "oh", "t", 4), _loop("li", "ih", "t", 3)])
-    # The analysis contracts no such nest, so the walk runs on a stand-in
-    # Setup: one job, every suffix score 0.
-    bundle = single_chain_bundle(task, period=1000)
-    setup = SimpleNamespace(bundle=bundle, chains=bundle.chains, hyper=1000, walks={},
-                            tasks={"t": SimpleNamespace(contracted_init=SimpleNamespace(node_worst={}))})
     # Per outer iteration: oh and 3 inner iterations of ih, m, t.  Both
     # loops copy from their third iteration.
-    assert _worst_against_reference(task, setup) == (2 + 2 * (1 + 2 * 3), 2 * 3 + 2 * 10)
+    assert _worst_against_reference(task) == (2 + 2 * (1 + 2 * 3), 2 * 3 + 2 * 10)
 
 
 def test_body_overflowing_its_private_set_copies_from_the_third_iteration():
