@@ -16,14 +16,17 @@ still means one such sweep, so the pass counts (l1_passes, l2_passes) are
 those of transferring every block every pass.  Only blocks with a changed
 predecessor are re-transferred, though: the others would compute the same
 out-state again (chaotic iteration reaches the same least fixpoint).  The
-lines each access touches are looked up once per task, not per pass.
+lines each access touches are looked up once per task, not per pass.  A
+block's last transfer is the one from its final in-state, so the states
+before its accesses are the ones that transfer noted; no walk over the
+blocks repeats it after the fixpoint.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import CacheLevelConfig, SystemSpec, TaskGraph
 
@@ -48,16 +51,18 @@ def _age_update(state: dict, line: int, ways: int, sets: int) -> dict:
         return state
     s = line % sets
     new = {}
-    for l, a in state.items():
-        if l == line:
-            continue
-        if l % sets != s:
-            new[l] = a
-        elif old is None or a < old:
-            if a + 1 <= ways:
+    if old is None:
+        for l, a in state.items():
+            if l % sets != s:
+                new[l] = a
+            elif a < ways:
                 new[l] = a + 1
-        else:
-            new[l] = a
+    else:
+        for l, a in state.items():
+            if a < old and l % sets == s:
+                new[l] = a + 1
+            elif l != line:
+                new[l] = a
     new[line] = 1
     return new
 
@@ -81,9 +86,11 @@ class _Fixpoint:
     out-state changes marks its successors (back edges included) dirty.  A
     clean block's in-state would be joined from unchanged out-states, and a
     dirty block whose joined in-state equals the one it was last transferred
-    with is skipped as well.  Transfers are pure, so the skips leave every
-    state, every pass's `changed` flag and so the pass count as a full sweep
-    would; `transfers` counts the transfers made.
+    with is skipped as well.  A transfer's out-state depends on its in-state
+    alone (it may note the states it passes through), so the skips leave
+    every state, every pass's `changed` flag and so the pass count as a full
+    sweep would; `transfers` counts the transfers made.  Each block's last
+    transfer is from its in-state in the result.
     """
 
     def __init__(self, task: TaskGraph, transfer, join, bottom_entry):
@@ -135,8 +142,11 @@ class _Fixpoint:
         return in_states
 
 
-@dataclass(frozen=True)
-class AccessClassification:
+class AccessClassification(NamedTuple):
+    """One access's classification; a named tuple, since classify_task makes
+    one per access and a frozen dataclass costs about three times as much to
+    build."""
+
     access_id: str
     block_id: str
     l1_chmc: str  # AH | NC
@@ -170,32 +180,32 @@ def l1_analysis(task: TaskGraph, l1: CacheLevelConfig, lines: dict):
     `lines` maps each block to the L1 lines of its accesses, in access order.
     """
     ways, sets = l1.ways, l1.sets
-
-    def transfer(bid, state):
-        for line in lines[bid]:
-            state = _age_update(state, line, ways, sets)
-        return state
-
     cap = max(4, len(task.blocks) * ways)
-    must = _Fixpoint(task, transfer, _join_must, {})
-    must_in = must.run(cap)
-    may = _Fixpoint(task, transfer, _join_may, {})
-    may_in = may.run(cap)
 
+    def fixpoint(join):
+        """(block -> the states before its accesses, pass count)."""
+        seen = {}
+
+        def transfer(bid, state):
+            states = seen[bid] = []
+            for line in lines[bid]:
+                states.append(state)
+                state = _age_update(state, line, ways, sets)
+            return state
+
+        fp = _Fixpoint(task, transfer, join, {})
+        fp.run(cap)
+        for bid in task.blocks:
+            if bid not in seen:  # never reached: walked from the empty state
+                transfer(bid, {})
+        return seen, fp.passes
+
+    (must, must_passes), (may, may_passes) = fixpoint(_join_must), fixpoint(_join_may)
     labels = {}
     for bid, block in task.blocks.items():
-        ms = must_in.get(bid, {})
-        ys = may_in.get(bid, {})
-        for acc, line in zip(block.accesses, lines[bid]):
-            if line in ms:
-                labels[acc.id] = AH
-            elif line not in ys:
-                labels[acc.id] = _L1_MISS
-            else:
-                labels[acc.id] = _L1_UNC
-            ms = _age_update(ms, line, ways, sets)
-            ys = _age_update(ys, line, ways, sets)
-    return labels, max(must.passes, may.passes)
+        for acc, line, ms, ys in zip(block.accesses, lines[bid], must[bid], may[bid]):
+            labels[acc.id] = AH if line in ms else _L1_MISS if line not in ys else _L1_UNC
+    return labels, max(must_passes, may_passes)
 
 
 def _l2_step(state: dict, label: str, line: int, ways: int, sets: int) -> dict:
@@ -212,21 +222,19 @@ def l2_must_analysis(task: TaskGraph, l2: CacheLevelConfig, visible: dict):
     never reach L2.  Returns the state before each of those accesses.
     """
     ways, sets = l2.ways, l2.sets
+    pre_access = {}
 
     def transfer(bid, state):
-        for _, label, line in visible[bid]:
+        for aid, label, line in visible[bid]:
+            pre_access[aid] = state
             state = _l2_step(state, label, line, ways, sets)
         return state
 
     fp = _Fixpoint(task, transfer, _join_must, {})
     in_states = fp.run(max(4, len(task.blocks) * ways))
-
-    pre_access = {}
-    for bid, rows in visible.items():
-        state = in_states.get(bid, {})
-        for aid, label, line in rows:
-            pre_access[aid] = state
-            state = _l2_step(state, label, line, ways, sets)
+    for bid in visible:
+        if bid not in in_states:  # never reached: walked from the empty state
+            transfer(bid, {})
     return pre_access, fp.passes
 
 

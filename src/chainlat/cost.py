@@ -20,15 +20,18 @@ window per iteration, and the first carries the surcharge reached so far
 the program's included, shares its plan's table of zero prefixes.
 
 A contraction has two parts.  The ContractionPlan depends on the task graph
-and the system alone: the innermost-first loop order, each level's graph
-with its topological order and predecessor lists, the code blocks per level
-and the whole best-case side.  Best costs never read the classification or
-the refined map, because the L1 floor charges every access alike, so one
-plan serves every contraction of a task.  What the refined map decides
-(worst node costs, persistence surcharges, longest prefixes, the WCET) is
-computed by contract_task.  The plan builds every level's graph in one
-pass over the blocks and one over the forward edges: an edge belongs to
-the level of the innermost loop that holds both of its endpoints.
+and the system alone: the innermost-first loop order, each level's nodes
+in topological order with their predecessor lists, the code blocks per
+level and the whole best-case side.  Best costs never read the
+classification or the refined map, because the L1 floor charges every
+access alike, so one plan serves every contraction of a task.  What the
+refined map decides (worst node costs, persistence surcharges, longest
+prefixes, the WCET) is computed by contract_task.  The plan builds every
+level in one pass over the task's topological order and one over the
+forward edges: a level's order is the task's, each block mapped to its
+node at that level, and an edge belongs to the level of the innermost loop
+that holds both of its endpoints.  Prefix distances and reach sets do not
+depend on which topological order a level follows.
 
 A refined map names every access of the task, so the jobs of one task
 that refine to the same CHMCs share one contraction.  The plan memoizes
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cache_ai import AH, PS, TaskClassification
-from .model import SystemSpec, TaskGraph, ValidationError, adjacency, topo_sort
+from .model import SystemSpec, TaskGraph, ValidationError
 
 
 def virtual_id(loop_id: str) -> str:
@@ -82,14 +85,6 @@ class LoopCostSummary:
 
 
 @dataclass
-class LevelGraph:
-    members: tuple
-    edges: tuple
-    entry: str
-    exit: str
-
-
-@dataclass
 class ContractedTask:
     """One contraction of a task.
 
@@ -109,81 +104,106 @@ class ContractedTask:
     wcet: int = 0
 
 
-def _level_graphs(task: TaskGraph) -> dict:
-    """Every level's graph, keyed by loop id (None for the top level), in one pass.
+def _level_graphs(task: TaskGraph, levels: tuple) -> dict:
+    """Each level's (predecessor lists in topological order, entry, exit),
+    keyed by loop id (None for the top level), in one pass over the task's
+    order and one over its forward edges; `levels` lists every level,
+    innermost first, the order in which their structure is checked.
 
     A block is a member of its enclosing loop's level, and each loop's
     virtual node one of its parent's.  At a level that holds a block, the
     block maps to its node there: itself, or the virtual node of the child
-    loop holding it (node_at).  A forward edge belongs to exactly one
-    level, the innermost loop that holds both endpoints, since at every
-    coarser level both ends map to one virtual node.  Back edges belong to
-    no level.  A level's entry and exit (its head and tail, or the task's
-    entry and exit) map by the same rule, so a loop may end on a child
-    loop's tail.
+    loop holding it (node_at).  A level's order is the task's topological
+    order with every block mapped to its node, first occurrences kept.  A
+    forward edge belongs to exactly one level, the innermost loop that holds
+    both endpoints, since at every coarser level both ends map to one
+    virtual node.  It enters a child loop at its head, which precedes the
+    rest of the child's body in the task's order, so it runs forward in the
+    level's order too; a task without an order, or an edge that runs
+    backwards, has a cyclic level graph.  Back edges belong to no level.  A
+    level's entry and exit (its head and tail, or the task's entry and
+    exit) map by the same rule, so a loop may end on a child loop's tail.
+    Every other node needs a predecessor: a path into an unreachable node
+    starts at a source other than the entry, so checking the sources checks
+    every node.
     """
-    members = {lid: {virtual_id(c) for c in loop.children} for lid, loop in task.loops.items()}
-    members[None] = {virtual_id(lid) for lid, loop in task.loops.items() if loop.parent_loop is None}
-    edges = {level: set() for level in members}
+    try:
+        order = task.topo_order
+    except ValidationError:
+        raise ValidationError("cyclic level graph; loops not fully contracted") from None
     ancestry = task.ancestry
-    for bid, chain in ancestry.items():
-        members[chain[0] if chain else None].add(bid)
+    vid = {lid: virtual_id(lid) for lid in task.loops}
+    preds = {lid: {} for lid in task.loops}
+    top = preds[None] = {}
+    rank = {}  # a node's position in its level's order; a node sits at one level
+    for i, bid in enumerate(order):
+        node = bid
+        for lid in ancestry[bid]:
+            level = preds[lid]
+            if node not in level:
+                level[node], rank[node] = [], i
+            node = vid[lid]
+        if node not in top:
+            top[node], rank[node] = [], i
 
     def node_at(level, bid):
         """The node holding block bid at a level that holds it."""
         chain = ancestry[bid]
         k = chain.index(level) if level is not None else len(chain)
-        return virtual_id(chain[k - 1]) if k else bid
+        return vid[chain[k - 1]] if k else bid
 
+    backwards = set()
     for src, dst in task.forward_edges():
-        dst_loops = ancestry[dst]
-        level = next((lid for lid in ancestry[src] if lid in dst_loops), None)  # the innermost holding both
+        src_loops, dst_loops = ancestry[src], ancestry[dst]
+        if src_loops == dst_loops:  # two blocks of one level, in the task's order
+            preds[src_loops[0] if src_loops else None][dst].append(src)
+            continue
+        level = next((lid for lid in src_loops if lid in dst_loops), None)  # the innermost holding both
         rs, rd = node_at(level, src), node_at(level, dst)
         if rs != rd:
-            edges[level].add((rs, rd))
+            preds[level][rd].append(rs)
+            if rank[rs] > rank[rd]:
+                backwards.add(level)
 
     graphs = {}
-    for level, nodes in members.items():
+    for level in levels:
         if level is None:
             entry, exit_ = task.entry_block, task.exit_block
         else:
             entry, exit_ = task.loops[level].head_block, task.loops[level].tail_block
-        graphs[level] = LevelGraph(tuple(sorted(nodes)), tuple(sorted(edges[level])),
-                                   node_at(level, entry), node_at(level, exit_))
+        entry, pred = node_at(level, entry), preds[level]
+        if level in backwards:
+            raise ValidationError("cyclic level graph; loops not fully contracted")
+        unreachable = [n for n, ps in pred.items() if not ps and n != entry]
+        if unreachable:
+            raise ValidationError("node %s unreachable from %s" % (min(unreachable), entry))
+        graphs[level] = (pred, entry, node_at(level, exit_))
     return graphs
 
 
 class LevelPlan:
-    """One level's graph, topological order, predecessors and best-case prefixes.
+    """One level's nodes in topological order, their predecessors and best-case prefixes.
 
     `loop` is the level's loop, None for the program level, which runs once
     and holds no persistent access: a persistence scope is a loop.
     """
 
-    def __init__(self, task: TaskGraph, graph: LevelGraph, node_best: dict, loop=None):
-        self.graph = graph
-        self.pred = adjacency(graph.members, graph.edges)[0]
-        self.order = topo_sort(graph.members, graph.edges)
-        if self.order is None:
-            raise ValidationError("cyclic level graph; loops not fully contracted")
-        for n in graph.members:
-            # Every path into an unreachable node starts at a source other
-            # than the entry, so checking the sources checks every node.
-            if n != graph.entry and not self.pred[n]:
-                raise ValidationError("node %s unreachable from %s" % (n, graph.entry))
+    def __init__(self, task: TaskGraph, pred: dict, entry: str, exit_: str, node_best: dict, loop=None):
+        self.pred, self.entry, self.exit = pred, entry, exit_
+        self.order = tuple(pred)
         self.min_bound, self.max_bound = (1, 1) if loop is None else (loop.min_bound, loop.max_bound)
         # The code blocks that may carry persistent accesses.
-        self.blocks = () if loop is None else tuple(n for n in graph.members if n in task.blocks)
-        self.no_ps = dict.fromkeys(graph.members, 0)  # prefixes when no access persists
+        self.blocks = () if loop is None else tuple(n for n in self.order if n in task.blocks)
+        self.no_ps = dict.fromkeys(self.order, 0)  # prefixes when no access persists
         self.best = self.distances(node_best, min)
-        self.shortest = self.best[graph.exit] + node_best[graph.exit]
+        self.shortest = self.best[self.exit] + node_best[self.exit]
 
     def distances(self, node_cost: dict, combine) -> dict:
         """Prefix path cost to each node, excluding the node's own cost."""
         dist = {}
-        entry = self.graph.entry
+        entry, pred = self.entry, self.pred
         for n in self.order:
-            dist[n] = 0 if n == entry else combine(dist[p] + node_cost[p] for p in self.pred[n])
+            dist[n] = 0 if n == entry else combine(dist[p] + node_cost[p] for p in pred[n])
         return dist
 
     def ps_reach(self, ps_at: dict, unit: int) -> dict:
@@ -219,12 +239,12 @@ class ContractionPlan:
         self.node_best = {bid: b.instruction_count * system.base_cpi + len(b.accesses) * system.l1.hit_latency
                           for bid, b in task.blocks.items()}
         self.loops = tuple(sorted(task.loops, key=lambda lid: -task.loop_depth(lid)))
-        graphs = _level_graphs(task)
+        graphs = _level_graphs(task, (*self.loops, None))
         self.levels = {}
         for lid in self.loops:
-            level = self.levels[lid] = LevelPlan(task, graphs[lid], self.node_best, task.loops[lid])
+            level = self.levels[lid] = LevelPlan(task, *graphs[lid], self.node_best, task.loops[lid])
             self.node_best[virtual_id(lid)] = level.shortest * level.min_bound
-        self.levels[None] = LevelPlan(task, graphs[None], self.node_best)
+        self.levels[None] = LevelPlan(task, *graphs[None], self.node_best)
         self.access_ids = tuple(a.id for b in task.blocks.values() for a in b.accesses)
         self.memo = {}  # effective CHMCs of access_ids -> ContractedTask
 
@@ -262,7 +282,7 @@ def _contract(task: TaskGraph, classification: TaskClassification, system: Syste
     summaries = {}
     for lid in (*plan.loops, None):  # innermost first, the program last
         level = plan.levels[lid]
-        exit_ = level.graph.exit
+        exit_ = level.exit
         ps_at = {n: ids for n in level.blocks if (ids := ps_ids_of(n))}
         incl = level.ps_reach(ps_at, surcharge_unit) if ps_at else level.no_ps
         bblc = level.distances(node_worst, max)

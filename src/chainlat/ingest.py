@@ -39,11 +39,23 @@ from .model import (
 # float or a string; list fields take lists and ids take strings.  A wrong
 # type raises TypeError naming the field, reported as a malformed document.
 # An optional field may be absent or null.  A field is located by its path,
-# a tuple of keys and list indices, and named only in an error.
+# a tuple of keys and list indices, and named only in an error.  Each object
+# kind names its keys in one tuple; once an object's own fields are read, a
+# key outside it is refused, so a misspelled optional key cannot silently
+# take its default.
 
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
 _REQUIRED = object()
+
+_SYSTEM_KEYS = ("cores", "l1", "l2", "mem_latency", "base_cpi", "period_table",
+                "refinement_passes", "phase3_threshold")  # the last two are legacy keys, ignored
+_LEVEL_KEYS = ("sets", "ways", "line", "hit")
+_TASK_KEYS = ("task_id", "blocks", "edges", "loops", "exclusive_pairs")
+_BLOCK_KEYS = ("id", "instructions", "accesses")
+_ACCESS_KEYS = ("id", "address")
+_LOOP_KEYS = ("id", "head", "tail", "back_edge", "min_bound", "max_bound", "parent")
+_CHAIN_KEYS = ("id", "trigger", "tasks", "core", "period", "offsets")
 
 
 def _name(path):
@@ -81,9 +93,15 @@ def _field(doc, key, kind, where, at=(), default=_REQUIRED):
 
 
 def _objects(doc, key, where, at=(), default=_REQUIRED):
-    """(path, object) for each object in the list doc[key]."""
-    items = _field(doc, key, (list, dict), where, at, default)
-    return [(at + (key, i), item) for i, item in enumerate(items)]
+    """The list doc[key] of objects, each element's type checked before any is read."""
+    items = doc.get(key)
+    if type(items) is list:
+        for item in items:
+            if type(item) is not dict:
+                break
+        else:
+            return items
+    return _field(doc, key, (list, dict), where, at, default)
 
 
 def _pair(value, path):
@@ -93,14 +111,31 @@ def _pair(value, path):
     return tuple(value)
 
 
+def _pairs(items, at):
+    """The list `items` of two-string lists, as tuples."""
+    for i, value in enumerate(items):
+        if type(value) is not list or len(value) != 2 or type(value[0]) is not str or type(value[1]) is not str:
+            _pair(value, at + (i,))
+    return tuple([(a, b) for a, b in items])
+
+
+def _check_keys(doc, keys, where, at=()):
+    """Refuse a key of the object doc outside `keys`, naming the first in sorted order."""
+    unknown = doc.keys() - keys
+    if unknown:
+        raise ValidationError("unknown key %s" % _name(at + (min(unknown),)), where)
+
+
 def parse_system(doc: dict, where: str = "system") -> SystemSpec:
     def level(name):
         cfg = _field(doc, name, dict, where)
-        values = [_field(cfg, key, int, where, (name,)) for key in ("sets", "ways", "line", "hit")]
+        values = [_field(cfg, key, int, where, (name,)) for key in _LEVEL_KEYS]
         try:
-            return CacheLevelConfig(*values)
+            config = CacheLevelConfig(*values)
         except ValidationError as exc:
             raise ValidationError("%s: %s" % (name, exc), where)
+        _check_keys(cfg, _LEVEL_KEYS, where, (name,))
+        return config
 
     try:
         _typed(doc, dict, ("the document",))
@@ -115,44 +150,79 @@ def parse_system(doc: dict, where: str = "system") -> SystemSpec:
     except TypeError as exc:
         raise ValidationError("malformed system document (%s)" % exc, where)
     try:
-        return SystemSpec(**fields)
+        system = SystemSpec(**fields)
     except ValidationError as exc:
         raise ValidationError(str(exc), where)
+    _check_keys(doc, _SYSTEM_KEYS, where)
+    return system
 
 
 def parse_task(doc: dict, where: str = "task") -> TaskGraph:
+    """A task graph from its document, validated.
+
+    Well-typed values are read inline; the field helpers run only when a
+    value is not, so that they word the error.  The checks keep one order:
+    a list's element types before any element's fields, and a block's
+    accesses (id, address, range) before its own id and instructions.
+    """
     try:
         _typed(doc, dict, ("the document",))
         blocks = {}
-        for at, b in _objects(doc, "blocks", where):
-            accesses = tuple(MemAccess(_field(a, "id", str, where, p), _field(a, "address", int, where, p))
-                             for p, a in _objects(b, "accesses", where, at, default=()))
-            blk = BasicBlock(_field(b, "id", str, where, at), _field(b, "instructions", int, where, at), accesses)
-            if blk.id in blocks:
-                raise ValidationError("duplicate block id %s" % blk.id, where)
-            blocks[blk.id] = blk
-        edges = tuple(_pair(e, ("edges", i)) for i, e in enumerate(_field(doc, "edges", list, where)))
+        n_accesses = 0
+        for i, b in enumerate(_objects(doc, "blocks", where)):
+            accesses = ()
+            items = b.get("accesses")
+            if items is not None and items != []:
+                at = ("blocks", i)
+                accesses = []
+                for j, a in enumerate(_objects(b, "accesses", where, at)):
+                    aid, address = a.get("id"), a.get("address")
+                    if type(aid) is not str or type(address) is not int:
+                        aid, address = (_field(a, "id", str, where, at + ("accesses", j)),
+                                        _field(a, "address", int, where, at + ("accesses", j)))
+                    accesses.append(MemAccess(aid, address))
+                    if len(a) != 2:
+                        _check_keys(a, _ACCESS_KEYS, where, at + ("accesses", j))
+                accesses = tuple(accesses)
+                n_accesses += len(accesses)
+            bid, count = b.get("id"), b.get("instructions")
+            if type(bid) is not str or type(count) is not int:
+                at = ("blocks", i)
+                bid, count = _field(b, "id", str, where, at), _field(b, "instructions", int, where, at)
+            blk = BasicBlock(bid, count, accesses)
+            if bid in blocks:
+                raise ValidationError("duplicate block id %s" % bid, where)
+            blocks[bid] = blk
+            if len(b) != 2 + ("accesses" in b):
+                _check_keys(b, _BLOCK_KEYS, where, ("blocks", i))
+        edges = _pairs(_field(doc, "edges", list, where), ("edges",))
         loops = {}
-        for at, l in _objects(doc, "loops", where, default=()):
-            loop = LoopNode(
-                id=_field(l, "id", str, where, at),
-                head_block=_field(l, "head", str, where, at),
-                tail_block=_field(l, "tail", str, where, at),
-                back_edge=_pair(_field(l, "back_edge", list, where, at), at + ("back_edge",)),
-                min_bound=_field(l, "min_bound", int, where, at),
-                max_bound=_field(l, "max_bound", int, where, at),
-                parent_loop=_field(l, "parent", str, where, at, default=None),
-            )
-            if loop.id in loops:
-                raise ValidationError("duplicate loop id %s" % loop.id, where)
-            loops[loop.id] = loop
-        pairs = frozenset(frozenset(_pair(p, ("exclusive_pairs", i)))
-                          for i, p in enumerate(_field(doc, "exclusive_pairs", list, where, default=())))
+        for i, l in enumerate(_objects(doc, "loops", where, default=())):
+            lid, head, tail, back, lo, hi, parent = map(l.get, _LOOP_KEYS)
+            if not (type(lid) is type(head) is type(tail) is str and type(lo) is type(hi) is int
+                    and (parent is None or type(parent) is str)
+                    and type(back) is list and len(back) == 2 and type(back[0]) is type(back[1]) is str):
+                at = ("loops", i)
+                lid, head, tail = (_field(l, key, str, where, at) for key in ("id", "head", "tail"))
+                back = _pair(_field(l, "back_edge", list, where, at), at + ("back_edge",))
+                lo, hi = _field(l, "min_bound", int, where, at), _field(l, "max_bound", int, where, at)
+                parent = _field(l, "parent", str, where, at, default=None)
+            loop = LoopNode(lid, head, tail, tuple(back), lo, hi, parent)
+            if lid in loops:
+                raise ValidationError("duplicate loop id %s" % lid, where)
+            loops[lid] = loop
+            _check_keys(l, _LOOP_KEYS, where, ("loops", i))
+        pairs = frozenset(map(frozenset, _pairs(_field(doc, "exclusive_pairs", list, where, default=()),
+                                                ("exclusive_pairs",))))
         task = TaskGraph(_field(doc, "task_id", str, where), blocks, edges, loops, exclusive_pairs=pairs)
+        _check_keys(doc, _TASK_KEYS, where)
     except TypeError as exc:
         raise ValidationError("malformed task document (%s)" % exc, where)
-    all_ids = {a.id for b in task.blocks.values() for a in b.accesses}
-    if len(all_ids) != sum(len(b.accesses) for b in task.blocks.values()):
+    except ValidationError as exc:
+        if exc.location is None:  # a record's own check, such as an address out of range
+            raise ValidationError(str(exc), where)
+        raise
+    if len({a.id for b in blocks.values() for a in b.accesses}) != n_accesses:
         raise ValidationError("duplicate access ids", where)
     try:
         return validate_task_graph(task)
@@ -175,9 +245,11 @@ def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:
     except TypeError as exc:
         raise ValidationError("malformed chain document (%s)" % exc, where)
     try:
-        return ChainSpec(**fields)
+        chain = ChainSpec(**fields)
     except ValidationError as exc:
         raise ValidationError(str(exc), where)
+    _check_keys(doc, _CHAIN_KEYS, where)
+    return chain
 
 
 def _load_json(path):

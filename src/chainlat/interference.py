@@ -47,8 +47,13 @@ def mwis_bound(graph: ExclusionGraph, exact_cap: int = MWIS_EXACT_CAP) -> int:
     A graph without edges is one independent set, so its weight sum is the
     exact value at any size; most overlap sets have no exclusive pair.
     Otherwise, above the cap the safe over-approximation sum(weights) is
-    returned, and below it the value is solved by memoized branch and bound
-    over vertex bitmasks.
+    returned, and below it the value is solved exactly over vertex
+    bitmasks.  A graph's value is the sum of its connected components'
+    values, and an isolated vertex is taken whole.  A component is solved
+    by memoized branch and bound on a vertex of maximum degree: either it
+    is left out, or it is taken and its neighbours go.  Either branch may
+    split the component again, so a matching costs one step per edge
+    rather than a memo entry per subset of its vertices.
     """
     if not graph.edges:
         return sum(graph.weights.values())
@@ -68,15 +73,34 @@ def mwis_bound(graph: ExclusionGraph, exact_cap: int = MWIS_EXACT_CAP) -> int:
     memo = {}
 
     def solve(mask: int) -> int:
-        if mask == 0:
-            return 0
-        if mask in memo:
-            return memo[mask]
-        v = (mask & -mask).bit_length() - 1
-        excl = solve(mask & ~(1 << v))
-        incl = w[v] + solve(mask & ~(1 << v) & ~adj[v])
-        memo[mask] = best = max(incl, excl)
-        return best
+        """The value of the vertices in mask, one connected component at a time."""
+        total = 0
+        while mask:
+            low = mask & -mask
+            comp, frontier = low, low
+            while frontier:  # grow the component of mask's lowest vertex
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = adj[bit.bit_length() - 1] & mask & ~comp
+                comp |= new
+                frontier |= new
+            mask &= ~comp
+            total += w[low.bit_length() - 1] if comp == low else component(comp)
+        return total
+
+    def component(comp: int) -> int:
+        value = memo.get(comp)
+        if value is None:
+            v, degree, rest = -1, -1, comp
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                d = (adj[bit.bit_length() - 1] & comp).bit_count()
+                if d > degree:
+                    v, degree = bit.bit_length() - 1, d
+            without = comp & ~(1 << v)
+            memo[comp] = value = max(solve(without), w[v] + solve(without & ~adj[v]))
+        return value
 
     return solve((1 << len(verts)) - 1)
 

@@ -6,6 +6,7 @@ code paths it checks.
 """
 
 import random
+from collections import namedtuple
 
 import numpy as np
 
@@ -293,9 +294,10 @@ def _o_vid(loop_id):
     return "V:" + loop_id
 
 
-def _o_level_graph(task, level):
-    from chainlat.cost import LevelGraph
+_OLevelGraph = namedtuple("_OLevelGraph", "members edges entry exit")
 
+
+def _o_level_graph(task, level):
     if level is None:
         scope = set(task.blocks)
         entry, exit_ = task.entry_block, task.exit_block
@@ -335,7 +337,7 @@ def _o_level_graph(task, level):
                 continue
             edges.add((rs, rd))
     # The entry and exit map like every other block: a loop may end on a child loop's tail.
-    return LevelGraph(tuple(sorted(members)), tuple(sorted(edges)), rep(entry), rep(exit_))
+    return _OLevelGraph(tuple(sorted(members)), tuple(sorted(edges)), rep(entry), rep(exit_))
 
 
 def _o_level_topo(level):

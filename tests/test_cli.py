@@ -542,3 +542,122 @@ def test_analyze_system_and_chain_errors_name_the_file(tmp_path, capsys, trigger
     assert rc == EXIT_INVALID
     assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
     assert not (tmp_path / "rep").exists()
+
+
+def _analyze_edited_tt_bundle(tmp_path, name, edit):
+    """Generate seed 3 with TT chains, apply `edit` to file `name` and analyze;
+    returns (exit code, the edited file's path, the output directory)."""
+    out = tmp_path / "w"
+    assert main(["generate", "--seed", "3", "--trigger", "TT", "--output", str(out)]) == EXIT_OK
+    path = out / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    tasks = sorted(str(p) for p in out.glob("task_*.json"))
+    chains = sorted(str(p) for p in out.glob("chain_*.json"))
+    rep = tmp_path / "rep"
+    rc = main(["analyze", "--system", str(out / "system.json"), "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(rep)])
+    return rc, path, rep
+
+
+@pytest.mark.parametrize("name,edit,field", [
+    ("system.json", lambda doc: doc.update(cors=2), "cors"),
+    ("system.json", lambda doc: doc["l2"].update(hits=6), "l2.hits"),
+    ("task_t0.json", lambda doc: doc.update(exclusive_pair=[]), "exclusive_pair"),
+    ("task_t0.json", lambda doc: doc["blocks"][0].update(instructons=7), "blocks[0].instructons"),
+    ("task_t0.json", lambda doc: doc["blocks"][0]["accesses"][0].update(adress=5), "blocks[0].accesses[0].adress"),
+    ("task_t0.json", lambda doc: doc["loops"][0].update(max_bond=3), "loops[0].max_bond"),
+    # Two misspelled optional keys: neither may silently take its default.
+    ("chain_c0.json", lambda doc: doc.update(perod=123, ofset=[0, 999]), "ofset"),
+], ids=("system", "cache-level", "task", "block", "access", "loop", "chain"))
+def test_analyze_refuses_unknown_keys(tmp_path, capsys, name, edit, field):
+    rc, path, rep = _analyze_edited_tt_bundle(tmp_path, name, edit)
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s: unknown key %s\n" % (path, field)
+    assert not rep.exists()
+
+
+def test_analyze_ignores_the_legacy_system_keys(tmp_path, capsys):
+    rc, _, rep = _analyze_edited_tt_bundle(
+        tmp_path, "system.json", lambda doc: doc.update(refinement_passes=3, phase3_threshold=8))
+    assert rc == EXIT_OK, capsys.readouterr().err
+    assert (rep / "report.json").exists()
+
+
+def _set_access_address(doc, address):
+    block = next(b for b in doc["blocks"] if b["id"] == "t1_b1")
+    block["accesses"][0].update(id="q", address=address)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: _set_access_address(doc, 2 ** 40), "access q: address out of 32-bit range"),
+    (lambda doc: next(b for b in doc["blocks"] if b["id"] == "t1_b1").update(instructions=-1),
+     "block t1_b1: negative instruction count"),
+    (lambda doc: doc["loops"][0].update(min_bound=doc["loops"][0]["max_bound"] + 1),
+     "loop t1_l0: need 0 <= MinBd <= MaxBd"),
+], ids=("address", "instructions", "loop-bounds"))
+def test_analyze_task_record_errors_name_the_file(tmp_path, capsys, edit, message):
+    rc, path, rep = _analyze_edited_tt_bundle(tmp_path, "task_t1.json", edit)
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
+    assert not rep.exists()
+
+
+def _diamond_bundle(outdir, arm_names):
+    """Two cores.  Core 0 runs t0, which reuses one line of shared-cache set 0
+    across a 1,000-instruction block; four private-cache conflicts in that
+    block make the reuse reach the shared cache.  Core 1 runs t1, a chain of
+    20 diamonds whose arms, named by `arm_names(i)`, are declared exclusive
+    and each touch their own line of set 0.  Returns the analyze arguments."""
+    from chainlat.ingest import default_system, system_to_doc
+
+    system = default_system(2)
+    set0 = system.l2.sets * system.l2.line_size  # the address stride that stays in set 0
+    docs = {"system.json": system_to_doc(system)}
+    line = 5 * set0
+    others = [{"id": "t0_a%d" % k, "address": line + 2 * k * system.l2.line_size} for k in range(1, 5)]
+    docs["task_t0.json"] = {
+        "task_id": "t0",
+        "blocks": [{"id": "x0", "instructions": 1, "accesses": [{"id": "t0_a0", "address": line}]},
+                   {"id": "x1", "instructions": 1000, "accesses": others},
+                   {"id": "x2", "instructions": 1, "accesses": [{"id": "t0_a5", "address": line}]}],
+        "edges": [["x0", "x1"], ["x1", "x2"]],
+    }
+    blocks, edges, pairs = [{"id": "j00", "instructions": 1}], [], []
+    for i in range(20):
+        a, z = arm_names(i)
+        join = "j%02d" % (i + 1)
+        blocks += [{"id": arm, "instructions": 1, "accesses": [{"id": "t1_%s" % arm, "address": (100 + 2 * i + k) * set0}]}
+                   for k, arm in enumerate((a, z))]
+        blocks.append({"id": join, "instructions": 1})
+        edges += [["j%02d" % i, a], ["j%02d" % i, z], [a, join], [z, join]]
+        pairs.append([a, z])
+    docs["task_t1.json"] = {"task_id": "t1", "blocks": blocks, "edges": edges, "exclusive_pairs": pairs}
+    for core in (0, 1):
+        docs["chain_c%d.json" % core] = {"id": "c%d" % core, "trigger": "ET", "tasks": ["t%d" % core], "core": core}
+    os.makedirs(outdir)
+    for name, doc in docs.items():
+        with open(os.path.join(outdir, name), "w") as fh:
+            json.dump(doc, fh)
+    paths = [os.path.join(outdir, n) for n in sorted(docs)]
+    return (["--system", os.path.join(outdir, "system.json"), "--tasks"] + [p for p in paths if "task_" in p] +
+            ["--chains"] + [p for p in paths if "chain_" in p])
+
+
+def test_analyze_solves_twenty_exclusive_diamonds_whatever_their_arm_names(tmp_path, capsys):
+    # Partners that sort far apart (a00 .. a19, then z00 .. z19) once made the
+    # independent-set memo hold 2^20 masks; partners that sort side by side
+    # (p00a, p00z, ...) never did.  Both must analyze fast, to equal results.
+    reports = []
+    for label, names in (("spread", lambda i: ("a%02d" % i, "z%02d" % i)),
+                         ("adjacent", lambda i: ("p%02da" % i, "p%02dz" % i))):
+        args = _diamond_bundle(str(tmp_path / label), names)
+        out = tmp_path / ("rep-" + label)
+        begin = time.perf_counter()
+        rc = main(["analyze"] + args + ["--mode", "tsc", "--output", str(out)])
+        elapsed = time.perf_counter() - begin
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert elapsed < 2.0, (label, elapsed)
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]

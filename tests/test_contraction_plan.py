@@ -3,7 +3,7 @@
 import copy
 import pickle
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -107,7 +107,7 @@ def test_repeated_map_returns_the_memoized_contraction():
 def test_other_classification_on_one_plan_never_gets_a_stale_entry():
     task, cls, system = _generated_task(28, 3, 12)
     ps = min(aid for aid, c in cls.accesses.items() if c.l2_chmc == PS)
-    other = TaskClassification(cls.task_id, dict(cls.accesses, **{ps: replace(cls.accesses[ps], l2_chmc=NC)}),
+    other = TaskClassification(cls.task_id, dict(cls.accesses, **{ps: cls.accesses[ps]._replace(l2_chmc=NC)}),
                                cls.l1_passes, cls.l2_passes)
     plan = ContractionPlan(task, system)
     # The map names the changed access, so both classifications give one key.
@@ -188,7 +188,7 @@ def test_loop_ending_on_a_child_loops_tail_contracts_like_the_reference():
     system = make_system()
     cls = classify_task(task, system)
     plan = ContractionPlan(task, system)
-    assert (plan.levels["lo"].graph.entry, plan.levels["lo"].graph.exit) == ("oh", "V:li")
+    assert (plan.levels["lo"].entry, plan.levels["lo"].exit) == ("oh", "V:li")
     for refined, mode in ((None, "worst"), (all_miss(cls), "init_worst")):
         _assert_same(contract_task(task, cls, system, refined=refined, plan=plan),
                      reference_contract_task(task, cls, system, refined, mode))

@@ -83,3 +83,31 @@ def test_too_small_cap_still_raises():
     assert fp.passes == needed
     with pytest.raises(RuntimeError, match="cache fixpoint did not converge in %d passes" % (needed - 1)):
         _Fixpoint(task, transfer, join, {}).run(needed - 1)
+
+
+def _reference_age_update(state, line, ways, sets):
+    """LRU ages after an access to `line`: an absent line counts as older than
+    every cached one, same-set lines younger than it age by one, and a line
+    aged past `ways` leaves."""
+    old = state.get(line, ways + 1)
+    out = {}
+    for l, a in state.items():
+        if l != line:
+            a = a + 1 if l % sets == line % sets and a < old else a
+            if a <= ways:
+                out[l] = a
+    out[line] = 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(((1, 1), (2, 1), (4, 2), (4, 4))), st.data())
+def test_age_update_matches_the_lru_rule(geometry, data):
+    ways, sets = geometry
+    lines = st.integers(0, 3 * sets)
+    # Must and may joins leave several lines of one set at one age.
+    state = data.draw(st.dictionaries(lines, st.integers(1, ways), max_size=8))
+    line = data.draw(lines)
+    before = dict(state)
+    assert _age_update(state, line, ways, sets) == _reference_age_update(state, line, ways, sets)
+    assert state == before

@@ -320,6 +320,34 @@ def test_messages_spell_nested_field_names(index, path, value, message):
     assert str(info.value) == message
 
 
+def _two_defects(doc, *edits):
+    doc = copy.deepcopy(doc)
+    for edit in edits:
+        edit(doc)
+    return doc
+
+
+# Two defects per document: the message names the one the parser checks
+# first.  A list's element types come before any element's fields, and a
+# block's accesses before its own id.
+FIRST_ERRORS = [
+    ((lambda d: d["blocks"][0].update(accesses=[{"id": 5, "address": 1}]),
+      lambda d: d["blocks"].__setitem__(2, 7)),
+     "blocks[2] must be an object, not an integer"),
+    ((lambda d: d["blocks"][0].update(accesses=[{"id": "q", "address": 2 ** 40}, 3]),),
+     "blocks[0].accesses[1] must be an object, not an integer"),
+    ((lambda d: d["blocks"][0].update(id=1, accesses=[{"id": "q", "address": "z"}]),),
+     "blocks[0].accesses[0].address must be an integer, not a string"),
+]
+
+
+@pytest.mark.parametrize("edits,field_error", FIRST_ERRORS, ids=("block-type", "access-type", "access-field"))
+def test_parse_task_reports_the_first_defect(edits, field_error):
+    with pytest.raises(ValidationError) as info:
+        parse_task(_two_defects(VALID_DOCS[2][1], *edits), "task_t1.json")
+    assert str(info.value) == "task_t1.json: malformed task document (%s)" % field_error
+
+
 def test_parse_task_rejects_identical_exclusive_pair():
     doc = VALID_DOCS[3][1]
     block = doc["exclusive_pairs"][0][0]

@@ -1,4 +1,5 @@
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,17 @@ def test_mwis_matches_brute_force_at_any_density(n, density, rng):
     if n:
         # One vertex over the cap: only an edgeless graph keeps its exact value.
         assert mwis_bound(g, exact_cap=n - 1) == (sum(weights.values()) if edges else exact)
+
+
+def test_mwis_solves_a_spread_matching_by_components():
+    # Vertex i pairs with i + 20, so partners sort far apart: a search that
+    # branched in vertex order kept one memo entry per subset of one side.
+    weights = {"v%02d" % i: (7 * i) % 11 + 1 for i in range(40)}
+    edges = frozenset(frozenset({"v%02d" % i, "v%02d" % (i + 20)}) for i in range(20))
+    begin = time.perf_counter()
+    value = mwis_bound(ExclusionGraph(weights, edges))
+    assert time.perf_counter() - begin < 0.1
+    assert value == sum(max(weights["v%02d" % i], weights["v%02d" % (i + 20)]) for i in range(20))
 
 
 def _sub_line_system():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat import model, sim
+from chainlat import cost, model, sim
 from chainlat.cache_ai import classify_task
 from chainlat.cost import ContractionPlan
 from chainlat.ingest import _TaskBuilder, default_system, parse_task, task_to_doc
@@ -112,8 +112,15 @@ def test_one_pass_nesting_and_level_graphs_match_the_per_object_rules(seed, dept
     assert all(again.blocks[bid] is blk for bid, blk in task.blocks.items())
 
     plan = ContractionPlan(task, default_system())
-    assert {level: lp.graph for level, lp in plan.levels.items()} == \
-        {level: _o_level_graph(task, level) for level in [*task.loops, None]}
+    assert set(plan.levels) == {*task.loops, None}
+    for level, lp in plan.levels.items():
+        ref = _o_level_graph(task, level)
+        edges = {(p, n) for n, preds in lp.pred.items() for p in preds}
+        assert (set(lp.order), edges, lp.entry, lp.exit) == (set(ref.members), set(ref.edges), ref.entry, ref.exit)
+        # The level's order, projected from the task's, is topological.
+        position = {n: i for i, n in enumerate(lp.order)}
+        assert len(position) == len(lp.order)
+        assert all(position[p] < position[n] for p, n in edges), level
 
 
 def _three_nested_loops():
@@ -176,4 +183,7 @@ def test_one_sort_per_parsed_task(monkeypatch):
     task = parse_task(doc)
     classify_task(task, default_system())  # three fixpoints
     sim._suffix_scores(task, {})
+    plan = ContractionPlan(task, default_system())  # every level projects the task's order
+    assert len(plan.levels) == len(task.loops) + 1
     assert len(calls) == 1
+    assert not {"topo_sort", "adjacency"} & set(vars(cost))  # no private copy escapes the count
