@@ -261,8 +261,9 @@ def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
             pressure[(lid, s)] = len(lines)
 
     out = {}
+    ancestry = task.ancestry
     for bid, block in task.blocks.items():
-        scope = block.enclosing_loop
+        scope = ancestry[bid][0] if ancestry[bid] else None
         for acc in block.accesses:
             if l1_labels[acc.id] == AH:
                 out[acc.id] = AccessClassification(acc.id, bid, AH, BYPASS, None, None, None)

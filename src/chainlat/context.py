@@ -153,7 +153,7 @@ class TaskContext:
                 lo = min(hull(self.bbrp[b]).lo for b in sources)
                 self.line_window[cls.access_id] = Interval(lo, hull(self.bbrp[cls.block_id]).hi)
             elif cls.l2_chmc == PS:
-                lid = t.blocks[cls.block_id].enclosing_loop
+                lid = t.ancestry[cls.block_id][0]
                 self.line_window[cls.access_id] = hull(self.bbrp[virtual_id(lid)])
         self._windows = {}  # (node, release width) -> (bbrp[node] it was built from, window)
 

@@ -153,7 +153,7 @@ def _level_graphs(task: TaskGraph, levels: tuple) -> dict:
         return vid[chain[k - 1]] if k else bid
 
     backwards = set()
-    for src, dst in task.forward_edges():
+    for src, dst in task.forward_edges:
         src_loops, dst_loops = ancestry[src], ancestry[dst]
         if src_loops == dst_loops:  # two blocks of one level, in the task's order
             preds[src_loops[0] if src_loops else None][dst].append(src)

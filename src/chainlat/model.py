@@ -96,10 +96,12 @@ class MemAccess:
 
 @dataclass(frozen=True)
 class BasicBlock:
+    """A block as its file gives it.  The loops holding it are its task's
+    `TaskGraph.ancestry[id]`."""
+
     id: str
     instruction_count: int
     accesses: tuple = ()
-    enclosing_loop: Optional[str] = None
 
     def __post_init__(self):
         if self.instruction_count < 0:
@@ -121,7 +123,6 @@ class LoopNode:
     max_bound: int
     parent_loop: Optional[str] = None
     body_blocks: frozenset = frozenset()
-    children: tuple = ()
 
     def __post_init__(self):
         if not (0 <= self.min_bound <= self.max_bound):
@@ -144,9 +145,9 @@ class _derived(cached_property):
 
 @dataclass(frozen=True)
 class TaskGraph:
-    """A task's CFG.  Adjacency maps, topological order and loop ancestry are cached
-    per object, outside the fields: equality ignores them and dataclasses.replace
-    rederives them."""
+    """A task's CFG.  Forward edges, adjacency maps, topological order and loop
+    ancestry are cached per object, outside the fields: equality ignores them and
+    dataclasses.replace rederives them."""
 
     id: str
     blocks: dict
@@ -156,12 +157,9 @@ class TaskGraph:
     exit_block: str = ""
     exclusive_pairs: frozenset = frozenset()
 
-    def forward_edges(self) -> tuple:
-        """The edges that are no loop's back edge; built once per graph."""
-        return self._forward_edges
-
     @_derived
-    def _forward_edges(self) -> tuple:
+    def forward_edges(self) -> tuple:
+        """The edges that are no loop's back edge."""
         back = {loop.back_edge for loop in self.loops.values()}
         return tuple(e for e in self.edges if e not in back)
 
@@ -173,7 +171,7 @@ class TaskGraph:
     @_derived
     def _forward_maps(self) -> tuple:
         """(pred, succ) over the forward edges."""
-        return adjacency(self.blocks, self.forward_edges())
+        return adjacency(self.blocks, self.forward_edges)
 
     def successors(self, include_back=True) -> dict:
         """Block id -> successor ids (a tuple); built once per graph, never mutate."""
@@ -186,31 +184,26 @@ class TaskGraph:
     @_derived
     def topo_order(self) -> tuple:
         """Blocks in topological order over the forward edges; raises if cyclic."""
-        order = topo_sort(self.blocks, self.forward_edges())
+        order = topo_sort(self.blocks, self.forward_edges)
         if order is None:
             raise ValidationError("irreducible control flow: cycle remains after removing declared back edges", self.id)
         return order
 
     def loop_depth(self, loop_id):
-        depth = 0
-        cur = self.loops[loop_id]
-        while cur.parent_loop is not None:
-            depth += 1
-            cur = self.loops[cur.parent_loop]
-        return depth
+        """The number of loops enclosing the loop, itself not counted."""
+        return len(self.ancestry[self.loops[loop_id].head_block]) - 1
 
     @_derived
     def ancestry(self) -> dict:
-        """Block id -> the loop ids enclosing it, innermost first (a tuple); never mutate."""
-        chains = {}
-        for bid, block in self.blocks.items():
-            chain = []
-            cur = block.enclosing_loop
-            while cur is not None:
-                chain.append(cur)
-                cur = self.loops[cur].parent_loop
-            chains[bid] = tuple(chain)
-        return chains
+        """Block id -> the ids of the loops whose bodies hold it, smallest body
+        first (a tuple); never mutate.  A validated graph's bodies are laminar,
+        so this is innermost first.  It reads the loops alone, so a graph made
+        by dataclasses.replace with new block records has the same map."""
+        chains = {bid: [] for bid in self.blocks}
+        for lid in sorted(self.loops, key=lambda lid: len(self.loops[lid].body_blocks)):
+            for bid in self.loops[lid].body_blocks:
+                chains[bid].append(lid)
+        return {bid: tuple(chain) for bid, chain in chains.items()}
 
 
 @dataclass(frozen=True)
@@ -236,6 +229,8 @@ class ChainSpec:
                 raise ValidationError("chain %s: first offset must be 0" % self.id)
             if list(self.offsets) != sorted(self.offsets):
                 raise ValidationError("chain %s: offsets must be non-decreasing" % self.id)
+        if self.period is not None and self.period < 1:
+            raise ValidationError("chain %s: period must be >= 1" % self.id)
 
 
 @dataclass(frozen=True)
@@ -297,8 +292,8 @@ def _reachable(adj: dict, start: str, stop=()) -> set:
     return seen
 
 
-def elaborate_loops(task: TaskGraph) -> tuple:
-    """Derive loop bodies, nesting links and per-block enclosing loops.
+def elaborate_loops(task: TaskGraph) -> dict:
+    """Derive loop bodies and parents.
 
     A loop's body is its natural loop: the head plus every block with a path
     to the tail, over all edges, that does not pass through the head.  The
@@ -312,11 +307,10 @@ def elaborate_loops(task: TaskGraph) -> tuple:
       head is the loop's only way in and no edge scan has to check it.
 
     A loop's parent is the innermost loop whose body strictly contains its
-    body, a block's enclosing loop the innermost one whose body holds it.  A
-    declared parent must be the derived one; bodies that meet must nest, and
-    nested loops must have distinct heads (a loop is entered at its head).
-    Returns the elaborated (blocks, loops) maps; a block whose enclosing
-    loop is already right is reused.
+    body.  A declared parent must be the derived one; bodies that meet must
+    nest, and nested loops must have distinct heads (a loop is entered at its
+    head).  Returns the elaborated loops by id; the blocks a body holds
+    find their loops through `TaskGraph.ancestry`.
     """
     pred = task.predecessors(include_back=True)
     entries = [b for b in task.blocks if not pred[b]]
@@ -366,15 +360,11 @@ def elaborate_loops(task: TaskGraph) -> tuple:
                     % (a, b, task.loops[a].head_block), task.id
                 )
 
-    # The bodies are laminar, so the loops holding a block (or a loop's head)
-    # are nested and the smallest is the innermost.  The sort is stable, so
-    # among equal bodies the first declared wins, as a strict-subset search
-    # in declaration order would pick.
+    # The bodies are laminar, so the loops holding a loop's head are nested
+    # and the smallest is the innermost.  The sort is stable, so among equal
+    # bodies the first declared wins, as a strict-subset search in
+    # declaration order would pick.
     by_size = sorted(bodies, key=lambda lid: len(bodies[lid]))
-    enclosing = {}
-    for lid in by_size:
-        for bid in bodies[lid]:
-            enclosing.setdefault(bid, lid)
     parents = {}
     for lid, loop in task.loops.items():
         size = len(bodies[lid])
@@ -385,21 +375,11 @@ def elaborate_loops(task: TaskGraph) -> tuple:
                 % (lid, loop.parent_loop, "none" if parents[lid] is None else parents[lid]),
                 task.id,
             )
-    children = {lid: [] for lid in task.loops}
-    for lid, parent in parents.items():
-        if parent is not None:
-            children[parent].append(lid)
-
-    blocks = {}
-    for bid, blk in task.blocks.items():
-        lid = enclosing.get(bid)
-        blocks[bid] = blk if blk.enclosing_loop == lid else BasicBlock(blk.id, blk.instruction_count, blk.accesses, lid)
-    loops = {
+    return {
         lid: LoopNode(loop.id, loop.head_block, loop.tail_block, loop.back_edge, loop.min_bound, loop.max_bound,
-                      parents[lid], bodies[lid], tuple(sorted(children[lid])))
+                      parents[lid], bodies[lid])
         for lid, loop in task.loops.items()
     }
-    return blocks, loops
 
 
 def validate_task_graph(task: TaskGraph) -> TaskGraph:
@@ -412,7 +392,8 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     back edge must be an edge, and the loop may be left only from its tail.
     An exclusive pair names two alternative arms of one branch that no
     forward path joins.  Validation is idempotent: validating the result
-    again yields an equal graph and no new diagnostics.
+    again yields an equal graph and no new diagnostics.  The result holds
+    the input's own block records; only its loops are rebuilt.
     """
     if not task.blocks:
         raise ValidationError("task has no blocks", task.id)
@@ -423,13 +404,13 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if len(set(task.edges)) != len(task.edges):
         raise ValidationError("duplicate edges", task.id)
 
-    blocks, loops = elaborate_loops(task)  # raises unless there is exactly one entry block
+    loops = elaborate_loops(task)  # raises unless there is exactly one entry block
     # The validated graph is made before its order is checked, so the order
     # cached on it is the one every later stage reads.
     pred, succ = task.predecessors(), task.successors()
     entry = next(b for b in task.blocks if not pred[b])
     exits = [b for b in task.blocks if not succ[b]]
-    graph = TaskGraph(task.id, blocks, task.edges, loops, entry, exits[0] if len(exits) == 1 else "",
+    graph = TaskGraph(task.id, task.blocks, task.edges, loops, entry, exits[0] if len(exits) == 1 else "",
                       task.exclusive_pairs)
     object.__setattr__(graph, "_maps", task._maps)  # same block ids and edges: reuse the adjacency
     graph.topo_order  # raises on irreducible graphs
@@ -445,7 +426,7 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     if seen != ids:
         raise ValidationError("unreachable blocks: %r" % sorted(ids - seen), task.id)
 
-    forward = graph.forward_edges()
+    forward = graph.forward_edges
     for lid, loop in graph.loops.items():
         body = loop.body_blocks
         if loop.back_edge not in task.edges:

@@ -171,6 +171,26 @@ def reference_dominators(blocks, edges, entry):
     return dom
 
 
+def reference_loop_body(blocks, edges, head, tail):
+    """A loop's natural body: the blocks with a path to the tail that does not pass
+    through the head, plus the head; each block is tested on its own, by a search from it."""
+    succ = {b: [d for s, d in edges if s == b] for b in blocks}
+
+    def reaches_tail(start):
+        seen, stack = {start}, [start]
+        while stack:
+            n = stack.pop()
+            if n == tail:
+                return True
+            for d in succ[n]:
+                if d != head and d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return False
+
+    return frozenset(b for b in blocks if b != head and reaches_tail(b)) | {head}
+
+
 def enumerate_task_paths(task, cap=200_000):
     """All feasible block sequences of one job.
 
@@ -297,6 +317,12 @@ def _o_vid(loop_id):
 _OLevelGraph = namedtuple("_OLevelGraph", "members edges entry exit")
 
 
+def _o_enclosing(task, bid):
+    """The innermost loop holding bid: the one with the smallest body that holds it."""
+    holding = [lid for lid, loop in task.loops.items() if bid in loop.body_blocks]
+    return min(holding, key=lambda lid: len(task.loops[lid].body_blocks), default=None)
+
+
 def _o_level_graph(task, level):
     if level is None:
         scope = set(task.blocks)
@@ -309,10 +335,10 @@ def _o_level_graph(task, level):
         own_back = loop.back_edge
 
     def rep(bid):
-        if task.blocks[bid].enclosing_loop == level:
+        if _o_enclosing(task, bid) == level:
             return bid
-        for lid in task.ancestry[bid]:
-            if task.loops[lid].parent_loop == level:
+        for lid, loop in task.loops.items():
+            if bid in loop.body_blocks and loop.parent_loop == level:
                 return _o_vid(lid)
         return None
 
@@ -321,13 +347,9 @@ def _o_level_graph(task, level):
         r = rep(bid)
         if r is not None:
             members.add(r)
-    if level is not None:
-        for child in task.loops[level].children:
-            members.add(_o_vid(child))
-    else:
-        for lid, loop in task.loops.items():
-            if loop.parent_loop is None:
-                members.add(_o_vid(lid))
+    for lid, loop in task.loops.items():
+        if loop.parent_loop == level:
+            members.add(_o_vid(lid))
     for src, dst in task.edges:
         if (src, dst) == own_back:
             continue
@@ -415,7 +437,7 @@ def reference_contract_task(task, classification, system, refined=None, worst_mo
         for a in task.blocks[bid].accesses:
             cls = classification.accesses[a.id]
             chmc = cls.l2_chmc if refined is None else refined.get(a.id, cls.l2_chmc)
-            if chmc == "PS" and cls.l2_chmc != "BYPASS" and task.blocks[bid].enclosing_loop == level:
+            if chmc == "PS" and cls.l2_chmc != "BYPASS" and _o_enclosing(task, bid) == level:
                 out.append(a.id)
         return tuple(out)
 
@@ -550,7 +572,7 @@ def reference_windows(contracted):
             lo = min(lo for b in sources for lo, _ in bbrp[b])
             line_window[c.access_id] = (lo, max(hi for _, hi in bbrp[c.block_id]))
         elif c.l2_chmc == "PS":
-            lid = task.blocks[c.block_id].enclosing_loop
+            lid = _o_enclosing(task, c.block_id)
             line_window[c.access_id] = (min(lo for lo, _ in lpb_of(lid)),
                                         max(hi for _, hi in lpb_of(lid)) + node_worst[_o_vid(lid)])
     return bbrp, lpb, line_window

@@ -524,9 +524,11 @@ def test_analyze_chain_merge_errors_name_the_chain_files(tmp_path, capsys, edits
 @pytest.mark.parametrize("trigger,name,edit,message", [
     ("ET", "chain_c0.json", lambda doc: doc.update(offsets=[0, 5]), "chain c0: offsets apply to TT chains only"),
     ("TT", "chain_c0.json", lambda doc: doc.update(offsets=[5, 10]), "chain c0: first offset must be 0"),
+    ("mix", "chain_c0.json", lambda doc: doc.update(period=0), "chain c0: period must be >= 1"),
+    ("mix", "chain_c0.json", lambda doc: doc.update(period=-5), "chain c0: period must be >= 1"),
     ("mix", "system.json", lambda doc: doc["l2"].update(sets=33), "l2: sets=33 must be a power of two"),
     ("mix", "system.json", lambda doc: doc.update(mem_latency=5), "need mem_latency > l2.hit > l1.hit"),
-], ids=("et-offsets", "first-offset", "l2-sets", "latencies"))
+], ids=("et-offsets", "first-offset", "period-0", "period-negative", "l2-sets", "latencies"))
 def test_analyze_system_and_chain_errors_name_the_file(tmp_path, capsys, trigger, name, edit, message):
     out = tmp_path / "w"
     assert main(["generate", "--seed", "1", "--trigger", trigger, "--output", str(out)]) == EXIT_OK

@@ -227,9 +227,7 @@ def test_contraction_rejects_unreachable_member(prebuilt, stray_edges):
 @pytest.mark.parametrize("prebuilt", (False, True))
 def test_contraction_rejects_unreachable_loop_member(prebuilt):
     loop = LoopNode("l", "h", "t", ("t", "h"), 1, 2, body_blocks=frozenset({"h", "t", "u"}))
-    blocks = [BasicBlock("a", 1), BasicBlock("h", 1, enclosing_loop="l"),
-              BasicBlock("t", 1, enclosing_loop="l"), BasicBlock("u", 1, enclosing_loop="l"),
-              BasicBlock("b", 1)]
+    blocks = [BasicBlock(b, 1) for b in ("a", "h", "t", "u", "b")]
     task = _raw_task(blocks, [("a", "h"), ("h", "t"), ("t", "h"), ("u", "t"), ("t", "b")], [loop])
     with pytest.raises(ValidationError, match="node u unreachable from h"):
         _contract(task, prebuilt)

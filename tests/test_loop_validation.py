@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chainlat.ingest import parse_task
 from chainlat.model import BasicBlock, LoopNode, TaskGraph, ValidationError, validate_task_graph
 
-from oracles import reference_dominators
+from oracles import reference_dominators, reference_loop_body
 
 WHERE = "wl/task_t.json"
 
@@ -141,26 +141,6 @@ def test_declared_endpoints_must_be_the_derived_ones(field, message):
 # Loop entry: the natural body decides what the dominator test decided.
 
 
-def _body(blocks, edges, head, tail):
-    """The blocks with a path to the tail that does not pass through the head, plus the head:
-    each block is tested on its own, by a search from it."""
-    succ = {b: [d for s, d in edges if s == b] for b in blocks}
-
-    def reaches_tail(start):
-        seen, stack = {start}, [start]
-        while stack:
-            n = stack.pop()
-            if n == tail:
-                return True
-            for d in succ[n]:
-                if d != head and d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return False
-
-    return frozenset(b for b in blocks if b != head and reaches_tail(b)) | {head}
-
-
 @st.composite
 def _loop_graphs(draw):
     """Graphs whose block b0 has no forward predecessor, with 1-3 loops on distinct back edges.
@@ -214,7 +194,7 @@ def test_loop_entry_follows_the_dominator_rule(task):
         dom = reference_dominators(blocks, edges, entry)
         for lid, loop in task.loops.items():
             head, tail = loop.head_block, loop.tail_block
-            body = _body(blocks, edges, head, tail)
+            body = reference_loop_body(blocks, edges, head, tail)
             # The entry reaches the tail around the head exactly when the head does not dominate it.
             assert (entry in body - {head}) == (head not in dom[tail]), lid
             # Every edge into the body past its head starts inside it.
@@ -232,4 +212,4 @@ def test_loop_entry_follows_the_dominator_rule(task):
         return
     assert expected is None
     for lid, loop in graph.loops.items():
-        assert loop.body_blocks == _body(blocks, edges, loop.head_block, loop.tail_block), lid
+        assert loop.body_blocks == reference_loop_body(blocks, edges, loop.head_block, loop.tail_block), lid

@@ -47,8 +47,8 @@ def test_validate_idempotent(diamond):
 def test_loop_elaboration(diamond):
     loop = diamond.loops["dl_l1"]
     assert loop.body_blocks == frozenset({"dl_h", "dl_a", "dl_bb", "dl_t"})
-    assert diamond.blocks["dl_a"].enclosing_loop == "dl_l1"
-    assert diamond.blocks["dl_b0"].enclosing_loop is None
+    assert diamond.ancestry["dl_a"] == ("dl_l1",)
+    assert diamond.ancestry["dl_b0"] == ()
 
 
 def test_two_back_edges_rejected():

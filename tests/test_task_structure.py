@@ -17,10 +17,10 @@ from chainlat import cost, model, sim
 from chainlat.cache_ai import classify_task
 from chainlat.cost import ContractionPlan
 from chainlat.ingest import _TaskBuilder, default_system, parse_task, task_to_doc
-from chainlat.model import LoopNode, ValidationError, validate_task_graph
+from chainlat.model import BasicBlock, LoopNode, TaskGraph, ValidationError, validate_task_graph
 
 from conftest import block, build_task
-from oracles import _o_level_graph
+from oracles import _o_level_graph, reference_loop_body
 
 
 def _generated_task(seed, loop_depth, n_blocks):
@@ -82,7 +82,7 @@ def test_parents_are_derived_and_checked_at_parse(seed, depth, n_blocks, data):
     assert order == _kahn(task)
     assert sorted(order) == sorted(task.blocks)
     position = {b: i for i, b in enumerate(order)}
-    assert all(position[src] < position[dst] for src, dst in task.forward_edges())
+    assert all(position[src] < position[dst] for src, dst in task.forward_edges)
 
 
 def _innermost(bodies, contains):
@@ -100,16 +100,23 @@ def _innermost(bodies, contains):
 @given(st.integers(0, 10_000), st.integers(0, 3), st.integers(2, 24))
 def test_one_pass_nesting_and_level_graphs_match_the_per_object_rules(seed, depth, n_blocks):
     task = parse_task(task_to_doc(_generated_task(seed, depth, n_blocks)))
-    bodies = {lid: loop.body_blocks for lid, loop in task.loops.items()}
-    for bid, blk in task.blocks.items():
-        assert blk.enclosing_loop == _innermost(bodies, lambda body: bid in body), bid
+    bodies = {lid: reference_loop_body(task.blocks, task.edges, loop.head_block, loop.tail_block)
+              for lid, loop in task.loops.items()}
+    for bid in task.blocks:
+        holding = sorted((lid for lid, body in bodies.items() if bid in body), key=lambda lid: len(bodies[lid]))
+        assert task.ancestry[bid] == tuple(holding), bid
     for lid, loop in task.loops.items():
+        assert loop.body_blocks == bodies[lid], lid
         assert loop.parent_loop == _innermost(bodies, lambda body: bodies[lid] < body), lid
+        assert task.loop_depth(lid) == sum(bodies[lid] < body for body in bodies.values()), lid
 
-    # Validating again rebuilds no block: each one's enclosing loop is already right.
-    again = validate_task_graph(task)
-    assert again == task
-    assert all(again.blocks[bid] is blk for bid, blk in task.blocks.items())
+    # Validation builds no block record: the graph holds the input's own.
+    raw = TaskGraph(task.id, {bid: BasicBlock(b.id, b.instruction_count, b.accesses) for bid, b in task.blocks.items()},
+                    task.edges, {lid: LoopNode(l.id, l.head_block, l.tail_block, l.back_edge, l.min_bound, l.max_bound)
+                                 for lid, l in task.loops.items()}, exclusive_pairs=task.exclusive_pairs)
+    graph = validate_task_graph(raw)
+    assert graph == task == validate_task_graph(task)
+    assert all(graph.blocks[bid] is blk for bid, blk in raw.blocks.items())
 
     plan = ContractionPlan(task, default_system())
     assert set(plan.levels) == {*task.loops, None}
@@ -135,7 +142,7 @@ def _three_nested_loops():
 def test_nested_loops_without_parents_are_elaborated():
     task = build_task("n", *_three_nested_loops())
     assert [task.loops[l].parent_loop for l in ("l0", "l1", "l2")] == [None, "l0", "l1"]
-    assert [task.loops[l].children for l in ("l0", "l1", "l2")] == [("l1",), ("l2",), ()]
+    assert [task.loop_depth(l) for l in ("l0", "l1", "l2")] == [0, 1, 2]
     assert task.ancestry["h2"] == ("l2", "l1", "l0")
 
 
