@@ -16,10 +16,12 @@ still means one such sweep, so the pass counts (l1_passes, l2_passes) are
 those of transferring every block every pass.  Only blocks with a changed
 predecessor are re-transferred, though: the others would compute the same
 out-state again (chaotic iteration reaches the same least fixpoint).  The
-lines each access touches are looked up once per task, not per pass.  A
-block's last transfer is the one from its final in-state, so the states
-before its accesses are the ones that transfer noted; no walk over the
-blocks repeats it after the fixpoint.
+lines each access touches are looked up once per task, not per pass.  The
+three fixpoints (L1 must, L1 may, L2 must) differ only in their access
+update and join; one function, `_states_before`, runs each from the empty
+entry state and records the state before every access.  A block's last
+transfer is the one from its final in-state, so the states it recorded are
+the fixpoint's; no walk over the blocks repeats it after the fixpoint.
 """
 
 from __future__ import annotations
@@ -174,37 +176,44 @@ class TaskClassification:
         return {c.block_id for c in self.visible() if c.l2_line == l2_line}
 
 
+def _states_before(task: TaskGraph, steps: dict, update, join, ways: int):
+    """The state before each access at the fixpoint from the empty entry state.
+
+    `steps` maps each block to its accesses' steps in access order, each a
+    tuple whose first item is the access id; `update(state, step)` is the
+    state after that access.  Returns (access id -> state before it, pass
+    count).
+    """
+    before = {}
+
+    def transfer(bid, state):
+        for step in steps[bid]:
+            before[step[0]] = state
+            state = update(state, step)
+        return state
+
+    fp = _Fixpoint(task, transfer, join, {})
+    fp.run(max(4, len(task.blocks) * ways))
+    return before, fp.passes
+
+
 def l1_analysis(task: TaskGraph, l1: CacheLevelConfig, lines: dict):
     """L1 must and may fixpoints; returns per-access labels and pass count.
 
     `lines` maps each block to the L1 lines of its accesses, in access order.
     """
     ways, sets = l1.ways, l1.sets
-    cap = max(4, len(task.blocks) * ways)
+    steps = {bid: tuple(zip([acc.id for acc in block.accesses], lines[bid])) for bid, block in task.blocks.items()}
 
-    def fixpoint(join):
-        """(block -> the states before its accesses, pass count)."""
-        seen = {}
+    def update(state, step):
+        return _age_update(state, step[1], ways, sets)
 
-        def transfer(bid, state):
-            states = seen[bid] = []
-            for line in lines[bid]:
-                states.append(state)
-                state = _age_update(state, line, ways, sets)
-            return state
-
-        fp = _Fixpoint(task, transfer, join, {})
-        fp.run(cap)
-        for bid in task.blocks:
-            if bid not in seen:  # never reached: walked from the empty state
-                transfer(bid, {})
-        return seen, fp.passes
-
-    (must, must_passes), (may, may_passes) = fixpoint(_join_must), fixpoint(_join_may)
+    must, must_passes = _states_before(task, steps, update, _join_must, ways)
+    may, may_passes = _states_before(task, steps, update, _join_may, ways)
     labels = {}
-    for bid, block in task.blocks.items():
-        for acc, line, ms, ys in zip(block.accesses, lines[bid], must[bid], may[bid]):
-            labels[acc.id] = AH if line in ms else _L1_MISS if line not in ys else _L1_UNC
+    for block_steps in steps.values():
+        for aid, line in block_steps:
+            labels[aid] = AH if line in must[aid] else _L1_MISS if line not in may[aid] else _L1_UNC
     return labels, max(must_passes, may_passes)
 
 
@@ -222,20 +231,11 @@ def l2_must_analysis(task: TaskGraph, l2: CacheLevelConfig, visible: dict):
     never reach L2.  Returns the state before each of those accesses.
     """
     ways, sets = l2.ways, l2.sets
-    pre_access = {}
 
-    def transfer(bid, state):
-        for aid, label, line in visible[bid]:
-            pre_access[aid] = state
-            state = _l2_step(state, label, line, ways, sets)
-        return state
+    def update(state, step):
+        return _l2_step(state, step[1], step[2], ways, sets)
 
-    fp = _Fixpoint(task, transfer, _join_must, {})
-    in_states = fp.run(max(4, len(task.blocks) * ways))
-    for bid in visible:
-        if bid not in in_states:  # never reached: walked from the empty state
-            transfer(bid, {})
-    return pre_access, fp.passes
+    return _states_before(task, visible, update, _join_must, ways)
 
 
 def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:

@@ -42,7 +42,9 @@ from .model import (
 # a tuple of keys and list indices, and named only in an error.  Each object
 # kind names its keys in one tuple; once an object's own fields are read, a
 # key outside it is refused, so a misspelled optional key cannot silently
-# take its default.
+# take its default.  The helpers, like the record constructors, raise
+# unlocated errors: each document parser names its file once, in one
+# handler around its whole parse, and validation names the task once.
 
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -80,7 +82,7 @@ def _typed(value, kind, path):
     return value
 
 
-def _field(doc, key, kind, where, at=(), default=_REQUIRED):
+def _field(doc, key, kind, at=(), default=_REQUIRED):
     """doc[key] typed as `kind`, or `default` for an absent or null optional field; `at` is doc's path."""
     value = doc.get(key)
     if type(value) is kind:
@@ -88,11 +90,11 @@ def _field(doc, key, kind, where, at=(), default=_REQUIRED):
     if value is None and default is not _REQUIRED:
         return default
     if value is None and key not in doc:
-        raise ValidationError("missing key %r" % _name(at + (key,)), where)
+        raise ValidationError("missing key %r" % _name(at + (key,)))
     return _typed(value, kind, at + (key,))
 
 
-def _objects(doc, key, where, at=(), default=_REQUIRED):
+def _objects(doc, key, at=(), default=_REQUIRED):
     """The list doc[key] of objects, each element's type checked before any is read."""
     items = doc.get(key)
     if type(items) is list:
@@ -101,7 +103,7 @@ def _objects(doc, key, where, at=(), default=_REQUIRED):
                 break
         else:
             return items
-    return _field(doc, key, (list, dict), where, at, default)
+    return _field(doc, key, (list, dict), at, default)
 
 
 def _pair(value, path):
@@ -119,42 +121,42 @@ def _pairs(items, at):
     return tuple([(a, b) for a, b in items])
 
 
-def _check_keys(doc, keys, where, at=()):
+def _check_keys(doc, keys, at=()):
     """Refuse a key of the object doc outside `keys`, naming the first in sorted order."""
     unknown = doc.keys() - keys
     if unknown:
-        raise ValidationError("unknown key %s" % _name(at + (min(unknown),)), where)
+        raise ValidationError("unknown key %s" % _name(at + (min(unknown),)))
 
 
 def parse_system(doc: dict, where: str = "system") -> SystemSpec:
     def level(name):
-        cfg = _field(doc, name, dict, where)
-        values = [_field(cfg, key, int, where, (name,)) for key in _LEVEL_KEYS]
+        cfg = _field(doc, name, dict)
+        values = [_field(cfg, key, int, (name,)) for key in _LEVEL_KEYS]
         try:
             config = CacheLevelConfig(*values)
         except ValidationError as exc:
-            raise ValidationError("%s: %s" % (name, exc), where)
-        _check_keys(cfg, _LEVEL_KEYS, where, (name,))
+            raise ValidationError("%s: %s" % (name, exc))
+        _check_keys(cfg, _LEVEL_KEYS, (name,))
         return config
 
     try:
-        _typed(doc, dict, ("the document",))
-        fields = dict(
-            core_count=_field(doc, "cores", int, where),
-            l1=level("l1"),
-            l2=level("l2"),
-            mem_latency=_field(doc, "mem_latency", int, where),
-            base_cpi=_field(doc, "base_cpi", int, where),
-            period_table=tuple(_field(doc, "period_table", (list, int), where)),
-        )
-    except TypeError as exc:
-        raise ValidationError("malformed system document (%s)" % exc, where)
-    try:
+        try:
+            _typed(doc, dict, ("the document",))
+            fields = dict(
+                core_count=_field(doc, "cores", int),
+                l1=level("l1"),
+                l2=level("l2"),
+                mem_latency=_field(doc, "mem_latency", int),
+                base_cpi=_field(doc, "base_cpi", int),
+                period_table=tuple(_field(doc, "period_table", (list, int))),
+            )
+        except TypeError as exc:
+            raise ValidationError("malformed system document (%s)" % exc)
         system = SystemSpec(**fields)
+        _check_keys(doc, _SYSTEM_KEYS)
+        return system
     except ValidationError as exc:
         raise ValidationError(str(exc), where)
-    _check_keys(doc, _SYSTEM_KEYS, where)
-    return system
 
 
 def parse_task(doc: dict, where: str = "task") -> TaskGraph:
@@ -166,65 +168,61 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
     accesses (id, address, range) before its own id and instructions.
     """
     try:
-        _typed(doc, dict, ("the document",))
-        blocks = {}
-        n_accesses = 0
-        for i, b in enumerate(_objects(doc, "blocks", where)):
-            accesses = ()
-            items = b.get("accesses")
-            if items is not None and items != []:
-                at = ("blocks", i)
-                accesses = []
-                for j, a in enumerate(_objects(b, "accesses", where, at)):
-                    aid, address = a.get("id"), a.get("address")
-                    if type(aid) is not str or type(address) is not int:
-                        aid, address = (_field(a, "id", str, where, at + ("accesses", j)),
-                                        _field(a, "address", int, where, at + ("accesses", j)))
-                    accesses.append(MemAccess(aid, address))
-                    if len(a) != 2:
-                        _check_keys(a, _ACCESS_KEYS, where, at + ("accesses", j))
-                accesses = tuple(accesses)
-                n_accesses += len(accesses)
-            bid, count = b.get("id"), b.get("instructions")
-            if type(bid) is not str or type(count) is not int:
-                at = ("blocks", i)
-                bid, count = _field(b, "id", str, where, at), _field(b, "instructions", int, where, at)
-            blk = BasicBlock(bid, count, accesses)
-            if bid in blocks:
-                raise ValidationError("duplicate block id %s" % bid, where)
-            blocks[bid] = blk
-            if len(b) != 2 + ("accesses" in b):
-                _check_keys(b, _BLOCK_KEYS, where, ("blocks", i))
-        edges = _pairs(_field(doc, "edges", list, where), ("edges",))
-        loops = {}
-        for i, l in enumerate(_objects(doc, "loops", where, default=())):
-            lid, head, tail, back, lo, hi, parent = map(l.get, _LOOP_KEYS)
-            if not (type(lid) is type(head) is type(tail) is str and type(lo) is type(hi) is int
-                    and (parent is None or type(parent) is str)
-                    and type(back) is list and len(back) == 2 and type(back[0]) is type(back[1]) is str):
-                at = ("loops", i)
-                lid, head, tail = (_field(l, key, str, where, at) for key in ("id", "head", "tail"))
-                back = _pair(_field(l, "back_edge", list, where, at), at + ("back_edge",))
-                lo, hi = _field(l, "min_bound", int, where, at), _field(l, "max_bound", int, where, at)
-                parent = _field(l, "parent", str, where, at, default=None)
-            loop = LoopNode(lid, head, tail, tuple(back), lo, hi, parent)
-            if lid in loops:
-                raise ValidationError("duplicate loop id %s" % lid, where)
-            loops[lid] = loop
-            _check_keys(l, _LOOP_KEYS, where, ("loops", i))
-        pairs = frozenset(map(frozenset, _pairs(_field(doc, "exclusive_pairs", list, where, default=()),
-                                                ("exclusive_pairs",))))
-        task = TaskGraph(_field(doc, "task_id", str, where), blocks, edges, loops, exclusive_pairs=pairs)
-        _check_keys(doc, _TASK_KEYS, where)
-    except TypeError as exc:
-        raise ValidationError("malformed task document (%s)" % exc, where)
-    except ValidationError as exc:
-        if exc.location is None:  # a record's own check, such as an address out of range
-            raise ValidationError(str(exc), where)
-        raise
-    if len({a.id for b in blocks.values() for a in b.accesses}) != n_accesses:
-        raise ValidationError("duplicate access ids", where)
-    try:
+        try:
+            _typed(doc, dict, ("the document",))
+            blocks = {}
+            n_accesses = 0
+            for i, b in enumerate(_objects(doc, "blocks")):
+                accesses = ()
+                items = b.get("accesses")
+                if items is not None and items != []:
+                    at = ("blocks", i)
+                    accesses = []
+                    for j, a in enumerate(_objects(b, "accesses", at)):
+                        aid, address = a.get("id"), a.get("address")
+                        if type(aid) is not str or type(address) is not int:
+                            aid, address = (_field(a, "id", str, at + ("accesses", j)),
+                                            _field(a, "address", int, at + ("accesses", j)))
+                        accesses.append(MemAccess(aid, address))
+                        if len(a) != 2:
+                            _check_keys(a, _ACCESS_KEYS, at + ("accesses", j))
+                    accesses = tuple(accesses)
+                    n_accesses += len(accesses)
+                bid, count = b.get("id"), b.get("instructions")
+                if type(bid) is not str or type(count) is not int:
+                    at = ("blocks", i)
+                    bid, count = _field(b, "id", str, at), _field(b, "instructions", int, at)
+                blk = BasicBlock(bid, count, accesses)
+                if bid in blocks:
+                    raise ValidationError("duplicate block id %s" % bid)
+                blocks[bid] = blk
+                if len(b) != 2 + ("accesses" in b):
+                    _check_keys(b, _BLOCK_KEYS, ("blocks", i))
+            edges = _pairs(_field(doc, "edges", list), ("edges",))
+            loops = {}
+            for i, l in enumerate(_objects(doc, "loops", default=())):
+                lid, head, tail, back, lo, hi, parent = map(l.get, _LOOP_KEYS)
+                if not (type(lid) is type(head) is type(tail) is str and type(lo) is type(hi) is int
+                        and (parent is None or type(parent) is str)
+                        and type(back) is list and len(back) == 2 and type(back[0]) is type(back[1]) is str):
+                    at = ("loops", i)
+                    lid, head, tail = (_field(l, key, str, at) for key in ("id", "head", "tail"))
+                    back = _pair(_field(l, "back_edge", list, at), at + ("back_edge",))
+                    lo, hi = _field(l, "min_bound", int, at), _field(l, "max_bound", int, at)
+                    parent = _field(l, "parent", str, at, default=None)
+                loop = LoopNode(lid, head, tail, tuple(back), lo, hi, parent)
+                if lid in loops:
+                    raise ValidationError("duplicate loop id %s" % lid)
+                loops[lid] = loop
+                _check_keys(l, _LOOP_KEYS, ("loops", i))
+            pairs = frozenset(map(frozenset, _pairs(_field(doc, "exclusive_pairs", list, default=()),
+                                                    ("exclusive_pairs",))))
+            task = TaskGraph(_field(doc, "task_id", str), blocks, edges, loops, exclusive_pairs=pairs)
+            _check_keys(doc, _TASK_KEYS)
+        except TypeError as exc:
+            raise ValidationError("malformed task document (%s)" % exc)
+        if len({a.id for b in blocks.values() for a in b.accesses}) != n_accesses:
+            raise ValidationError("duplicate access ids")
         return validate_task_graph(task)
     except ValidationError as exc:
         raise ValidationError(str(exc), where)
@@ -232,24 +230,24 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
 
 def parse_chain(doc: dict, where: str = "chain") -> ChainSpec:
     try:
-        _typed(doc, dict, ("the document",))
-        offsets = _field(doc, "offsets", (list, int), where, default=None)
-        fields = dict(
-            id=_field(doc, "id", str, where),
-            trigger=_field(doc, "trigger", str, where),
-            tasks=tuple(_field(doc, "tasks", (list, str), where)),
-            core=_field(doc, "core", int, where),
-            period=_field(doc, "period", int, where, default=None),
-            offsets=None if offsets is None else tuple(offsets),
-        )
-    except TypeError as exc:
-        raise ValidationError("malformed chain document (%s)" % exc, where)
-    try:
+        try:
+            _typed(doc, dict, ("the document",))
+            offsets = _field(doc, "offsets", (list, int), default=None)
+            fields = dict(
+                id=_field(doc, "id", str),
+                trigger=_field(doc, "trigger", str),
+                tasks=tuple(_field(doc, "tasks", (list, str))),
+                core=_field(doc, "core", int),
+                period=_field(doc, "period", int, default=None),
+                offsets=None if offsets is None else tuple(offsets),
+            )
+        except TypeError as exc:
+            raise ValidationError("malformed chain document (%s)" % exc)
         chain = ChainSpec(**fields)
+        _check_keys(doc, _CHAIN_KEYS)
+        return chain
     except ValidationError as exc:
         raise ValidationError(str(exc), where)
-    _check_keys(doc, _CHAIN_KEYS, where)
-    return chain
 
 
 def _load_json(path):

@@ -183,10 +183,11 @@ class TaskGraph:
 
     @_derived
     def topo_order(self) -> tuple:
-        """Blocks in topological order over the forward edges; raises if cyclic."""
+        """Blocks in topological order over the forward edges; raises an
+        unlocated ValidationError if cyclic."""
         order = topo_sort(self.blocks, self.forward_edges)
         if order is None:
-            raise ValidationError("irreducible control flow: cycle remains after removing declared back edges", self.id)
+            raise ValidationError("irreducible control flow: cycle remains after removing declared back edges")
         return order
 
     def loop_depth(self, loop_id):
@@ -310,7 +311,8 @@ def elaborate_loops(task: TaskGraph) -> dict:
     body.  A declared parent must be the derived one; bodies that meet must
     nest, and nested loops must have distinct heads (a loop is entered at its
     head).  Returns the elaborated loops by id; the blocks a body holds
-    find their loops through `TaskGraph.ancestry`.
+    find their loops through `TaskGraph.ancestry`.  Errors are unlocated:
+    `validate_task_graph` names the task.
     """
     pred = task.predecessors(include_back=True)
     entries = [b for b in task.blocks if not pred[b]]
@@ -320,31 +322,25 @@ def elaborate_loops(task: TaskGraph) -> dict:
         fpred = task.predecessors(include_back=False)
         for lid, loop in task.loops.items():
             if loop.head_block in fpred and not fpred[loop.head_block]:
-                raise ValidationError(
-                    "loop %s: head %s is the task's entry; the entry must lie outside every loop"
-                    % (lid, loop.head_block), task.id
-                )
+                raise ValidationError("loop %s: head %s is the task's entry; the entry must lie outside every loop"
+                                      % (lid, loop.head_block))
     if len(entries) != 1:
-        raise ValidationError("need exactly one entry block, found %r" % sorted(entries), task.id)
+        raise ValidationError("need exactly one entry block, found %r" % sorted(entries))
     entry = entries[0]
 
     bodies, by_back_edge = {}, {}
     for lid, loop in task.loops.items():
         head, tail = loop.head_block, loop.tail_block
         if loop.back_edge != (tail, head):
-            raise ValidationError("loop %s: back edge must run tail->head" % lid, task.id)
+            raise ValidationError("loop %s: back edge must run tail->head" % lid)
         other = by_back_edge.setdefault(loop.back_edge, lid)
         if other != lid:
-            raise ValidationError(
-                "loops %s and %s declare the same back edge %s->%s" % (other, lid, *loop.back_edge), task.id
-            )
+            raise ValidationError("loops %s and %s declare the same back edge %s->%s" % (other, lid, *loop.back_edge))
         if head not in task.blocks or tail not in task.blocks:
-            raise ValidationError("loop %s references unknown blocks" % lid, task.id)
+            raise ValidationError("loop %s references unknown blocks" % lid)
         body = frozenset(_reachable(pred, tail, (head,))) | {head}
         if entry in body and entry != head:
-            raise ValidationError(
-                "loop %s: side entry, head %s does not dominate tail %s" % (lid, head, tail), task.id
-            )
+            raise ValidationError("loop %s: side entry, head %s does not dominate tail %s" % (lid, head, tail))
         bodies[lid] = body
 
     for a in task.loops:
@@ -353,12 +349,10 @@ def elaborate_loops(task: TaskGraph) -> dict:
                 continue
             inter = bodies[a] & bodies[b]
             if inter and not (bodies[a] <= bodies[b] or bodies[b] <= bodies[a]):
-                raise ValidationError("loops %s and %s overlap without nesting" % (a, b), task.id)
+                raise ValidationError("loops %s and %s overlap without nesting" % (a, b))
             if task.loops[a].head_block == task.loops[b].head_block:
-                raise ValidationError(
-                    "loops %s and %s share the head %s; nested loops need distinct heads"
-                    % (a, b, task.loops[a].head_block), task.id
-                )
+                raise ValidationError("loops %s and %s share the head %s; nested loops need distinct heads"
+                                      % (a, b, task.loops[a].head_block))
 
     # The bodies are laminar, so the loops holding a loop's head are nested
     # and the smallest is the innermost.  The sort is stable, so among equal
@@ -370,11 +364,8 @@ def elaborate_loops(task: TaskGraph) -> dict:
         size = len(bodies[lid])
         parents[lid] = next((m for m in by_size if len(bodies[m]) > size and loop.head_block in bodies[m]), None)
         if loop.parent_loop is not None and loop.parent_loop != parents[lid]:
-            raise ValidationError(
-                "loop %s: declared parent %s is not its innermost enclosing loop (%s)"
-                % (lid, loop.parent_loop, "none" if parents[lid] is None else parents[lid]),
-                task.id,
-            )
+            raise ValidationError("loop %s: declared parent %s is not its innermost enclosing loop (%s)"
+                                  % (lid, loop.parent_loop, "none" if parents[lid] is None else parents[lid]))
     return {
         lid: LoopNode(loop.id, loop.head_block, loop.tail_block, loop.back_edge, loop.min_bound, loop.max_bound,
                       parents[lid], bodies[lid])
@@ -393,16 +384,26 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     An exclusive pair names two alternative arms of one branch that no
     forward path joins.  Validation is idempotent: validating the result
     again yields an equal graph and no new diagnostics.  The result holds
-    the input's own block records; only its loops are rebuilt.
+    the input's own block records; only its loops are rebuilt.  Every error
+    names the task once, here: the checks, `elaborate_loops` and
+    `TaskGraph.topo_order` raise unlocated.
     """
+    try:
+        return _validated(task)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), task.id)
+
+
+def _validated(task: TaskGraph) -> TaskGraph:
+    """The checks of `validate_task_graph`, raising unlocated errors."""
     if not task.blocks:
-        raise ValidationError("task has no blocks", task.id)
+        raise ValidationError("task has no blocks")
     ids = set(task.blocks)
     for src, dst in task.edges:
         if src not in ids or dst not in ids:
-            raise ValidationError("edge (%s,%s) references unknown block" % (src, dst), task.id)
+            raise ValidationError("edge (%s,%s) references unknown block" % (src, dst))
     if len(set(task.edges)) != len(task.edges):
-        raise ValidationError("duplicate edges", task.id)
+        raise ValidationError("duplicate edges")
 
     loops = elaborate_loops(task)  # raises unless there is exactly one entry block
     # The validated graph is made before its order is checked, so the order
@@ -415,38 +416,36 @@ def validate_task_graph(task: TaskGraph) -> TaskGraph:
     object.__setattr__(graph, "_maps", task._maps)  # same block ids and edges: reuse the adjacency
     graph.topo_order  # raises on irreducible graphs
     if len(exits) != 1:
-        raise ValidationError("need exactly one exit block, found %r" % sorted(exits), task.id)
+        raise ValidationError("need exactly one exit block, found %r" % sorted(exits))
     if task.entry_block and task.entry_block != entry:
-        raise ValidationError("declared entry %s is not the unique source" % task.entry_block, task.id)
+        raise ValidationError("declared entry %s is not the unique source" % task.entry_block)
     if task.exit_block and task.exit_block != graph.exit_block:
-        raise ValidationError("declared exit %s is not the unique sink" % task.exit_block, task.id)
+        raise ValidationError("declared exit %s is not the unique sink" % task.exit_block)
 
     fpred, fsucc = graph.predecessors(include_back=False), graph.successors(include_back=False)
     seen = _reachable(fsucc, entry)
     if seen != ids:
-        raise ValidationError("unreachable blocks: %r" % sorted(ids - seen), task.id)
+        raise ValidationError("unreachable blocks: %r" % sorted(ids - seen))
 
     forward = graph.forward_edges
     for lid, loop in graph.loops.items():
         body = loop.body_blocks
         if loop.back_edge not in task.edges:
-            raise ValidationError("loop %s: declared back edge missing from edge set" % lid, task.id)
+            raise ValidationError("loop %s: declared back edge missing from edge set" % lid)
         for src, dst in forward:
             if src in body and dst not in body and src != loop.tail_block:
-                raise ValidationError("loop %s: exit from %s (only tail exits supported)" % (lid, src), task.id)
+                raise ValidationError("loop %s: exit from %s (only tail exits supported)" % (lid, src))
 
     for pair in task.exclusive_pairs:
         if len(pair) != 2:
-            raise ValidationError("exclusive pair with identical blocks %s" % min(pair), task.id)
+            raise ValidationError("exclusive pair with identical blocks %s" % min(pair))
         a, b = sorted(pair)
         if a not in ids or b not in ids:
-            raise ValidationError("exclusive pair (%s,%s) references unknown block" % (a, b), task.id)
+            raise ValidationError("exclusive pair (%s,%s) references unknown block" % (a, b))
         if not (set(fpred[a]) & set(fpred[b])):
-            raise ValidationError(
-                "exclusive pair (%s,%s): blocks must be alternative arms of one branch" % (a, b), task.id
-            )
+            raise ValidationError("exclusive pair (%s,%s): blocks must be alternative arms of one branch" % (a, b))
         if b in _reachable(fsucc, a) or a in _reachable(fsucc, b):
-            raise ValidationError("exclusive pair (%s,%s): blocks lie on a common path" % (a, b), task.id)
+            raise ValidationError("exclusive pair (%s,%s): blocks lie on a common path" % (a, b))
 
     return graph
 

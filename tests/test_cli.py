@@ -528,7 +528,12 @@ def test_analyze_chain_merge_errors_name_the_chain_files(tmp_path, capsys, edits
     ("mix", "chain_c0.json", lambda doc: doc.update(period=-5), "chain c0: period must be >= 1"),
     ("mix", "system.json", lambda doc: doc["l2"].update(sets=33), "l2: sets=33 must be a power of two"),
     ("mix", "system.json", lambda doc: doc.update(mem_latency=5), "need mem_latency > l2.hit > l1.hit"),
-], ids=("et-offsets", "first-offset", "period-0", "period-negative", "l2-sets", "latencies"))
+    # The parser's own checks; seed 1's t0 has the loop t0_l0.
+    ("mix", "task_t0.json", lambda doc: doc["blocks"][1].update(id="t0_b0"), "duplicate block id t0_b0"),
+    ("mix", "task_t0.json", lambda doc: doc["loops"].append(dict(doc["loops"][0])), "duplicate loop id t0_l0"),
+    ("mix", "task_t0.json", lambda doc: doc["blocks"][1]["accesses"][0].update(id="t0_a0"), "duplicate access ids"),
+], ids=("et-offsets", "first-offset", "period-0", "period-negative", "l2-sets", "latencies", "block-id", "loop-id",
+        "access-ids"))
 def test_analyze_system_and_chain_errors_name_the_file(tmp_path, capsys, trigger, name, edit, message):
     out = tmp_path / "w"
     assert main(["generate", "--seed", "1", "--trigger", trigger, "--output", str(out)]) == EXIT_OK

@@ -2,7 +2,9 @@
 
 Against a reference that transfers every reachable block on every pass, the
 in-states and pass counts of the L1 must, L1 may and L2 must fixpoints are
-equal, and no run makes more transfers than blocks times passes.
+equal, and no run makes more transfers than blocks times passes.  Walking
+each block from the reference's in-states gives every access's L1 label,
+L2 CHMC and age that `classify_task` reports.
 """
 
 import random
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat.cache_ai import AH, _Fixpoint, _age_update, _join_may, _join_must, _l2_step, classify_task, l1_analysis
+from chainlat.cache_ai import (AH, BYPASS, NC, PS, _Fixpoint, _age_update, _join_may, _join_must, _l2_step, classify_task,
+                               l1_analysis)
 from chainlat.ingest import _TaskBuilder, default_system
 
 from oracles import reference_fixpoint
@@ -83,6 +86,68 @@ def test_too_small_cap_still_raises():
     assert fp.passes == needed
     with pytest.raises(RuntimeError, match="cache fixpoint did not converge in %d passes" % (needed - 1)):
         _Fixpoint(task, transfer, join, {}).run(needed - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(2, 24), st.sampled_from((0.2, 0.8)))
+def test_classification_matches_walks_from_reference_in_states(seed, depth, n_blocks, collision):
+    task = _generated_task(seed, depth, n_blocks, collision)
+    system = default_system()
+    l1, l2 = system.l1, system.l2
+
+    def states_before(steps, update, join, ways):
+        """Access id -> the state before it, walking each block from its reference in-state."""
+        def transfer(bid, state):
+            for _, arg in steps[bid]:
+                state = update(state, arg)
+            return state
+
+        in_states, _, _ = reference_fixpoint(task, transfer, join, {}, max(4, len(task.blocks) * ways))
+        before = {}
+        for bid, state in in_states.items():
+            for aid, arg in steps[bid]:
+                before[aid] = state
+                state = update(state, arg)
+        return before
+
+    def must(s1, s2):
+        return {l: max(a, s2[l]) for l, a in s1.items() if l in s2}
+
+    def may(s1, s2):
+        return {l: min(a for a in (s1.get(l), s2.get(l)) if a is not None) for l in s1.keys() | s2.keys()}
+
+    def l1_update(state, line):
+        return _reference_age_update(state, line, l1.ways, l1.sets)
+
+    def l2_update(state, arg):
+        miss, line = arg
+        touched = _reference_age_update(state, line, l2.ways, l2.sets)
+        return touched if miss else must(touched, state)
+
+    l1_steps = {bid: [(a.id, l1.line_of(a.address)) for a in b.accesses] for bid, b in task.blocks.items()}
+    l1_must, l1_may = (states_before(l1_steps, l1_update, join, l1.ways) for join in (must, may))
+    hits = {aid for steps in l1_steps.values() for aid, line in steps if line in l1_must[aid]}
+    l2_steps = {bid: [(aid, (line not in l1_may[aid], l2.line_of(a.address)))
+                      for a, (aid, line) in zip(task.blocks[bid].accesses, steps) if aid not in hits]
+                for bid, steps in l1_steps.items()}
+    l2_before = states_before(l2_steps, l2_update, must, l2.ways)
+
+    cls = classify_task(task, system).accesses
+    assert set(cls) == set(l1_must)
+    for aid in hits:
+        assert (cls[aid].l1_chmc, cls[aid].l2_chmc, cls[aid].l2_age) == (AH, BYPASS, None), aid
+    for bid, steps in l2_steps.items():
+        for aid, (_, line) in steps:
+            if line in l2_before[aid]:
+                expect = (AH, l2_before[aid][line])
+            else:
+                # Persistent when the innermost loop's body holds at most `ways`
+                # distinct L2-visible lines of the access's set.
+                scope = task.ancestry[bid][:1]
+                lines = {ln for lid in scope for b in task.loops[lid].body_blocks for _, (_, ln) in l2_steps[b]
+                         if ln % l2.sets == line % l2.sets}
+                expect = (PS, len(lines)) if scope and len(lines) <= l2.ways else (NC, None)
+            assert (cls[aid].l1_chmc, cls[aid].l2_chmc, cls[aid].l2_age) == (NC,) + expect, aid
 
 
 def _reference_age_update(state, line, ways, sets):
