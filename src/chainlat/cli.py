@@ -77,13 +77,13 @@ def cmd_analyze(args) -> int:
     bundle = parse_workload(args.system, args.tasks, args.chains)
     options = _analysis_options(args, _mode_tuple(args.mode))
     report = analyze_bundle(bundle, options)
-    os.makedirs(args.output, exist_ok=True)
     trace = None
     if args.simulate_hit_ratio:
         trace = simulate(bundle, SimConfig(policy="random", seed=args.seed), setup=report.setup)
         ratio = trace_hit_ratio(trace)
         for key in report.chain_results:
             report.chain_results[key].simulated_hit_ratio = ratio
+    os.makedirs(args.output, exist_ok=True)
     _write(os.path.join(args.output, "report.json"), report_to_json(report, bundle))
     write_report_csv(os.path.join(args.output, "report.csv"), report)
     if args.debug_dumps:

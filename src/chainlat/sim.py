@@ -13,13 +13,27 @@ branches toward the heavier suffix and runs loops to their upper bounds,
 and exhaustive enumeration of all decision tapes for small problems.
 
 A job's blocks, scopes and private-cache outcomes never depend on the
-shared level: random draws come from a per-job generator, the worst-biased
-policy reads static scores, and the private level is cold at every
-release.  So under the worst-biased policy each task's walk is built once,
-before its first job runs, and every job replays it, which is clock
+shared level: random draws come from the job's own word stream, the
+worst-biased policy reads static scores, and the private level is cold at
+every release.  So under the worst-biased policy each task's walk is built
+once, before its first job runs, and every job replays it, which is clock
 arithmetic, shared-cache lookups and row appends.  The build copies the
 loop iterations that repeat the one before instead of walking them.
 Random and tape walks walk the graph for every job.
+
+A random walk's job reads the 32-bit words that random.Random("seed|job
+key") yields, from the first word, by CPython's randrange rule, so its
+draws are those of a freshly seeded generator.  The words depend on the
+key string alone, never on the bundle or the Setup, so one bounded,
+process-wide memo keeps them as compact word arrays and shares them,
+exactly, across paths, Setups and bundles: a campaign whose seeds and
+job keys repeat seeds each key once per stream length instead of once
+per job.
+
+Before its first walk on a Setup, the simulator bounds the hyperperiod's
+largest walk, every loop at its upper bound, and refuses a bundle above
+MAX_TRACE_ROWS trace rows (block rows and access rows) with a
+ValidationError.
 
 A Setup keeps the per-task walk tables (with the worst-biased walk) and
 the oracle's absolute windows, each built on first use, so every
@@ -36,8 +50,13 @@ oracle reads the rows.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
+import math
 import random
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,6 +68,18 @@ from .model import ValidationError
 POLICIES = ("random", "worst", "tape")
 # Most decision tapes simulate_exhaustive runs before it refuses the bundle.
 MAX_EXHAUSTIVE_PATHS = 100_000
+# Most trace rows (block occurrences and the accesses they carry) the largest
+# walk of a hyperperiod may hold, every loop at its upper bound; simulate
+# refuses a bundle above it before walking.  It keeps every loop's range, and
+# so every random draw, under 2**32.
+MAX_TRACE_ROWS = 1_000_000
+# Most word streams the process keeps, keyed by (seed string, length).
+MAX_STREAMS = 4096
+# Words of a job's stream at its first draw; a job reading past them doubles it.
+STREAM_WORDS = 16
+# Longest stream the memo keeps, so it holds at most MAX_STREAMS * 1 KiB of
+# words; a job reading further seeds its own.
+MAX_SHARED_WORDS = 256
 
 
 @dataclass
@@ -146,48 +177,47 @@ class LRUCache:
 
 
 class _Decider:
-    """Resolves the branch and loop-bound choices of random and tape walks for one run."""
+    """The decision tape of one tape walk.
 
-    def __init__(self, config: SimConfig):
-        self.policy = config.policy
-        self.seed = config.seed
-        self.tape = list(config.tape) if config.tape is not None else None
-        self.pos = 0
-        self.counts = []  # choice count at every decision point, for enumeration
-        self.rngs = {}
+    Each decision point with n > 1 choices takes the tape's next entry, or
+    appends and takes 0 past the tape's end; `counts` records n for every
+    point, so simulate_exhaustive can advance the tape like an odometer.
+    """
 
-    def _rng(self, job_key):
-        if job_key not in self.rngs:
-            self.rngs[job_key] = random.Random("%s|%s" % (self.seed, job_key))
-        return self.rngs[job_key]
+    def __init__(self, tape):
+        self.tape = list(tape)
+        self.counts = []
 
-    def _taped(self, n: int):
-        """Record a decision point with n choices; the tape's choice, or None off tape."""
+    def choose(self, n: int) -> int:
+        pos = len(self.counts)
         self.counts.append(n)
-        self.pos += 1
-        if self.tape is None:
-            return None
-        if self.pos - 1 < len(self.tape):
-            return self.tape[self.pos - 1]
-        self.tape.append(0)
-        return 0
+        if pos == len(self.tape):
+            self.tape.append(0)
+        return self.tape[pos]
 
-    def branch(self, choices, job_key) -> str:
-        n = len(choices)
-        if n == 1:
-            return choices[0]
-        idx = self._taped(n)
-        if idx is None:
-            idx = self._rng(job_key).randrange(n)
-        return choices[idx]
 
-    def iterations(self, lo: int, hi: int, job_key) -> int:
-        if lo == hi:
-            return lo
-        idx = self._taped(hi - lo + 1)
-        if idx is None:
-            idx = self._rng(job_key).randint(0, hi - lo)
-        return lo + idx
+def _stream(key: str, words: int) -> array:
+    """The first `words` 32-bit outputs of random.Random(key), in order."""
+    stream = array("I", random.Random(key).getrandbits(32 * words).to_bytes(4 * words, "little"))
+    if sys.byteorder == "big":
+        stream.byteswap()
+    return stream
+
+
+_word_stream = functools.lru_cache(maxsize=MAX_STREAMS)(_stream)
+
+
+def _words(key: str):
+    """Yield random.Random(key)'s 32-bit outputs from the first, endlessly.
+
+    The first STREAM_WORDS come from the memo; a job reading past its
+    stream gets one twice as long, from the memo up to MAX_SHARED_WORDS.
+    """
+    done, words = 0, STREAM_WORDS
+    while True:
+        stream = _word_stream(key, words) if words <= MAX_SHARED_WORDS else _stream(key, words)
+        yield from stream[done:]
+        done, words = words, 2 * words
 
 
 def _suffix_scores(task, node_worst) -> dict:
@@ -252,9 +282,42 @@ class _TaskWalk:
         }
 
 
+def _check_walk_size(setup):
+    """Refuse a bundle whose hyperperiod's largest walk exceeds MAX_TRACE_ROWS trace rows.
+
+    A job's largest walk holds each block (one row, and one per access)
+    once per iteration of every loop around it, each loop at its upper
+    bound.  The message names the task with the largest share, its loop
+    with the largest bound, and the counts.
+    """
+    tasks = setup.bundle.tasks
+    jobs = Counter()
+    for chain in setup.chains.values():
+        for tid in chain.tasks:
+            jobs[tid] += setup.hyper // chain.period
+    per_job = {}
+    for tid in jobs:
+        loops, ancestry = tasks[tid].loops, tasks[tid].ancestry
+        passes = {nest: math.prod(loops[lid].max_bound for lid in nest) for nest in set(ancestry.values())}
+        per_job[tid] = sum(passes[ancestry[bid]] * (1 + len(b.accesses)) for bid, b in tasks[tid].blocks.items())
+    total = sum(jobs[tid] * per_job[tid] for tid in jobs)
+    if total > MAX_TRACE_ROWS:
+        tid = max(sorted(jobs), key=lambda t: jobs[t] * per_job[t])
+        loops = tasks[tid].loops
+        cause = ""
+        if loops:
+            lid = max(sorted(loops), key=lambda lid: loops[lid].max_bound)
+            cause = ", its loop %s up to %d iterations" % (lid, loops[lid].max_bound)
+        raise ValidationError(
+            "simulation walks up to %d trace rows over the hyperperiod, over the limit of %d: "
+            "task %s walks up to %d per job (jobs: %d)%s"
+            % (total, MAX_TRACE_ROWS, tid, per_job[tid], jobs[tid], cause))
+
+
 def _walks(setup) -> dict:
-    """Task id -> _TaskWalk, built on the Setup's first simulation."""
+    """Task id -> _TaskWalk, built on the Setup's first simulation, once the walk size is checked."""
     if not setup.walks:
+        _check_walk_size(setup)
         system = setup.bundle.system
         for tid, ta in setup.tasks.items():
             setup.walks[tid] = _TaskWalk(setup.bundle.tasks[tid], ta.contracted_init.node_worst, system)
@@ -327,18 +390,32 @@ def _worst_walk(walk, l1_sets, l1_ways) -> tuple:
         cur = max(succ, key=scores.__getitem__)  # the first of the heaviest
 
 
-def _core_walker(core, setup, cid, decider, trace, walks):
+def _core_walker(core, setup, cid, config, decider, trace, walks):
     """Generator running one core's chain; yields (cycle, shared line) at shared-cache lookups.
 
     Under the worst-biased policy every job replays its task's worst walk,
-    built before the task's first job runs.
+    built before the task's first job runs.  A tape walk takes its choices
+    from `decider`.  A random walk draws each choice from its job's word
+    stream, keyed "seed|chain/instance/task" and read from its first word:
+    a branch takes randrange(n) over its sorted successors and a loop runs
+    lo + randint(0, hi - lo) iterations.  CPython's rule for n < 2**32
+    takes the top n.bit_length() bits of one word per try and retries
+    while the value is >= n, so the draws are those of a fresh
+    random.Random(key); MAX_TRACE_ROWS keeps every n below 2**32.  The
+    stream depends on the key alone, so the memo shares it, exactly,
+    across paths, Setups and bundles.
+
+    A decision point has more than one choice; a single successor or a loop
+    whose bounds agree decides nothing and draws nothing.  The walk keeps
+    the innermost loop's tail and scope in variables, updated only when a
+    loop is entered, repeated or left.
     """
     chain = setup.chains[cid]
     system = setup.bundle.system
     cpi, l1_hit = system.base_cpi, system.l1.hit_latency
     l1_sets, l1_ways = system.l1.sets, system.l1.ways
     access_rows, block_rows = trace.access_rows, trace.block_rows
-    replay = decider.policy == "worst" and decider.tape is None
+    replay = decider is None and config.policy == "worst"
     if replay:
         for tid in chain.tasks:
             if walks[tid].worst is None:
@@ -379,24 +456,35 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                 continue
 
             l1 = [[] for _ in range(l1_sets)]  # the private LRU level, cold per job, MRU first
-            job_key = "%s/%d/%d" % (cid, k, i)
+            if decider is None:  # the next 32-bit word of the job's stream
+                word = _words("%s|%s/%d/%d" % (config.seed, cid, k, i)).__next__
 
             cur = walk.entry
-            loop_stack = []  # [loop id, chosen iterations, done count, entry serial, head, tail]
+            loops = []  # entered loops, innermost last: [iterations left, head, outer tail, outer scope]
+            tail = scope = forbidden = None
             entry_serial = {}
-            forbidden = set()
 
             while True:
                 block_accesses, idle, loop, excluded, succ = records[cur]
-                if loop is not None and (not loop_stack or loop_stack[-1][0] != loop[0]):
-                    lid, tail, lo, hi = loop
+                if loop is not None and (scope is None or scope[0] != loop[0]):
+                    lid, loop_tail, lo, hi = loop
+                    n = hi - lo + 1
+                    if n == 1:
+                        r = 0
+                    elif decider is not None:
+                        r = decider.choose(n)
+                    else:  # randrange(n): n.bit_length() bits of a word per try, retried while >= n
+                        shift = 32 - n.bit_length()
+                        r = word() >> shift
+                        while r >= n:
+                            r = word() >> shift
                     serial = entry_serial.get(lid, 0)
                     entry_serial[lid] = serial + 1
-                    loop_stack.append([lid, decider.iterations(lo, hi, job_key), 1, serial, cur, tail])
+                    loops.append([lo + r - 1, cur, tail, scope])
+                    tail, scope = loop_tail, (lid, serial)
 
                 if excluded is not None:
-                    forbidden |= excluded
-                scope = (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None
+                    forbidden = excluded if forbidden is None else forbidden | excluded
                 b_start = clock
                 for aid, l1_set, l1_line, l2_line in block_accesses:
                     clock += cpi
@@ -417,29 +505,36 @@ def _core_walker(core, setup, cid, decider, trace, walks):
                 clock += idle
                 block_rows.append((core, cid, k, i, cur, b_start, clock))
 
-                # Repeat or leave loops whose tail this block is, innermost first.
-                advanced = False
-                while loop_stack and loop_stack[-1][5] == cur:
-                    top = loop_stack[-1]
-                    if top[2] < top[1]:
-                        top[2] += 1
-                        cur = top[4]
-                        advanced = True
+                # Repeat the innermost loop ending here, or leave it and try the next one out.
+                while cur == tail:
+                    top = loops[-1]
+                    if top[0] > 0:
+                        top[0] -= 1
+                        cur = top[1]
                         break
-                    loop_stack.pop()
-                if advanced:
-                    continue
-                if cur == walk.exit:
-                    break
-                if forbidden:
-                    succ = [s for s in succ if s not in forbidden] or succ
-                # A single successor is no decision point: it draws nothing.
-                cur = succ[0] if len(succ) == 1 else decider.branch(succ, job_key)
+                    loops.pop()
+                    tail, scope = top[2], top[3]
+                else:
+                    if cur == walk.exit:
+                        break
+                    if forbidden is not None:
+                        succ = [s for s in succ if s not in forbidden] or succ
+                    n = len(succ)
+                    if n == 1:
+                        r = 0
+                    elif decider is not None:
+                        r = decider.choose(n)
+                    else:  # as at a loop entry
+                        shift = 32 - n.bit_length()
+                        r = word() >> shift
+                        while r >= n:
+                            r = word() >> shift
+                    cur = succ[r]
 
             trace.jobs.append(JobRecord(core, cid, k, i, tid, start, clock))
 
 
-def _run(setup, decider) -> SimTrace:
+def _run(setup, config, decider) -> SimTrace:
     system = setup.bundle.system
     walks = _walks(setup)
     trace = SimTrace()
@@ -448,7 +543,7 @@ def _run(setup, decider) -> SimTrace:
     gens = {}
     for cid in sorted(setup.chains):
         core = setup.chains[cid].core
-        gens[core] = _core_walker(core, setup, cid, decider, trace, walks)
+        gens[core] = _core_walker(core, setup, cid, config, decider, trace, walks)
 
     heap = []
     for core in sorted(gens):
@@ -476,24 +571,28 @@ def _run(setup, decider) -> SimTrace:
 def simulate(bundle, config: SimConfig, setup=None) -> SimTrace:
     """One concrete run of the whole bundle over its hyperperiod.
 
-    The walk tables are built on the Setup's first simulation and reused,
-    so a Setup shared across paths pays for them once.
+    A config with a tape is a tape walk, whatever its policy.  The walk
+    tables are built on the Setup's first simulation and reused, so a
+    Setup shared across paths pays for them once.  A bundle whose largest
+    walk exceeds MAX_TRACE_ROWS trace rows raises ValidationError before
+    any walk.
     """
     setup = setup or prepare(bundle)
-    return _run(setup, _Decider(config))
+    return _run(setup, config, _Decider(config.tape) if config.tape is not None else None)
 
 
 def simulate_exhaustive(bundle, setup=None):
     """Yield one trace per decision tape, enumerated like an odometer.
 
-    A tape decides every choice, so no path draws a random number.
+    A tape decides every choice, so no path draws a random number.  The
+    walk size is checked, as simulate does, before the first path.
     """
     setup = setup or prepare(bundle)
     tape = []
     paths = 0
     while True:
-        decider = _Decider(SimConfig(policy="tape", tape=tape))
-        trace = _run(setup, decider)
+        decider = _Decider(tape)
+        trace = _run(setup, SimConfig(policy="tape", tape=tape), decider)
         paths += 1
         if paths > MAX_EXHAUSTIVE_PATHS:
             raise ValidationError("exhaustive simulation exceeds %d paths" % MAX_EXHAUSTIVE_PATHS)

@@ -8,6 +8,7 @@ from chainlat import cli
 from chainlat.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNSAFE, main
 from chainlat.context import MAX_WINDOW_INTERVALS
 from chainlat.latency import MAX_JOBS
+from chainlat.sim import MAX_TRACE_ROWS
 
 
 def _read_all(outdir):
@@ -331,6 +332,39 @@ def test_analyze_fails_fast_on_job_explosion(tmp_path, capsys):
     assert "over the limit of %d" % MAX_JOBS in err
     for cid, period in (("c0", 9973), ("c1", 9967), ("c2", 9949)):
         assert "chain %s period %d (%d jobs)" % (cid, period, 9973 * 9967 * 9949 // period * 2) in err
+
+
+def test_analyze_simulate_hit_ratio_refuses_a_walk_over_the_row_limit(tmp_path, capsys):
+    # Loop bounds [1, 10^7] in t0 and periods of 10^12: the analysis takes a
+    # fraction of a second, but a simulated path would walk up to 2 * 10^7
+    # blocks of t0, 4 * 10^7 trace rows with their accesses.  The simulator
+    # refuses before it walks any.
+    system, tasks, chains = _generated(tmp_path, seed="1")
+    path = next(t for t in tasks if t.endswith("task_t0.json"))
+    with open(path) as fh:
+        doc = json.load(fh)
+    for loop in doc["loops"]:
+        loop.update(min_bound=1, max_bound=10 ** 7)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for path in chains:
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc.update(period=10 ** 12, offsets=[0, 10 ** 11])
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    args = ["analyze", "--system", system, "--tasks"] + tasks + ["--chains"] + chains
+    assert main(args + ["--output", str(tmp_path / "plain")]) == EXIT_OK
+    capsys.readouterr()
+    begin = time.perf_counter()
+    rc = main(args + ["--simulate-hit-ratio", "--output", str(tmp_path / "sim")])
+    elapsed = time.perf_counter() - begin
+    assert rc == EXIT_INVALID
+    assert elapsed < 5.0
+    assert capsys.readouterr().err == (
+        "error: simulation walks up to 40000103 trace rows over the hyperperiod, over the limit of %d: "
+        "task t0 walks up to 40000010 per job (jobs: 1), its loop t0_l0 up to 10000000 iterations\n" % MAX_TRACE_ROWS)
+    assert not (tmp_path / "sim").exists()
 
 
 def test_analyze_rejects_tt_offset_overrunning_the_next_release(tmp_path, capsys):

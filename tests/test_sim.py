@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,16 @@ from chainlat.ingest import generate_workload
 from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import ChainSpec, Interval, WorkloadBundle
 from chainlat.sim import (
+    MAX_SHARED_WORDS,
+    MAX_STREAMS,
+    STREAM_WORDS,
     AccessEvent,
     BlockOccurrence,
     LRUCache,
     SimConfig,
     SimTrace,
+    _words,
+    _word_stream,
     check_safety,
     simulate,
     simulate_exhaustive,
@@ -418,3 +425,120 @@ def test_reports_from_different_options_on_one_setup_match_fresh_prepares():
             assert got == check_safety(simulate(bundle, cfg, setup=theirs.setup), theirs)
             flagged += len(got)
     assert flagged
+
+
+# Random walks draw from per-key word streams: the 32-bit words of
+# random.Random(key), shared process-wide by a bounded memo.
+
+@pytest.mark.parametrize("key", ["", "5|c1/2/0", "0|c0/0/1"])
+def test_a_jobs_words_are_cpythons_32_bit_outputs_past_every_regrowth(key):
+    words = list(itertools.islice(_words(key), 4 * MAX_SHARED_WORDS + 5))
+    ref = random.Random(key)
+    assert words == [ref.getrandbits(32) for _ in words]
+    assert STREAM_WORDS < MAX_SHARED_WORDS
+
+
+def test_simulate_is_independent_of_the_stream_memo():
+    bundle = generate_workload(seed=6, cores=2, tasks_per_chain=2)
+    setup = prepare(bundle)
+    first = simulate(bundle, SimConfig("random", 3), setup=setup)
+    _word_stream.cache_clear()
+    again = simulate(bundle, SimConfig("random", 3), setup=setup)
+    assert (first.jobs, first.access_rows, first.block_rows) == (again.jobs, again.access_rows, again.block_rows)
+
+
+def test_a_campaign_over_more_keys_than_the_memo_holds_stays_bounded_and_exact():
+    from oracles import reference_simulate
+
+    bundle = generate_workload(seed=6, cores=2, tasks_per_chain=2)
+    setup = prepare(bundle)
+    seeds = range(MAX_STREAMS // len(setup.jobs) + 50)  # more job keys than the memo holds
+
+    def campaign(order):
+        return {s: simulate(bundle, SimConfig("random", s), setup=setup) for s in order}
+
+    _word_stream.cache_clear()
+    first = campaign(seeds)
+    info = _word_stream.cache_info()
+    assert info.misses > MAX_STREAMS >= info.currsize
+    again = campaign(reversed(seeds))  # evicted keys are seeded afresh
+    assert _word_stream.cache_info().currsize <= MAX_STREAMS
+    for s in seeds:
+        assert (first[s].jobs, first[s].access_rows) == (again[s].jobs, again[s].access_rows)
+    for s in (seeds[0], seeds[-1]):
+        ref = reference_simulate(setup, "random", s)
+        assert (first[s].jobs, first[s].access_rows, first[s].block_rows) == (ref.jobs, ref.access_rows,
+                                                                              ref.block_rows)
+
+
+# The largest walk of a hyperperiod: every loop at its upper bound.
+
+def _two_period_bundle():
+    """Chain c0 runs the shared-tail nest twice per hyperperiod, c1 a one-block task once.
+
+    A job of the nest walks at most e, x, 3 oh and 3 * 4 of each of ih, m and t,
+    41 blocks of one access each: 82 trace rows.
+    """
+    foreign = straight_task("f", [3], accesses={0: (acc("f0", 2048),)})
+    return WorkloadBundle(make_system(cores=2), {"n": shared_tail_task(), "f": foreign},
+                          {"c0": ChainSpec("c0", "ET", ("n",), 0, 2000),
+                           "c1": ChainSpec("c1", "ET", ("f",), 1, 4000)})
+
+
+def test_simulate_refuses_a_walk_over_the_row_limit_before_walking(monkeypatch):
+    from chainlat.model import ValidationError
+
+    bundle = _two_period_bundle()
+    monkeypatch.setattr("chainlat.sim.MAX_TRACE_ROWS", 165)  # two jobs of 82 rows and one of 2
+    setup = prepare(bundle)
+    message = ("simulation walks up to 166 trace rows over the hyperperiod, over the limit of 165: "
+               "task n walks up to 82 per job (jobs: 2), its loop li up to 4 iterations")
+    for config in (SimConfig("random", 0), SimConfig("worst", 0), SimConfig("tape", tape=[1])):
+        with pytest.raises(ValidationError) as exc:
+            simulate(bundle, config, setup=setup)
+        assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        next(simulate_exhaustive(bundle, setup=setup))
+    assert str(exc.value) == message
+    assert setup.walks == {}  # nothing built, nothing walked
+
+    monkeypatch.setattr("chainlat.sim.MAX_TRACE_ROWS", 166)
+    for config in (SimConfig("random", 0), SimConfig("worst", 0)):
+        assert simulate(bundle, config, setup=setup).jobs
+    assert next(simulate_exhaustive(bundle, setup=setup)).jobs
+
+
+def test_a_loop_range_of_32_bits_is_refused_before_any_draw():
+    # A random draw takes one 32-bit word per try, so a loop range of 2**32
+    # must never reach the walker: its head alone walks up to 2**32 rows.
+    from chainlat.model import LoopNode, ValidationError
+    from chainlat.sim import MAX_TRACE_ROWS
+
+    blocks = [block("e", 1), block("h", 1, (acc("h0", 32),)), block("t", 1), block("x", 1)]
+    edges = [("e", "h"), ("h", "t"), ("t", "h"), ("t", "x")]
+    task = build_task("t", blocks, edges, [LoopNode("l", "h", "t", ("t", "h"), 1, 2 ** 32)])
+    bundle = single_chain_bundle(task, make_system(cores=1, period_table=(10 ** 12,)))
+    setup = prepare(bundle)
+    with pytest.raises(ValidationError, match="its loop l up to 4294967296 iterations"):
+        simulate(bundle, SimConfig("random", 0), setup=setup)
+    assert setup.walks == {}
+    assert MAX_TRACE_ROWS < 2 ** 32
+
+
+def test_a_long_random_job_reads_each_word_in_constant_time():
+    # About 50,000 iterations of a two-armed branch read a word per draw.  A
+    # read that copies the rest of the job's stream makes this job quadratic,
+    # over ten times slower than a constant-time read.
+    from chainlat.model import LoopNode
+
+    blocks = [block("e", 1), block("h", 1, (acc("h0", 32),)), block("a", 1, (acc("a0", 64),)),
+              block("b", 2, (acc("b0", 96),)), block("t", 1), block("x", 1)]
+    edges = [("e", "h"), ("h", "a"), ("h", "b"), ("a", "t"), ("b", "t"), ("t", "h"), ("t", "x")]
+    task = build_task("t", blocks, edges, [LoopNode("l", "h", "t", ("t", "h"), 50_000, 50_001)])
+    bundle = single_chain_bundle(task, make_system(cores=1, period_table=(10 ** 9,)))
+    setup = prepare(bundle)
+    begin = time.perf_counter()
+    trace = simulate(bundle, SimConfig("random", 0), setup=setup)
+    elapsed = time.perf_counter() - begin
+    assert len(trace.block_rows) >= 3 * 50_000
+    assert elapsed < 2.0

@@ -12,7 +12,7 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainlat.ingest import _TaskBuilder, default_system
@@ -142,6 +142,34 @@ def test_branch_choices_follow_sorted_block_ids_not_edge_order():
         trace = simulate(bundle, SimConfig(policy, seed), setup=setup)
         _assert_same(trace, reference_simulate(setup, policy, seed), (policy, seed))
     assert [o.block_id for o in simulate(bundle, SimConfig("worst", 0), setup=setup).blocks][1] == "b"
+
+
+def _near_powers_of_two(max_exponent):
+    """1, and the powers of two up to 2**max_exponent with their neighbours."""
+    return st.integers(0, max_exponent).flatmap(
+        lambda e: st.sampled_from((2 ** e - 1, 2 ** e, 2 ** e + 1))).filter(lambda n: n >= 1)
+
+
+@settings(max_examples=30, deadline=None)
+@example(choices=4097, arms=9, lo=1, seed=0)
+@given(choices=_near_powers_of_two(12), arms=_near_powers_of_two(3), lo=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6))
+def test_random_draws_at_and_around_powers_of_two_match_the_reference(choices, arms, lo, seed):
+    # Entering loop l draws lo + randint(0, choices - 1) iterations; each
+    # iteration's head h branches over `arms` arms.  Long loops read far
+    # past the words the memo shares, so the job's stream regrows on its own.
+    arm_ids = ["a%d" % j for j in range(arms)]
+    blocks = ([block("e", 1, (acc("e0", 0),)), block("h", 1, (acc("h0", 32),)), block("t", 1),
+               block("x", 1, (acc("x0", 0),))]
+              + [block(a, 1 + j, (acc(a + "0", 64 + 32 * j),)) for j, a in enumerate(arm_ids)])
+    edges = ([("e", "h"), ("t", "h"), ("t", "x")] + [("h", a) for a in arm_ids] + [(a, "t") for a in arm_ids])
+    loops = [LoopNode("l", "h", "t", ("t", "h"), lo, lo + choices - 1)]
+    bundle = single_chain_bundle(build_task("t", blocks, edges, loops),
+                                 make_system(cores=1, period_table=(2_000_000,)))
+    setup = prepare(bundle)
+    for s in (seed, seed + 1):
+        _assert_same(simulate(bundle, SimConfig("random", s), setup=setup),
+                     reference_simulate(setup, "random", s), ("random", s))
 
 
 # The worst walk copies a loop's remaining iterations once one starts in the
