@@ -15,13 +15,16 @@ Each fixpoint runs round-robin passes in topological order, and a pass
 still means one such sweep, so the pass counts (l1_passes, l2_passes) are
 those of transferring every block every pass.  Only blocks with a changed
 predecessor are re-transferred, though: the others would compute the same
-out-state again (chaotic iteration reaches the same least fixpoint).  The
-lines each access touches are looked up once per task, not per pass.  The
-three fixpoints (L1 must, L1 may, L2 must) differ only in their access
-update and join; one function, `_states_before`, runs each from the empty
-entry state and records the state before every access.  A block's last
-transfer is the one from its final in-state, so the states it recorded are
-the fixpoint's; no walk over the blocks repeats it after the fixpoint.
+out-state again (chaotic iteration reaches the same least fixpoint).
+`classify_task` builds one step table per block, (access id, L1 line, L2
+line) in access order, so each line is looked up once per task, not per
+pass.  The three fixpoints (L1 must, L1 may, L2 must) run on that table and
+differ only in their access update and join (the L2 one reads the rows that
+are not guaranteed L1 hits); one function, `_states_before`, runs each
+from the empty entry state and records the state before every access.  A
+block's last transfer is the one from its final in-state, so the states it
+recorded are the fixpoint's; no walk over the blocks repeats it after the
+fixpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .model import CacheLevelConfig, SystemSpec, TaskGraph
+from .model import SystemSpec, TaskGraph
 
 AH = "AH"
 PS = "PS"
@@ -197,57 +200,32 @@ def _states_before(task: TaskGraph, steps: dict, update, join, ways: int):
     return before, fp.passes
 
 
-def l1_analysis(task: TaskGraph, l1: CacheLevelConfig, lines: dict):
-    """L1 must and may fixpoints; returns per-access labels and pass count.
-
-    `lines` maps each block to the L1 lines of its accesses, in access order.
-    """
-    ways, sets = l1.ways, l1.sets
-    steps = {bid: tuple(zip([acc.id for acc in block.accesses], lines[bid])) for bid, block in task.blocks.items()}
-
-    def update(state, step):
-        return _age_update(state, step[1], ways, sets)
-
-    must, must_passes = _states_before(task, steps, update, _join_must, ways)
-    may, may_passes = _states_before(task, steps, update, _join_may, ways)
-    labels = {}
-    for block_steps in steps.values():
-        for aid, line in block_steps:
-            labels[aid] = AH if line in must[aid] else _L1_MISS if line not in may[aid] else _L1_UNC
-    return labels, max(must_passes, may_passes)
-
-
 def _l2_step(state: dict, label: str, line: int, ways: int, sets: int) -> dict:
     """L2 must update for one access that misses or may miss L1."""
     touched = _age_update(state, line, ways, sets)
     return touched if label == _L1_MISS else _join_must(touched, state)
 
 
-def l2_must_analysis(task: TaskGraph, l2: CacheLevelConfig, visible: dict):
-    """L2 must fixpoint under exclusive use, honoring L1 filtering.
-
-    `visible` maps each block to (access id, L1 label, L2 line) for its
-    accesses that are not guaranteed L1 hits, in access order; the others
-    never reach L2.  Returns the state before each of those accesses.
-    """
-    ways, sets = l2.ways, l2.sets
-
-    def update(state, step):
-        return _l2_step(state, step[1], step[2], ways, sets)
-
-    return _states_before(task, visible, update, _join_must, ways)
-
-
 def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
     """Exclusive-use CHMC and LRU age for every access of the task."""
     l1, l2 = system.l1, system.l2
-    l1_lines = {bid: tuple(l1.line_of(acc.address) for acc in block.accesses)
-                for bid, block in task.blocks.items()}
-    l1_labels, l1_passes = l1_analysis(task, l1, l1_lines)
-    visible = {bid: tuple((acc.id, l1_labels[acc.id], l2.line_of(acc.address))
-                          for acc in block.accesses if l1_labels[acc.id] != AH)
-               for bid, block in task.blocks.items()}
-    l2_pre, l2_passes = l2_must_analysis(task, l2, visible)
+    l1_ways, l1_sets, l2_ways, l2_sets = l1.ways, l1.sets, l2.ways, l2.sets
+    steps = {bid: tuple((acc.id, l1.line_of(acc.address), l2.line_of(acc.address)) for acc in block.accesses)
+             for bid, block in task.blocks.items()}
+
+    def l1_update(state, step):
+        return _age_update(state, step[1], l1_ways, l1_sets)
+
+    must, must_passes = _states_before(task, steps, l1_update, _join_must, l1_ways)
+    may, may_passes = _states_before(task, steps, l1_update, _join_may, l1_ways)
+    labels = {aid: AH if line in must[aid] else _L1_MISS if line not in may[aid] else _L1_UNC
+              for block_steps in steps.values() for aid, line, _ in block_steps}
+    visible = {bid: tuple(step for step in block_steps if labels[step[0]] != AH) for bid, block_steps in steps.items()}
+
+    def l2_update(state, step):
+        return _l2_step(state, labels[step[0]], step[2], l2_ways, l2_sets)
+
+    l2_pre, l2_passes = _states_before(task, visible, l2_update, _join_must, l2_ways)
 
     # Set pressure per loop scope: distinct L2-visible lines per cache set
     # over the whole loop body, nested loops included.
@@ -256,30 +234,29 @@ def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
         per_set = {}
         for bid in loop.body_blocks:
             for _, _, line in visible[bid]:
-                per_set.setdefault(line % l2.sets, set()).add(line)
+                per_set.setdefault(line % l2_sets, set()).add(line)
         for s, lines in per_set.items():
             pressure[(lid, s)] = len(lines)
 
     out = {}
     ancestry = task.ancestry
-    for bid, block in task.blocks.items():
+    for bid, block_steps in steps.items():
         scope = ancestry[bid][0] if ancestry[bid] else None
-        for acc in block.accesses:
-            if l1_labels[acc.id] == AH:
-                out[acc.id] = AccessClassification(acc.id, bid, AH, BYPASS, None, None, None)
+        for aid, _, line in block_steps:
+            if labels[aid] == AH:
+                out[aid] = AccessClassification(aid, bid, AH, BYPASS, None, None, None)
                 continue
-            line = l2.line_of(acc.address)
-            l2_set = line % l2.sets
-            pre = l2_pre[acc.id]
+            l2_set = line % l2_sets
+            pre = l2_pre[aid]
             if line in pre:
                 chmc, age = AH, pre[line]
-            elif scope is not None and pressure.get((scope, l2_set), 0) <= l2.ways:
+            elif scope is not None and pressure.get((scope, l2_set), 0) <= l2_ways:
                 chmc, age = PS, pressure[(scope, l2_set)]
             else:
                 chmc, age = NC, None
-            out[acc.id] = AccessClassification(acc.id, bid, NC, chmc, age, l2_set, line)
+            out[aid] = AccessClassification(aid, bid, NC, chmc, age, l2_set, line)
 
-    return TaskClassification(task.id, out, l1_passes, l2_passes)
+    return TaskClassification(task.id, out, max(must_passes, may_passes), l2_passes)
 
 
 def refine_chmc(cls: AccessClassification, interference: int, ways: int) -> str:

@@ -291,10 +291,7 @@ def _check_walk_size(setup):
     with the largest bound, and the counts.
     """
     tasks = setup.bundle.tasks
-    jobs = Counter()
-    for chain in setup.chains.values():
-        for tid in chain.tasks:
-            jobs[tid] += setup.hyper // chain.period
+    jobs = Counter(job.task_id for job in setup.jobs.values())
     per_job = {}
     for tid in jobs:
         loops, ancestry = tasks[tid].loops, tasks[tid].ancestry

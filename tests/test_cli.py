@@ -509,7 +509,13 @@ def _two_loop_task_doc(edges, loops):
      (("lo", "oh", "t"), ("li", "ih", "t")), None),
     ((("e", "h"), ("h", "a"), ("a", "ti"), ("ti", "h"), ("ti", "to"), ("to", "h"), ("to", "x")),
      (("li", "h", "ti"), ("lo", "h", "to")), "loops li and lo share the head h; nested loops need distinct heads"),
-], ids=("shared-tail", "shared-head"))
+    # One loop, entered past its head (b0 -> m).
+    ((("b0", "h"), ("h", "m"), ("m", "t"), ("t", "h"), ("t", "x"), ("b0", "m")), (("l", "h", "t"),),
+     "loop l: side entry, head h does not dominate tail t"),
+    # One loop whose head is the task's first block.
+    ((("a", "b"), ("b", "a"), ("b", "x")), (("l", "a", "b"),),
+     "loop l: head a is the task's entry; the entry must lie outside every loop"),
+], ids=("shared-tail", "shared-head", "side-entry", "entry-head"))
 def test_analyze_loop_nests_sharing_a_tail_or_a_head(tmp_path, capsys, edges, loops, message):
     system, tasks, chains = _generated(tmp_path, "1")
     path = next(t for t in tasks if t.endswith("task_t0.json"))

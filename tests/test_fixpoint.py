@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat.cache_ai import (AH, BYPASS, NC, PS, _Fixpoint, _age_update, _join_may, _join_must, _l2_step, classify_task,
-                               l1_analysis)
+from chainlat.cache_ai import (AH, BYPASS, NC, PS, _L1_MISS, _L1_UNC, _Fixpoint, _age_update, _join_may, _join_must,
+                               _l2_step, classify_task)
 from chainlat.ingest import _TaskBuilder, default_system
 
 from oracles import reference_fixpoint
@@ -25,17 +25,29 @@ def _generated_task(seed, loop_depth, n_blocks, collision):
 
 
 def _fixpoints(task, system):
-    """(name, transfer, join, ways) of the three fixpoints classify_task runs."""
+    """(name, transfer, join, ways) of the three fixpoints classify_task runs.
+
+    The L1 labels the L2 transfer reads come from walking each block from
+    the reference's L1 must and may in-states.
+    """
     l1, l2 = system.l1, system.l2
     lines = {bid: tuple(l1.line_of(a.address) for a in b.accesses) for bid, b in task.blocks.items()}
-    labels, _ = l1_analysis(task, l1, lines)
-    visible = {bid: tuple((labels[a.id], l2.line_of(a.address)) for a in b.accesses if labels[a.id] != AH)
-               for bid, b in task.blocks.items()}
 
     def l1_transfer(bid, state):
         for line in lines[bid]:
             state = _age_update(state, line, l1.ways, l1.sets)
         return state
+
+    cap = max(4, len(task.blocks) * l1.ways)
+    must, may = (reference_fixpoint(task, l1_transfer, join, {}, cap)[0] for join in (_join_must, _join_may))
+    visible = {}
+    for bid, block in task.blocks.items():
+        hit, reach, rows = must[bid], may[bid], []
+        for acc, line in zip(block.accesses, lines[bid]):
+            if line not in hit:
+                rows.append((_L1_MISS if line not in reach else _L1_UNC, l2.line_of(acc.address)))
+            hit, reach = _age_update(hit, line, l1.ways, l1.sets), _age_update(reach, line, l1.ways, l1.sets)
+        visible[bid] = tuple(rows)
 
     def l2_transfer(bid, state):
         for label, line in visible[bid]:
