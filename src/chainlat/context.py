@@ -24,11 +24,10 @@ iteration), or a sum of more pairs, is refused with a ValidationError.
 One rule makes every absolute window: a job's release window relative to
 the system start (PRSTime) plus a block's program-relative window is the
 block's absolute window (BBATime), normalize(release + bbrp[block]).
-Normalizing commutes with a shift, so with w the release window's width
-that equals the release's start plus TaskContext.window(block, w), the
-relative window widened by w and memoized per (node, w).
-TaskContext.bba_time makes that shift for every reader: the analysis's
-block views, the simulator's oracle and the contexts.csv dump.
+TaskContext.bba_time computes it where it is read, from the current
+bbrp[block], for every reader: the analysis's block views, the
+simulator's oracle and the contexts.csv dump.  A one-interval window, the
+common case, is shifted without normalizing.
 
 A block's view for the overlap phases is a ladder of absolute windows:
 its own, then that of each enclosing loop's virtual node, innermost
@@ -122,7 +121,7 @@ class TaskContext:
 
     def __init__(self, contracted: ContractedTask):
         self.task = t = contracted.task
-        self.classification = contracted.classification
+        classification = contracted.classification
         node_worst = contracted.node_worst
         loop_of = {virtual_id(lid): lid for lid in t.loops}
 
@@ -147,43 +146,25 @@ class TaskContext:
         # own latest end; a persistent access is vulnerable across its whole
         # scope occupancy.
         self.line_window = {}
-        for cls in self.classification.visible():
+        for cls in classification.visible():
             if cls.l2_chmc == AH:
-                sources = self.classification.same_line_blocks(cls.l2_line)
+                sources = classification.same_line_blocks(cls.l2_line)
                 lo = min(hull(self.bbrp[b]).lo for b in sources)
                 self.line_window[cls.access_id] = Interval(lo, hull(self.bbrp[cls.block_id]).hi)
             elif cls.l2_chmc == PS:
                 lid = t.ancestry[cls.block_id][0]
                 self.line_window[cls.access_id] = hull(self.bbrp[virtual_id(lid)])
-        self._windows = {}  # (node, release width) -> (bbrp[node] it was built from, window)
-
-    def window(self, node: str, width: int) -> tuple:
-        """The node's window relative to a release's start, for a release
-        window `width` cycles wide: its program-relative window with each
-        interval's end widened by `width`, normalized.
-
-        An entry serves only the bbrp[node] object it was built from, so a
-        window replaced after its first use is seen without clearing
-        anything.
-        """
-        relative = self.bbrp[node]
-        hit = self._windows.get((node, width))
-        if hit is not None and hit[0] is relative:
-            return hit[1]
-        window = normalize([(lo, hi + width) for lo, hi in relative])
-        self._windows[node, width] = (relative, window)
-        return window
 
     def bba_time(self, node: str, release) -> tuple:
         """Absolute window (BBATime) of a code block or virtual node for a
-        job released within `release`: the node's window for the release's
-        width, shifted to the release's start."""
+        job released within `release`: each interval of the node's
+        program-relative window shifted by the release window, normalized."""
         rlo, rhi = release
-        window = self.window(node, rhi - rlo)
-        if len(window) == 1:  # most windows: no generator needed
-            (lo, hi), = window
-            return ((lo + rlo, hi + rlo),)
-        return tuple((lo + rlo, hi + rlo) for lo, hi in window)
+        relative = self.bbrp[node]
+        if len(relative) == 1:  # most windows: nothing to normalize
+            (lo, hi), = relative
+            return ((lo + rlo, hi + rhi),)
+        return normalize([(lo + rlo, hi + rhi) for lo, hi in relative])
 
 
 class JobContext:

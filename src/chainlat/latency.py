@@ -123,11 +123,6 @@ class TaskAnalysis:
         return tuple(c for c in self.classification.visible() if c.l2_chmc in (AH, PS))
 
     @cached_property
-    def tsc_targets(self) -> tuple:
-        """The targets by access id."""
-        return tuple(sorted(self.targets, key=lambda c: c.access_id))
-
-    @cached_property
     def target_sets(self) -> frozenset:
         """The targets' shared-cache sets."""
         return frozenset(c.l2_set for c in self.targets)
@@ -389,7 +384,7 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
     rlo, rhi = job.release
     life_lo, life_hi = job.lifetime
     mc, debug = {}, {}
-    for cls in ta.tsc_targets:
+    for cls in ta.targets:
         lo, hi = line_window[cls.access_id]
         lo, hi = lo + rlo, hi + rhi
         # Hyperperiod-shifted foreign jobs are met by shifting the one-interval

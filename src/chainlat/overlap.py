@@ -2,8 +2,8 @@
 
 An interval is a closed (lo, hi) pair; model.Interval, its validated form,
 equals the pair.  Sequences are tuples sorted by lower bound.  A job's
-absolute windows are normalized once, by context.TaskContext.window; the
-overlap tests never normalize.  Overlap is inclusive: touching endpoints
+absolute windows are normalized where they are built, by
+context.TaskContext.bba_time; the overlap tests never normalize.  Overlap is inclusive: touching endpoints
 overlap, so verdicts are invariant under translating both operands.
 
 hierarchical_overlap sits in the TSC inner loop, so it allocates nothing:

@@ -25,10 +25,11 @@ A random walk's job reads the 32-bit words that random.Random("seed|job
 key") yields, from the first word, by CPython's randrange rule, so its
 draws are those of a freshly seeded generator.  The words depend on the
 key string alone, never on the bundle or the Setup, so one bounded,
-process-wide memo keeps them as compact word arrays and shares them,
-exactly, across paths, Setups and bundles: a campaign whose seeds and
-job keys repeat seeds each key once per stream length instead of once
-per job.
+process-wide memo keeps each key's first STREAM_WORDS words as a compact
+word array and shares them, exactly, across paths, Setups and bundles: a
+campaign whose seeds and job keys repeat seeds each key once instead of
+once per job.  A job reading past them seeds its own generator for the
+rest.
 
 Before its first walk on a Setup, the simulator bounds the hyperperiod's
 largest walk, every loop at its upper bound, and refuses a bundle above
@@ -39,12 +40,11 @@ A Setup keeps the per-task walk tables (with the worst-biased walk) and
 the oracle's absolute windows, each built on first use, so every
 path after the first on one Setup pays only for its own walk and its own
 checks.  The oracle reads each absolute window where the analysis does,
-from TaskContext.bba_time: the task context's window for the job's
-release width (normalized once per task, width and block), shifted to the
-release.  It keeps one per (job, block) on the Setup.  The walker records
-each access and block occurrence as a plain tuple row; the AccessEvent and
-BlockOccurrence records are built from the rows at each read, and the
-oracle reads the rows.
+from TaskContext.bba_time: the block's program-relative window shifted by
+the job's release window.  It keeps one per (job, block) on the Setup.
+The walker records each access and block occurrence as a plain tuple row;
+the AccessEvent and BlockOccurrence records are built from the rows at
+each read, and the oracle reads the rows.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ MAX_EXHAUSTIVE_PATHS = 100_000
 # refuses a bundle above it before walking.  It keeps every loop's range, and
 # so every random draw, under 2**32.
 MAX_TRACE_ROWS = 1_000_000
-# Most word streams the process keeps, keyed by (seed string, length).
+# Most word streams the process keeps, one per job key.
 MAX_STREAMS = 4096
-# Words of a job's stream at its first draw; a job reading past them doubles it.
-STREAM_WORDS = 16
-# Longest stream the memo keeps, so it holds at most MAX_STREAMS * 1 KiB of
-# words; a job reading further seeds its own.
-MAX_SHARED_WORDS = 256
+# Words of a key's stream the memo keeps, so it holds at most
+# MAX_STREAMS * 128 B of words; a job reading past them seeds its own
+# generator for the rest.
+STREAM_WORDS = 32
 
 
 @dataclass
@@ -196,28 +195,26 @@ class _Decider:
         return self.tape[pos]
 
 
-def _stream(key: str, words: int) -> array:
-    """The first `words` 32-bit outputs of random.Random(key), in order."""
-    stream = array("I", random.Random(key).getrandbits(32 * words).to_bytes(4 * words, "little"))
+@functools.lru_cache(maxsize=MAX_STREAMS)
+def _word_stream(key: str) -> array:
+    """The first STREAM_WORDS 32-bit outputs of random.Random(key), in order."""
+    stream = array("I", random.Random(key).getrandbits(32 * STREAM_WORDS).to_bytes(4 * STREAM_WORDS, "little"))
     if sys.byteorder == "big":
         stream.byteswap()
     return stream
 
 
-_word_stream = functools.lru_cache(maxsize=MAX_STREAMS)(_stream)
-
-
 def _words(key: str):
     """Yield random.Random(key)'s 32-bit outputs from the first, endlessly.
 
-    The first STREAM_WORDS come from the memo; a job reading past its
-    stream gets one twice as long, from the memo up to MAX_SHARED_WORDS.
+    The first STREAM_WORDS come from the memo; a job reading past them
+    draws the rest from its own random.Random(key), advanced past them.
     """
-    done, words = 0, STREAM_WORDS
+    yield from _word_stream(key)
+    rng = random.Random(key)
+    rng.getrandbits(32 * STREAM_WORDS)  # the words the memo holds
     while True:
-        stream = _word_stream(key, words) if words <= MAX_SHARED_WORDS else _stream(key, words)
-        yield from stream[done:]
-        done, words = words, 2 * words
+        yield rng.getrandbits(32)
 
 
 def _suffix_scores(task, node_worst) -> dict:

@@ -819,7 +819,7 @@ def _ref_tsc_mc(setup, key, line_window, options, contexts):
     rlo, rhi = job.release
     life_lo, life_hi = job.lifetime
     mc, debug = {}, {}
-    for cls in sorted(_ref_targets(setup, job.task_id), key=lambda c: c.access_id):
+    for cls in _ref_targets(setup, job.task_id):
         lo, hi = line_window[cls.access_id]
         lo, hi = lo + rlo, hi + rhi
         total = raw_total = mwis_total = 0

@@ -26,7 +26,8 @@ def _check(bundle, options):
     for (mode, *key), res in report.instances.items():
         wcet, refined, mc, debug = reference_instance(setup, tuple(key), mode, options, contexts)
         assert res.wcet == wcet, (mode, key)
-        # Dict order is part of the result: the debug dumps write it.
+        # Dict order is compared too: refined follows the task's access
+        # order, and mc and debug follow the targets' access order.
         assert list(res.refined.items()) == list(refined.items()), (mode, key)
         assert list(res.mc.items()) == list(mc.items()), (mode, key)
         assert list(res.debug.items()) == list(debug.items()), (mode, key)
@@ -42,8 +43,9 @@ SHAPES = [(cores, n, False) for cores in (2, 4) for n in (1, 2, 4)] + [(2, 1, Tr
 @given(st.integers(1, 400), st.sampled_from(("ET", "TT", "mix")), st.sampled_from(SHAPES),
        st.sampled_from((6, 12)), st.sampled_from(OPTIONS))
 def test_instances_equal_the_reference(seed, trigger, shape, blocks, options):
-    # Tasks of 12 blocks often hold ten accesses or more, so sorting the
-    # TSC targets by id ("t0_a10" < "t0_a2") differs from access order.
+    # Tasks of 12 blocks often hold ten accesses or more, so access order
+    # differs from id order ("t0_a10" < "t0_a2") and the dict-order checks
+    # in _check tell the two apart.
     cores, tasks_per_chain, long_hyper = shape
     bundle = generate_workload(seed=seed, cores=cores, tasks_per_chain=tasks_per_chain, trigger=trigger,
                                blocks_per_task=blocks, collision=0.8)

@@ -10,7 +10,6 @@ from chainlat.ingest import generate_workload
 from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import ChainSpec, Interval, WorkloadBundle
 from chainlat.sim import (
-    MAX_SHARED_WORDS,
     MAX_STREAMS,
     STREAM_WORDS,
     AccessEvent,
@@ -332,15 +331,14 @@ def test_check_safety_flags_shrunken_window():
     assert "context-coverage" in kinds
 
 
-def test_oracle_sees_a_window_replaced_after_the_analysis_memoized_it():
+def test_oracle_sees_a_window_replaced_after_the_analysis_read_it():
     # t1's gap block is a foreign interferer of t0's re-read, so the
-    # analysis memoized its window for t1's release width (0, TT).  A
-    # window replaced afterwards is a new object, and the oracle must read
-    # it, not the memoized one.
+    # analysis built a view of it for some t1 job.  A window replaced
+    # afterwards must be what the oracle reads, not the one the analysis saw.
     bundle = contended_bundle()
     report = analyze_bundle(bundle)
     ctx = report.setup.tasks["t1"].ctx
-    assert ("t1_b1", 0) in ctx._windows
+    assert any("t1_b1" in jc._views for jc in report.setup.job_ctxs.values())
     lo, _ = ctx.bbrp["t1_b1"][0]
     ctx.bbrp["t1_b1"] = ((lo, lo),)  # claim the block ends instantly
     trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
@@ -431,11 +429,17 @@ def test_reports_from_different_options_on_one_setup_match_fresh_prepares():
 # random.Random(key), shared process-wide by a bounded memo.
 
 @pytest.mark.parametrize("key", ["", "5|c1/2/0", "0|c0/0/1"])
-def test_a_jobs_words_are_cpythons_32_bit_outputs_past_every_regrowth(key):
-    words = list(itertools.islice(_words(key), 4 * MAX_SHARED_WORDS + 5))
+def test_a_jobs_words_are_cpythons_32_bit_outputs_past_the_kept_stream(key):
+    words = list(itertools.islice(_words(key), 3 * STREAM_WORDS + 5))
     ref = random.Random(key)
     assert words == [ref.getrandbits(32) for _ in words]
-    assert STREAM_WORDS < MAX_SHARED_WORDS
+
+
+def test_a_job_reading_past_the_kept_stream_leaves_one_memo_entry():
+    _word_stream.cache_clear()
+    words = list(itertools.islice(_words("7|c0/1/2"), 3 * STREAM_WORDS + 5))
+    assert len(words) == 3 * STREAM_WORDS + 5
+    assert _word_stream.cache_info().currsize == 1
 
 
 def test_simulate_is_independent_of_the_stream_memo():

@@ -157,7 +157,8 @@ def _near_powers_of_two(max_exponent):
 def test_random_draws_at_and_around_powers_of_two_match_the_reference(choices, arms, lo, seed):
     # Entering loop l draws lo + randint(0, choices - 1) iterations; each
     # iteration's head h branches over `arms` arms.  Long loops read far
-    # past the words the memo shares, so the job's stream regrows on its own.
+    # past the words the memo keeps, so the job draws the rest from its own
+    # generator.
     arm_ids = ["a%d" % j for j in range(arms)]
     blocks = ([block("e", 1, (acc("e0", 0),)), block("h", 1, (acc("h0", 32),)), block("t", 1),
                block("x", 1, (acc("x0", 0),))]
