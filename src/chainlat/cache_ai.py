@@ -96,16 +96,20 @@ class _Fixpoint:
     every state, every pass's `changed` flag and so the pass count as a full
     sweep would; `transfers` counts the transfers made.  Each block's last
     transfer is from its in-state in the result.
+
+    The entry starts from the empty state.  On a validated graph every other
+    block has a forward predecessor earlier in the order, so its joined
+    in-state is never None; on any graph a None state equals the missing
+    in-state, so the in-state test skips it.
     """
 
-    def __init__(self, task: TaskGraph, transfer, join, bottom_entry):
+    def __init__(self, task: TaskGraph, transfer, join):
         self.task = task
         self.transfer = transfer
         self.join = join
         self.order = task.topo_order
         self.pred = task.predecessors(include_back=True)
         self.succ = task.successors(include_back=True)
-        self.entry_state = bottom_entry
         self.in_states = {}
         self.passes = 0
         self.transfers = 0
@@ -126,17 +130,15 @@ class _Fixpoint:
                     continue
                 dirty.discard(bid)
                 if bid == entry:
-                    state = dict(self.entry_state)
+                    state = {}
                 else:
                     state = None
                     for p in pred[bid]:
                         pout = out_states.get(p)
                         if pout is not None:
                             state = pout if state is None else join(state, pout)
-                    if state is None:
-                        continue  # not yet reachable this pass; a predecessor's first out-state re-marks it
                     if in_states.get(bid) == state:
-                        continue  # a changed predecessor left the joined in-state as it was
+                        continue  # a changed predecessor left the joined in-state as it was, or none reaches it yet
                 in_states[bid] = state
                 out = transfer(bid, state)
                 self.transfers += 1
@@ -195,7 +197,7 @@ def _states_before(task: TaskGraph, steps: dict, update, join, ways: int):
             state = update(state, step)
         return state
 
-    fp = _Fixpoint(task, transfer, join, {})
+    fp = _Fixpoint(task, transfer, join)
     fp.run(max(4, len(task.blocks) * ways))
     return before, fp.passes
 

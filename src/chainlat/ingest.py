@@ -42,9 +42,11 @@ from .model import (
 # a tuple of keys and list indices, and named only in an error.  Each object
 # kind names its keys in one tuple; once an object's own fields are read, a
 # key outside it is refused, so a misspelled optional key cannot silently
-# take its default.  The helpers, like the record constructors, raise
-# unlocated errors: each document parser names its file once, in one
-# handler around its whole parse, and validation names the task once.
+# take its default.  parse_task reads well-typed block and access fields
+# inline, every other field through the helpers.  The helpers, like the
+# record constructors, raise unlocated errors: each document parser names
+# its file once, in one handler around its whole parse, and validation
+# names the task once.
 
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -162,10 +164,12 @@ def parse_system(doc: dict, where: str = "system") -> SystemSpec:
 def parse_task(doc: dict, where: str = "task") -> TaskGraph:
     """A task graph from its document, validated.
 
-    Well-typed values are read inline; the field helpers run only when a
-    value is not, so that they word the error.  The checks keep one order:
-    a list's element types before any element's fields, and a block's
-    accesses (id, address, range) before its own id and instructions.
+    Blocks and accesses, the bulk of a task, read well-typed values inline;
+    the field helpers run only when a value is not, so that they word the
+    error.  Loops and the task's own fields read through the helpers.  The
+    checks keep one order: a list's element types before any element's
+    fields, and a block's accesses (id, address, range) before its own id
+    and instructions.
     """
     try:
         try:
@@ -201,20 +205,15 @@ def parse_task(doc: dict, where: str = "task") -> TaskGraph:
             edges = _pairs(_field(doc, "edges", list), ("edges",))
             loops = {}
             for i, l in enumerate(_objects(doc, "loops", default=())):
-                lid, head, tail, back, lo, hi, parent = map(l.get, _LOOP_KEYS)
-                if not (type(lid) is type(head) is type(tail) is str and type(lo) is type(hi) is int
-                        and (parent is None or type(parent) is str)
-                        and type(back) is list and len(back) == 2 and type(back[0]) is type(back[1]) is str):
-                    at = ("loops", i)
-                    lid, head, tail = (_field(l, key, str, at) for key in ("id", "head", "tail"))
-                    back = _pair(_field(l, "back_edge", list, at), at + ("back_edge",))
-                    lo, hi = _field(l, "min_bound", int, at), _field(l, "max_bound", int, at)
-                    parent = _field(l, "parent", str, at, default=None)
-                loop = LoopNode(lid, head, tail, tuple(back), lo, hi, parent)
+                at = ("loops", i)
+                lid, head, tail = (_field(l, key, str, at) for key in ("id", "head", "tail"))
+                back = _pair(_field(l, "back_edge", list, at), at + ("back_edge",))
+                lo, hi = _field(l, "min_bound", int, at), _field(l, "max_bound", int, at)
+                loop = LoopNode(lid, head, tail, back, lo, hi, _field(l, "parent", str, at, default=None))
                 if lid in loops:
                     raise ValidationError("duplicate loop id %s" % lid)
                 loops[lid] = loop
-                _check_keys(l, _LOOP_KEYS, ("loops", i))
+                _check_keys(l, _LOOP_KEYS, at)
             pairs = frozenset(map(frozenset, _pairs(_field(doc, "exclusive_pairs", list, default=()),
                                                     ("exclusive_pairs",))))
             task = TaskGraph(_field(doc, "task_id", str), blocks, edges, loops, exclusive_pairs=pairs)

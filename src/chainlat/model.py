@@ -185,7 +185,7 @@ class TaskGraph:
     def topo_order(self) -> tuple:
         """Blocks in topological order over the forward edges; raises an
         unlocated ValidationError if cyclic."""
-        order = topo_sort(self.blocks, self.forward_edges)
+        order = topo_sort(self.successors(include_back=False), self.predecessors(include_back=False))
         if order is None:
             raise ValidationError("irreducible control flow: cycle remains after removing declared back edges")
         return order
@@ -255,17 +255,13 @@ def adjacency(nodes, edges) -> tuple:
     return {n: tuple(ns) for n, ns in pred.items()}, {n: tuple(ns) for n, ns in succ.items()}
 
 
-def topo_sort(nodes, edges):
-    """Kahn's order of nodes over (src, dst) edges as a tuple; None when they close a cycle.
+def topo_sort(succ, pred):
+    """Kahn's order of the nodes of the adjacency (succ, pred) as a tuple; None when its edges close a cycle.
 
     The ready list starts sorted and is popped from its end; successors are
     pushed in reverse-sorted order, so the order depends on the sets alone.
     """
-    succ = {n: [] for n in nodes}
-    indeg = dict.fromkeys(nodes, 0)
-    for src, dst in edges:
-        succ[src].append(dst)
-        indeg[dst] += 1
+    indeg = {n: len(ps) for n, ps in pred.items()}
     ready = sorted(n for n, d in indeg.items() if d == 0)
     order = []
     while ready:

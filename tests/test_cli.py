@@ -572,8 +572,21 @@ def test_analyze_chain_merge_errors_name_the_chain_files(tmp_path, capsys, edits
     ("mix", "task_t0.json", lambda doc: doc["blocks"][1].update(id="t0_b0"), "duplicate block id t0_b0"),
     ("mix", "task_t0.json", lambda doc: doc["loops"].append(dict(doc["loops"][0])), "duplicate loop id t0_l0"),
     ("mix", "task_t0.json", lambda doc: doc["blocks"][1]["accesses"][0].update(id="t0_a0"), "duplicate access ids"),
+    ("mix", "task_t0.json", lambda doc: doc["loops"][0].update(min_bound=0, max_bound=0),
+     "loop t0_l0: MaxBd must be >= 1"),
+    ("mix", "system.json", lambda doc: doc.update(cores=0), "core_count must be >= 1"),
+    ("mix", "system.json", lambda doc: doc.update(base_cpi=0), "base_cpi must be >= 1"),
+    ("mix", "system.json", lambda doc: doc.update(period_table=[4000, 2000]),
+     "period_table must be strictly increasing and positive"),
+    ("mix", "chain_c0.json", lambda doc: doc.update(tasks=[]), "chain c0: empty task list"),
+    ("TT", "chain_c0.json", lambda doc: doc.update(offsets=[0]), "chain c0: offsets/task count mismatch"),
+    ("TT", "chain_c0.json", lambda doc: doc.update(offsets=[0, -1]), "chain c0: offsets must be non-decreasing"),
+    # The bundle's checks across files: a repeated task id names the later file.
+    ("mix", "task_t1.json", lambda doc: doc.update(task_id="t0"), "duplicate task id t0"),
+    ("mix", "chain_c0.json", lambda doc: doc.update(core=5), "chain c0 mapped to core 5 of 2"),
 ], ids=("et-offsets", "first-offset", "period-0", "period-negative", "l2-sets", "latencies", "block-id", "loop-id",
-        "access-ids"))
+        "access-ids", "max-bound-0", "cores-0", "base-cpi-0", "period-table", "empty-chain", "offset-count",
+        "offset-order", "task-id", "chain-core"))
 def test_analyze_system_and_chain_errors_name_the_file(tmp_path, capsys, trigger, name, edit, message):
     out = tmp_path / "w"
     assert main(["generate", "--seed", "1", "--trigger", trigger, "--output", str(out)]) == EXIT_OK
@@ -588,6 +601,37 @@ def test_analyze_system_and_chain_errors_name_the_file(tmp_path, capsys, trigger
               ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
     assert rc == EXIT_INVALID
     assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
+    assert not (tmp_path / "rep").exists()
+
+
+def test_analyze_merged_chain_ids_colliding_across_cores_name_every_file(tmp_path, capsys):
+    # Chains a and b merge on core 0 into a+b, the id of the chain on core 2.
+    out = tmp_path / "w"
+    assert main(["generate", "--seed", "1", "--cores", "3", "--trigger", "ET", "--output", str(out)]) == EXIT_OK
+    chains = sorted(str(p) for p in out.glob("chain_*.json"))
+    for path, cid, core in zip(chains, ("a", "b", "a+b"), (0, 0, 2)):
+        with open(path) as fh:
+            doc = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(dict(doc, id=cid, core=core, period=None), fh)
+    tasks = sorted(str(p) for p in out.glob("task_*.json"))
+    capsys.readouterr()
+    rc = main(["analyze", "--system", str(out / "system.json"), "--tasks"] + tasks +
+              ["--chains"] + chains + ["--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s: duplicate chain id a+b\n" % ", ".join(chains)
+    assert not (tmp_path / "rep").exists()
+
+
+def test_analyze_names_a_missing_system_file(tmp_path, capsys):
+    system, tasks, chains = _generated(tmp_path)
+    os.remove(system)
+    capsys.readouterr()
+    rc = main(["analyze", "--system", system, "--tasks"] + tasks + ["--chains"] + chains +
+              ["--output", str(tmp_path / "rep")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == \
+        "error: %s: cannot read file ([Errno 2] No such file or directory: %r)\n" % (system, system)
     assert not (tmp_path / "rep").exists()
 
 

@@ -67,7 +67,7 @@ def test_dirty_blocks_fixpoint_matches_full_sweeps(seed, depth, n_blocks, collis
     for name, transfer, join, ways in _fixpoints(task, system):
         cap = max(4, len(task.blocks) * ways)
         ref_in, ref_passes, ref_transfers = reference_fixpoint(task, transfer, join, {}, cap)
-        fp = _Fixpoint(task, transfer, join, {})
+        fp = _Fixpoint(task, transfer, join)
         assert fp.run(cap) == ref_in, name
         assert fp.passes == ref_passes, name
         assert fp.transfers <= min(ref_transfers, len(task.blocks) * fp.passes), name
@@ -83,7 +83,7 @@ def test_loops_skip_transfers_of_unchanged_blocks():
                 if max((t.loop_depth(l) for l in t.loops), default=0) == 2)
     _, transfer, join, _ = _fixpoints(task, default_system())[0]
     _, ref_passes, ref_transfers = reference_fixpoint(task, transfer, join, {}, 1000)
-    fp = _Fixpoint(task, transfer, join, {})
+    fp = _Fixpoint(task, transfer, join)
     fp.run(1000)
     assert fp.passes == ref_passes > 2
     assert fp.transfers < ref_transfers
@@ -93,11 +93,11 @@ def test_too_small_cap_still_raises():
     task = _generated_task(3, 3, 16, 0.8)
     _, transfer, join, _ = _fixpoints(task, default_system())[0]
     _, needed, _ = reference_fixpoint(task, transfer, join, {}, 1000)
-    fp = _Fixpoint(task, transfer, join, {})
+    fp = _Fixpoint(task, transfer, join)
     fp.run(needed)  # a cap of exactly the passes needed is enough
     assert fp.passes == needed
     with pytest.raises(RuntimeError, match="cache fixpoint did not converge in %d passes" % (needed - 1)):
-        _Fixpoint(task, transfer, join, {}).run(needed - 1)
+        _Fixpoint(task, transfer, join).run(needed - 1)
 
 
 @settings(max_examples=60, deadline=None)

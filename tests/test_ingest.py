@@ -182,11 +182,19 @@ def test_generator_seed_sensitive():
     assert a != b
 
 
-def test_generator_rejects_bad_params():
-    with pytest.raises(ValidationError):
-        generate_workload(seed=1, tasks_per_chain=3)
-    with pytest.raises(ValidationError):
-        generate_workload(seed=1, utilization=1.5)
+@pytest.mark.parametrize("param, value, message", [
+    ("tasks_per_chain", 3, "tasks_per_chain must be one of 1, 2, 4"),
+    ("cores", 0, "cores must be in [1, 16]"),
+    ("blocks_per_task", 1, "blocks_per_task must be in [2, 64]"),
+    ("loop_depth", 3, "loop_depth must be in [0, 2]"),
+    ("utilization", 1.5, "utilization must be in [0.05, 0.98]"),
+    ("collision", 1.5, "collision must be in [0, 1]"),
+    ("trigger", "both", "trigger must be ET, TT or mix"),
+], ids=("tasks_per_chain", "cores", "blocks_per_task", "loop_depth", "utilization", "collision", "trigger"))
+def test_generator_rejects_bad_params(param, value, message):
+    with pytest.raises(ValidationError) as err:
+        generate_workload(seed=1, **{param: value})
+    assert str(err.value) == message
 
 
 def test_generator_hits_utilization_target():

@@ -325,12 +325,14 @@ def test_instance_wcet_never_exceeds_cip():
     ("counting", "lines", "AnalysisOptions.counting: 'lines' is not one of 'distinct', 'access'"),
     ("et_rule", "maximum", "AnalysisOptions.et_rule: 'maximum' is not one of 'sum', 'max'"),
     ("modes", ("TSC", "XYZ"), "AnalysisOptions.modes: 'XYZ' not among 'TSC', 'TLT', 'NCT'"),
+    ("modes", (), "AnalysisOptions.modes: () selects none of 'TSC', 'TLT', 'NCT'"),
     ("jobs", 0, "AnalysisOptions.jobs: 0 is not a positive integer"),
-], ids=("passes-0", "counting-lines", "et_rule-maximum", "modes-XYZ", "jobs-0"))
+], ids=("passes-0", "counting-lines", "et_rule-maximum", "modes-XYZ", "modes-empty", "jobs-0"))
 def test_analysis_options_reject_values_the_analysis_cannot_run(field, value, message):
     # Each of these used to crash mid-analysis (passes 0, counting "lines")
     # or silently run something else (et_rule "maximum" ran the sum rule,
-    # "XYZ" was dropped, jobs 0 ran sequentially).
+    # "XYZ" was dropped, jobs 0 ran sequentially); empty modes passed
+    # construction and failed only in analyze_bundle.
     with pytest.raises(ValidationError) as err:
         AnalysisOptions(**{field: value})
     assert str(err.value) == message

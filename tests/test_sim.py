@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlat.cache_ai import BYPASS
 from chainlat.ingest import generate_workload
 from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 from chainlat.model import ChainSpec, Interval, WorkloadBundle
@@ -316,6 +317,20 @@ def test_check_safety_flags_forced_tlt_claim():
         {"kind": "ps-extra-miss", "access": "x2", "scope": None, "count": 2},
         {"kind": "ps-extra-miss", "access": "x2", "scope": None, "count": 2, "mode": "TLT"},
     ]
+
+
+def test_check_safety_flags_a_claimed_private_hit_that_reaches_the_shared_cache():
+    # Claim that the first access to reach the shared cache always hits the
+    # private level: that row breaks the claim, whatever its mode maps say.
+    bundle = generate_workload(seed=1, collision=0.8)
+    report = analyze_bundle(bundle)
+    setup = report.setup
+    trace = simulate(bundle, SimConfig("worst", 0), setup=setup)
+    assert check_safety(trace, report) == []
+    _, _, cid, k, i, _, aid, _, _ = next(row for row in trace.access_rows if row[7] != "L1")
+    accesses = setup.tasks[setup.jobs[cid, k, i].task_id].classification.accesses
+    accesses[aid] = accesses[aid]._replace(l2_chmc=BYPASS)
+    assert check_safety(trace, report) == [{"kind": "l1-ah-miss", "access": "t0_a0", "cycle": 31}]
 
 
 def test_check_safety_flags_shrunken_window():
