@@ -177,9 +177,6 @@ class TaskClassification:
         """Accesses that reach the shared cache, in access order; built once."""
         return self._visible
 
-    def same_line_blocks(self, l2_line: int) -> set:
-        return {c.block_id for c in self.visible() if c.l2_line == l2_line}
-
 
 def _states_before(task: TaskGraph, steps: dict, update, join, ways: int):
     """The state before each access at the fixpoint from the empty entry state.

@@ -142,15 +142,18 @@ class TaskContext:
                     self.bbrp[node] = normalize([(lo, hi + node_worst[node]) for lo, hi in lpb])
 
         # Reuse windows for interference targets: an always-hit access is
-        # vulnerable from the earliest point its line can be loaded until its
-        # own latest end; a persistent access is vulnerable across its whole
-        # scope occupancy.
+        # vulnerable from the earliest start of a block accessing its line
+        # until its own latest end; a persistent access is vulnerable across
+        # its whole scope occupancy.
+        visible = classification.visible()
+        earliest = {}  # L2 line -> earliest start of a block accessing it
+        for cls in visible:
+            lo = hull(self.bbrp[cls.block_id]).lo
+            earliest[cls.l2_line] = min(lo, earliest.get(cls.l2_line, lo))
         self.line_window = {}
-        for cls in classification.visible():
+        for cls in visible:
             if cls.l2_chmc == AH:
-                sources = classification.same_line_blocks(cls.l2_line)
-                lo = min(hull(self.bbrp[b]).lo for b in sources)
-                self.line_window[cls.access_id] = Interval(lo, hull(self.bbrp[cls.block_id]).hi)
+                self.line_window[cls.access_id] = Interval(earliest[cls.l2_line], hull(self.bbrp[cls.block_id]).hi)
             elif cls.l2_chmc == PS:
                 lid = t.ancestry[cls.block_id][0]
                 self.line_window[cls.access_id] = hull(self.bbrp[virtual_id(lid)])

@@ -593,7 +593,8 @@ def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_
         if pad_cycles > 0:
             last = tasks[chain_tasks[-1]]
             exit_blk = last.blocks[last.exit_block]
-            padded = replace(exit_blk, instruction_count=exit_blk.instruction_count + pad_cycles // system.base_cpi)
+            padded = BasicBlock(exit_blk.id, exit_blk.instruction_count + pad_cycles // system.base_cpi,
+                                exit_blk.accesses)
             tasks[chain_tasks[-1]] = replace(last, blocks={**last.blocks, exit_blk.id: padded})
             cips[-1] = _cip_wcet(tasks[chain_tasks[-1]], system)
 

@@ -6,7 +6,7 @@ mutually exclusive blocks reduced through an exact maximum-weight
 independent set, and the per-job results accumulated per core.
 
 Every weight is fixed per task and counting unit (distinct lines or access
-sites), so set_weights tabulates it once: per shared-cache set, the
+sites), so set_weights tabulates both units once: per shared-cache set, the
 whole-job weight and the weight of each block touching the set, which are
 the set's interference candidates.
 
@@ -20,7 +20,7 @@ the maximum can undercount evictions accumulated across consecutive jobs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .overlap import hierarchical_overlap
 
@@ -35,8 +35,7 @@ ET_RULES = (ET_RULE_SUM, ET_RULE_MAX)
 MWIS_EXACT_CAP = 40
 
 
-@dataclass(frozen=True)
-class ExclusionGraph:
+class ExclusionGraph(NamedTuple):
     weights: dict  # vertex -> non-negative weight
     edges: frozenset  # frozenset pairs of mutually exclusive vertices
 
@@ -105,24 +104,24 @@ def mwis_bound(graph: ExclusionGraph, exact_cap: int = MWIS_EXACT_CAP) -> int:
     return solve((1 << len(verts)) - 1)
 
 
-def set_weights(classification, counting: str) -> dict:
-    """One task's weight table in the counting unit: {set: (job weight, {block: weight})}.
+def set_weights(classification) -> dict:
+    """One task's weight table per counting unit: {unit: {set: (job weight, {block: weight})}}.
 
-    Only shared-cache visible accesses weigh; a block appears under a set
-    only if it touches it, and the blocks are in id order.
+    Only shared-cache visible accesses weigh, grouped once for both units;
+    a block appears under a set only if it touches it, in id order.
     """
     lines = {}  # set -> block -> shared lines, one entry per access site
     for c in classification.visible():
         lines.setdefault(c.l2_set, {}).setdefault(c.block_id, []).append(c.l2_line)
 
-    def weight(sites):
-        return len(sites) if counting == COUNT_ACCESS else len(set(sites))
+    def table(weight):
+        return {
+            s: (weight([line for sites in blocks.values() for line in sites]),
+                {bid: weight(blocks[bid]) for bid in sorted(blocks)})
+            for s, blocks in sorted(lines.items())
+        }
 
-    return {
-        s: (weight([line for sites in blocks.values() for line in sites]),
-            {bid: weight(blocks[bid]) for bid in sorted(blocks)})
-        for s, blocks in sorted(lines.items())
-    }
+    return {COUNT_DISTINCT: table(lambda sites: len(set(sites))), COUNT_ACCESS: table(len)}
 
 
 def collect_overlap_set(target, foreign_job_ctx, blocks):

@@ -274,8 +274,7 @@ def prepare(bundle: WorkloadBundle) -> Setup:
         plan = ContractionPlan(task, bundle.system)
         miss = all_miss(cls)
         con = contract_task(task, cls, bundle.system, refined=miss, plan=plan)
-        weights = {counting: set_weights(cls, counting) for counting in COUNTINGS}
-        tasks[tid] = TaskAnalysis(tid, cls, miss, con, TaskContext(con), con.wcet, con.bcet, weights, plan)
+        tasks[tid] = TaskAnalysis(tid, cls, miss, con, TaskContext(con), con.wcet, con.bcet, set_weights(cls), plan)
 
     chains = {}
     for cid in sorted(bundle.chains):

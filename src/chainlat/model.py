@@ -84,33 +84,32 @@ class SystemSpec:
 ADDRESS_WIDTH = 32
 
 
-@dataclass(frozen=True)
-class MemAccess:
-    id: str
-    address: int
+class MemAccess(namedtuple("MemAccess", "id address")):
+    """One memory access, validated on construction."""
 
-    def __post_init__(self):
-        if not (0 <= self.address < (1 << ADDRESS_WIDTH)):
-            raise ValidationError("access %s: address out of %d-bit range" % (self.id, ADDRESS_WIDTH))
+    __slots__ = ()
+
+    def __new__(cls, id: str, address: int):
+        if not (0 <= address < (1 << ADDRESS_WIDTH)):
+            raise ValidationError("access %s: address out of %d-bit range" % (id, ADDRESS_WIDTH))
+        return super().__new__(cls, id, address)
 
 
-@dataclass(frozen=True)
-class BasicBlock:
-    """A block as its file gives it.  The loops holding it are its task's
-    `TaskGraph.ancestry[id]`."""
+class BasicBlock(namedtuple("BasicBlock", "id instruction_count accesses")):
+    """A block as its file gives it, validated on construction; its loops are
+    its task's `TaskGraph.ancestry[id]`.  A named tuple's _replace skips the
+    checks, so a changed block is built through the constructor."""
 
-    id: str
-    instruction_count: int
-    accesses: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.instruction_count < 0:
-            raise ValidationError("block %s: negative instruction count" % self.id)
-        if self.instruction_count < len(self.accesses):
+    def __new__(cls, id: str, instruction_count: int, accesses: tuple = ()):
+        if instruction_count < 0:
+            raise ValidationError("block %s: negative instruction count" % id)
+        if instruction_count < len(accesses):
             raise ValidationError(
-                "block %s: %d accesses exceed %d instructions"
-                % (self.id, len(self.accesses), self.instruction_count)
+                "block %s: %d accesses exceed %d instructions" % (id, len(accesses), instruction_count)
             )
+        return super().__new__(cls, id, instruction_count, accesses)
 
 
 @dataclass(frozen=True)
@@ -306,9 +305,9 @@ def elaborate_loops(task: TaskGraph) -> dict:
     A loop's parent is the innermost loop whose body strictly contains its
     body.  A declared parent must be the derived one; bodies that meet must
     nest, and nested loops must have distinct heads (a loop is entered at its
-    head).  Returns the elaborated loops by id; the blocks a body holds
-    find their loops through `TaskGraph.ancestry`.  Errors are unlocated:
-    `validate_task_graph` names the task.
+    head).  Returns (entry block, elaborated loops by id); the blocks a
+    body holds find their loops through `TaskGraph.ancestry`.  Errors are
+    unlocated: `validate_task_graph` names the task.
     """
     pred = task.predecessors(include_back=True)
     entries = [b for b in task.blocks if not pred[b]]
@@ -362,7 +361,7 @@ def elaborate_loops(task: TaskGraph) -> dict:
         if loop.parent_loop is not None and loop.parent_loop != parents[lid]:
             raise ValidationError("loop %s: declared parent %s is not its innermost enclosing loop (%s)"
                                   % (lid, loop.parent_loop, "none" if parents[lid] is None else parents[lid]))
-    return {
+    return entry, {
         lid: LoopNode(loop.id, loop.head_block, loop.tail_block, loop.back_edge, loop.min_bound, loop.max_bound,
                       parents[lid], bodies[lid])
         for lid, loop in task.loops.items()
@@ -398,19 +397,19 @@ def _validated(task: TaskGraph) -> TaskGraph:
     for src, dst in task.edges:
         if src not in ids or dst not in ids:
             raise ValidationError("edge (%s,%s) references unknown block" % (src, dst))
-    if len(set(task.edges)) != len(task.edges):
+    edge_set = set(task.edges)
+    if len(edge_set) != len(task.edges):
         raise ValidationError("duplicate edges")
 
-    loops = elaborate_loops(task)  # raises unless there is exactly one entry block
+    entry, loops = elaborate_loops(task)  # raises unless there is exactly one entry block
     # The validated graph is made before its order is checked, so the order
     # cached on it is the one every later stage reads.
-    pred, succ = task.predecessors(), task.successors()
-    entry = next(b for b in task.blocks if not pred[b])
+    succ = task.successors()
     exits = [b for b in task.blocks if not succ[b]]
     graph = TaskGraph(task.id, task.blocks, task.edges, loops, entry, exits[0] if len(exits) == 1 else "",
                       task.exclusive_pairs)
     object.__setattr__(graph, "_maps", task._maps)  # same block ids and edges: reuse the adjacency
-    graph.topo_order  # raises on irreducible graphs
+    order = graph.topo_order  # raises on irreducible graphs
     if len(exits) != 1:
         raise ValidationError("need exactly one exit block, found %r" % sorted(exits))
     if task.entry_block and task.entry_block != entry:
@@ -426,7 +425,7 @@ def _validated(task: TaskGraph) -> TaskGraph:
     forward = graph.forward_edges
     for lid, loop in graph.loops.items():
         body = loop.body_blocks
-        if loop.back_edge not in task.edges:
+        if loop.back_edge not in edge_set:
             raise ValidationError("loop %s: declared back edge missing from edge set" % lid)
         for src, dst in forward:
             if src in body and dst not in body and src != loop.tail_block:
@@ -440,7 +439,8 @@ def _validated(task: TaskGraph) -> TaskGraph:
             raise ValidationError("exclusive pair (%s,%s) references unknown block" % (a, b))
         if not (set(fpred[a]) & set(fpred[b])):
             raise ValidationError("exclusive pair (%s,%s): blocks must be alternative arms of one branch" % (a, b))
-        if b in _reachable(fsucc, a) or a in _reachable(fsucc, b):
+        first, second = sorted(pair, key=order.index)  # on the forward DAG only the earlier can reach the later
+        if second in _reachable(fsucc, first):
             raise ValidationError("exclusive pair (%s,%s): blocks lie on a common path" % (a, b))
 
     return graph

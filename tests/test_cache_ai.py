@@ -189,5 +189,5 @@ def test_set_blocks_are_the_sorted_visible_blocks_of_each_set():
             for s in range(bundle.system.l2.sets):
                 want = tuple(sorted({c.block_id for c in cls.visible() if c.l2_set == s}))
                 for counting in (COUNT_DISTINCT, COUNT_ACCESS):
-                    table = set_weights(cls, counting).get(s, (0, {}))
+                    table = set_weights(cls)[counting].get(s, (0, {}))
                     assert tuple(table[1]) == want, (seed, task.id, s)

@@ -14,9 +14,9 @@ from chainlat.context import (
 from chainlat.cost import ContractionPlan, LoopCostSummary, contract_task, virtual_id
 from chainlat.ingest import _TaskBuilder, default_system
 from chainlat.model import ChainSpec, Interval, JobInstance, LoopNode
-from chainlat.overlap import normalize, seq
+from chainlat.overlap import hull, normalize, seq
 
-from conftest import block, build_task, diamond_loop_task, make_system, straight_task
+from conftest import acc, block, build_task, diamond_loop_task, make_system, straight_task
 from oracles import reference_bba_time, reference_windows, unrolled_iteration_windows, unrolled_window_oracle
 
 
@@ -243,6 +243,22 @@ def test_task_context_matches_reference_windows(seed, depth, n_blocks, collision
             assert ctx.bbrp == {n: normalize(w) for n, w in bbrp.items()}
             assert ctx.lpb == {lid: normalize(w) for lid, w in lpb.items()}
             assert ctx.line_window == line_window
+
+
+def test_always_hit_window_opens_at_the_lines_earliest_block():
+    # The blocks are listed against program order, so the line's first
+    # access in listing order (a1 in b1) is not its earliest (a0 in b0).
+    # The one-line private cache and az between them keep a1 visible at the
+    # shared level, where it always hits.
+    system = make_system(l1_sets=1, l1_ways=1)
+    a0, az, a1 = acc("a0", 7 * 32), acc("az", 8 * 32), acc("a1", 7 * 32)
+    task = build_task("t", [block("b2", 1), block("b1", 1, (a1,)), block("b0", 2, (a0, az))],
+                      [("b0", "b1"), ("b1", "b2")])
+    con = contracted(task, system)
+    assert con.classification.accesses["a1"].l2_chmc == AH
+    ctx = TaskContext(con)
+    assert ctx.line_window["a1"] == (hull(ctx.bbrp["b0"]).lo, hull(ctx.bbrp["b1"]).hi)
+    assert ctx.line_window["a1"].lo < hull(ctx.bbrp["b1"]).lo
 
 
 def full_ladder(s, node, own):

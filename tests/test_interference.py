@@ -105,7 +105,7 @@ def _contribution_task(addresses):
 
 def _block_weight(cls, block_id, l2_set, counting):
     """One block's same-set weight read from the task's weight table."""
-    table = set_weights(cls, counting).get(l2_set)
+    table = set_weights(cls)[counting].get(l2_set)
     return table[1].get(block_id, 0) if table else 0
 
 
@@ -122,7 +122,7 @@ def test_block_contribution_other_set():
     task = _contribution_task([0, 16])
     cls = classify_task(task, system)
     assert _block_weight(cls, "b0", 1, "distinct") == 0
-    assert 1 not in set_weights(cls, "distinct")
+    assert 1 not in set_weights(cls)["distinct"]
 
 
 def test_block_contribution_two_distinct():
@@ -143,18 +143,18 @@ def test_job_contribution_caps_at_job_lines():
     task = build_task("t", blocks, [("b0", "b1"), ("b1", "b2")])
     cls = classify_task(task, system)
     s = 7 % system.l2.sets
-    raw, bounded = job_contribution(set_weights(cls, "distinct")[s], task, ["b0", "b1"])
+    raw, bounded = job_contribution(set_weights(cls)["distinct"][s], task, ["b0", "b1"])
     assert raw == 2 and bounded == 1
-    assert job_contribution(set_weights(cls, "distinct")[s], task, []) == (0, 0)
+    assert job_contribution(set_weights(cls)["distinct"][s], task, []) == (0, 0)
 
 
 def test_job_set_weight_counting_units():
     # Three sites on shared line 0 plus one on line 4, all in set 0.
     system = _sub_line_system()
     cls = classify_task(_contribution_task([0, 16, 32, 4 * 64]), system)
-    assert set_weights(cls, "distinct")[0][0] == 2
-    assert set_weights(cls, "access")[0][0] == 4
-    assert 1 not in set_weights(cls, "access")
+    assert set_weights(cls)["distinct"][0][0] == 2
+    assert set_weights(cls)["access"][0][0] == 4
+    assert 1 not in set_weights(cls)["access"]
 
 
 def test_interference_bound_et_max_rule():

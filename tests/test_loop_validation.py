@@ -108,6 +108,10 @@ MESSAGES = [
     ("side-entry-then-shared-head", _doc(LOOP_BLOCKS, LOOP_EDGES + (("m", "h"), ("e", "t")),
                                          [_loop("la", "h", "m"), _loop("lb", "h", "t")]),
      "loop lb: side entry, head h does not dominate tail t"),
+    # Arm a sorts first by id but comes second in the order (e, z, a, x): only z reaches a.
+    ("exclusive-pair-on-a-path", _doc(["e", "z", "a", "x"], [("e", "z"), ("e", "a"), ("z", "a"), ("a", "x")],
+                                      pairs=[("a", "z")]),
+     "exclusive pair (a,z): blocks lie on a common path"),
     # A loop no path from the entry reaches is no side-entry error: its blocks are unreachable.
     ("unreachable-loops", _doc(["e", "u", "w", "v", "x"],
                                [("e", "x"), ("u", "v"), ("w", "v"), ("v", "u"), ("v", "w"), ("v", "x")],

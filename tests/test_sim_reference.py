@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chainlat.ingest import _TaskBuilder, default_system
 from chainlat.latency import prepare
-from chainlat.model import CacheLevelConfig, ChainSpec, LoopNode, WorkloadBundle
+from chainlat.model import BasicBlock, CacheLevelConfig, ChainSpec, LoopNode, WorkloadBundle
 from chainlat.sim import SimConfig, simulate, simulate_exhaustive
 
 from conftest import acc, block, build_task, make_system, single_chain_bundle
@@ -46,7 +46,7 @@ def _bundle(seed, trigger, depth, collision, n_blocks, pad, l1=None):
             tids.append(tid)
         last = tasks[tids[-1]]
         exit_blk = last.blocks[last.exit_block]
-        padded = replace(exit_blk, instruction_count=exit_blk.instruction_count + pad)
+        padded = BasicBlock(exit_blk.id, exit_blk.instruction_count + pad, exit_blk.accesses)
         tasks[tids[-1]] = replace(last, blocks={**last.blocks, exit_blk.id: padded})
         trig = rng.choice(("ET", "TT")) if trigger == "mix" else trigger
         cid = "c%d" % core
