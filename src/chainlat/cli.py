@@ -10,23 +10,28 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import traceback
 
 from . import __version__
+from .cache_ai import write_classification_csv
+from .context import write_context_csv
 from .ingest import (
+    TASKS_PER_CHAIN,
+    TRIGGERS,
     chain_to_doc,
     generate_workload,
     parse_workload,
     system_to_doc,
     task_to_doc,
 )
-from .interference import COUNTINGS, ET_RULES
+from .interference import COUNTINGS, ET_RULES, write_interference_csv
 from .latency import MODES, AnalysisOptions, analyze_bundle, report_to_json, write_report_csv
 from .model import ValidationError
-from .sim import SimConfig, check_safety, simulate, trace_hit_ratio
+from .sim import SimConfig, check_safety, simulate, trace_hit_ratio, write_trace_csv
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -57,14 +62,15 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_generate(args) -> int:
-    bundle = generate_workload(seed=args.seed, loop_depth=args.loop_depth, **_generator_options(args))
+    options = dict(seed=args.seed, loop_depth=args.loop_depth, **_generator_options(args))
+    bundle = generate_workload(**options)
     os.makedirs(args.output, exist_ok=True)
     _write(os.path.join(args.output, "system.json"), _canonical_json(system_to_doc(bundle.system)))
     for tid in sorted(bundle.tasks):
         _write(os.path.join(args.output, "task_%s.json" % tid), _canonical_json(task_to_doc(bundle.tasks[tid])))
     for cid in sorted(bundle.chains):
         _write(os.path.join(args.output, "chain_%s.json" % cid), _canonical_json(chain_to_doc(bundle.chains[cid])))
-    _manifest(args.output, "generate", dict(seed=args.seed, loop_depth=args.loop_depth, **_generator_options(args)))
+    _manifest(args.output, "generate", options)
     print("generated %d tasks, %d chains -> %s" % (len(bundle.tasks), len(bundle.chains), args.output))
     return EXIT_OK
 
@@ -87,11 +93,6 @@ def cmd_analyze(args) -> int:
     _write(os.path.join(args.output, "report.json"), report_to_json(report, bundle))
     write_report_csv(os.path.join(args.output, "report.csv"), report)
     if args.debug_dumps:
-        from .cache_ai import write_classification_csv
-        from .context import write_context_csv
-        from .interference import write_interference_csv
-        from .sim import write_trace_csv
-
         for tid in sorted(bundle.tasks):
             write_classification_csv(
                 os.path.join(args.output, "classification_%s.csv" % tid),
@@ -129,7 +130,7 @@ def _inject_mc_fault(report, setup):
     return False
 
 
-def _inject_context_fault(setup):
+def _inject_context_fault(report, setup):
     """Collapse one task's program-relative windows to instants."""
     tid = sorted(setup.tasks)[0]
     ctx = setup.tasks[tid].ctx
@@ -138,10 +139,16 @@ def _inject_context_fault(setup):
     return True
 
 
+# Fault name -> injector for verify --inject-fault.  An injector corrupts one
+# bundle's (report, setup) before its checks and returns whether it changed anything.
+FAULTS = {"mc": _inject_mc_fault, "context": _inject_context_fault}
+
+
 def cmd_verify(args) -> int:
     violations = 0
     dominance_checks = 0
     bundles = 0
+    inject = FAULTS.get(args.inject_fault)
     injected = False
     configs = []
     if args.sim_policy in ("random", "both"):
@@ -155,10 +162,8 @@ def cmd_verify(args) -> int:
         report = analyze_bundle(bundle, options)
         setup = report.setup
 
-        if args.inject_fault == "mc":
-            injected = _inject_mc_fault(report, setup) or injected
-        elif args.inject_fault == "context":
-            _inject_context_fault(setup)
+        if inject is not None:
+            injected = inject(report, setup) or injected
 
         for cid in sorted(bundle.chains):
             dominance_checks += 1
@@ -176,29 +181,32 @@ def cmd_verify(args) -> int:
             for v in found[:5]:
                 print("seed %d %s: %r" % (seed, path, v), file=sys.stderr)
 
-    if args.inject_fault == "mc" and not injected and not violations:
-        # "0 violations" would read as an oracle that missed the fault.
-        print("error: --inject-fault mc corrupted nothing: no bundle had a downgraded access "
-              "(a higher --collision makes downgrades likelier)", file=sys.stderr)
+    if inject is not None and not injected and not violations:
+        # "0 violations" would read as an oracle that missed the fault.  Only
+        # the mc injector can find nothing to corrupt.
+        print("error: --inject-fault %s corrupted nothing: no bundle had a downgraded access "
+              "(a higher --collision makes downgrades likelier)" % args.inject_fault, file=sys.stderr)
         return EXIT_INVALID
     print("%d violations / %d bundles (%d dominance checks)" % (violations, bundles, dominance_checks))
     return EXIT_UNSAFE if violations else EXIT_OK
 
 
+# The generate_workload parameters that generate and verify share, as (name, type, choices).
+_GENERATOR_FLAGS = (("cores", int, None), ("tasks_per_chain", int, TASKS_PER_CHAIN), ("blocks_per_task", int, None),
+                    ("utilization", float, None), ("collision", float, None), ("trigger", None, TRIGGERS))
+# generate_workload's own defaults, which its flags take.
+_GENERATOR_DEFAULTS = {name: p.default for name, p in inspect.signature(generate_workload).parameters.items()}
+
+
 def _add_generator_options(parser):
     """The generator options that generate and verify share."""
-    parser.add_argument("--cores", type=int, default=2)
-    parser.add_argument("--tasks-per-chain", type=int, default=2, choices=(1, 2, 4))
-    parser.add_argument("--blocks-per-task", type=int, default=8)
-    parser.add_argument("--utilization", type=float, default=0.9)
-    parser.add_argument("--collision", type=float, default=0.5)
-    parser.add_argument("--trigger", choices=("ET", "TT", "mix"), default="mix")
+    for name, type_, choices in _GENERATOR_FLAGS:
+        parser.add_argument("--" + name.replace("_", "-"), type=type_, choices=choices, default=_GENERATOR_DEFAULTS[name])
 
 
 def _generator_options(args) -> dict:
     """The values of the flags _add_generator_options declares."""
-    return {name: getattr(args, name) for name in
-            ("cores", "tasks_per_chain", "blocks_per_task", "utilization", "collision", "trigger")}
+    return {name: getattr(args, name) for name, _, _ in _GENERATOR_FLAGS}
 
 
 def _add_analysis_options(parser):
@@ -224,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="emit a synthetic workload")
     g.add_argument("--seed", type=int, default=1)
     _add_generator_options(g)
-    g.add_argument("--loop-depth", type=int, default=2)
+    g.add_argument("--loop-depth", type=int, default=_GENERATOR_DEFAULTS["loop_depth"])
     g.add_argument("--output", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_options(v)
     v.add_argument("--sim-policy", choices=("random", "worst", "both"), default="both")
     v.add_argument("--paths-per-job", type=_positive_int, default=10)
-    v.add_argument("--inject-fault", choices=("none", "mc", "context"), default="none")
+    v.add_argument("--inject-fault", choices=("none", *FAULTS), default="none")
     _add_analysis_options(v)
     v.set_defaults(func=cmd_verify)
     return p

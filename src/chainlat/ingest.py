@@ -432,6 +432,9 @@ def default_system(cores: int = 2) -> SystemSpec:
 
 # Chance that a generated diamond's two arms are declared mutually exclusive.
 EXCLUSIVE_PROB = 0.3
+# The allowed values of generate_workload's tasks_per_chain and trigger.
+TASKS_PER_CHAIN = (1, 2, 4)
+TRIGGERS = ("ET", "TT", "mix")
 
 
 class _TaskBuilder:
@@ -549,8 +552,8 @@ class _TaskBuilder:
 def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_depth=2,
                       utilization=0.9, collision=0.5, trigger="mix") -> WorkloadBundle:
     """Deterministic random bundle: one chain per core, periods sized to target."""
-    if tasks_per_chain not in (1, 2, 4):
-        raise ValidationError("tasks_per_chain must be one of 1, 2, 4")
+    if tasks_per_chain not in TASKS_PER_CHAIN:
+        raise ValidationError("tasks_per_chain must be one of %s" % ", ".join(map(str, TASKS_PER_CHAIN)))
     if not (1 <= cores <= 16):
         raise ValidationError("cores must be in [1, 16]")
     if not (2 <= blocks_per_task <= 64):
@@ -561,8 +564,8 @@ def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_
         raise ValidationError("utilization must be in [0.05, 0.98]")
     if not (0.0 <= collision <= 1.0):
         raise ValidationError("collision must be in [0, 1]")
-    if trigger not in ("ET", "TT", "mix"):
-        raise ValidationError("trigger must be ET, TT or mix")
+    if trigger not in TRIGGERS:
+        raise ValidationError("trigger must be %s or %s" % (", ".join(TRIGGERS[:-1]), TRIGGERS[-1]))
 
     rng = random.Random(seed)
     system = default_system(cores)
@@ -580,11 +583,7 @@ def generate_workload(seed, cores=2, tasks_per_chain=2, blocks_per_task=8, loop_
         trig = rng.choice(("ET", "TT")) if trigger == "mix" else trigger
         cips = [_cip_wcet(tasks[t], system) for t in chain_tasks]
         total = sum(cips)
-        period = None
-        for p in system.period_table:
-            if p * utilization >= total:
-                period = p
-                break
+        period = next((p for p in system.period_table if p * utilization >= total), None)
         if period is None:
             raise ValidationError("generated chain on core %d is unschedulable" % core)
 

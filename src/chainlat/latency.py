@@ -137,11 +137,8 @@ class TaskAnalysis:
     @cached_property
     def hit_weights(self) -> tuple:
         """(access id, loop-bound weight) per visible access, in access order."""
-        task = self.ctx.task
-        return tuple(
-            (c.access_id, math.prod(task.loops[lid].max_bound for lid in task.ancestry[c.block_id]))
-            for c in self.classification.visible()
-        )
+        visits = self.ctx.task.max_visits
+        return tuple((c.access_id, visits[c.block_id]) for c in self.classification.visible())
 
 
 class LifetimeIndex:
@@ -238,6 +235,7 @@ class ChainModeResult:
     mode: str
     mel: int
     instance_latencies: tuple
+    instance_wcets: tuple  # per instance k, the WCET of each task i
     rmel: Optional[float] = None
     predicted_hit_ratio: Optional[float] = None
     simulated_hit_ratio: Optional[float] = None
@@ -531,12 +529,13 @@ def analyze_bundle(bundle: WorkloadBundle, options: AnalysisOptions = None,
 
     keys = sorted(setup.jobs)
     instances = {}
-    if options.jobs > 1 and len(keys) > 1:
+    workers = min(options.jobs, len(keys))  # a pool starts all its workers, so never more than chunks
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [keys[i::options.jobs] for i in range(options.jobs)]
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            for part in pool.map(_analyze_kernel, [(setup, options, c, modes) for c in chunks if c]):
+        chunks = [keys[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_analyze_kernel, [(setup, options, c, modes) for c in chunks]):
                 instances.update(part)
     else:
         instances.update(_analyze_kernel((setup, options, keys, modes)))
@@ -545,22 +544,12 @@ def analyze_bundle(bundle: WorkloadBundle, options: AnalysisOptions = None,
     for cid in sorted(setup.chains):
         chain = setup.chains[cid]
         n, width = setup.hyper // chain.period, len(chain.tasks)
-        chain_keys = [(cid, k, i) for k in range(n) for i in range(width)]  # instance order
         for mode in modes:
-            per_instance = {key: instances[(mode, *key)] for key in chain_keys}
-            flat = [res.wcet for res in per_instance.values()]
-            wcets = tuple(tuple(flat[k * width:(k + 1) * width]) for k in range(n))
-            if chain.trigger == "ET":
-                mel, lat = mel_et(wcets)
-            else:
-                mel, lat = mel_tt(wcets, chain.offsets)
+            per_instance = {(cid, k, i): instances[mode, cid, k, i] for k in range(n) for i in range(width)}
+            wcets = tuple(tuple(per_instance[cid, k, i].wcet for i in range(width)) for k in range(n))
+            mel, lat = mel_et(wcets) if chain.trigger == "ET" else mel_tt(wcets, chain.offsets)
             chain_results[(cid, mode)] = ChainModeResult(
-                chain_id=cid,
-                mode=mode,
-                mel=mel,
-                instance_latencies=lat,
-                predicted_hit_ratio=predicted_hit_ratio(setup, cid, per_instance),
-            )
+                cid, mode, mel, lat, wcets, predicted_hit_ratio=predicted_hit_ratio(setup, cid, per_instance))
         if "NCT" in modes:
             base = chain_results[(cid, "NCT")].mel
             for mode in modes:
@@ -588,10 +577,7 @@ def report_to_doc(report: AnalysisReport, bundle: WorkloadBundle) -> dict:
                 "predicted_hit_ratio": r.predicted_hit_ratio,
                 "simulated_hit_ratio": r.simulated_hit_ratio,
                 "instance_latencies": list(r.instance_latencies),
-                "instance_wcets": [
-                    [report.instances[(mode, cid, k, i)].wcet for i in range(len(chain.tasks))]
-                    for k in range(report.setup.hyper // chain.period)
-                ],
+                "instance_wcets": [list(ws) for ws in r.instance_wcets],
             }
         chains.append(
             {

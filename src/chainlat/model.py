@@ -7,6 +7,7 @@ after construction and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -204,6 +205,11 @@ class TaskGraph:
             for bid in self.loops[lid].body_blocks:
                 chains[bid].append(lid)
         return {bid: tuple(chain) for bid, chain in chains.items()}
+
+    @_derived
+    def max_visits(self) -> dict:
+        """Block id -> the most times one job runs it, each loop around it at its upper bound."""
+        return {bid: math.prod(self.loops[lid].max_bound for lid in nest) for bid, nest in self.ancestry.items()}
 
 
 @dataclass(frozen=True)
@@ -431,10 +437,10 @@ def _validated(task: TaskGraph) -> TaskGraph:
             if src in body and dst not in body and src != loop.tail_block:
                 raise ValidationError("loop %s: exit from %s (only tail exits supported)" % (lid, src))
 
-    for pair in task.exclusive_pairs:
+    for pair in sorted(map(sorted, task.exclusive_pairs)):  # in sorted order, whatever the string hashing
         if len(pair) != 2:
-            raise ValidationError("exclusive pair with identical blocks %s" % min(pair))
-        a, b = sorted(pair)
+            raise ValidationError("exclusive pair with identical blocks %s" % pair[0])
+        a, b = pair
         if a not in ids or b not in ids:
             raise ValidationError("exclusive pair (%s,%s) references unknown block" % (a, b))
         if not (set(fpred[a]) & set(fpred[b])):

@@ -52,7 +52,6 @@ from __future__ import annotations
 import csv
 import functools
 import heapq
-import math
 import random
 import sys
 from array import array
@@ -283,17 +282,15 @@ def _check_walk_size(setup):
     """Refuse a bundle whose hyperperiod's largest walk exceeds MAX_TRACE_ROWS trace rows.
 
     A job's largest walk holds each block (one row, and one per access)
-    once per iteration of every loop around it, each loop at its upper
-    bound.  The message names the task with the largest share, its loop
-    with the largest bound, and the counts.
+    its TaskGraph.max_visits times.  The message names the task with the
+    largest share, its loop with the largest bound, and the counts.
     """
     tasks = setup.bundle.tasks
     jobs = Counter(job.task_id for job in setup.jobs.values())
     per_job = {}
     for tid in jobs:
-        loops, ancestry = tasks[tid].loops, tasks[tid].ancestry
-        passes = {nest: math.prod(loops[lid].max_bound for lid in nest) for nest in set(ancestry.values())}
-        per_job[tid] = sum(passes[ancestry[bid]] * (1 + len(b.accesses)) for bid, b in tasks[tid].blocks.items())
+        visits = tasks[tid].max_visits
+        per_job[tid] = sum(visits[bid] * (1 + len(b.accesses)) for bid, b in tasks[tid].blocks.items())
     total = sum(jobs[tid] * per_job[tid] for tid in jobs)
     if total > MAX_TRACE_ROWS:
         tid = max(sorted(jobs), key=lambda t: jobs[t] * per_job[t])
@@ -387,6 +384,9 @@ def _worst_walk(walk, l1_sets, l1_ways) -> tuple:
 def _core_walker(core, setup, cid, config, decider, trace, walks):
     """Generator running one core's chain; yields (cycle, shared line) at shared-cache lookups.
 
+    A TT job or an instance's first job starts no earlier than its release
+    in setup.jobs; a later ET job starts when its predecessor completes.
+
     Under the worst-biased policy every job replays its task's worst walk,
     built before the task's first job runs.  A tape walk takes its choices
     from `decider`.  A random walk draws each choice from its job's word
@@ -414,17 +414,15 @@ def _core_walker(core, setup, cid, config, decider, trace, walks):
         for tid in chain.tasks:
             if walks[tid].worst is None:
                 walks[tid].worst = _worst_walk(walks[tid], l1_sets, l1_ways)
+    jobs = setup.jobs
     clock = 0
-    n_instances = setup.hyper // chain.period
 
-    for k in range(n_instances):
+    for k in range(setup.hyper // chain.period):
         for i, tid in enumerate(chain.tasks):
             walk = walks[tid]
             records = walk.blocks
-            if chain.trigger == "TT":
-                release = k * chain.period + chain.offsets[i]
-            elif i == 0:
-                release = k * chain.period
+            if chain.trigger == "TT" or i == 0:
+                release = jobs[cid, k, i].release.lo  # a window of one instant
             else:
                 release = clock  # ET: triggered by predecessor completion
             if clock > release:

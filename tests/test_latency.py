@@ -232,6 +232,36 @@ def test_parallel_matches_serial():
     assert report_to_json(r1, bundle) == report_to_json(r2, bundle)
 
 
+def test_parallel_workers_never_outnumber_the_instances(monkeypatch):
+    # A process pool may start all its workers at the first submit, so the
+    # analysis asks for at most one per job instance.  The fake pool records
+    # the request and maps in-process: no process starts.
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    bundle = generate_workload(seed=9, cores=2, tasks_per_chain=2)
+    serial = analyze_bundle(bundle, AnalysisOptions(jobs=1))
+    n = len(serial.setup.jobs)
+    for jobs in (2, n, 64):
+        assert _report_bytes(analyze_bundle(bundle, AnalysisOptions(jobs=jobs)), bundle) == _report_bytes(serial, bundle)
+    assert asked == [2, n, n] and n < 64
+
+
 def _report_bytes(report, bundle):
     tsc = {k: (r.mc, r.debug, r.refined) for k, r in sorted(report.instances.items())}
     return report_to_json(report, bundle) + repr(report_to_csv_rows(report)) + repr(tsc)
@@ -366,3 +396,25 @@ def test_analysis_options_accept_every_cli_choice():
     args = parser.parse_args(["analyze", "--system", "s", "--tasks", "t", "--chains", "c", "--output", "o"])
     assert _analysis_options(args, _mode_tuple(args.mode)) == AnalysisOptions()
     assert _analysis_options(parser.parse_args(["verify"]), MODES) == AnalysisOptions()
+
+
+def test_generator_and_fault_flags_read_their_homes():
+    import inspect
+
+    from chainlat import ingest
+    from chainlat.cli import FAULTS, _generator_options, build_parser
+
+    for command in ("generate", "verify"):
+        choices = _cli_choices(command)
+        assert choices["tasks_per_chain"] == ingest.TASKS_PER_CHAIN
+        assert choices["trigger"] == ingest.TRIGGERS
+    assert _cli_choices("verify")["inject_fault"] == ("none", *FAULTS)
+
+    # Unset flags select generate_workload's own defaults.
+    defaults = {name: p.default for name, p in inspect.signature(generate_workload).parameters.items()
+                if p.default is not p.empty}
+    parser = build_parser()
+    generate = parser.parse_args(["generate", "--output", "o"])
+    assert dict(_generator_options(generate), loop_depth=generate.loop_depth) == defaults
+    verify = _generator_options(parser.parse_args(["verify"]))
+    assert dict(verify, loop_depth=defaults["loop_depth"]) == defaults

@@ -6,6 +6,11 @@ through `ingest.parse_task`, and asserts the whole text: the file, the task
 id and the message.  Rows with two defects pin which check runs first.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +131,23 @@ def test_each_message_names_the_file_and_the_task(doc, message):
         parse_task(doc, WHERE)
     assert str(info.value) == "%s: t: %s" % (WHERE, message)
     assert info.value.location == WHERE
+
+
+def test_several_bad_pairs_name_the_first_in_sorted_order(tmp_path):
+    # A task's pairs are a frozenset, whose order follows string hashing; the
+    # first bad pair in sorted order is named under every hash seed.
+    doc = _doc("epqrsx", zip("epqrs", "pqrsx"), pairs=[("p", "zz"), ("r", "yy"), ("x", "e"), ("s", "q")])
+    script = ("import json, sys\nfrom chainlat.ingest import parse_task\n"
+              "try:\n    parse_task(json.loads(sys.argv[1]), %r)\nexcept Exception as exc:\n    print(exc)" % WHERE)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    seen = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(doc)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        seen.add(done.stdout)
+    assert seen == {"%s: t: exclusive pair (e,x): blocks must be alternative arms of one branch\n" % WHERE}
 
 
 @pytest.mark.parametrize("field,message", [

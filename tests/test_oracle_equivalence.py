@@ -30,7 +30,7 @@ def _compare(seed, tasks_per_chain, collision, trigger, fault):
     if fault == "mc":
         _inject_mc_fault(report, setup)
     elif fault == "context":
-        _inject_context_fault(setup)
+        _inject_context_fault(report, setup)
     flagged = 0
     for config in CONFIGS:
         trace = simulate(bundle, config, setup=setup)
