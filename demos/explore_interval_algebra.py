@@ -3,14 +3,16 @@
 
 Every time quantity in the analysis is a sequence of closed integer-cycle
 intervals.  This script shows the three primitive operations (pairwise sum,
-normalization, the linear overlap sweep) and then the three-phase overlap
-judgment on a small looped program.
+normalization, the linear overlap sweep) and then the three overlap
+phases on a small looped program: the lifetime index for jobs, then the
+loop envelope and the block windows.
 """
 
 from chainlat import Interval
 from chainlat.cache_ai import classify_task
 from chainlat.context import JobContext, TaskContext
 from chainlat.cost import contract_task
+from chainlat.latency import LifetimeIndex
 from chainlat.model import BasicBlock, JobInstance, LoopNode, TaskGraph, validate_task_graph
 from chainlat.overlap import hierarchical_overlap, normalize, seq, seq_merge, seq_overlap
 
@@ -40,7 +42,7 @@ print("A overlaps C?", seq_overlap(a, c), " (they meet exactly at 5)")
 print()
 
 print("=" * 72)
-print("3. Three-phase judgment on a looped program")
+print("3. Three overlap phases on a looped program")
 print("=" * 72)
 
 
@@ -92,11 +94,16 @@ pcon = contract_task(peer, classify_task(peer, system), system)
 pctx = TaskContext(pcon)
 
 print()
-print("loop envelope of the tail block:", jctx.block_view("t").window_levels[-1])
+print("job lifetime:", job.lifetime, " loop envelope of the tail block:", jctx.block_view("t")[-1])
 for peer_release in (200, 50, 20):
     pjob = JobInstance("c1", 0, "peer", 0, Interval(peer_release, peer_release),
                        Interval(peer_release, peer_release + pcon.wcet))
-    pjctx = JobContext(pjob, pctx)
-    verdict = hierarchical_overlap(jctx.block_view("t"), pjctx.block_view("peer_b1"))
+    # The job phase runs once per foreign job, before any block is tested:
+    # the peer chain's lifetime index (hyperperiod 1000) drops a peer whose
+    # lifetime misses the job's.
+    if not LifetimeIndex({("c1", 0, 0): pjob.lifetime}, 1000).overlapping(job.lifetime):
+        print("peer released at %3d -> overlap False (rejected by the lifetime index)" % peer_release)
+        continue
+    verdict = hierarchical_overlap(jctx.block_view("t"), JobContext(pjob, pctx).block_view("peer_b1"))
     print("peer released at %3d -> overlap %-5s (decided at the %s phase)" % (
         peer_release, verdict.result, verdict.decided_at))

@@ -29,11 +29,13 @@ bbrp[block], for every reader: the analysis's block views, the
 simulator's oracle and the contexts.csv dump.  A one-interval window, the
 common case, is shifted without normalizing.
 
-A block's view for the overlap phases is a ladder of absolute windows:
-its own, then that of each enclosing loop's virtual node, innermost
-first.  The coarsest rung of a block inside a loop is the one-interval
-envelope of its outermost loop, [earliest start, latest end], which the
-middle overlap phase compares.
+A block's view for the overlap phases is a plain tuple, the ladder of its
+absolute windows: its own, then that of each enclosing loop's virtual
+node, innermost first.  The coarsest rung of a block inside a loop is the
+one-interval envelope of its outermost loop, [earliest start, latest
+end], which the loop-envelope phase compares.  No view carries its job's
+lifetime: the job phase is the lifetime index, applied once per foreign
+job (latency.LifetimeIndex), and every rung lies inside that lifetime.
 
 Upper bounds account for one-time persistence misses: the first iteration
 carries the surcharges reachable up to the node, later iterations carry
@@ -43,7 +45,6 @@ the level's full surcharge, since an early miss delays everything after it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 from .cache_ai import AH, PS
 from .cost import ContractedTask, virtual_id
@@ -65,26 +66,6 @@ def compute_prs_time(chain: ChainSpec, task_index: int, period_index: int,
     lo = base + sum(bcets[:task_index])
     hi = base + sum(cip_wcets[:task_index])
     return Interval(lo, hi)
-
-
-@dataclass
-class BlockView:
-    """One block occurrence context as seen by the overlap phases.
-
-    window_levels runs from the block's own absolute window out to that of
-    its outermost loop's virtual node, so a block inside a loop has more
-    than one level and its coarsest is the one-interval loop envelope; a
-    top-level block has one level.
-    """
-
-    job_lifetime: tuple  # (lo, hi)
-    window_levels: tuple  # normalized absolute sequences, finest first
-
-    def window_within(self, threshold: int) -> tuple:
-        for w in self.window_levels:
-            if len(w) <= threshold:
-                return w
-        return self.window_levels[-1]
 
 
 def _iterations(task_id: str, s, node: str, own: int) -> list:
@@ -178,13 +159,14 @@ class JobContext:
         self.task_ctx = task_ctx
         self._views = {}
 
-    def block_view(self, block_id: str) -> BlockView:
+    def block_view(self, block_id: str) -> tuple:
+        """The block's absolute window ladder, finest first."""
         if block_id not in self._views:
             ctx, release = self.task_ctx, self.job.release
             levels = [ctx.bba_time(block_id, release)]
             for lid in ctx.task.ancestry[block_id]:
                 levels.append(ctx.bba_time(virtual_id(lid), release))
-            self._views[block_id] = BlockView(self.job.lifetime, tuple(levels))
+            self._views[block_id] = tuple(levels)
         return self._views[block_id]
 
 

@@ -57,8 +57,6 @@ def mwis_bound(graph: ExclusionGraph, exact_cap: int = MWIS_EXACT_CAP) -> int:
     if not graph.edges:
         return sum(graph.weights.values())
     verts = sorted(graph.weights)
-    if not verts:
-        return 0
     if len(verts) > exact_cap:
         return sum(graph.weights.values())
     index = {v: i for i, v in enumerate(verts)}
@@ -125,7 +123,7 @@ def set_weights(classification) -> dict:
 
 
 def collect_overlap_set(target, foreign_job_ctx, blocks):
-    """Foreign blocks whose windows can overlap the target's BlockView."""
+    """Foreign blocks whose windows can overlap the target's block view."""
     return [
         bid for bid in blocks
         if hierarchical_overlap(target, foreign_job_ctx.block_view(bid)).result
@@ -143,8 +141,6 @@ def job_contribution(set_table, task_graph, overlapping_blocks):
     A task without exclusive pairs gives an edgeless graph, which mwis_bound
     sums exactly.
     """
-    if not overlapping_blocks:
-        return 0, 0
     job_weight, block_weights = set_table
     weights = {bid: block_weights[bid] for bid in overlapping_blocks}
     raw = sum(weights.values())
@@ -160,8 +156,6 @@ def interference_bound(per_job, trigger: str, et_rule: str = ET_RULE_SUM) -> int
     paper-faithful "max" rule, event-triggered jobs whose release windows
     mutually overlap contribute only their maximum.
     """
-    if not per_job:
-        return 0
     if trigger == "ET" and et_rule == ET_RULE_MAX:
         groups = []
         for (lo, hi), contrib in sorted(per_job, key=lambda t: t[0]):

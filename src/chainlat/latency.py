@@ -12,9 +12,10 @@ Refined bounds are capped by the next-coarser mode's bound, so the
 dominance TSC <= TLT <= NCT holds per instance by construction (all three
 are sound upper bounds on the same quantity, so the minimum is sound).
 
-Only foreign jobs whose lifetime overlaps the target job's can interfere,
-so a lifetime index per chain precedes the paper's cheap-to-precise overlap
-hierarchy: it holds the chain's job lifetimes sorted by start, and per
+Only foreign jobs whose lifetime overlaps the target job's can interfere.
+The job phase of the paper's cheap-to-precise overlap hierarchy is a
+lifetime index per chain, applied once per foreign job rather than per
+block pair: it holds the chain's job lifetimes sorted by start, and per
 hyperperiod shift d in (-h, 0, +h) a bisection on
 [target.lo - d - longest lifetime, target.hi - d] followed by an exact
 overlap test yields the overlapping (job, shift) pairs; a shift whose
@@ -47,7 +48,7 @@ from typing import Optional
 
 from . import ingest
 from .cache_ai import AH, PS, all_miss, classify_task, refine_chmc
-from .context import BlockView, JobContext, TaskContext, compute_prs_time
+from .context import JobContext, TaskContext, compute_prs_time
 from .cost import ContractionPlan, contract_task
 from .interference import (
     COUNT_DISTINCT,
@@ -383,7 +384,6 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
             foreign.append((fchain.trigger, by_set))
 
     rlo, rhi = job.release
-    life_lo, life_hi = job.lifetime
     mc, debug = {}, {}
     for cls in ta.targets:
         lo, hi = line_window[cls.access_id]
@@ -400,8 +400,7 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
             for table, graph, fctx, shift, release in fjobs:
                 view = views.get(shift)
                 if view is None:
-                    view = views[shift] = BlockView((life_lo - shift, life_hi - shift),
-                                                    (((lo - shift, hi - shift),),))
+                    view = views[shift] = (((lo - shift, hi - shift),),)
                 blocks = collect_overlap_set(view, fctx, table[1])
                 if not blocks:
                     continue

@@ -6,10 +6,12 @@ absolute windows are normalized where they are built, by
 context.TaskContext.bba_time; the overlap tests never normalize.  Overlap is inclusive: touching endpoints
 overlap, so verdicts are invariant under translating both operands.
 
-hierarchical_overlap sits in the TSC inner loop, so it allocates nothing:
-it returns one of the six shared, frozen verdicts in VERDICTS, reads the
-hulls of the coarsest window levels inline, and compares two
-single-interval windows directly instead of sweeping them with seq_overlap.
+hierarchical_overlap holds the loop-envelope and block phases; the job
+phase is latency.LifetimeIndex, applied once per foreign job.  It sits in
+the TSC inner loop, so it allocates nothing: it returns one of the four
+shared, frozen verdicts in VERDICTS, reads the hulls of the coarsest
+window levels inline, and compares two single-interval windows directly
+instead of sweeping them with seq_overlap.
 """
 
 from __future__ import annotations
@@ -70,50 +72,51 @@ def seq_overlap(a: tuple, b: tuple) -> bool:
 @dataclass(frozen=True)
 class OverlapVerdict:
     result: bool
-    decided_at: str  # "job" | "outer-loop" | "block"
+    decided_at: str  # "outer-loop" | "block"
 
     def __bool__(self):
         return self.result
 
 
-# The six possible verdicts, shared by every test: (result, decided_at) -> verdict.
-VERDICTS = {(r, d): OverlapVerdict(r, d) for d in ("job", "outer-loop", "block") for r in (False, True)}
-_JOB_MISS = VERDICTS[False, "job"]
+# The four possible verdicts, shared by every test: (result, decided_at) -> verdict.
+VERDICTS = {(r, d): OverlapVerdict(r, d) for d in ("outer-loop", "block") for r in (False, True)}
 _LOOP_MISS = VERDICTS[False, "outer-loop"]
 _BLOCK_MISS = VERDICTS[False, "block"]
 _BLOCK_HIT = VERDICTS[True, "block"]
 
 
-def hierarchical_overlap(a, b, threshold: int = PHASE3_THRESHOLD) -> OverlapVerdict:
-    """Three-phase overlap judgment between two block occurrences.
+def window_within(levels: tuple, threshold: int) -> tuple:
+    """The finest window level of at most `threshold` intervals, else the coarsest."""
+    for w in levels:
+        if len(w) <= threshold:
+            return w
+    return levels[-1]
 
-    ``a`` and ``b`` are BlockView descriptors (see chainlat.context): each
-    carries the job lifetime and normalized absolute window sequences,
-    finest first, whose coarsest level is the outermost-loop envelope when
-    the block sits inside a loop.  Phases reject from cheap to precise; a
-    rejection at any phase is final because every phase tests a superset
-    of the next.  The middle phase runs when either view has more than one
-    level and compares the hulls of both coarsest levels.  The block phase
-    compares the finest windows unless one is longer than ``threshold``,
-    then that side's window_within; two single-interval windows are
-    compared directly, others by seq_overlap.
+
+def hierarchical_overlap(a: tuple, b: tuple, threshold: int = PHASE3_THRESHOLD) -> OverlapVerdict:
+    """Loop-envelope then block-window overlap of two block occurrences.
+
+    ``a`` and ``b`` are block views (see chainlat.context): normalized
+    absolute window sequences, finest first, whose coarsest level is the
+    outermost-loop envelope when the block sits inside a loop.  The job
+    phase already ran, once per foreign job, in latency.LifetimeIndex.  A
+    rejection is final because the envelope covers the block windows.
+    The envelope phase runs when either view has more than one level and
+    compares the hulls of both coarsest levels.  The block phase compares
+    the finest windows unless one is longer than ``threshold``, then that
+    side's window_within; two single-interval windows are compared
+    directly, others by seq_overlap.
     """
-    alo, ahi = a.job_lifetime
-    blo, bhi = b.job_lifetime
-    if alo > bhi or blo > ahi:
-        return _JOB_MISS
-
-    la, lb = a.window_levels, b.window_levels
-    if len(la) > 1 or len(lb) > 1:
-        ca, cb = la[-1], lb[-1]
+    if len(a) > 1 or len(b) > 1:
+        ca, cb = a[-1], b[-1]
         if ca[0][0] > cb[-1][1] or cb[0][0] > ca[-1][1]:
             return _LOOP_MISS
 
-    wa, wb = la[0], lb[0]
+    wa, wb = a[0], b[0]
     if len(wa) > threshold:
-        wa = a.window_within(threshold)
+        wa = window_within(a, threshold)
     if len(wb) > threshold:
-        wb = b.window_within(threshold)
+        wb = window_within(b, threshold)
     if len(wa) == 1 and len(wb) == 1:
         (alo, ahi), = wa
         (blo, bhi), = wb

@@ -92,6 +92,8 @@ class SimConfig:
                              % (self.policy, ", ".join(POLICIES)))
         if self.policy == "tape" and self.tape is None:
             raise ValueError("simulation policy 'tape' needs a tape")
+        if self.policy != "tape" and self.tape is not None:
+            raise ValueError("simulation policy %r takes no tape" % self.policy)
 
 
 @dataclass
@@ -563,14 +565,13 @@ def _run(setup, config, decider) -> SimTrace:
 def simulate(bundle, config: SimConfig, setup=None) -> SimTrace:
     """One concrete run of the whole bundle over its hyperperiod.
 
-    A config with a tape is a tape walk, whatever its policy.  The walk
-    tables are built on the Setup's first simulation and reused, so a
-    Setup shared across paths pays for them once.  A bundle whose largest
-    walk exceeds MAX_TRACE_ROWS trace rows raises ValidationError before
-    any walk.
+    The policy alone decides the walk.  The walk tables are built on the
+    Setup's first simulation and reused, so a Setup shared across paths
+    pays for them once.  A bundle whose largest walk exceeds
+    MAX_TRACE_ROWS trace rows raises ValidationError before any walk.
     """
     setup = setup or prepare(bundle)
-    return _run(setup, config, _Decider(config.tape) if config.tape is not None else None)
+    return _run(setup, config, _Decider(config.tape) if config.policy == "tape" else None)
 
 
 def simulate_exhaustive(bundle, setup=None):

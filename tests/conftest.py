@@ -17,7 +17,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
-from chainlat.context import BlockView
 from chainlat.model import (
     BasicBlock,
     CacheLevelConfig,
@@ -143,22 +142,16 @@ def boundary_bundle():
 
 
 def shift_view(view, delta):
-    """A BlockView with every interval moved by delta."""
-    def moved(pair):
-        return pair[0] + delta, pair[1] + delta
-
-    return BlockView(
-        moved(view.job_lifetime),
-        tuple(tuple(moved(iv) for iv in level) for level in view.window_levels),
-    )
+    """A block view (window ladder) with every interval moved by delta."""
+    return tuple(tuple((lo + delta, hi + delta) for lo, hi in level) for level in view)
 
 
 def target_view(setup, key, access_id):
-    """The one-interval BlockView of a job's access: its reuse window
+    """The one-interval block view of a job's access: its reuse window
     (line_window) widened by the job's release window."""
     job = setup.jobs[key]
     (rlo, rhi), (lo, hi) = job.release, setup.tasks[job.task_id].ctx.line_window[access_id]
-    return BlockView(job.lifetime, (((lo + rlo, hi + rhi),),))
+    return (((lo + rlo, hi + rhi),),)
 
 
 @pytest.fixture

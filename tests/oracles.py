@@ -47,31 +47,31 @@ def brute_force_overlap(a, b):
 
 
 def reference_hierarchical_overlap(a, b, threshold):
-    """The three-phase overlap judgment as (result, decided_at), phase by phase.
+    """The two-phase overlap judgment as (result, decided_at), phase by phase.
 
     Written straight from the phase definitions, apart from the shared
-    verdicts and the single-interval comparison of the library: the middle
-    phase runs when either view has more than one level and compares the
-    spans of both coarsest levels (min lo, max hi over every interval), the
-    window_within level choice on both sides, and the block phase by
-    all-pairs comparison of closed intervals.
+    verdicts and the single-interval comparison of the library: the
+    envelope phase runs when either view (a window ladder, finest first)
+    has more than one level and compares the spans of both coarsest levels
+    (min lo, max hi over every interval), then the block phase compares,
+    all pairs of closed intervals, each side's finest level of at most
+    `threshold` intervals, or its coarsest when none is that short.  The
+    job phase belongs to the lifetime index, not to this judgment.
     """
     def span(view):
-        w = view.window_levels[-1]
+        w = view[-1]
         return min(lo for lo, _ in w), max(hi for _, hi in w)
 
     def within(view):
-        for w in view.window_levels:
+        for w in view:
             if len(w) <= threshold:
                 return w
-        return view.window_levels[-1]
+        return view[-1]
 
     def meets(x, y):
         return max(x[0], y[0]) <= min(x[1], y[1])
 
-    if not meets(a.job_lifetime, b.job_lifetime):
-        return False, "job"
-    if len(a.window_levels) > 1 or len(b.window_levels) > 1:
+    if len(a) > 1 or len(b) > 1:
         if not meets(span(a), span(b)):
             return False, "outer-loop"
     return any(meets(x, y) for x in within(a) for y in within(b)), "block"
@@ -811,13 +811,12 @@ def _ref_refine(setup, task_id, mc):
 
 
 def _ref_tsc_mc(setup, key, line_window, options, contexts):
-    from chainlat.context import BlockView, JobContext
+    from chainlat.context import JobContext
     from chainlat.interference import collect_overlap_set, interference_bound, job_contribution
 
     job = setup.jobs[key]
     overlaps = _ref_foreign_pairs(setup, key)
     rlo, rhi = job.release
-    life_lo, life_hi = job.lifetime
     mc, debug = {}, {}
     for cls in _ref_targets(setup, job.task_id):
         lo, hi = line_window[cls.access_id]
@@ -832,7 +831,7 @@ def _ref_tsc_mc(setup, key, line_window, options, contexts):
                     continue
                 if fkey not in contexts:
                     contexts[fkey] = JobContext(fj, setup.tasks[fj.task_id].ctx)
-                view = BlockView((life_lo - shift, life_hi - shift), (((lo - shift, hi - shift),),))
+                view = (((lo - shift, hi - shift),),)
                 blocks = collect_overlap_set(view, contexts[fkey], table[1])
                 raw, contrib = job_contribution(table, setup.bundle.tasks[fj.task_id], blocks)
                 raw_total += raw

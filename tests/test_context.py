@@ -174,9 +174,9 @@ def test_outermost_virtual_window_is_the_loop_envelope(system, diamond):
     assert ctx.bbrp[v] == (Interval(program.bbsc[v], program.bblc[v] + con.node_worst[v]),)
     job = JobInstance("c", 0, diamond.id, 0, Interval(5, 9), Interval(5, 9 + con.wcet))
     jctx = JobContext(job, ctx)
-    assert jctx.block_view("dl_t").window_levels[-1] == ((15, 61),)
-    assert len(jctx.block_view("dl_t").window_levels) == 2
-    assert len(jctx.block_view("dl_b0").window_levels) == 1
+    assert jctx.block_view("dl_t")[-1] == ((15, 61),)
+    assert len(jctx.block_view("dl_t")) == 2
+    assert len(jctx.block_view("dl_b0")) == 1
 
 
 def test_coverage_against_exhaustive_enumeration(system, diamond):

@@ -1,4 +1,5 @@
-"""Three-phase overlap judgment on worked context material."""
+"""Overlap hierarchy on worked context material: the lifetime index decides
+the job phase, hierarchical_overlap the loop-envelope and block phases."""
 
 import dataclasses
 
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlat.cache_ai import classify_task
-from chainlat.context import BlockView, JobContext, TaskContext
+from chainlat.context import JobContext, TaskContext
 from chainlat.cost import contract_task
+from chainlat.latency import LifetimeIndex
 from chainlat.model import Interval, JobInstance
-from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, normalize
+from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, hull, normalize, window_within
 
 from conftest import diamond_loop_task, make_system, shift_view, straight_task
 from oracles import reference_hierarchical_overlap
@@ -24,13 +26,18 @@ def _job_ctx(task, system, release, jid="c"):
     return JobContext(job, ctx), con
 
 
-def test_phase1_disjoint_jobs(system):
-    a_task = straight_task("pa", [100])
-    b_task = straight_task("pb", [100])
-    a, _ = _job_ctx(a_task, system, 0)
-    b, _ = _job_ctx(b_task, system, 200)
+def test_lifetime_index_rejects_disjoint_jobs(system):
+    # The job phase is the lifetime index: it never pairs jobs whose
+    # lifetimes are disjoint under any hyperperiod shift, and their block
+    # views, which lie inside those lifetimes, test as no overlap anyway.
+    a, _ = _job_ctx(straight_task("pa", [100]), system, 0, "ca")
+    b, _ = _job_ctx(straight_task("pb", [100]), system, 200, "cb")
+    assert a.job.lifetime.hi < b.job.lifetime.lo
+    for x, y in ((a, b), (b, a)):
+        index = LifetimeIndex({(y.job.chain_id, 0, 0): y.job.lifetime}, 1000)
+        assert index.overlapping(x.job.lifetime) == []
     v = hierarchical_overlap(a.block_view("pa_b0"), b.block_view("pb_b0"))
-    assert not v.result and v.decided_at == "job"
+    assert not v.result and v.decided_at == "block"
 
 
 def test_phase2_loop_envelope_rejects(system):
@@ -40,8 +47,8 @@ def test_phase2_loop_envelope_rejects(system):
     peer = straight_task("pr", [10, 30, 5])
     a, con = _job_ctx(diamond, system, 0)
     b, _ = _job_ctx(peer, system, 50)
-    assert a.block_view("dl_t").window_levels[-1] == (Interval(10, 52),)
-    assert b.block_view("pr_b1").window_levels[0] == (Interval(60, 90),)
+    assert a.block_view("dl_t")[-1] == (Interval(10, 52),)
+    assert b.block_view("pr_b1")[0] == (Interval(60, 90),)
     v = hierarchical_overlap(a.block_view("dl_t"), b.block_view("pr_b1"))
     assert not v.result and v.decided_at == "outer-loop"
 
@@ -53,7 +60,7 @@ def test_phase3_block_windows_meet(system):
     peer = straight_task("pr", [10, 30, 5])
     a, _ = _job_ctx(diamond, system, 100)
     b, _ = _job_ctx(peer, system, 150)
-    assert a.block_view("dl_b3").window_levels[0] == (Interval(143, 158),)
+    assert a.block_view("dl_b3")[0] == (Interval(143, 158),)
     v = hierarchical_overlap(a.block_view("dl_b3"), b.block_view("pr_b0"))
     assert v.result and v.decided_at == "block"
 
@@ -64,8 +71,8 @@ def test_phase3_threshold_falls_back_to_virtual_node(system):
     a, _ = _job_ctx(diamond, system, 0)
     b, _ = _job_ctx(peer, system, 0)
     view = a.block_view("dl_t")
-    fine = view.window_within(1024)
-    coarse = view.window_within(1)
+    fine = window_within(view, 1024)
+    coarse = window_within(view, 1)
     assert len(fine) == 3  # one interval per iteration
     assert len(coarse) == 1  # the contracted loop's whole window
     (coarse_lo, coarse_hi), = coarse
@@ -86,8 +93,7 @@ def test_phase_rejection_implies_expanded_disjoint(system):
             for blk_a in ("dl_t", "dl_h", "dl_b3"):
                 for blk_b in ("pr_b0", "pr_b1", "pr_b2"):
                     verdict = hierarchical_overlap(a.block_view(blk_a), b.block_view(blk_b))
-                    expanded = seq_overlap(a.block_view(blk_a).window_levels[0],
-                                           b.block_view(blk_b).window_levels[0])
+                    expanded = seq_overlap(a.block_view(blk_a)[0], b.block_view(blk_b)[0])
                     if not verdict.result:
                         assert not expanded, (rel_a, rel_b, blk_a, blk_b, verdict)
                     else:
@@ -116,7 +122,7 @@ def test_top_level_blocks_skip_the_loop_phase(system):
     c, _ = _job_ctx(straight_task("pc", [10, 30, 5]), system, 0)
     for va, vb in ((a.block_view("dl_b3"), b.block_view("pr_b0")),
                    (b.block_view("pr_b2"), c.block_view("pc_b0"))):
-        assert len(va.window_levels) == len(vb.window_levels) == 1
+        assert len(va) == len(vb) == 1
         for x, y in ((va, vb), (vb, va)):
             v = hierarchical_overlap(x, y)
             assert not v.result and v.decided_at == "block"
@@ -130,8 +136,8 @@ def test_loop_block_against_disjoint_top_level_block(system):
     a, _ = _job_ctx(diamond, system, 0)
     b, _ = _job_ctx(peer, system, 53)
     loop_view, top_view = a.block_view("dl_h"), b.block_view("pr_b0")
-    assert len(loop_view.window_levels) == 2 and len(top_view.window_levels) == 1
-    assert top_view.window_levels[0] == (Interval(53, 63),)
+    assert len(loop_view) == 2 and len(top_view) == 1
+    assert top_view[0] == (Interval(53, 63),)
     for x, y in ((loop_view, top_view), (top_view, loop_view)):
         v = hierarchical_overlap(x, y)
         assert not v.result and v.decided_at == "outer-loop"
@@ -147,26 +153,25 @@ def _block_views(draw):
         grow = st.tuples(st.integers(0, 6), st.integers(0, 6))
         widths = draw(st.lists(grow, min_size=len(levels[-1]), max_size=len(levels[-1])))
         levels.append(normalize([(lo - dl, hi + dh) for (lo, hi), (dl, dh) in zip(levels[-1], widths)]))
-    lo, hi = levels[-1][0][0], levels[-1][-1][1]
     if draw(st.booleans()):
-        lo, hi = lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5))
-        levels.append(((lo, hi),))
-    life = (lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5)))
-    return BlockView(life, tuple(levels))
+        lo, hi = levels[-1][0][0], levels[-1][-1][1]
+        levels.append(((lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5))),))
+    return tuple(levels)
 
 
 @st.composite
 def _view_pairs(draw):
-    """Two views whose lifetimes are disjoint, touching or overlapping.
+    """Two views whose hulls (their coarsest levels') are disjoint, touching
+    or overlapping.
 
     A fourth relation places b's first finest interval where a's last one
     ends, so the block phase often meets touching windows.
     """
     a, b = draw(_block_views()), draw(_block_views())
-    (alo, ahi), (blo, bhi) = a.job_lifetime, b.job_lifetime
+    (alo, ahi), (blo, bhi) = hull(a[-1]), hull(b[-1])
     relation = draw(st.sampled_from(("disjoint", "touching", "overlapping", "windows-touch")))
     if relation == "windows-touch":
-        return a, shift_view(b, a.window_levels[0][-1][1] - b.window_levels[0][0][0])
+        return a, shift_view(b, a[0][-1][1] - b[0][0][0])
     if relation == "overlapping":
         start = draw(st.integers(alo - (bhi - blo), ahi))
     else:

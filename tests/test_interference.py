@@ -224,7 +224,7 @@ def test_collect_overlap_set_matches_brute_force():
     candidates = sorted(b.id for b in diamond.blocks.values() if b.accesses)
 
     got = collect_overlap_set(tv, foreign, candidates)
-    window = tv.window_levels[0]
+    window = tv[0]
     expected = [bid for bid in candidates if seq_overlap(window, foreign.task_ctx.bba_time(bid, foreign.job.release))]
     assert got == expected
     assert 0 < len(got) < len(candidates)  # the window splits the blocks

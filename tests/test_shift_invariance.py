@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from chainlat import generate_workload
 from chainlat.cache_ai import AH, PS
-from chainlat.context import BlockView
 from chainlat.interference import collect_overlap_set
 from chainlat.latency import prepare
 from chainlat.model import Interval
@@ -33,8 +32,8 @@ intervals = st.builds(
 )
 # Views hold normalized windows, as JobContext builds them.
 sequences = st.lists(intervals, min_size=1, max_size=4).map(normalize)
-target_views = st.builds(lambda life, w: BlockView(life, ((w,),)), intervals, intervals)
-foreign_views = st.builds(BlockView, intervals, st.lists(sequences, min_size=1, max_size=3).map(tuple))
+target_views = intervals.map(lambda w: ((w,),))
+foreign_views = st.lists(sequences, min_size=1, max_size=3).map(tuple)
 views = target_views | foreign_views
 deltas = st.integers(-10**6, 10**6)
 

@@ -172,6 +172,11 @@ def test_sim_config_rejects_unknown_policy_and_missing_tape():
         SimConfig(policy="wrost")
     with pytest.raises(ValueError, match="'tape' needs a tape"):
         SimConfig(policy="tape")
+    # A tape belongs to a tape walk only: a worst or random config with one
+    # would otherwise run its tape's choices under another policy's name.
+    for policy in ("worst", "random"):
+        with pytest.raises(ValueError, match="policy '%s' takes no tape" % policy):
+            SimConfig(policy, tape=[])
     assert SimConfig(policy="tape", tape=[]).tape == []
 
 
@@ -385,7 +390,7 @@ def test_job_and_oracle_windows_are_the_release_plus_the_relative_window(seed, t
             assert ctx.bba_time(node, job.release) == reference_bba_time(job.release, ctx.bbrp[node])
         for bid in sorted(ctx.task.blocks):
             expected = reference_bba_time(job.release, ctx.bbrp[bid])
-            assert jctx.block_view(bid).window_levels[0] == expected
+            assert jctx.block_view(bid)[0] == expected
     if trigger == "ET":
         assert max(widths) > 0
 

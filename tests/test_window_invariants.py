@@ -2,20 +2,24 @@
 
 hierarchical_overlap takes the hull of a window as (w[0][0], w[-1][1]) and
 sweeps windows without normalizing them, so every window must be
-normalized where it is built.  Its job and outer-loop phases reject only
-supersets of the block windows, so each level must lie inside the job
-lifetime and each coarser level must cover the finer one.  The outer-loop
-phase runs exactly when a view has more than one level, so a block inside
-a loop must have one level per enclosing loop past its own, the coarsest a
-single interval (the outermost loop's envelope) covering the finest, and a
-top-level block exactly one level.
+normalized where it is built.  The job phase is the lifetime index, which
+drops a foreign job before any of its blocks is tested, and the
+outer-loop phase rejects only supersets of the block windows; so each
+level of a block view, and each TSC target's absolute reuse window, must
+lie inside its job's lifetime, and each coarser level must cover the finer
+one.  The outer-loop phase runs exactly when a view has more than one
+level, so a block inside a loop must have one level per enclosing loop
+past its own, the coarsest a single interval (the outermost loop's
+envelope) covering the finest, and a top-level block exactly one level.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlat import generate_workload
-from chainlat.latency import prepare
+from chainlat.context import TaskContext
+from chainlat.cost import contract_task
+from chainlat.latency import analyze_instance, prepare
 from chainlat.model import Interval
 from chainlat.overlap import normalize
 
@@ -40,13 +44,12 @@ def check_block_views(setup) -> int:
     """Assert the invariants on every block view of every job; return the intervals seen."""
     seen = 0
     for key in sorted(setup.jobs):
-        jctx = setup.job_ctx(key)
+        jctx, lifetime = setup.job_ctx(key), setup.jobs[key].lifetime
         for bid in sorted(jctx.task_ctx.task.blocks):
-            view = jctx.block_view(bid)
-            levels = view.window_levels
+            levels = jctx.block_view(bid)
             for w in levels:
                 assert w and is_normalized(w), (key, bid, w)
-                assert inside(w, view.job_lifetime), (key, bid, w, view.job_lifetime)
+                assert inside(w, lifetime), (key, bid, w, lifetime)
             ancestors = jctx.task_ctx.task.ancestry[bid]
             assert len(levels) == 1 + len(ancestors), (key, bid, ancestors)
             if ancestors:
@@ -73,6 +76,39 @@ def test_block_views_of_generated_bundles(seed, shape, collision, trigger):
        pad=st.sampled_from((0, 700)))
 def test_block_views_of_builder_tasks(seed, trigger, depth, collision, n_blocks, pad):
     assert check_block_views(prepare(_bundle(seed, trigger, depth, collision, n_blocks, pad)))
+
+
+def check_target_windows(setup):
+    """Assert that every TSC target's reuse window, widened by its job's
+    release window, lies inside that job's lifetime, both the first pass's
+    window and the one a second refinement pass reads."""
+    for key in sorted(setup.jobs):
+        job = setup.jobs[key]
+        ta = setup.tasks[job.task_id]
+        refined = analyze_instance(setup, key, "TSC").refined
+        con = contract_task(setup.bundle.tasks[job.task_id], ta.classification, setup.bundle.system,
+                            refined=refined, plan=ta.plan)
+        for line_window in (ta.ctx.line_window, TaskContext(con).line_window):
+            for cls in ta.targets:
+                lo, hi = line_window[cls.access_id]
+                window = ((lo + job.release.lo, hi + job.release.hi),)
+                assert inside(window, job.lifetime), (key, cls.access_id, window, job.lifetime)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(1, 10_000), cores=st.sampled_from((2, 4)),
+       collision=st.sampled_from((0.5, 0.8)), trigger=st.sampled_from(("ET", "TT", "mix")))
+def test_target_windows_of_generated_bundles(seed, cores, collision, trigger):
+    bundle = generate_workload(seed=seed, cores=cores, collision=collision, trigger=trigger)
+    check_target_windows(prepare(bundle))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), trigger=st.sampled_from(("ET", "TT", "mix")),
+       depth=st.integers(0, 3), collision=st.sampled_from((0.5, 0.8)), n_blocks=st.integers(2, 12),
+       pad=st.sampled_from((0, 700)))
+def test_target_windows_of_builder_tasks(seed, trigger, depth, collision, n_blocks, pad):
+    check_target_windows(prepare(_bundle(seed, trigger, depth, collision, n_blocks, pad)))
 
 
 intervals = st.builds(lambda lo, width: Interval(lo, lo + width),
