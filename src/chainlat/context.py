@@ -25,17 +25,22 @@ One rule makes every absolute window: a job's release window relative to
 the system start (PRSTime) plus a block's program-relative window is the
 block's absolute window (BBATime), normalize(release + bbrp[block]).
 TaskContext.bba_time computes it where it is read, from the current
-bbrp[block], for every reader: the analysis's block views, the
-simulator's oracle and the contexts.csv dump.  A one-interval window, the
-common case, is shifted without normalizing.
+bbrp[block], for every reader: the block views, the simulator's oracle
+and the contexts.csv dump.  A one-interval window, the common case, is
+shifted without normalizing.
 
 A block's view for the overlap phases is a plain tuple, the ladder of its
-absolute windows: its own, then that of each enclosing loop's virtual
-node, innermost first.  The coarsest rung of a block inside a loop is the
-one-interval envelope of its outermost loop, [earliest start, latest
-end], which the loop-envelope phase compares.  No view carries its job's
-lifetime: the job phase is the lifetime index, applied once per foreign
-job (latency.LifetimeIndex), and every rung lies inside that lifetime.
+windows in its JobContext's time: its own, then that of each enclosing
+loop's virtual node, innermost first.  The coarsest rung of a block inside
+a loop is the one-interval envelope of its outermost loop, [earliest
+start, latest end], which the loop-envelope phase compares.  A job
+released at cycle 0 sees the relative ladders themselves, and the TSC
+analysis reads each foreign task's through that one context
+(latency.TaskAnalysis.task_views), moving the target into task time
+instead of every foreign window into absolute time.  No view carries its
+job's lifetime: the job phase is the lifetime index, applied once per
+foreign job (latency.LifetimeIndex), and every rung lies inside that
+lifetime.
 
 Upper bounds account for one-time persistence misses: the first iteration
 carries the surcharges reachable up to the node, later iterations carry
@@ -152,7 +157,7 @@ class TaskContext:
 
 
 class JobContext:
-    """Block views of one job instance of a task."""
+    """Block views of one job instance of a task, in its release's time."""
 
     def __init__(self, job: JobInstance, task_ctx: TaskContext):
         self.job = job
@@ -160,7 +165,7 @@ class JobContext:
         self._views = {}
 
     def block_view(self, block_id: str) -> tuple:
-        """The block's absolute window ladder, finest first."""
+        """The block's window ladder for the job's release, finest first."""
         if block_id not in self._views:
             ctx, release = self.task_ctx, self.job.release
             levels = [ctx.bba_time(block_id, release)]

@@ -122,11 +122,15 @@ def set_weights(classification) -> dict:
     return {COUNT_DISTINCT: table(lambda sites: len(set(sites))), COUNT_ACCESS: table(len)}
 
 
-def collect_overlap_set(target, foreign_job_ctx, blocks):
-    """Foreign blocks whose windows can overlap the target's block view."""
+def collect_overlap_set(target, foreign_views, blocks):
+    """Foreign blocks whose windows can overlap the target's block view.
+
+    foreign_views is a JobContext: a foreign job's absolute views, or its
+    task's relative views with the target moved into task time.
+    """
     return [
         bid for bid in blocks
-        if hierarchical_overlap(target, foreign_job_ctx.block_view(bid)).result
+        if hierarchical_overlap(target, foreign_views.block_view(bid)).result
     ]
 
 

@@ -22,7 +22,14 @@ overlap test yields the overlapping (job, shift) pairs; a shift whose
 query lies wholly outside the index's start range is skipped before it
 bisects.  TLT and TSC scan only those pairs, so the per-instance cost grows
 with the overlapping jobs rather than with all jobs of the hyperperiod.
-Job contexts, one per job, are shared across targets on the Setup.
+A foreign block is tested in its own task's time: each task's relative
+window ladders are one shared set of views (TaskAnalysis.task_views), and
+a foreign job released within (rlo, rhi) under shift d meets the target
+window (lo, hi) exactly where its relative window meets the query
+(lo - d - rhi, hi - d - rlo).  Overlap is translation-invariant, so every
+verdict, phase included, is the one the job's absolute views give.  A task
+with a level longer than PHASE3_THRESHOLD keeps those absolute views,
+built per TSC call, since the block phase coarsens a level by its length.
 
 An instance pays only for its targets and for the foreign jobs that touch
 their sets.  Each task's option-free tables are built once, by the first
@@ -61,6 +68,7 @@ from .interference import (
     set_weights,
 )
 from .model import Interval, JobInstance, ValidationError, WorkloadBundle
+from .overlap import PHASE3_THRESHOLD
 
 MODES = ("TSC", "TLT", "NCT")
 
@@ -104,6 +112,9 @@ class TaskAnalysis:
     Beside the classification, contractions and weight tables it holds the
     per-instance tables, each O(accesses) and built once, at the first
     instance that reads it, so an instance pays only for its targets.
+    One of them is task_views, the task's relative window ladders, which
+    every TSC instance reads for every foreign job of the task through a
+    task-time query.
     prepare builds none of them: setup keeps exactly its work and its
     allocations.  all_miss and base_refined, the maps every instance's
     refined map starts from, name every access of the task, so each
@@ -134,6 +145,18 @@ class TaskAnalysis:
     def base_refined(self) -> dict:
         """Access id -> own CHMC: what refine_chmc gives every access but a target."""
         return {aid: c.l2_chmc for aid, c in self.classification.accesses.items()}
+
+    @cached_property
+    def task_views(self) -> Optional[JobContext]:
+        """The task's relative window ladders as block views: those of a job
+        in no chain released at cycle 0.  None when a level holds more than
+        PHASE3_THRESHOLD intervals, which the block phase coarsens by their
+        count while a job's absolute view may hold fewer, so such a task's
+        jobs keep their own views."""
+        if any(len(w) > PHASE3_THRESHOLD for w in self.ctx.bbrp.values()):
+            return None
+        job = JobInstance("", 0, self.task_id, 0, Interval(0, 0), Interval(0, self.cip_wcet))
+        return JobContext(job, self.ctx)
 
     @cached_property
     def hit_weights(self) -> tuple:
@@ -193,28 +216,19 @@ class Setup:
     hyper: int
     jobs: dict  # (chain id, period index, task index) -> JobInstance
     lifetimes: dict  # chain id -> LifetimeIndex
-    # Caches filled lazily by the analysis (the first two) and by the
-    # simulator and its oracle (the last two).  Each value depends on
-    # nothing but the fields above, never on options or a report, so a Setup
-    # reused across options never reads a stale one.  Every absolute window,
-    # a block view's level and the oracle's alike, is
-    # TaskContext.bba_time(node, job.release).  Edit a task's contexts or
+    # Caches filled lazily by the analysis (the first) and by the simulator
+    # and its oracle (the last two), like each TaskAnalysis's tables.  Each
+    # value depends on nothing but the fields above, never on options or a
+    # report, so a Setup reused across options never reads a stale one.
+    # Every absolute window, the oracle's and a block view's level alike, is
+    # TaskContext.bba_time(node, release).  Edit a task's contexts or
     # classification (fault injection) before the first check_safety on the
     # Setup, not after.  Without each, the bench's default seeds ran slower:
-    # job_ctxs rung4 analyze_s 0.39 -> 0.50 s, overlaps longhyper analysis
-    # +8 %, walks / oracle_windows verify2 verify_s 0.76 -> 1.34 / 0.79 -> 0.96 s.
-    job_ctxs: dict = field(default_factory=dict, repr=False)  # job key -> JobContext
+    # overlaps longhyper analysis +8 %, walks / oracle_windows verify2
+    # verify_s 0.76 -> 1.34 / 0.79 -> 0.96 s.
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
     walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table
     oracle_windows: dict = field(default_factory=dict, repr=False)  # (*job key, block id) -> (lo, hi) pairs
-
-    def job_ctx(self, key) -> JobContext:
-        """The one context of a job, shared by every reader of the Setup."""
-        ctx = self.job_ctxs.get(key)
-        if ctx is None:
-            job = self.jobs[key]
-            ctx = self.job_ctxs[key] = JobContext(job, self.tasks[job.task_id].ctx)
-        return ctx
 
 
 @dataclass
@@ -366,18 +380,25 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
     sets = ta.target_sets
     # Per foreign chain, each overlapping job that touches a target set,
     # grouped once under every such set, in pair order: its weight table
-    # entry, task graph, context, shift and shifted release.
+    # entry, task graph, views, the offset of those views' time from
+    # absolute time, and shifted release.  Task-time views are offset by the
+    # shifted release; a job's own absolute views by the shift alone.
     foreign = []
     for fchain, pairs in _foreign_overlaps(setup, key):
         by_set = {}
         for fkey, shift in pairs:
             fj = setup.jobs[fkey]
-            weights = setup.tasks[fj.task_id].weights[options.counting]
+            fta = setup.tasks[fj.task_id]
+            weights = fta.weights[options.counting]
             common = sets.intersection(weights)
             if not common:
                 continue
             rlo, rhi = fj.release
-            entry = (setup.bundle.tasks[fj.task_id], setup.job_ctx(fkey), shift, (rlo + shift, rhi + shift))
+            release = (rlo + shift, rhi + shift)
+            views, offset = fta.task_views, release
+            if views is None:
+                views, offset = JobContext(fj, fta.ctx), (shift, shift)
+            entry = (setup.bundle.tasks[fj.task_id], views, offset, release)
             for s in common:
                 by_set.setdefault(s, []).append((weights[s], *entry))
         if by_set:
@@ -388,20 +409,16 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
     for cls in ta.targets:
         lo, hi = line_window[cls.access_id]
         lo, hi = lo + rlo, hi + rhi
-        # Hyperperiod-shifted foreign jobs are met by shifting the one-interval
-        # target view the other way; overlap is translation-invariant.
-        views = {}
         total = raw_total = mwis_total = 0
         for trigger, by_set in foreign:
             fjobs = by_set.get(cls.l2_set)
             if fjobs is None:
                 continue
             per_job = []
-            for table, graph, fctx, shift, release in fjobs:
-                view = views.get(shift)
-                if view is None:
-                    view = views[shift] = (((lo - shift, hi - shift),),)
-                blocks = collect_overlap_set(view, fctx, table[1])
+            for table, graph, fviews, (olo, ohi), release in fjobs:
+                # A view interval (a, b) moved to (a + olo, b + ohi) meets
+                # (lo, hi) exactly when (a, b) meets this one-interval query.
+                blocks = collect_overlap_set((((lo - ohi, hi - olo),),), fviews, table[1])
                 if not blocks:
                     continue
                 raw, contrib = job_contribution(table, graph, blocks)
@@ -562,6 +579,9 @@ def analyze_bundle(bundle: WorkloadBundle, options: AnalysisOptions = None,
 
 
 def report_to_doc(report: AnalysisReport, bundle: WorkloadBundle) -> dict:
+    """The report's JSON document; `bundle` must be the one it analyzed."""
+    if bundle is not report.setup.bundle and bundle != report.setup.bundle:
+        raise ValueError("report_to_doc: the bundle differs from the one the report analyzed")
     chains = []
     for cid in sorted({c for c, _ in report.chain_results}):
         chain = report.setup.chains[cid]

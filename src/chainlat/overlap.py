@@ -2,9 +2,16 @@
 
 An interval is a closed (lo, hi) pair; model.Interval, its validated form,
 equals the pair.  Sequences are tuples sorted by lower bound.  A job's
-absolute windows are normalized where they are built, by
-context.TaskContext.bba_time; the overlap tests never normalize.  Overlap is inclusive: touching endpoints
-overlap, so verdicts are invariant under translating both operands.
+windows are normalized where they are built, by
+context.TaskContext.bba_time; the overlap tests never normalize.  Overlap
+is inclusive: touching endpoints overlap, so verdicts are invariant under
+translating both operands.  The TSC analysis leans on that: it tests a
+foreign block in its task's time, against the relative ladder, with the
+one-interval target moved by the foreign job's release window.  Moving
+each interval (a, b) of a window to (a + rlo, b + rhi) and normalizing
+keeps the union, the first lo and the last hi, and never adds an
+interval, so while no level is longer than PHASE3_THRESHOLD the verdict
+and the phase that decides it are those of the absolute view.
 
 hierarchical_overlap holds the loop-envelope and block phases; the job
 phase is latency.LifetimeIndex, applied once per foreign job.  It sits in
@@ -97,7 +104,7 @@ def hierarchical_overlap(a: tuple, b: tuple, threshold: int = PHASE3_THRESHOLD) 
     """Loop-envelope then block-window overlap of two block occurrences.
 
     ``a`` and ``b`` are block views (see chainlat.context): normalized
-    absolute window sequences, finest first, whose coarsest level is the
+    window sequences in one time, finest first, whose coarsest level is the
     outermost-loop envelope when the block sits inside a loop.  The job
     phase already ran, once per foreign job, in latency.LifetimeIndex.  A
     rejection is final because the envelope covers the block windows.

@@ -17,6 +17,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+from chainlat.context import JobContext
 from chainlat.model import (
     BasicBlock,
     CacheLevelConfig,
@@ -144,6 +145,12 @@ def boundary_bundle():
 def shift_view(view, delta):
     """A block view (window ladder) with every interval moved by delta."""
     return tuple(tuple((lo + delta, hi + delta) for lo, hi in level) for level in view)
+
+
+def job_context(setup, key):
+    """A fresh JobContext of a job: its block views in absolute time."""
+    job = setup.jobs[key]
+    return JobContext(job, setup.tasks[job.task_id].ctx)
 
 
 def target_view(setup, key, access_id):

@@ -17,7 +17,8 @@ these workload files under tests/data pin the path:
   may run no iteration before f.  f's release window is then wider than
   the gaps between the tail's iterations, so the tail's absolute window
   is one interval while its relative window keeps 1,100: a test in task
-  time would coarsen where the absolute test does not.
+  time would coarsen where the absolute test does not.  So the analysis
+  reads f's blocks through each job's absolute views in both bundles.
 
 Each bundle's report.json was recorded by ``chainlat analyze`` with the
 default options, before the block views lost their job lifetimes.
@@ -33,7 +34,7 @@ from chainlat.latency import analyze_bundle, prepare
 from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, window_within
 from chainlat.sim import SimConfig, check_safety, simulate
 
-from conftest import target_view
+from conftest import job_context, target_view
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 BUNDLES = ("coarsening_tt", "wide_release_et")
@@ -61,11 +62,18 @@ def test_report_matches_recorded_bytes_and_paths_are_safe(tmp_path, name):
         assert check_safety(simulate(bundle, config, setup=report.setup), report) == [], config
 
 
+@pytest.mark.parametrize("name", BUNDLES)
+def test_only_the_task_with_a_long_level_keeps_absolute_views(name):
+    setup = prepare(parse_workload(*_paths(name)))
+    assert len(setup.tasks["f"].ctx.bbrp["f_t"]) > PHASE3_THRESHOLD
+    assert {tid for tid, ta in setup.tasks.items() if ta.task_views is None} == {"f"}
+
+
 def _tail(name):
     """The Setup, f's job key, and the tail's relative window and absolute view."""
     setup = prepare(parse_workload(*_paths(name)))
     key = next(k for k, job in setup.jobs.items() if job.task_id == "f")
-    return setup, key, setup.tasks["f"].ctx.bbrp["f_t"], setup.job_ctx(key).block_view("f_t")
+    return setup, key, setup.tasks["f"].ctx.bbrp["f_t"], job_context(setup, key).block_view("f_t")
 
 
 def test_tt_tail_takes_the_coarsening_path():

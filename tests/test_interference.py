@@ -15,7 +15,7 @@ from chainlat.interference import (
 )
 from chainlat.model import Interval
 
-from conftest import acc, block, build_task, make_system, target_view
+from conftest import acc, block, build_task, job_context, make_system, target_view
 from oracles import brute_force_mwis
 
 
@@ -220,7 +220,7 @@ def test_collect_overlap_set_matches_brute_force():
     setup = prepare(bundle)
     assert setup.tasks["p"].classification.accesses["m"].l2_chmc == "AH"
     tv = target_view(setup, ("c0", 0, 0), "m")
-    foreign = setup.job_ctx(("c1", 0, 1))
+    foreign = job_context(setup, ("c1", 0, 1))
     candidates = sorted(b.id for b in diamond.blocks.values() if b.accesses)
 
     got = collect_overlap_set(tv, foreign, candidates)

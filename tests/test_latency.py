@@ -225,6 +225,16 @@ def test_analysis_deterministic():
     assert report_to_json(r1, bundle) == report_to_json(r2, bundle)
 
 
+def test_report_refuses_a_bundle_it_did_not_analyze():
+    bundle = generate_workload(seed=9, cores=2, tasks_per_chain=2)
+    report = analyze_bundle(bundle)
+    # An equal bundle, parsed or generated again, is the same input.
+    assert report_to_json(report, generate_workload(seed=9, cores=2, tasks_per_chain=2)) == \
+        report_to_json(report, bundle)
+    with pytest.raises(ValueError, match="differs from the one the report analyzed"):
+        report_to_json(report, generate_workload(seed=10, cores=2, tasks_per_chain=2))
+
+
 def test_parallel_matches_serial():
     bundle = generate_workload(seed=9, cores=2, tasks_per_chain=2)
     r1 = analyze_bundle(bundle, AnalysisOptions(jobs=1))
@@ -279,7 +289,9 @@ def test_reused_setup_matches_fresh_setup():
         reused = _report_bytes(analyze_bundle(bundle, options, setup=shared), bundle)
         assert reused == _report_bytes(analyze_bundle(bundle, options, setup=prepare(bundle)), bundle)
         reports.append(reused)
-    assert shared.job_ctxs and shared.overlaps
+    # The TSC runs read each foreign task's views from its TaskAnalysis.
+    views = [vars(ta)["task_views"] for ta in shared.tasks.values() if "task_views" in vars(ta)]
+    assert views and all(v._views for v in views) and shared.overlaps
     assert reports[1] != reports[0] and reports[3] != reports[0]
 
 

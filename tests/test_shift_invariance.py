@@ -2,10 +2,12 @@
 
 The TSC analysis meets hyperperiod-shifted foreign jobs by shifting the
 one-interval target view by -shift instead of shifting every foreign view by
-+shift.  These properties check that the two are the same judgment.
++shift, and it tests a foreign block in its task's time: against the
+task's relative ladder, with the target moved by the job's release window.
+These properties check that each is the same judgment, phase included.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainlat import generate_workload
@@ -15,15 +17,24 @@ from chainlat.latency import prepare
 from chainlat.model import Interval
 from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, normalize
 
-from conftest import boundary_bundle, shift_view, target_view
+from conftest import boundary_bundle, job_context, shift_view, target_view
+from oracles import reference_bba_time
 
 
-def reference_collect(target_view, foreign_job_ctx, blocks, shift):
+def reference_collect(target_view, foreign, blocks, shift):
     """Overlap set against the foreign job moved by +shift."""
     return [
         bid for bid in blocks
-        if hierarchical_overlap(target_view, shift_view(foreign_job_ctx.block_view(bid), shift))
+        if hierarchical_overlap(target_view, shift_view(foreign.block_view(bid), shift))
     ]
+
+
+def task_time_query(target_view, release, shift):
+    """The one-interval target moved into the time of a foreign task whose
+    job is released within `release` and shifted by `shift`."""
+    ((lo, hi),), = target_view
+    rlo, rhi = release
+    return (((lo - shift - rhi, hi - shift - rlo),),)
 
 
 intervals = st.builds(
@@ -63,7 +74,7 @@ def _shift_cases(setup, extra_delta):
                 blocks = sorted({c.block_id for c in fcls.visible() if c.l2_set == cls.l2_set})
                 if blocks:
                     for shift in (-h, 0, h, extra_delta):
-                        yield tv, setup.job_ctx(fkey), blocks, shift
+                        yield tv, job_context(setup, fkey), blocks, shift
 
 
 @settings(max_examples=25, deadline=None)
@@ -83,3 +94,80 @@ def test_shifted_target_matches_at_hyperperiod_boundary():
         assert got == reference_collect(tv, fjctx, blocks, shift)
         hits += bool(got) and shift != 0
     assert hits  # the previous hyperperiod's copy of c1 meets c0's window
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 200), st.sampled_from(("ET", "TT", "mix")), st.integers(0, 2), deltas)
+def test_task_time_test_matches_absolute_test_on_generated_bundles(seed, trigger, loop_depth, delta):
+    # Per candidate block: the task-time query against the task's relative
+    # ladder gives the verdict and phase of the shifted target against the
+    # job's absolute ladder.
+    bundle = generate_workload(seed=seed, cores=2, trigger=trigger, loop_depth=loop_depth, collision=0.8)
+    setup = prepare(bundle)
+    for tv, fjctx, blocks, shift in _shift_cases(setup, delta):
+        fjob = fjctx.job
+        relative = setup.tasks[fjob.task_id].task_views
+        query = task_time_query(tv, fjob.release, shift)
+        for bid in blocks:
+            got = hierarchical_overlap(query, relative.block_view(bid))
+            want = hierarchical_overlap(shift_view(tv, -shift), fjctx.block_view(bid))
+            assert (got.result, got.decided_at) == (want.result, want.decided_at), (fjob, bid, shift)
+
+
+def _level(start, steps):
+    """A normalized window from its first lo and (gap, width) steps."""
+    out, lo = [], start
+    for gap, width in steps:
+        out.append((lo, lo + width))
+        lo += width + gap
+    return normalize(out)
+
+
+# Gaps up to 2 * 10^5 under release windows up to 10^6 wide: several
+# relative intervals often merge into one absolute interval.
+levels = st.builds(_level, st.integers(-10**6, 10**6),
+                   st.lists(st.tuples(st.integers(0, 200_000), st.integers(0, 5_000)),
+                            min_size=1, max_size=8))
+ladders = st.lists(levels, min_size=1, max_size=3).map(tuple)
+releases = st.builds(lambda lo, width: (lo, lo + width), st.integers(0, 10**7), st.integers(0, 10**6))
+targets = st.builds(lambda lo, width: ((Interval(lo, lo + width),),),
+                    st.integers(-3 * 10**7, 3 * 10**7), st.integers(0, 10**5))
+shifts = st.sampled_from((-52_000, 0, 52_000)) | deltas
+
+
+# Two relative intervals that the release window merges into one absolute
+# interval: the absolute block phase compares two single intervals, the
+# task-time one sweeps the relative pair.
+MERGED = ((((0, 10), (100, 110)), ((0, 110),)), (0, 1000), (((500, 500),),), 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ladders, releases, targets, shifts)
+@example(*MERGED)
+def test_task_time_test_matches_absolute_test_on_drawn_ladders(relative, release, target, shift):
+    assert all(len(w) <= PHASE3_THRESHOLD for w in relative)
+    absolute = tuple(reference_bba_time(release, w) for w in relative)
+    got = hierarchical_overlap(task_time_query(target, release, shift), relative)
+    want = hierarchical_overlap(shift_view(target, -shift), absolute)
+    assert (got.result, got.decided_at) == (want.result, want.decided_at)
+
+
+def test_a_wide_release_merges_relative_intervals():
+    relative, release, _, _ = MERGED
+    assert reference_bba_time(release, relative[0]) == ((0, 1110),)
+
+
+# (cores, tasks per chain, blocks per task, default seed) of the bench
+# workloads rung4, longhyper and verify2, all generated at collision 0.8.
+BENCH_SHAPES = ((4, 4, 16, 5), (2, 2, 8, 11), (2, 2, 8, 1))
+
+
+def test_every_generated_task_reads_task_time_views():
+    # Generated loops never give a level longer than PHASE3_THRESHOLD, so
+    # no task of the bench's bundles falls back to per-job absolute views.
+    for cores, tasks_per_chain, blocks, seed in BENCH_SHAPES:
+        for gen_seed in range(seed, seed + 3):
+            bundle = generate_workload(seed=gen_seed, cores=cores, tasks_per_chain=tasks_per_chain,
+                                       blocks_per_task=blocks, utilization=0.9, collision=0.8)
+            setup = prepare(bundle)
+            assert all(ta.task_views is not None for ta in setup.tasks.values()), (cores, gen_seed)

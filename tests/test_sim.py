@@ -31,6 +31,7 @@ from conftest import (
     block,
     build_task,
     diamond_loop_task,
+    job_context,
     make_system,
     shared_tail_task,
     single_chain_bundle,
@@ -353,12 +354,12 @@ def test_check_safety_flags_shrunken_window():
 
 def test_oracle_sees_a_window_replaced_after_the_analysis_read_it():
     # t1's gap block is a foreign interferer of t0's re-read, so the
-    # analysis built a view of it for some t1 job.  A window replaced
+    # analysis built its view in t1's task time.  A window replaced
     # afterwards must be what the oracle reads, not the one the analysis saw.
     bundle = contended_bundle()
     report = analyze_bundle(bundle)
     ctx = report.setup.tasks["t1"].ctx
-    assert any("t1_b1" in jc._views for jc in report.setup.job_ctxs.values())
+    assert "t1_b1" in report.setup.tasks["t1"].task_views._views
     lo, _ = ctx.bbrp["t1_b1"][0]
     ctx.bbrp["t1_b1"] = ((lo, lo),)  # claim the block ends instantly
     trace = simulate(bundle, SimConfig("random", 0), setup=report.setup)
@@ -383,7 +384,7 @@ def test_job_and_oracle_windows_are_the_release_plus_the_relative_window(seed, t
         bbrp[data.draw(st.sampled_from(sorted(bbrp)))] = data.draw(windows)
     widths = set()
     for key, job in sorted(setup.jobs.items()):
-        jctx = setup.job_ctx(key)
+        jctx = job_context(setup, key)
         ctx = setup.tasks[job.task_id].ctx
         widths.add(job.release.hi - job.release.lo)
         for node in sorted(ctx.bbrp):

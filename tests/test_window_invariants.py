@@ -23,6 +23,7 @@ from chainlat.latency import analyze_instance, prepare
 from chainlat.model import Interval
 from chainlat.overlap import normalize
 
+from conftest import job_context
 from test_sim_reference import _bundle
 
 
@@ -44,7 +45,7 @@ def check_block_views(setup) -> int:
     """Assert the invariants on every block view of every job; return the intervals seen."""
     seen = 0
     for key in sorted(setup.jobs):
-        jctx, lifetime = setup.job_ctx(key), setup.jobs[key].lifetime
+        jctx, lifetime = job_context(setup, key), setup.jobs[key].lifetime
         for bid in sorted(jctx.task_ctx.task.blocks):
             levels = jctx.block_view(bid)
             for w in levels:
