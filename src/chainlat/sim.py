@@ -6,7 +6,9 @@ interact only through the shared level, so each core runs eagerly between
 its shared-cache lookups while the lookups themselves are applied in global
 cycle order, ties resolved by ascending core id.  Caches are cold at time
 zero and the private level is cleared at every job release, matching the
-per-job cold-start assumption of the analysis.
+per-job cold-start assumption of the analysis.  The shared level is an
+LRUCache; the walkers update the private level inline, on per-set lists
+kept most recently used first, by the same LRU rule.
 
 Path policies: seeded random choices, a worst-biased walker that steers
 branches toward the heavier suffix and runs loops to their upper bounds,
@@ -154,7 +156,12 @@ class SimTrace:
 
 
 class LRUCache:
-    """Set-associative LRU cache over line numbers."""
+    """Set-associative LRU cache over line numbers: the simulator's shared level.
+
+    The walkers update the private level inline, on per-set lists, by the
+    same rule.  The tests check this class against their reference cache,
+    and the walkers against their reference simulator.
+    """
 
     def __init__(self, sets: int, ways: int):
         self.sets = sets
@@ -223,7 +230,10 @@ def _suffix_scores(task, node_worst) -> dict:
     scores = {}
     succ = task.successors(include_back=False)
     for bid in reversed(task.topo_order):
-        nxt = max((scores[s] for s in succ[bid]), default=0)
+        nxt = 0  # costs are never negative
+        for s in succ[bid]:
+            if scores[s] > nxt:
+                nxt = scores[s]
         scores[bid] = node_worst.get(bid, 0) + nxt
     return scores
 
@@ -235,7 +245,9 @@ class _TaskWalk:
     exclusive arms, successors):
       - the accesses as (access id, private set, private line, shared
         line), in program order; each is one instruction, issued before the
-        access-free ones;
+        access-free ones.  Each line is the address over its level's line
+        size, read once per task, and the set is the private line modulo
+        the private level's sets;
       - the cycles of the block's access-free instructions;
       - (loop id, tail block, min bound, max bound) of the loop the block
         heads, or None;
@@ -266,12 +278,12 @@ class _TaskWalk:
             exclusive.setdefault(a, set()).add(b)
             exclusive.setdefault(b, set()).add(a)
         succ = task.successors(include_back=False)
-        l1 = system.l1
+        l1_size, l1_sets, l2_size, cpi = system.l1.line_size, system.l1.sets, system.l2.line_size, system.base_cpi
         self.blocks = {
             bid: (
-                tuple((a.id, l1.line_of(a.address) % l1.sets, l1.line_of(a.address),
-                       system.l2.line_of(a.address)) for a in b.accesses),
-                system.base_cpi * (b.instruction_count - len(b.accesses)),
+                tuple([(a.id, line % l1_sets, line, a.address // l2_size)
+                       for a in b.accesses for line in (a.address // l1_size,)]),
+                cpi * (b.instruction_count - len(b.accesses)),
                 heads.get(bid),
                 exclusive.get(bid),
                 sorted(succ[bid]),  # filtering a sorted list keeps its order
@@ -321,49 +333,67 @@ def _worst_walk(walk, l1_sets, l1_ways) -> tuple:
     """The worst-biased walk of one job of the task, as _TaskWalk.worst holds it.
 
     Branches take the first successor with the heaviest suffix and loops run
-    to their upper bounds, over a cold private level.  A loop iteration's
-    records depend only on the state it starts in: the private level and
-    the blocks ruled out so far (a growing set, so its size names it), and
-    it adds a fixed count to inner loops' entry serials.  Once an iteration
-    starts in the state the one before it did, the later ones repeat it:
-    they are copied with those inner serials shifted, not walked.
+    to their upper bounds, over a cold private level that the walk updates
+    inline, on per-set MRU lists, as the random walker does.  A loop
+    iteration's records depend only on the state it starts in: the private
+    level and the blocks ruled out so far (a growing set, so its size names
+    it), and it adds a fixed count to inner loops' entry serials.  Once an
+    iteration starts in the state the one before it did, the later ones
+    repeat it: they are copied with those inner serials shifted, not walked.
+    Each walked record holds its own access tuple; copies share it.
     """
     records, scores = walk.blocks, walk.scores
-    l1 = LRUCache(l1_sets, l1_ways)
+    l1 = [[] for _ in range(l1_sets)]  # the private LRU level, MRU first
     out = []
     cur = walk.entry
-    loop_stack = []  # [loop id, max, done, serial, head, tail, and at iteration start: len(out), state, serials]
+    # Entered loops, innermost last: [scope, max, done, head, tail, and at
+    # iteration start: len(out), state, serials]; a scope is (loop id, entry serial).
+    loop_stack = []
+    scope = None
     entry_serial = {}
     forbidden = set()
 
     while True:
         block_accesses, idle, loop, excluded, succ = records[cur]
-        if loop is not None and (not loop_stack or loop_stack[-1][0] != loop[0]):
+        if loop is not None and (scope is None or scope[0] != loop[0]):
             lid, tail, _, hi = loop
             serial = entry_serial.get(lid, 0)
             entry_serial[lid] = serial + 1
-            loop_stack.append([lid, hi, 1, serial, cur, tail, len(out), (l1.snapshot(), len(forbidden)),
+            scope = (lid, serial)
+            loop_stack.append([scope, hi, 1, cur, tail, len(out), (tuple(map(tuple, l1)), len(forbidden)),
                                dict(entry_serial)])
 
         if excluded is not None:
             forbidden |= excluded
-        taken = tuple((aid, None if l1.access(l1_line) else l2_line) for aid, _, l1_line, l2_line in block_accesses)
-        out.append((cur, (loop_stack[-1][0], loop_stack[-1][3]) if loop_stack else None, taken, idle))
+        taken = []
+        for aid, l1_set, l1_line, l2_line in block_accesses:
+            ways = l1[l1_set]
+            if l1_line in ways:
+                if ways[0] != l1_line:
+                    ways.remove(l1_line)
+                    ways.insert(0, l1_line)
+                taken.append((aid, None))
+            else:
+                ways.insert(0, l1_line)
+                if len(ways) > l1_ways:
+                    ways.pop()
+                taken.append((aid, l2_line))
+        out.append((cur, scope, tuple(taken), idle))
 
         # Repeat or leave loops whose tail this block is, innermost first.
         advanced = False
-        while loop_stack and loop_stack[-1][5] == cur:
+        while loop_stack and loop_stack[-1][4] == cur:
             top = loop_stack[-1]
             copies = top[1] - top[2]
             if copies:
-                state = (l1.snapshot(), len(forbidden))
-                if state != top[7]:
+                state = (tuple(map(tuple, l1)), len(forbidden))
+                if state != top[6]:
                     top[2] += 1
-                    top[6:] = len(out), state, dict(entry_serial)
-                    cur = top[4]
+                    top[5:] = len(out), state, dict(entry_serial)
+                    cur = top[3]
                     advanced = True
                     break
-                body, before = out[top[6]:], top[8]
+                body, before = out[top[5]:], top[7]
                 shift = {m: n - before.get(m, 0) for m, n in entry_serial.items() if n != before.get(m, 0)}
                 if shift:
                     for rep in range(1, copies + 1):
@@ -374,13 +404,14 @@ def _worst_walk(walk, l1_sets, l1_ways) -> tuple:
                 else:
                     out.extend(body * copies)
             loop_stack.pop()
+            scope = loop_stack[-1][0] if loop_stack else None
         if advanced:
             continue
         if cur == walk.exit:
             return tuple(out)
         if forbidden:
             succ = [s for s in succ if s not in forbidden] or succ
-        cur = max(succ, key=scores.__getitem__)  # the first of the heaviest
+        cur = succ[0] if len(succ) == 1 else max(succ, key=scores.__getitem__)  # the first of the heaviest
 
 
 def _core_walker(core, setup, cid, config, decider, trace, walks):
@@ -533,6 +564,7 @@ def _run(setup, config, decider) -> SimTrace:
     walks = _walks(setup)
     trace = SimTrace()
     l2 = LRUCache(system.l2.sets, system.l2.ways)
+    hit, miss = (system.l2.hit_latency, "L2"), (system.mem_latency, "MEM")
 
     gens = {}
     for cid in sorted(setup.chains):
@@ -549,10 +581,8 @@ def _run(setup, config, decider) -> SimTrace:
 
     while heap:
         cycle, core, line = heapq.heappop(heap)
-        hit = l2.access(line)
-        latency = system.l2.hit_latency if hit else system.mem_latency
         try:
-            nxt_cycle, nxt_line = gens[core].send((latency, "L2" if hit else "MEM"))
+            nxt_cycle, nxt_line = gens[core].send(hit if l2.access(line) else miss)
             heapq.heappush(heap, (nxt_cycle, core, nxt_line))
         except StopIteration:
             pass
@@ -578,24 +608,25 @@ def simulate_exhaustive(bundle, setup=None):
     """Yield one trace per decision tape, enumerated like an odometer.
 
     A tape decides every choice, so no path draws a random number.  The
-    walk size is checked, as simulate does, before the first path.
+    walk size is checked, as simulate does, before the first path.  Once
+    MAX_EXHAUSTIVE_PATHS paths are yielded and a tape remains, it raises
+    ValidationError without walking that tape.
     """
     setup = setup or prepare(bundle)
     tape = []
     paths = 0
     while True:
         decider = _Decider(tape)
-        trace = _run(setup, SimConfig(policy="tape", tape=tape), decider)
+        yield _run(setup, SimConfig(policy="tape", tape=tape), decider)
         paths += 1
-        if paths > MAX_EXHAUSTIVE_PATHS:
-            raise ValidationError("exhaustive simulation exceeds %d paths" % MAX_EXHAUSTIVE_PATHS)
-        yield trace
         grown, counts = decider.tape, decider.counts
         pos = len(grown) - 1
         while pos >= 0 and grown[pos] + 1 >= counts[pos]:
             pos -= 1
         if pos < 0:
             return
+        if paths == MAX_EXHAUSTIVE_PATHS:
+            raise ValidationError("exhaustive simulation exceeds %d paths" % MAX_EXHAUSTIVE_PATHS)
         tape = grown[: pos + 1]
         tape[pos] += 1
 

@@ -121,6 +121,23 @@ def test_exhaustive_path_cap(monkeypatch):
             pass
 
 
+def test_exhaustive_path_cap_walks_no_tape_past_it(monkeypatch):
+    # Generated seed 1 has more than two paths: two are walked and yielded,
+    # then the third tape is refused unwalked.
+    from chainlat import sim
+    from chainlat.model import ValidationError
+
+    monkeypatch.setattr(sim, "MAX_EXHAUSTIVE_PATHS", 2)
+    run, walked = sim._run, []
+    monkeypatch.setattr(sim, "_run", lambda *args: walked.append(args) or run(*args))
+    yielded = 0
+    with pytest.raises(ValidationError) as refused:
+        for _ in simulate_exhaustive(generate_workload(seed=1)):
+            yielded += 1
+    assert str(refused.value) == "exhaustive simulation exceeds 2 paths"
+    assert (yielded, len(walked)) == (2, 2)
+
+
 def test_two_core_thrash_produces_steady_misses():
     # Both cores loop over distinct lines of one shared set; together they
     # exceed the associativity, so misses persist beyond the cold start.

@@ -27,15 +27,15 @@ FIELDS = ("jobs", "accesses", "blocks", "overruns", "l2_state")
 EXHAUSTIVE_PREFIX = 12
 
 
-def _bundle(seed, trigger, depth, collision, n_blocks, pad, l1=None):
+def _bundle(seed, trigger, depth, collision, n_blocks, pad, l1=None, l2=None):
     """Two single-core chains of two generated tasks; the last exit block padded by `pad`.
 
-    `l1` replaces default_system's private level; generation reads only the shared one.
+    `l1` and `l2` replace default_system's private and shared levels.
+    Generation reads only the shared one: each access starts a shared line.
     """
     rng = random.Random(seed)
     system = default_system(2)
-    if l1 is not None:
-        system = replace(system, l1=l1)
+    system = replace(system, l1=l1 or system.l1, l2=l2 or system.l2)
     tasks, chains = {}, {}
     for core in range(2):
         tids = []
@@ -97,6 +97,21 @@ def test_worst_replay_matches_reference_across_private_geometries(seed, trigger,
     # state of the one before it, and so how much of the worst walk is copied.
     l1 = CacheLevelConfig(sets, ways, 32, 1)
     _check_worst_replay(_bundle(seed, trigger, 3, 0.8, n_blocks, 0, l1=l1), ratio)
+
+
+@pytest.mark.parametrize("l2_line", (32, 64))
+@pytest.mark.parametrize("l1_line", (16, 32, 64))
+def test_simulator_matches_reference_across_line_sizes(l1_line, l2_line):
+    # Each level maps an address by its own line size: a 16 B private line
+    # splits a shared one, a 64 B one over 32 B shared lines joins two.
+    l1, l2 = CacheLevelConfig(2, 4, l1_line, 1), CacheLevelConfig(32, 4, l2_line, 6)
+    for seed in range(4):
+        bundle = _bundle(seed, "mix", 3, 0.8, 12, 0, l1=l1, l2=l2)
+        setup = prepare(bundle)
+        for policy, s, tape in (("worst", 0, None), ("random", 0, None), ("random", 7, None),
+                                ("tape", 0, [1, 0, 1, 1])):
+            _assert_same(simulate(bundle, SimConfig(policy, s, tape=tape), setup=setup),
+                         reference_simulate(setup, policy, s, tape), (seed, policy, s))
 
 
 def _check_worst_replay(bundle, ratio):
