@@ -10,11 +10,22 @@ sites), so set_weights tabulates both units once: per shared-cache set, the
 whole-job weight and the weight of each block touching the set, which are
 the set's interference candidates.
 
+A job's contribution is a pure function of its task's table for the unit
+and set, the task's exclusive pairs and its overlapping blocks, so the
+weights and exclusion graph of each distinct block tuple are built once per
+task, unit and set, in a memo the caller keeps (TaskAnalysis.contributions),
+and every later job of the task with the same overlap reuses them.  Only
+the MWIS bound runs per call, on that same graph, so every value and every
+count of MWIS solves is the one a fresh build gives.
+
 Jobs on one foreign core execute sequentially, so by default their
 contributions add up whenever their windows overlap the target window; the
 single-task maximum rule for event-triggered chains is available as an
 opt-in counting mode (et_rule="max") for fidelity comparisons, since taking
 the maximum can undercount evictions accumulated across consecutive jobs.
+groups_jobs says which chains that rule groups; a caller may add the
+contributions of any other chain as they come, which is the sum
+interference_bound would return.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ ET_RULE_MAX = "max"
 ET_RULES = (ET_RULE_SUM, ET_RULE_MAX)
 
 MWIS_EXACT_CAP = 40
+
+NO_EDGES = frozenset()  # shared by every edgeless graph, which a memo keeps
 
 
 class ExclusionGraph(NamedTuple):
@@ -134,7 +147,7 @@ def collect_overlap_set(target, foreign_views, blocks):
     ]
 
 
-def job_contribution(set_table, task_graph, overlapping_blocks):
+def job_contribution(set_table, task_graph, overlapping_blocks, memo=None):
     """Bound on insertions one foreign job adds to the target set.
 
     set_table is the job's task's (job weight, {block: weight}) entry for
@@ -144,13 +157,30 @@ def job_contribution(set_table, task_graph, overlapping_blocks):
     because block-wise sums may double-count lines shared between blocks.
     A task without exclusive pairs gives an edgeless graph, which mwis_bound
     sums exactly.
+
+    memo maps the tuple of overlapping blocks to (raw sum, ExclusionGraph)
+    and must belong to set_table's task, counting unit and set: both are a
+    pure function of that table, the task's exclusive pairs and the blocks,
+    so every job of the task builds each graph once.  Without one the graph
+    is built afresh.  mwis_bound still runs on every call.
     """
     job_weight, block_weights = set_table
-    weights = {bid: block_weights[bid] for bid in overlapping_blocks}
-    raw = sum(weights.values())
-    pairs = task_graph.exclusive_pairs if len(weights) > 1 else ()  # a pair needs two blocks
-    edges = frozenset(p for p in pairs if weights.keys() >= p) if pairs else frozenset()
-    return raw, min(mwis_bound(ExclusionGraph(weights, edges)), job_weight)
+    key = tuple(overlapping_blocks)
+    if memo is None:
+        memo = {}
+    entry = memo.get(key)
+    if entry is None:
+        weights = {bid: block_weights[bid] for bid in key}
+        pairs = task_graph.exclusive_pairs if len(weights) > 1 else ()  # a pair needs two blocks
+        edges = frozenset(p for p in pairs if weights.keys() >= p) if pairs else NO_EDGES
+        entry = memo[key] = sum(weights.values()), ExclusionGraph(weights, edges)
+    raw, graph = entry
+    return raw, min(mwis_bound(graph), job_weight)
+
+
+def groups_jobs(trigger: str, et_rule: str) -> bool:
+    """Whether interference_bound groups a foreign chain's jobs instead of summing them."""
+    return trigger == "ET" and et_rule == ET_RULE_MAX
 
 
 def interference_bound(per_job, trigger: str, et_rule: str = ET_RULE_SUM) -> int:
@@ -160,7 +190,7 @@ def interference_bound(per_job, trigger: str, et_rule: str = ET_RULE_SUM) -> int
     paper-faithful "max" rule, event-triggered jobs whose release windows
     mutually overlap contribute only their maximum.
     """
-    if trigger == "ET" and et_rule == ET_RULE_MAX:
+    if groups_jobs(trigger, et_rule):
         groups = []
         for (lo, hi), contrib in sorted(per_job, key=lambda t: t[0]):
             if groups and lo <= groups[-1][0]:

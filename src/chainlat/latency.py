@@ -39,8 +39,14 @@ is what refinement leaves on every access but a target) and the hit-ratio
 weights.  A TSC instance
 groups each overlapping foreign job once, under every target set its task
 touches, and each target then reads only the group of its own set; a job
-that touches no target set is never looked at again.  Refinement copies
-the base map and refines the targets alone.
+that touches no target set is never looked at again.  A foreign job's
+contribution is a pure function of its task, the counting unit, the set
+and its overlapping blocks, so the weights and exclusion graph of each
+distinct overlap are built once per task (TaskAnalysis.contributions) and
+shared by every instance; only the MWIS bound runs per contribution.  A
+chain whose jobs the combination rule does not group adds each
+contribution as it comes, the sum interference_bound would return.
+Refinement copies the base map and refines the targets alone.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .interference import (
     ET_RULE_SUM,
     ET_RULES,
     collect_overlap_set,
+    groups_jobs,
     interference_bound,
     job_contribution,
     set_weights,
@@ -114,7 +121,9 @@ class TaskAnalysis:
     instance that reads it, so an instance pays only for its targets.
     One of them is task_views, the task's relative window ladders, which
     every TSC instance reads for every foreign job of the task through a
-    task-time query.
+    task-time query.  Another is contributions, job_contribution's memo
+    per counting unit and set, filled by the TSC instances that read the
+    task's jobs and freed with the Setup.
     prepare builds none of them: setup keeps exactly its work and its
     allocations.  all_miss and base_refined, the maps every instance's
     refined map starts from, name every access of the task, so each
@@ -157,6 +166,14 @@ class TaskAnalysis:
             return None
         job = JobInstance("", 0, self.task_id, 0, Interval(0, 0), Interval(0, self.cip_wcet))
         return JobContext(job, self.ctx)
+
+    @cached_property
+    def contributions(self) -> dict:
+        """(counting unit, set) -> job_contribution's memo for the task's
+        jobs: overlapping blocks -> (raw sum, ExclusionGraph).  A memo is
+        added by the first TSC instance that reads the task's jobs in the
+        set, so a set no target reads holds none."""
+        return {}
 
     @cached_property
     def hit_weights(self) -> tuple:
@@ -380,9 +397,10 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
     sets = ta.target_sets
     # Per foreign chain, each overlapping job that touches a target set,
     # grouped once under every such set, in pair order: its weight table
-    # entry, task graph, views, the offset of those views' time from
-    # absolute time, and shifted release.  Task-time views are offset by the
-    # shifted release; a job's own absolute views by the shift alone.
+    # entry and contribution memo, task graph, views, the offset of those
+    # views' time from absolute time, and shifted release.  Task-time views
+    # are offset by the shifted release; a job's own absolute views by the
+    # shift alone.
     foreign = []
     for fchain, pairs in _foreign_overlaps(setup, key):
         by_set = {}
@@ -393,6 +411,7 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
             common = sets.intersection(weights)
             if not common:
                 continue
+            memos = fta.contributions
             rlo, rhi = fj.release
             release = (rlo + shift, rhi + shift)
             views, offset = fta.task_views, release
@@ -400,9 +419,12 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
                 views, offset = JobContext(fj, fta.ctx), (shift, shift)
             entry = (setup.bundle.tasks[fj.task_id], views, offset, release)
             for s in common:
-                by_set.setdefault(s, []).append((weights[s], *entry))
+                memo = memos.get((options.counting, s))
+                if memo is None:
+                    memo = memos[options.counting, s] = {}
+                by_set.setdefault(s, []).append((weights[s], memo, *entry))
         if by_set:
-            foreign.append((fchain.trigger, by_set))
+            foreign.append((groups_jobs(fchain.trigger, options.et_rule), fchain.trigger, by_set))
 
     rlo, rhi = job.release
     mc, debug = {}, {}
@@ -410,21 +432,23 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
         lo, hi = line_window[cls.access_id]
         lo, hi = lo + rlo, hi + rhi
         total = raw_total = mwis_total = 0
-        for trigger, by_set in foreign:
+        for grouped, trigger, by_set in foreign:
             fjobs = by_set.get(cls.l2_set)
             if fjobs is None:
                 continue
             per_job = []
-            for table, graph, fviews, (olo, ohi), release in fjobs:
+            for table, memo, graph, fviews, (olo, ohi), release in fjobs:
                 # A view interval (a, b) moved to (a + olo, b + ohi) meets
                 # (lo, hi) exactly when (a, b) meets this one-interval query.
                 blocks = collect_overlap_set((((lo - ohi, hi - olo),),), fviews, table[1])
                 if not blocks:
                     continue
-                raw, contrib = job_contribution(table, graph, blocks)
+                raw, contrib = job_contribution(table, graph, blocks, memo)
                 raw_total += raw
                 mwis_total += contrib
-                if contrib:
+                if not grouped:
+                    total += contrib  # what interference_bound sums for this chain
+                elif contrib:
                     per_job.append((release, contrib))
             if per_job:
                 total += interference_bound(per_job, trigger, options.et_rule)

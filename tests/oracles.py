@@ -833,6 +833,7 @@ def _ref_tsc_mc(setup, key, line_window, options, contexts):
                     contexts[fkey] = JobContext(fj, setup.tasks[fj.task_id].ctx)
                 view = (((lo - shift, hi - shift),),)
                 blocks = collect_overlap_set(view, contexts[fkey], table[1])
+                # No memo: the reference builds every exclusion graph afresh.
                 raw, contrib = job_contribution(table, setup.bundle.tasks[fj.task_id], blocks)
                 raw_total += raw
                 mwis_total += contrib

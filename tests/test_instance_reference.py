@@ -1,11 +1,15 @@
 """Every per-instance result against the reference composition in tests/oracles.py."""
 
 from dataclasses import replace
+from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainlat import latency
 from chainlat.ingest import generate_workload
+from chainlat.interference import job_contribution
 from chainlat.latency import AnalysisOptions, analyze_bundle, prepare
 
 from conftest import boundary_bundle
@@ -20,8 +24,22 @@ OPTIONS = (
 
 
 def _check(bundle, options):
-    report = analyze_bundle(bundle, options, setup=prepare(bundle))
+    """Compare every instance with the reference; returns (graphs memoized, contributions made)."""
+    calls = []
+
+    def recording(table, graph, blocks, memo=None):
+        calls.append((memo, tuple(blocks)))
+        return job_contribution(table, graph, blocks, memo)
+
+    with mock.patch.object(latency, "job_contribution", recording):
+        report = analyze_bundle(bundle, options, setup=prepare(bundle))
     setup = report.setup
+    # The production run passes a memo on every call and fills it with one
+    # graph per distinct overlap; the reference builds every graph afresh.
+    assert all(memo is not None for memo, _ in calls)
+    graphs = sum(len(memo) for ta in setup.tasks.values() for memo in ta.contributions.values())
+    assert graphs == len({(id(memo), key) for memo, key in calls})
+    assert (graphs > 0) == bool(calls)
     contexts = {}
     for (mode, *key), res in report.instances.items():
         wcet, refined, mc, debug = reference_instance(setup, tuple(key), mode, options, contexts)
@@ -31,6 +49,7 @@ def _check(bundle, options):
         assert list(res.refined.items()) == list(refined.items()), (mode, key)
         assert list(res.mc.items()) == list(mc.items()), (mode, key)
         assert list(res.debug.items()) == list(debug.items()), (mode, key)
+    return graphs, len(calls)
 
 
 # (cores, tasks per chain, periods forced to 2000/2080): the forced periods
@@ -59,3 +78,17 @@ def test_instances_equal_the_reference(seed, trigger, shape, blocks, options):
 def test_boundary_instances_equal_the_reference():
     for options in OPTIONS:
         _check(boundary_bundle(), options)
+
+
+@pytest.mark.parametrize("options", OPTIONS)
+@pytest.mark.parametrize("blocks", (6, 12))
+@pytest.mark.parametrize("tasks_per_chain", (1, 2, 4))
+def test_quad_core_instances_equal_the_reference_through_memo_hits(tasks_per_chain, blocks, options):
+    # Quad-core bundles whose foreign jobs repeat overlaps, so the comparison
+    # covers contributions read back from the memos.  Not every drawn bundle
+    # repeats one (seed 7, one 6-block task per chain: 4 graphs for 4
+    # contributions), so the seed is fixed here.
+    bundle = generate_workload(seed=1, cores=4, tasks_per_chain=tasks_per_chain, trigger="mix",
+                               blocks_per_task=blocks, collision=0.8)
+    graphs, contributions = _check(bundle, options)
+    assert 0 < graphs < contributions

@@ -1,9 +1,11 @@
 import random
 import time
+from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chainlat import interference
 from chainlat.cache_ai import classify_task
 from chainlat.interference import (
     ET_RULE_MAX,
@@ -228,3 +230,56 @@ def test_collect_overlap_set_matches_brute_force():
     expected = [bid for bid in candidates if seq_overlap(window, foreign.task_ctx.bba_time(bid, foreign.job.release))]
     assert got == expected
     assert 0 < len(got) < len(candidates)  # the window splits the blocks
+
+
+@lru_cache(maxsize=None)
+def _exclusive_set_cases():
+    """(task, weight tables, set) for each generated task's set whose
+    candidates hold both blocks of an exclusive pair, so its graphs can have edges."""
+    from chainlat.ingest import generate_workload
+
+    cases = []
+    for seed in range(40):
+        bundle = generate_workload(seed=seed, blocks_per_task=16, collision=1.0)
+        for tid in sorted(bundle.tasks):
+            task = bundle.tasks[tid]
+            if not task.exclusive_pairs:
+                continue
+            tables = set_weights(classify_task(task, bundle.system))
+            for s, (_, blocks) in tables["distinct"].items():
+                if any(blocks.keys() >= pair for pair in task.exclusive_pairs):
+                    cases.append((task, tables, s))
+    assert cases
+    return cases
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.sampled_from(("distinct", "access")))
+def test_job_contribution_memo_equals_a_fresh_build(monkeypatch, data, counting):
+    # Any sequence of overlap subsets, in candidate order as collect_overlap_set
+    # returns them, through one shared memo: every call gives the memo-free
+    # (raw, bound), the memo keeps one entry per distinct tuple, and
+    # mwis_bound sees one vertex per overlapping block, hit or miss.
+    task, tables, s = data.draw(st.sampled_from(_exclusive_set_cases()))
+    table = tables[counting][s]
+    candidates = list(table[1])
+    masks = st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates))
+    subsets = data.draw(st.lists(masks, min_size=1, max_size=24))
+    solved = []
+    real = interference.mwis_bound
+
+    def recording(graph, *args):
+        solved.append(graph)
+        return real(graph, *args)
+
+    monkeypatch.setattr(interference, "mwis_bound", recording)
+    memo, seen = {}, set()
+    for mask in subsets:
+        blocks = [bid for bid, keep in zip(candidates, mask) if keep]
+        solved.clear()
+        got = job_contribution(table, task, blocks, memo)
+        assert len(solved) == 1
+        assert list(solved[0].weights) == blocks
+        assert got == job_contribution(table, task, blocks)
+        seen.add(tuple(blocks))
+        assert len(memo) == len(seen) and memo.keys() == seen
