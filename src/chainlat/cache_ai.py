@@ -11,20 +11,20 @@ guaranteed L1 miss updates the L2 state strongly, anything else joins the
 accessed and not-accessed outcomes.  Analysis assumes a cold cache at each
 job release; no credit is taken for inter-job reuse.
 
-Each fixpoint runs round-robin passes in topological order, and a pass
-still means one such sweep, so the pass counts (l1_passes, l2_passes) are
-those of transferring every block every pass.  Only blocks with a changed
-predecessor are re-transferred, though: the others would compute the same
-out-state again (chaotic iteration reaches the same least fixpoint).
-`classify_task` builds one step table per block, (access id, L1 line, L2
-line) in access order, so each line is looked up once per task, not per
-pass.  The three fixpoints (L1 must, L1 may, L2 must) run on that table and
-differ only in their access update and join (the L2 one reads the rows that
-are not guaranteed L1 hits); one function, `_states_before`, runs each
-from the empty entry state and records the state before every access.  A
-block's last transfer is the one from its final in-state, so the states it
-recorded are the fixpoint's; no walk over the blocks repeats it after the
-fixpoint.
+`classify_task` builds one plan per task: its blocks by position in
+topological order, entry first, with each block's predecessor and
+successor positions over all edges.  The three fixpoints (L1 must, L1 may,
+L2 must) are sweeps of that plan by one function, `_sweep`, and differ only
+in their transfer and join.  Each sweep runs round-robin passes in
+position order, and a pass still means one such sweep, so the pass counts
+(l1_passes, l2_passes) are those of transferring every block every pass.
+Only blocks with a changed predecessor are re-transferred, though: the
+others would compute the same out-state again (chaotic iteration reaches
+the same least fixpoint).  A transfer records each access's verdict as it
+runs: whether its line is in the L1 must state, whether it is in the L1
+may state, and its age in the L2 must state.  A block's last transfer is
+the one from its final in-state, so the verdicts it recorded are the
+fixpoint's; the L2 sweep reads the accesses the L1 verdicts leave visible.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ AH = "AH"
 PS = "PS"
 NC = "NC"
 BYPASS = "BYPASS"
-
-_L1_MISS = "MISS"
-_L1_UNC = "UNC"
 
 
 def _age_update(state: dict, line: int, ways: int, sets: int) -> dict:
@@ -73,80 +70,86 @@ def _age_update(state: dict, line: int, ways: int, sets: int) -> dict:
 
 
 def _join_must(s1: dict, s2: dict) -> dict:
-    return {l: max(a, s2[l]) for l, a in s1.items() if l in s2}
+    """The lines in both states, each at the older of its ages."""
+    return {l: a if a >= b else b for l, a in s1.items() if (b := s2.get(l)) is not None}
 
 
 def _join_may(s1: dict, s2: dict) -> dict:
+    """The lines in either state, each at the younger of its ages."""
     out = dict(s2)
     for l, a in s1.items():
-        out[l] = min(a, out.get(l, a))
+        if (b := out.get(l)) is None or a < b:
+            out[l] = a
     return out
 
 
-class _Fixpoint:
-    """Iterates block transfer functions over the full CFG to a fixed point.
+def _plan(task: TaskGraph) -> tuple:
+    """(order, index, preds, succs): the blocks in topological order, entry
+    first, each block's position, and by position the positions of its
+    predecessors and successors over all edges, back edges included."""
+    order = task.topo_order
+    assert order[0] == task.entry_block, (task.id, order[0], task.entry_block)
+    index = {bid: i for i, bid in enumerate(order)}
+    pred, succ = task.predecessors(), task.successors()
+    return (order, index, [[index[p] for p in pred[bid]] for bid in order],
+            [[index[q] for q in succ[bid]] for bid in order])
 
-    Each pass is one round-robin sweep in topological order, but only dirty
+
+def _sweep(plan: tuple, transfer, join, entry_state: dict, max_passes: int) -> tuple:
+    """Iterates block transfer functions over the plan to a fixed point.
+
+    Each pass is one round-robin sweep in position order, but only dirty
     blocks are transferred.  Every block starts dirty; a block whose
     out-state changes marks its successors (back edges included) dirty.  A
     clean block's in-state would be joined from unchanged out-states, and a
     dirty block whose joined in-state equals the one it was last transferred
-    with is skipped as well.  A transfer's out-state depends on its in-state
-    alone (it may note the states it passes through), so the skips leave
-    every state, every pass's `changed` flag and so the pass count as a full
-    sweep would; `transfers` counts the transfers made.  Each block's last
-    transfer is from its in-state in the result.
+    with is skipped as well (states compare by identity, then equality).
+    `transfer(position, state)` is the out-state; it depends on the in-state
+    alone (it may note what it passes through), so the skips leave every
+    state, every pass's `changed` flag and so the pass count as a full sweep
+    would.  Each block's last transfer is from its in-state in the result.
 
-    The entry starts from the empty state.  On a validated graph every other
-    block has a forward predecessor earlier in the order, so its joined
-    in-state is never None; on any graph a None state equals the missing
-    in-state, so the in-state test skips it.
+    The entry, position 0, starts from `entry_state`.  On a validated graph
+    every other block has a forward predecessor earlier in the order, so
+    its joined in-state is never None; on any graph a None state equals the
+    missing in-state, so the in-state test skips it.  Returns (in-states by
+    position, None where no state reached, passes, transfers made).
     """
-
-    def __init__(self, task: TaskGraph, transfer, join):
-        self.task = task
-        self.transfer = transfer
-        self.join = join
-        self.order = task.topo_order
-        self.pred = task.predecessors(include_back=True)
-        self.succ = task.successors(include_back=True)
-        self.in_states = {}
-        self.passes = 0
-        self.transfers = 0
-
-    def run(self, max_passes: int) -> dict:
-        order, pred, succ, join, transfer = self.order, self.pred, self.succ, self.join, self.transfer
-        entry, in_states = self.task.entry_block, self.in_states
-        out_states = {}
-        dirty = set(order)
-        changed = True
-        while changed:
-            self.passes += 1
-            if self.passes > max_passes:
-                raise RuntimeError("cache fixpoint did not converge in %d passes" % max_passes)
-            changed = False
-            for bid in order:
-                if bid not in dirty:
-                    continue
-                dirty.discard(bid)
-                if bid == entry:
-                    state = {}
-                else:
-                    state = None
-                    for p in pred[bid]:
-                        pout = out_states.get(p)
-                        if pout is not None:
-                            state = pout if state is None else join(state, pout)
-                    if in_states.get(bid) == state:
-                        continue  # a changed predecessor left the joined in-state as it was, or none reaches it yet
-                in_states[bid] = state
-                out = transfer(bid, state)
-                self.transfers += 1
-                if out_states.get(bid) != out:
-                    out_states[bid] = out
-                    dirty.update(succ[bid])
-                    changed = True
-        return in_states
+    preds, succs = plan[2], plan[3]
+    n = len(preds)
+    in_states, out_states, dirty = [None] * n, [None] * n, [True] * n
+    passes = transfers = 0
+    changed = True
+    while changed:
+        passes += 1
+        if passes > max_passes:
+            raise RuntimeError("cache fixpoint did not converge in %d passes" % max_passes)
+        changed = False
+        for i in range(n):
+            if not dirty[i]:
+                continue
+            dirty[i] = False
+            if i:
+                state = None
+                for p in preds[i]:
+                    out = out_states[p]
+                    if out is not None:
+                        state = out if state is None else join(state, out)
+                old = in_states[i]
+                if old is state or old == state:
+                    continue  # a changed predecessor left the joined in-state as it was, or none reaches it yet
+            else:
+                state = entry_state
+            in_states[i] = state
+            out = transfer(i, state)
+            transfers += 1
+            old = out_states[i]
+            if old is not out and old != out:
+                out_states[i] = out
+                for q in succs[i]:
+                    dirty[q] = True
+                changed = True
+    return in_states, passes, transfers
 
 
 class AccessClassification(NamedTuple):
@@ -178,81 +181,72 @@ class TaskClassification:
         return self._visible
 
 
-def _states_before(task: TaskGraph, steps: dict, update, join, ways: int):
-    """The state before each access at the fixpoint from the empty entry state.
-
-    `steps` maps each block to its accesses' steps in access order, each a
-    tuple whose first item is the access id; `update(state, step)` is the
-    state after that access.  Returns (access id -> state before it, pass
-    count).
-    """
-    before = {}
-
-    def transfer(bid, state):
-        for step in steps[bid]:
-            before[step[0]] = state
-            state = update(state, step)
-        return state
-
-    fp = _Fixpoint(task, transfer, join)
-    fp.run(max(4, len(task.blocks) * ways))
-    return before, fp.passes
-
-
-def _l2_step(state: dict, label: str, line: int, ways: int, sets: int) -> dict:
-    """L2 must update for one access that misses or may miss L1."""
-    touched = _age_update(state, line, ways, sets)
-    return touched if label == _L1_MISS else _join_must(touched, state)
-
-
 def classify_task(task: TaskGraph, system: SystemSpec) -> TaskClassification:
     """Exclusive-use CHMC and LRU age for every access of the task."""
     l1, l2 = system.l1, system.l2
     l1_ways, l1_sets, l2_ways, l2_sets = l1.ways, l1.sets, l2.ways, l2.sets
-    steps = {bid: tuple((acc.id, l1.line_of(acc.address), l2.line_of(acc.address)) for acc in block.accesses)
-             for bid, block in task.blocks.items()}
+    plan = _plan(task)
+    order, index, n = plan[0], plan[1], len(plan[0])
+    l1_lines, l2_lines = ([tuple([acc.address // size for acc in task.blocks[bid].accesses]) for bid in order]
+                          for size in (l1.line_size, l2.line_size))
 
-    def l1_update(state, step):
-        return _age_update(state, step[1], l1_ways, l1_sets)
+    def l1_verdicts(join):
+        """By position, per access: whether its L1 line is in the state before it."""
+        found = [None] * n
 
-    must, must_passes = _states_before(task, steps, l1_update, _join_must, l1_ways)
-    may, may_passes = _states_before(task, steps, l1_update, _join_may, l1_ways)
-    labels = {aid: AH if line in must[aid] else _L1_MISS if line not in may[aid] else _L1_UNC
-              for block_steps in steps.values() for aid, line, _ in block_steps}
-    visible = {bid: tuple(step for step in block_steps if labels[step[0]] != AH) for bid, block_steps in steps.items()}
+        def transfer(i, state):
+            seen = found[i] = []
+            for line in l1_lines[i]:
+                seen.append(line in state)
+                state = _age_update(state, line, l1_ways, l1_sets)
+            return state
 
-    def l2_update(state, step):
-        return _l2_step(state, labels[step[0]], step[2], l2_ways, l2_sets)
+        return found, _sweep(plan, transfer, join, {}, max(4, n * l1_ways))[1]
 
-    l2_pre, l2_passes = _states_before(task, visible, l2_update, _join_must, l2_ways)
+    must, must_passes = l1_verdicts(_join_must)
+    may, may_passes = l1_verdicts(_join_may)
+    # By position, the accesses that reach L2: (L2 line, a guaranteed L1 miss).
+    visible = [tuple((line, not reach) for line, hit, reach in zip(l2_lines[i], must[i], may[i]) if not hit)
+               for i in range(n)]
+    ages = [None] * n  # by position, per visible access: its L2 line's age in the state before it, or None
+
+    def l2_transfer(i, state):
+        seen = ages[i] = []
+        for line, miss in visible[i]:
+            seen.append(state.get(line))
+            touched = _age_update(state, line, l2_ways, l2_sets)
+            state = touched if miss else _join_must(touched, state)
+        return state
+
+    l2_passes = _sweep(plan, l2_transfer, _join_must, {}, max(4, n * l2_ways))[1]
 
     # Set pressure per loop scope: distinct L2-visible lines per cache set
     # over the whole loop body, nested loops included.
-    pressure = {}
-    for lid, loop in task.loops.items():
-        per_set = {}
-        for bid in loop.body_blocks:
-            for _, _, line in visible[bid]:
-                per_set.setdefault(line % l2_sets, set()).add(line)
-        for s, lines in per_set.items():
-            pressure[(lid, s)] = len(lines)
+    ancestry = task.ancestry
+    per_set = {}
+    for bid, rows in zip(order, visible):
+        for lid in ancestry[bid]:
+            for line, _ in rows:
+                per_set.setdefault((lid, line % l2_sets), set()).add(line)
+    pressure = {key: len(lines) for key, lines in per_set.items()}
 
     out = {}
-    ancestry = task.ancestry
-    for bid, block_steps in steps.items():
+    for bid, block in task.blocks.items():
+        i = index[bid]
         scope = ancestry[bid][0] if ancestry[bid] else None
-        for aid, _, line in block_steps:
-            if labels[aid] == AH:
+        visible_ages = iter(ages[i])
+        for acc, hit, line in zip(block.accesses, must[i], l2_lines[i]):
+            aid = acc.id
+            if hit:
                 out[aid] = AccessClassification(aid, bid, AH, BYPASS, None, None, None)
                 continue
-            l2_set = line % l2_sets
-            pre = l2_pre[aid]
-            if line in pre:
-                chmc, age = AH, pre[line]
+            l2_set, age = line % l2_sets, next(visible_ages)
+            if age is not None:
+                chmc = AH
             elif scope is not None and pressure.get((scope, l2_set), 0) <= l2_ways:
                 chmc, age = PS, pressure[(scope, l2_set)]
             else:
-                chmc, age = NC, None
+                chmc = NC
             out[aid] = AccessClassification(aid, bid, NC, chmc, age, l2_set, line)
 
     return TaskClassification(task.id, out, max(must_passes, may_passes), l2_passes)

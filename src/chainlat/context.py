@@ -54,7 +54,7 @@ import csv
 from .cache_ai import AH, PS
 from .cost import ContractedTask, virtual_id
 from .model import ChainSpec, Interval, JobInstance, ValidationError
-from .overlap import hull, normalize
+from .overlap import normalize
 
 # Most distinct windows one ladder may hold, and most pairs one window sum
 # may add, before a task is refused as too large to analyze.
@@ -132,17 +132,18 @@ class TaskContext:
         # until its own latest end; a persistent access is vulnerable across
         # its whole scope occupancy.
         visible = classification.visible()
+        # A normalized window w is sorted and disjoint: its hull is (w[0][0], w[-1][1]).
         earliest = {}  # L2 line -> earliest start of a block accessing it
         for cls in visible:
-            lo = hull(self.bbrp[cls.block_id]).lo
+            lo = self.bbrp[cls.block_id][0][0]
             earliest[cls.l2_line] = min(lo, earliest.get(cls.l2_line, lo))
         self.line_window = {}
         for cls in visible:
             if cls.l2_chmc == AH:
-                self.line_window[cls.access_id] = Interval(earliest[cls.l2_line], hull(self.bbrp[cls.block_id]).hi)
+                self.line_window[cls.access_id] = Interval(earliest[cls.l2_line], self.bbrp[cls.block_id][-1][1])
             elif cls.l2_chmc == PS:
-                lid = t.ancestry[cls.block_id][0]
-                self.line_window[cls.access_id] = hull(self.bbrp[virtual_id(lid)])
+                w = self.bbrp[virtual_id(t.ancestry[cls.block_id][0])]
+                self.line_window[cls.access_id] = Interval(w[0][0], w[-1][1])
 
     def bba_time(self, node: str, release) -> tuple:
         """Absolute window (BBATime) of a code block or virtual node for a

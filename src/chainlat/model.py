@@ -170,8 +170,13 @@ class TaskGraph:
 
     @_derived
     def _forward_maps(self) -> tuple:
-        """(pred, succ) over the forward edges."""
-        return adjacency(self.blocks, self.forward_edges)
+        """(pred, succ) over the forward edges: `_maps` without the back edges."""
+        pred, succ = map(dict, self._maps)
+        for src, dst in {loop.back_edge for loop in self.loops.values()}:
+            if src in succ and dst in pred:  # elaborate_loops reads these maps before the back edges are checked
+                succ[src] = tuple(d for d in succ[src] if d != dst)
+                pred[dst] = tuple(s for s in pred[dst] if s != src)
+        return pred, succ
 
     def successors(self, include_back=True) -> dict:
         """Block id -> successor ids (a tuple); built once per graph, never mutate."""

@@ -1,10 +1,11 @@
 """The cache fixpoint re-transfers only blocks with a changed predecessor.
 
 Against a reference that transfers every reachable block on every pass, the
-in-states and pass counts of the L1 must, L1 may and L2 must fixpoints are
+in-states and pass counts of the L1 must, L1 may and L2 must sweeps are
 equal, and no run makes more transfers than blocks times passes.  Walking
 each block from the reference's in-states gives every access's L1 label,
-L2 CHMC and age that `classify_task` reports.
+L2 CHMC and age that `classify_task` reports.  The joins equal their
+definitions by `max` and `min`.
 """
 
 import random
@@ -13,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlat.cache_ai import (AH, BYPASS, NC, PS, _L1_MISS, _L1_UNC, _Fixpoint, _age_update, _join_may, _join_must,
-                               _l2_step, classify_task)
+from chainlat.cache_ai import AH, BYPASS, NC, PS, _age_update, _join_may, _join_must, _plan, _sweep, classify_task
 from chainlat.ingest import _TaskBuilder, default_system
 
 from oracles import reference_fixpoint
@@ -27,7 +27,7 @@ def _generated_task(seed, loop_depth, n_blocks, collision):
 def _fixpoints(task, system):
     """(name, transfer, join, ways) of the three fixpoints classify_task runs.
 
-    The L1 labels the L2 transfer reads come from walking each block from
+    The L1 verdicts the L2 transfer reads come from walking each block from
     the reference's L1 must and may in-states.
     """
     l1, l2 = system.l1, system.l2
@@ -45,17 +45,35 @@ def _fixpoints(task, system):
         hit, reach, rows = must[bid], may[bid], []
         for acc, line in zip(block.accesses, lines[bid]):
             if line not in hit:
-                rows.append((_L1_MISS if line not in reach else _L1_UNC, l2.line_of(acc.address)))
+                rows.append((line not in reach, l2.line_of(acc.address)))  # (a guaranteed L1 miss, L2 line)
             hit, reach = _age_update(hit, line, l1.ways, l1.sets), _age_update(reach, line, l1.ways, l1.sets)
         visible[bid] = tuple(rows)
 
     def l2_transfer(bid, state):
-        for label, line in visible[bid]:
-            state = _l2_step(state, label, line, l2.ways, l2.sets)
+        for miss, line in visible[bid]:
+            touched = _age_update(state, line, l2.ways, l2.sets)
+            state = touched if miss else _join_must(touched, state)
         return state
 
     return (("l1 must", l1_transfer, _join_must, l1.ways), ("l1 may", l1_transfer, _join_may, l1.ways),
             ("l2 must", l2_transfer, _join_must, l2.ways))
+
+
+def _run_sweep(task, transfer, join, cap):
+    """`_sweep` of the task's plan with a transfer by block id: (in-states by block id, passes, transfers)."""
+    plan = _plan(task)
+    order = plan[0]
+    in_states, passes, transfers = _sweep(plan, lambda i, state: transfer(order[i], state), join, {}, cap)
+    return {bid: state for bid, state in zip(order, in_states) if state is not None}, passes, transfers
+
+
+def test_plan_starts_at_the_entry():
+    task = _generated_task(3, 3, 16, 0.8)
+    order, index, preds, succs = _plan(task)
+    assert order == task.topo_order and order[0] == task.entry_block
+    assert all(index[bid] == i for i, bid in enumerate(order))
+    assert [tuple(order[p] for p in ps) for ps in preds] == [task.predecessors()[bid] for bid in order]
+    assert [tuple(order[q] for q in qs) for qs in succs] == [task.successors()[bid] for bid in order]
 
 
 @settings(max_examples=80, deadline=None)
@@ -67,11 +85,11 @@ def test_dirty_blocks_fixpoint_matches_full_sweeps(seed, depth, n_blocks, collis
     for name, transfer, join, ways in _fixpoints(task, system):
         cap = max(4, len(task.blocks) * ways)
         ref_in, ref_passes, ref_transfers = reference_fixpoint(task, transfer, join, {}, cap)
-        fp = _Fixpoint(task, transfer, join)
-        assert fp.run(cap) == ref_in, name
-        assert fp.passes == ref_passes, name
-        assert fp.transfers <= min(ref_transfers, len(task.blocks) * fp.passes), name
-        passes[name] = fp.passes
+        in_states, sweep_passes, transfers = _run_sweep(task, transfer, join, cap)
+        assert in_states == ref_in, name
+        assert sweep_passes == ref_passes, name
+        assert transfers <= min(ref_transfers, len(task.blocks) * sweep_passes), name
+        passes[name] = sweep_passes
     cls = classify_task(task, system)
     assert cls.l1_passes == max(passes["l1 must"], passes["l1 may"])
     assert cls.l2_passes == passes["l2 must"]
@@ -83,21 +101,19 @@ def test_loops_skip_transfers_of_unchanged_blocks():
                 if max((t.loop_depth(l) for l in t.loops), default=0) == 2)
     _, transfer, join, _ = _fixpoints(task, default_system())[0]
     _, ref_passes, ref_transfers = reference_fixpoint(task, transfer, join, {}, 1000)
-    fp = _Fixpoint(task, transfer, join)
-    fp.run(1000)
-    assert fp.passes == ref_passes > 2
-    assert fp.transfers < ref_transfers
+    _, passes, transfers = _run_sweep(task, transfer, join, 1000)
+    assert passes == ref_passes > 2
+    assert transfers < ref_transfers
 
 
 def test_too_small_cap_still_raises():
     task = _generated_task(3, 3, 16, 0.8)
     _, transfer, join, _ = _fixpoints(task, default_system())[0]
     _, needed, _ = reference_fixpoint(task, transfer, join, {}, 1000)
-    fp = _Fixpoint(task, transfer, join)
-    fp.run(needed)  # a cap of exactly the passes needed is enough
-    assert fp.passes == needed
+    _, passes, _ = _run_sweep(task, transfer, join, needed)  # a cap of exactly the passes needed is enough
+    assert passes == needed
     with pytest.raises(RuntimeError, match="cache fixpoint did not converge in %d passes" % (needed - 1)):
-        _Fixpoint(task, transfer, join).run(needed - 1)
+        _run_sweep(task, transfer, join, needed - 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,3 +204,16 @@ def test_age_update_matches_the_lru_rule(geometry, data):
     before = dict(state)
     assert _age_update(state, line, ways, sets) == _reference_age_update(state, line, ways, sets)
     assert state == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 12), st.integers(1, 8), max_size=8),
+       st.dictionaries(st.integers(0, 12), st.integers(1, 8), max_size=8))
+def test_joins_match_their_definitions(s1, s2):
+    before = (dict(s1), dict(s2))
+    assert _join_must(s1, s2) == {l: max(a, s2[l]) for l, a in s1.items() if l in s2}
+    may = dict(s2)
+    for l, a in s1.items():
+        may[l] = min(a, may.get(l, a))
+    assert _join_may(s1, s2) == may
+    assert (s1, s2) == before

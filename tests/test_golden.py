@@ -8,7 +8,10 @@ access) under every option set.  ``CONTEXT_DIGESTS`` pins the
 ``contexts.csv`` debug dump (every job's absolute block windows) under the
 default options.  ``TRACE_DIGESTS`` pins the simulator's
 ``trace.csv`` for the worst-biased path and random path 0.
-``GENERATOR_DIGESTS`` pins every file ``chainlat generate`` writes.  A change that
+``CLASSIFICATION_DIGESTS`` pins the exclusive-use classification: every
+task's ``classification.csv`` debug dump and its fixpoint pass counts
+``(l1_passes, l2_passes)``, which the bench's ``cache_ai.fixpoint_passes``
+sums.  ``GENERATOR_DIGESTS`` pins every file ``chainlat generate`` writes.  A change that
 keeps the analysis must keep every digest; one that means to alter reports
 or traces records them again and says why.
 """
@@ -21,6 +24,7 @@ from dataclasses import replace
 import pytest
 
 from chainlat import generate_workload
+from chainlat.cache_ai import classify_task, write_classification_csv
 from chainlat.cli import main
 from chainlat.context import write_context_csv
 from chainlat.interference import write_interference_csv
@@ -220,6 +224,32 @@ def test_trace_csv_digest(policy, name, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[policy][name]
+
+
+# sha256 over the tasks in id order of each classification.csv followed by
+# the line "<l1_passes> <l2_passes>".
+CLASSIFICATION_DIGESTS = {
+    "dual_et": "d8fa346f3569d5c4653d9f613f04ea98d83af0e9b04faf7d6776fb0bcfc08eb1",
+    "dual_et_4tasks": "6e7b1cd95765525a9c28403d5cdf21b198524aaaafd582252bcbc0eef6545594",
+    "dual_mix": "f1f316199cfe59ff65af0525e84dcd27f668469f8a55348bf85dce8e0b47e1ca",
+    "dual_periods_2000_2080": "f1f316199cfe59ff65af0525e84dcd27f668469f8a55348bf85dce8e0b47e1ca",
+    "dual_tt": "d8fa346f3569d5c4653d9f613f04ea98d83af0e9b04faf7d6776fb0bcfc08eb1",
+    "hyperperiod_boundary": "1970b8fa399021a2a293602ba61edd54a564fbec2b847c812e10dc736ff92b6e",
+    "quad_mix": "f28d5e2d2617d3fb649a6fd7c8a826d7b43fad69756aeae5e58e7f2e2d0a32c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_classification_digest(name, tmp_path):
+    bundle = BUNDLES[name]()
+    digest = hashlib.sha256()
+    path = tmp_path / "classification.csv"
+    for tid in sorted(bundle.tasks):
+        cls = classify_task(bundle.tasks[tid], bundle.system)
+        write_classification_csv(path, cls)
+        digest.update(path.read_bytes())
+        digest.update(b"%d %d\n" % (cls.l1_passes, cls.l2_passes))
+    assert digest.hexdigest() == CLASSIFICATION_DIGESTS[name]
 
 
 # sha256 of every file `chainlat generate` writes, per setting.

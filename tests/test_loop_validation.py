@@ -61,6 +61,10 @@ MESSAGES = [
      "loops la and lb declare the same back edge t->h"),
     ("unknown-loop-block", _doc(LOOP_BLOCKS, LOOP_EDGES, [_loop("l", "zz", "t")]),
      "loop l references unknown blocks"),
+    # Every block has a predecessor, so the entry search reads the forward
+    # adjacency before the loop's blocks are checked.
+    ("cycle-with-unknown-loop-block", _doc(["a", "b"], [("a", "b"), ("b", "a")], [_loop("l", "zz", "b")]),
+     "need exactly one entry block, found []"),
     ("side-entry", _doc(LOOP_BLOCKS, SIDE_ENTRY, [_loop("l", "h", "t")]),
      "loop l: side entry, head h does not dominate tail t"),
     ("tail-is-entry", _doc(["t", "h", "x"], [("t", "h"), ("h", "x")], [_loop("l", "h", "t")]),
