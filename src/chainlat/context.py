@@ -24,9 +24,10 @@ iteration), or a sum of more pairs, is refused with a ValidationError.
 One rule makes every absolute window: a job's release window relative to
 the system start (PRSTime) plus a block's program-relative window is the
 block's absolute window (BBATime), normalize(release + bbrp[block]).
-TaskContext.bba_time computes it where it is read, from the current
-bbrp[block], for every reader: the block views, the simulator's oracle
-and the contexts.csv dump.  A one-interval window, the common case, is
+TaskContext.bba_times computes it for many nodes of one job in one call,
+from the current bbrp, for every reader: the block views (a block and its
+loops' virtual nodes), the simulator's oracle and the contexts.csv dump
+(all of a task's blocks).  A one-interval window, the common case, is
 shifted without normalizing.
 
 A block's view for the overlap phases is a plain tuple, the ladder of its
@@ -145,16 +146,22 @@ class TaskContext:
                 w = self.bbrp[virtual_id(t.ancestry[cls.block_id][0])]
                 self.line_window[cls.access_id] = Interval(w[0][0], w[-1][1])
 
-    def bba_time(self, node: str, release) -> tuple:
-        """Absolute window (BBATime) of a code block or virtual node for a
-        job released within `release`: each interval of the node's
-        program-relative window shifted by the release window, normalized."""
+    def bba_times(self, nodes, release) -> dict:
+        """Absolute windows (BBATime) of code blocks or virtual nodes for a
+        job released within `release`, node -> window: each interval of the
+        node's program-relative window shifted by the release window, and
+        only a window of more than one interval normalized (most have one)."""
         rlo, rhi = release
-        relative = self.bbrp[node]
-        if len(relative) == 1:  # most windows: nothing to normalize
-            (lo, hi), = relative
-            return ((lo + rlo, hi + rhi),)
-        return normalize([(lo + rlo, hi + rhi) for lo, hi in relative])
+        bbrp = self.bbrp
+        windows = {}
+        for node in nodes:
+            relative = bbrp[node]
+            if len(relative) == 1:
+                (lo, hi), = relative
+                windows[node] = ((lo + rlo, hi + rhi),)
+            else:
+                windows[node] = normalize([(lo + rlo, hi + rhi) for lo, hi in relative])
+        return windows
 
 
 class JobContext:
@@ -168,11 +175,9 @@ class JobContext:
     def block_view(self, block_id: str) -> tuple:
         """The block's window ladder for the job's release, finest first."""
         if block_id not in self._views:
-            ctx, release = self.task_ctx, self.job.release
-            levels = [ctx.bba_time(block_id, release)]
-            for lid in ctx.task.ancestry[block_id]:
-                levels.append(ctx.bba_time(virtual_id(lid), release))
-            self._views[block_id] = tuple(levels)
+            ctx = self.task_ctx
+            nodes = (block_id, *map(virtual_id, ctx.task.ancestry[block_id]))
+            self._views[block_id] = tuple(ctx.bba_times(nodes, self.job.release).values())
         return self._views[block_id]
 
 
@@ -185,6 +190,6 @@ def write_context_csv(path, setup):
         for key in sorted(setup.jobs):
             job = setup.jobs[key]
             ctx = setup.tasks[job.task_id].ctx
-            for bid in sorted(ctx.task.blocks):
-                for idx, (lo, hi) in enumerate(ctx.bba_time(bid, job.release)):
+            for bid, window in ctx.bba_times(sorted(ctx.task.blocks), job.release).items():
+                for idx, (lo, hi) in enumerate(window):
                     w.writerow([job.chain_id, job.period_index, job.task_id, bid, idx, lo, hi])

@@ -237,15 +237,17 @@ class Setup:
     # and its oracle (the last two), like each TaskAnalysis's tables.  Each
     # value depends on nothing but the fields above, never on options or a
     # report, so a Setup reused across options never reads a stale one.
-    # Every absolute window, the oracle's and a block view's level alike, is
-    # TaskContext.bba_time(node, release).  Edit a task's contexts or
-    # classification (fault injection) before the first check_safety on the
-    # Setup, not after.  Without each, the bench's default seeds ran slower:
-    # overlaps longhyper analysis +8 %, walks / oracle_windows verify2
-    # verify_s 0.76 -> 1.34 / 0.79 -> 0.96 s.
+    # Every absolute window, the oracle's and a block view's level alike,
+    # comes from TaskContext.bba_times(nodes, release); the oracle keeps
+    # one block id -> window map per job, over all of its task's blocks.
+    # Edit a task's contexts or classification (fault injection) before the
+    # first check_safety on the Setup, not after.  Without each, the bench's
+    # default seeds ran slower: overlaps longhyper analysis +8 %, walks
+    # verify2 verify_s 0.76 -> 1.34 s, oracle_windows (the maps rebuilt by
+    # every check) verify2 verify_s 0.76 -> 0.85 s.
     overlaps: dict = field(default_factory=dict, repr=False)  # job key -> foreign pairs
     walks: dict = field(default_factory=dict, repr=False)  # task id -> simulator walk table
-    oracle_windows: dict = field(default_factory=dict, repr=False)  # (*job key, block id) -> (lo, hi) pairs
+    oracle_windows: dict = field(default_factory=dict, repr=False)  # job key -> {block id: (lo, hi) pairs}
 
 
 @dataclass

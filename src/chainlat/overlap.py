@@ -3,7 +3,7 @@
 An interval is a closed (lo, hi) pair; model.Interval, its validated form,
 equals the pair.  Sequences are tuples sorted by lower bound.  A job's
 windows are normalized where they are built, by
-context.TaskContext.bba_time; the overlap tests never normalize.  Overlap
+context.TaskContext.bba_times; the overlap tests never normalize.  Overlap
 is inclusive: touching endpoints overlap, so verdicts are invariant under
 translating both operands.  The TSC analysis leans on that: it tests a
 foreign block in its task's time, against the relative ladder, with the

@@ -42,8 +42,10 @@ A Setup keeps the per-task walk tables (with the worst-biased walk) and
 the oracle's absolute windows, each built on first use, so every
 path after the first on one Setup pays only for its own walk and its own
 checks.  The oracle reads each absolute window where the analysis does,
-from TaskContext.bba_time: the block's program-relative window shifted by
-the job's release window.  It keeps one per (job, block) on the Setup.
+from TaskContext.bba_times: the block's program-relative window shifted by
+the job's release window.  It keeps one map per job on the Setup, block id
+-> window over all of the job's task's blocks, built at the job's first
+block row; a job's rows come in runs, and each run looks its map up once.
 The walker records each access and block occurrence as a plain tuple row;
 the AccessEvent and BlockOccurrence records are built from the rows at
 each read, and the oracle reads the rows.
@@ -722,20 +724,26 @@ def check_safety(trace: SimTrace, report, setup=None) -> list:
                 record["mode"] = mode
             violations.append(record)
 
+    # A job's block rows come in runs between other cores' rows: its
+    # windows are looked up once per run, and built at its first row.
     windows = setup.oracle_windows
+    pcid = pk = pi = None
     for _, cid, k, i, bid, start, end in trace.block_rows:
-        key = (cid, k, i, bid)
-        window = windows.get(key)
-        if window is None:
-            job = setup.jobs[cid, k, i]
-            window = windows[key] = setup.tasks[job.task_id].ctx.bba_time(bid, job.release)
+        if i != pi or k != pk or cid != pcid:
+            pcid, pk, pi = cid, k, i
+            job = (cid, k, i)
+            job_windows = windows.get(job)
+            if job_windows is None:
+                instance = setup.jobs[job]
+                ctx = setup.tasks[instance.task_id].ctx
+                job_windows = windows[job] = ctx.bba_times(ctx.task.blocks, instance.release)
         # Covered when the occurrence lies inside one interval of the window.
-        for lo, hi in window:
+        for lo, hi in job_windows[bid]:
             if lo <= start and end <= hi:
                 break
         else:
             violations.append({"kind": "context-coverage", "block": bid,
-                               "job": (cid, k, i), "window": (start, end)})
+                               "job": job, "window": (start, end)})
 
     for core, cid, k, i, release, actual in trace.overruns:
         violations.append({"kind": "deadline-overrun", "job": (cid, k, i),

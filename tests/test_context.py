@@ -192,7 +192,7 @@ def test_coverage_against_exhaustive_enumeration(system, diamond):
     job = JobInstance("c", 0, diamond.id, 0, release, Interval(70, 70 + con.wcet))
     for path in enumerate_task_paths(diamond):
         for bid, s, e in path_occurrences(path, costs):
-            window = ctx.bba_time(bid, job.release)
+            window = ctx.bba_times((bid,), job.release)[bid]
             assert any(lo <= 70 + s and 70 + e <= hi for lo, hi in window), (bid, s, e)
 
 

@@ -22,8 +22,8 @@ from oracles import reference_check_safety
 CONFIGS = [SimConfig("random", s) for s in range(3)] + [SimConfig("worst", 0)]
 
 
-def _compare(seed, tasks_per_chain, collision, trigger, fault):
-    bundle = generate_workload(seed=seed, cores=2, tasks_per_chain=tasks_per_chain,
+def _compare(seed, tasks_per_chain, collision, trigger, fault, cores=2, traces=None):
+    bundle = generate_workload(seed=seed, cores=cores, tasks_per_chain=tasks_per_chain,
                                collision=collision, trigger=trigger)
     report = analyze_bundle(bundle)
     setup = report.setup
@@ -37,17 +37,39 @@ def _compare(seed, tasks_per_chain, collision, trigger, fault):
         got = check_safety(trace, report, setup)
         assert got == reference_check_safety(trace, report, setup), (config, got[:3])
         flagged += len(got)
+        if traces is not None:
+            traces.append(trace)
     return flagged
+
+
+def _most_runs(trace):
+    """Most runs of consecutive block rows that one job's rows form."""
+    runs = {}
+    previous = None
+    for row in trace.block_rows:
+        job = row[1:4]
+        if job != previous:
+            runs[job] = runs.get(job, 0) + 1
+            previous = job
+    return max(runs.values())
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), tasks_per_chain=st.sampled_from((1, 2)),
        collision=st.sampled_from((0.5, 0.8)), trigger=st.sampled_from(("ET", "TT", "mix")),
-       fault=st.sampled_from(("none", "mc", "context")))
-def test_oracle_matches_reference(seed, tasks_per_chain, collision, trigger, fault):
-    flagged = _compare(seed, tasks_per_chain, collision, trigger, fault)
+       fault=st.sampled_from(("none", "mc", "context")), cores=st.sampled_from((2, 4)))
+def test_oracle_matches_reference(seed, tasks_per_chain, collision, trigger, fault, cores):
+    flagged = _compare(seed, tasks_per_chain, collision, trigger, fault, cores)
     if fault == "none":
         assert flagged == 0
+
+
+def test_split_job_runs_are_checked_identically():
+    # On four cores a job's block rows arrive in several runs between other
+    # cores' rows; the oracle looks the job's windows up again at each run.
+    traces = []
+    assert _compare(1, 2, 0.8, "mix", "context", cores=4, traces=traces) > 0
+    assert max(_most_runs(trace) for trace in traces) >= 2
 
 
 def test_broken_chain_bound_and_overrun_are_flagged_identically():

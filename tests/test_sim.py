@@ -390,12 +390,14 @@ windows = st.lists(st.tuples(st.integers(-50, 500), st.integers(0, 60)), min_siz
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 300), st.sampled_from(("ET", "TT", "mix")), st.data())
 def test_job_and_oracle_windows_are_the_release_plus_the_relative_window(seed, trigger, data):
-    # Every absolute window comes from TaskContext.bba_time, which the
-    # oracle reads directly and a block view reads for each of its levels:
-    # both equal normalize(release + bbrp[node]) for every job and node of
-    # a generated bundle.  A few relative windows are first replaced by
-    # arbitrary sequences, sorted or not, overlapping or touching.
-    setup = prepare(generate_workload(seed=seed, cores=2, trigger=trigger))
+    # Every absolute window comes from TaskContext.bba_times, which the
+    # oracle calls once per job and a block view once per block: all equal
+    # normalize(release + bbrp[node]) for every job and node of a generated
+    # bundle.  A few relative windows are first replaced by arbitrary
+    # sequences, sorted or not, overlapping or touching.
+    bundle = generate_workload(seed=seed, cores=2, trigger=trigger)
+    report = analyze_bundle(bundle, AnalysisOptions(modes=("TSC",)))
+    setup = report.setup
     for tid in data.draw(st.lists(st.sampled_from(sorted(setup.tasks)), max_size=2)):
         bbrp = setup.tasks[tid].ctx.bbrp
         bbrp[data.draw(st.sampled_from(sorted(bbrp)))] = data.draw(windows)
@@ -404,13 +406,21 @@ def test_job_and_oracle_windows_are_the_release_plus_the_relative_window(seed, t
         jctx = job_context(setup, key)
         ctx = setup.tasks[job.task_id].ctx
         widths.add(job.release.hi - job.release.lo)
-        for node in sorted(ctx.bbrp):
-            assert ctx.bba_time(node, job.release) == reference_bba_time(job.release, ctx.bbrp[node])
+        nodes = sorted(ctx.bbrp)
+        assert ctx.bba_times(nodes, job.release) == {
+            node: reference_bba_time(job.release, ctx.bbrp[node]) for node in nodes}
         for bid in sorted(ctx.task.blocks):
             expected = reference_bba_time(job.release, ctx.bbrp[bid])
             assert jctx.block_view(bid)[0] == expected
     if trigger == "ET":
         assert max(widths) > 0
+    # The oracle keeps one window map per job, over all of its task's blocks.
+    check_safety(simulate(bundle, SimConfig("random", 0), setup=setup), report)
+    assert setup.oracle_windows
+    for key, job_windows in setup.oracle_windows.items():
+        job = setup.jobs[key]
+        ctx = setup.tasks[job.task_id].ctx
+        assert job_windows == {bid: reference_bba_time(job.release, ctx.bbrp[bid]) for bid in ctx.task.blocks}
 
 
 @pytest.mark.parametrize("modes", [("TLT",), ("TLT", "NCT"), ("NCT",)])
