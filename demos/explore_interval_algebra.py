@@ -88,7 +88,7 @@ for i, (lo, hi) in enumerate(ctx.bbrp["t"], 1):
     print("  iteration %d: [%d, %d]" % (i, lo - start_lo, hi - start_hi))
 
 job = JobInstance("c0", 0, "demo", 0, Interval(0, 0), Interval(0, con.wcet))
-jctx = JobContext(job, ctx)
+jctx = JobContext(job.release, ctx)
 peer = straight_task("peer", [10, 30, 5])
 pcon = contract_task(peer, classify_task(peer, system), system)
 pctx = TaskContext(pcon)
@@ -104,6 +104,6 @@ for peer_release in (200, 50, 20):
     if not LifetimeIndex({("c1", 0, 0): pjob.lifetime}, 1000).overlapping(job.lifetime):
         print("peer released at %3d -> overlap False (rejected by the lifetime index)" % peer_release)
         continue
-    verdict = hierarchical_overlap(jctx.block_view("t"), JobContext(pjob, pctx).block_view("peer_b1"))
+    verdict = hierarchical_overlap(jctx.block_view("t"), JobContext(pjob.release, pctx).block_view("peer_b1"))
     print("peer released at %3d -> overlap %-5s (decided at the %s phase)" % (
         peer_release, verdict.result, verdict.decided_at))

@@ -30,17 +30,23 @@ loops' virtual nodes), the simulator's oracle and the contexts.csv dump
 (all of a task's blocks).  A one-interval window, the common case, is
 shifted without normalizing.
 
-A block's view for the overlap phases is a plain tuple, the ladder of its
-windows in its JobContext's time: its own, then that of each enclosing
-loop's virtual node, innermost first.  The coarsest rung of a block inside
-a loop is the one-interval envelope of its outermost loop, [earliest
-start, latest end], which the loop-envelope phase compares.  A job
-released at cycle 0 sees the relative ladders themselves, and the TSC
-analysis reads each foreign task's through that one context
+A code block's window holds at most PHASE3_THRESHOLD intervals: a longer
+one bridges its narrowest gaps where it is built (cap_window).  Widening
+a window by a release window never adds intervals, so every window read
+in task time or in absolute time fits the cap.  Where a job's absolute
+window fits it uncapped, every bridged gap is no wider than the release
+and would have merged anyway, so that window is unchanged.
+
+A block's view for the overlap phases is a plain tuple in its
+JobContext's time: its window, then, for a block inside a loop, the
+one-interval envelope of its outermost loop, [earliest start, latest
+end], which the loop-envelope phase compares and which covers the capped
+window.  A job released at cycle 0 sees the relative windows themselves,
+and the TSC analysis reads each foreign task's through that one context
 (latency.TaskAnalysis.task_views), moving the target into task time
 instead of every foreign window into absolute time.  No view carries its
 job's lifetime: the job phase is the lifetime index, applied once per
-foreign job (latency.LifetimeIndex), and every rung lies inside that
+foreign job (latency.LifetimeIndex), and every view lies inside that
 lifetime.
 
 Upper bounds account for one-time persistence misses: the first iteration
@@ -54,12 +60,15 @@ import csv
 
 from .cache_ai import AH, PS
 from .cost import ContractedTask, virtual_id
-from .model import ChainSpec, Interval, JobInstance, ValidationError
+from .model import ChainSpec, Interval, ValidationError
 from .overlap import normalize
 
 # Most distinct windows one ladder may hold, and most pairs one window sum
 # may add, before a task is refused as too large to analyze.
 MAX_WINDOW_INTERVALS = 100_000
+# Most intervals one code block's window holds once built; the block phase
+# of the overlap test sweeps at most this many per side.
+PHASE3_THRESHOLD = 1024
 
 
 def compute_prs_time(chain: ChainSpec, task_index: int, period_index: int,
@@ -103,6 +112,18 @@ def _window(task_id: str, s, node: str, own: int, start: tuple) -> tuple:
     return normalize([(slo + lo, shi + hi) for slo, shi in start for lo, hi in ladder])
 
 
+def cap_window(window: tuple, limit: int = PHASE3_THRESHOLD) -> tuple:
+    """A normalized window of at most `limit` intervals covering `window`:
+    all gaps but the limit - 1 widest are bridged, the earlier of equal
+    gaps kept, so the hull stays and the cap commutes with translation."""
+    if len(window) <= limit:
+        return window
+    # Gap i precedes interval i: the widest first, the earlier of equal ones.
+    widest = sorted(range(1, len(window)), key=lambda i: (window[i - 1][1] - window[i][0], i))
+    keep = sorted(widest[:limit - 1])
+    return tuple((window[a][0], window[b - 1][1]) for a, b in zip((0, *keep), (*keep, len(window))))
+
+
 class TaskContext:
     """All release-independent window material for one task."""
 
@@ -123,7 +144,7 @@ class TaskContext:
             for node in s.bbsc:
                 child = loop_of.get(node)
                 if child is None:
-                    self.bbrp[node] = _window(t.id, s, node, node_worst[node], start)
+                    self.bbrp[node] = cap_window(_window(t.id, s, node, node_worst[node], start))
                 else:
                     lpb = self.lpb[child] = _window(t.id, s, node, 0, start)
                     self.bbrp[node] = normalize([(lo, hi + node_worst[node]) for lo, hi in lpb])
@@ -165,19 +186,20 @@ class TaskContext:
 
 
 class JobContext:
-    """Block views of one job instance of a task, in its release's time."""
+    """Block views of a task's job released within `release`: absolute, or
+    the task's relative windows at release (0, 0)."""
 
-    def __init__(self, job: JobInstance, task_ctx: TaskContext):
-        self.job = job
+    def __init__(self, release, task_ctx: TaskContext):
+        self.release = release
         self.task_ctx = task_ctx
         self._views = {}
 
     def block_view(self, block_id: str) -> tuple:
-        """The block's window ladder for the job's release, finest first."""
+        """The block's window, then its outermost loop's envelope if it has one."""
         if block_id not in self._views:
             ctx = self.task_ctx
-            nodes = (block_id, *map(virtual_id, ctx.task.ancestry[block_id]))
-            self._views[block_id] = tuple(ctx.bba_times(nodes, self.job.release).values())
+            nodes = (block_id, *map(virtual_id, ctx.task.ancestry[block_id][-1:]))
+            self._views[block_id] = tuple(ctx.bba_times(nodes, self.release).values())
         return self._views[block_id]
 
 

@@ -138,8 +138,9 @@ def set_weights(classification) -> dict:
 def collect_overlap_set(target, foreign_views, blocks):
     """Foreign blocks whose windows can overlap the target's block view.
 
-    foreign_views is a JobContext: a foreign job's absolute views, or its
-    task's relative views with the target moved into task time.
+    foreign_views is a JobContext: a foreign task's relative views with the
+    target moved into task time (latency.TaskAnalysis.task_views), or a
+    job's absolute views.
     """
     return [
         bid for bid in blocks

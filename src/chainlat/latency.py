@@ -23,13 +23,11 @@ query lies wholly outside the index's start range is skipped before it
 bisects.  TLT and TSC scan only those pairs, so the per-instance cost grows
 with the overlapping jobs rather than with all jobs of the hyperperiod.
 A foreign block is tested in its own task's time: each task's relative
-window ladders are one shared set of views (TaskAnalysis.task_views), and
-a foreign job released within (rlo, rhi) under shift d meets the target
+windows are one shared set of views (TaskAnalysis.task_views), and a
+foreign job released within (rlo, rhi) under shift d meets the target
 window (lo, hi) exactly where its relative window meets the query
 (lo - d - rhi, hi - d - rlo).  Overlap is translation-invariant, so every
-verdict, phase included, is the one the job's absolute views give.  A task
-with a level longer than PHASE3_THRESHOLD keeps those absolute views,
-built per TSC call, since the block phase coarsens a level by its length.
+verdict, phase included, is the one the job's absolute views give.
 
 An instance pays only for its targets and for the foreign jobs that touch
 their sets.  Each task's option-free tables are built once, by the first
@@ -75,7 +73,6 @@ from .interference import (
     set_weights,
 )
 from .model import Interval, JobInstance, ValidationError, WorkloadBundle
-from .overlap import PHASE3_THRESHOLD
 
 MODES = ("TSC", "TLT", "NCT")
 
@@ -119,7 +116,7 @@ class TaskAnalysis:
     Beside the classification, contractions and weight tables it holds the
     per-instance tables, each O(accesses) and built once, at the first
     instance that reads it, so an instance pays only for its targets.
-    One of them is task_views, the task's relative window ladders, which
+    One of them is task_views, the task's relative windows, which
     every TSC instance reads for every foreign job of the task through a
     task-time query.  Another is contributions, job_contribution's memo
     per counting unit and set, filled by the TSC instances that read the
@@ -156,16 +153,10 @@ class TaskAnalysis:
         return {aid: c.l2_chmc for aid, c in self.classification.accesses.items()}
 
     @cached_property
-    def task_views(self) -> Optional[JobContext]:
-        """The task's relative window ladders as block views: those of a job
-        in no chain released at cycle 0.  None when a level holds more than
-        PHASE3_THRESHOLD intervals, which the block phase coarsens by their
-        count while a job's absolute view may hold fewer, so such a task's
-        jobs keep their own views."""
-        if any(len(w) > PHASE3_THRESHOLD for w in self.ctx.bbrp.values()):
-            return None
-        job = JobInstance("", 0, self.task_id, 0, Interval(0, 0), Interval(0, self.cip_wcet))
-        return JobContext(job, self.ctx)
+    def task_views(self) -> JobContext:
+        """The task's relative windows as block views: those of a job
+        released at cycle 0."""
+        return JobContext(Interval(0, 0), self.ctx)
 
     @cached_property
     def contributions(self) -> dict:
@@ -399,10 +390,8 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
     sets = ta.target_sets
     # Per foreign chain, each overlapping job that touches a target set,
     # grouped once under every such set, in pair order: its weight table
-    # entry and contribution memo, task graph, views, the offset of those
-    # views' time from absolute time, and shifted release.  Task-time views
-    # are offset by the shifted release; a job's own absolute views by the
-    # shift alone.
+    # entry and contribution memo, task graph, task-time views and shifted
+    # release.
     foreign = []
     for fchain, pairs in _foreign_overlaps(setup, key):
         by_set = {}
@@ -416,10 +405,7 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
             memos = fta.contributions
             rlo, rhi = fj.release
             release = (rlo + shift, rhi + shift)
-            views, offset = fta.task_views, release
-            if views is None:
-                views, offset = JobContext(fj, fta.ctx), (shift, shift)
-            entry = (setup.bundle.tasks[fj.task_id], views, offset, release)
+            entry = (setup.bundle.tasks[fj.task_id], fta.task_views, release)
             for s in common:
                 memo = memos.get((options.counting, s))
                 if memo is None:
@@ -439,10 +425,12 @@ def _tsc_mc(setup: Setup, key, line_window: dict, options: AnalysisOptions) -> d
             if fjobs is None:
                 continue
             per_job = []
-            for table, memo, graph, fviews, (olo, ohi), release in fjobs:
-                # A view interval (a, b) moved to (a + olo, b + ohi) meets
-                # (lo, hi) exactly when (a, b) meets this one-interval query.
-                blocks = collect_overlap_set((((lo - ohi, hi - olo),),), fviews, table[1])
+            for table, memo, graph, fviews, release in fjobs:
+                # A view interval (a, b) moved to (a + flo, b + fhi) by the
+                # shifted release meets (lo, hi) exactly when (a, b) meets
+                # this one-interval query.
+                flo, fhi = release
+                blocks = collect_overlap_set((((lo - fhi, hi - flo),),), fviews, table[1])
                 if not blocks:
                     continue
                 raw, contrib = job_contribution(table, graph, blocks, memo)

@@ -6,18 +6,19 @@ windows are normalized where they are built, by
 context.TaskContext.bba_times; the overlap tests never normalize.  Overlap
 is inclusive: touching endpoints overlap, so verdicts are invariant under
 translating both operands.  The TSC analysis leans on that: it tests a
-foreign block in its task's time, against the relative ladder, with the
+foreign block in its task's time, against the relative window, with the
 one-interval target moved by the foreign job's release window.  Moving
 each interval (a, b) of a window to (a + rlo, b + rhi) and normalizing
-keeps the union, the first lo and the last hi, and never adds an
-interval, so while no level is longer than PHASE3_THRESHOLD the verdict
-and the phase that decides it are those of the absolute view.
+keeps the first lo and the last hi, and a window meets the moved target
+exactly where its widened form meets the target, so the verdict and the
+phase that decides it are those of the absolute view.  The block phase
+compares whole windows: context.TaskContext caps each where it is built.
 
 hierarchical_overlap holds the loop-envelope and block phases; the job
 phase is latency.LifetimeIndex, applied once per foreign job.  It sits in
 the TSC inner loop, so it allocates nothing: it returns one of the four
-shared, frozen verdicts in VERDICTS, reads the hulls of the coarsest
-window levels inline, and compares two single-interval windows directly
+shared, frozen verdicts in VERDICTS, reads the hulls of both views' last
+levels inline, and compares two single-interval windows directly
 instead of sweeping them with seq_overlap.
 """
 
@@ -26,10 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Interval
-
-# Longest block window sequence the block-level phase expands; longer ones
-# fall back to the window of an enclosing contracted loop.
-PHASE3_THRESHOLD = 1024
 
 
 def seq(*pairs) -> tuple:
@@ -92,27 +89,17 @@ _BLOCK_MISS = VERDICTS[False, "block"]
 _BLOCK_HIT = VERDICTS[True, "block"]
 
 
-def window_within(levels: tuple, threshold: int) -> tuple:
-    """The finest window level of at most `threshold` intervals, else the coarsest."""
-    for w in levels:
-        if len(w) <= threshold:
-            return w
-    return levels[-1]
-
-
-def hierarchical_overlap(a: tuple, b: tuple, threshold: int = PHASE3_THRESHOLD) -> OverlapVerdict:
+def hierarchical_overlap(a: tuple, b: tuple) -> OverlapVerdict:
     """Loop-envelope then block-window overlap of two block occurrences.
 
-    ``a`` and ``b`` are block views (see chainlat.context): normalized
-    window sequences in one time, finest first, whose coarsest level is the
-    outermost-loop envelope when the block sits inside a loop.  The job
-    phase already ran, once per foreign job, in latency.LifetimeIndex.  A
-    rejection is final because the envelope covers the block windows.
-    The envelope phase runs when either view has more than one level and
-    compares the hulls of both coarsest levels.  The block phase compares
-    the finest windows unless one is longer than ``threshold``, then that
-    side's window_within; two single-interval windows are compared
-    directly, others by seq_overlap.
+    ``a`` and ``b`` are block views (see chainlat.context): a normalized
+    window in one time, then the outermost-loop envelope when the block
+    sits inside a loop.  The job phase already ran, once per foreign job,
+    in latency.LifetimeIndex.  A rejection is final because the envelope
+    covers the block window.  The envelope phase runs when either view has
+    more than one level and compares the hulls of both last levels.  The
+    block phase compares the windows: two single intervals directly,
+    others by seq_overlap.
     """
     if len(a) > 1 or len(b) > 1:
         ca, cb = a[-1], b[-1]
@@ -120,10 +107,6 @@ def hierarchical_overlap(a: tuple, b: tuple, threshold: int = PHASE3_THRESHOLD) 
             return _LOOP_MISS
 
     wa, wb = a[0], b[0]
-    if len(wa) > threshold:
-        wa = window_within(a, threshold)
-    if len(wb) > threshold:
-        wb = window_within(b, threshold)
     if len(wa) == 1 and len(wb) == 1:
         (alo, ahi), = wa
         (blo, bhi), = wb

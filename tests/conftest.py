@@ -143,14 +143,14 @@ def boundary_bundle():
 
 
 def shift_view(view, delta):
-    """A block view (window ladder) with every interval moved by delta."""
+    """A block view (its levels of windows) with every interval moved by delta."""
     return tuple(tuple((lo + delta, hi + delta) for lo, hi in level) for level in view)
 
 
 def job_context(setup, key):
     """A fresh JobContext of a job: its block views in absolute time."""
     job = setup.jobs[key]
-    return JobContext(job, setup.tasks[job.task_id].ctx)
+    return JobContext(job.release, setup.tasks[job.task_id].ctx)
 
 
 def target_view(setup, key, access_id):

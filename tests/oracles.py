@@ -5,6 +5,7 @@ Everything here is deliberately written against the plain definitions
 code paths it checks.
 """
 
+import heapq
 import random
 from collections import namedtuple
 
@@ -46,27 +47,20 @@ def brute_force_overlap(a, b):
     return any(max(x.lo, y.lo) <= min(x.hi, y.hi) for x in a for y in b)
 
 
-def reference_hierarchical_overlap(a, b, threshold):
+def reference_hierarchical_overlap(a, b):
     """The two-phase overlap judgment as (result, decided_at), phase by phase.
 
     Written straight from the phase definitions, apart from the shared
     verdicts and the single-interval comparison of the library: the
-    envelope phase runs when either view (a window ladder, finest first)
-    has more than one level and compares the spans of both coarsest levels
-    (min lo, max hi over every interval), then the block phase compares,
-    all pairs of closed intervals, each side's finest level of at most
-    `threshold` intervals, or its coarsest when none is that short.  The
-    job phase belongs to the lifetime index, not to this judgment.
+    envelope phase runs when either view (a window, then the envelope of a
+    loop block) has more than one level and compares the spans of both
+    last levels (min lo, max hi over every interval), then the block phase
+    compares all pairs of closed intervals of both windows.  The job phase
+    belongs to the lifetime index, not to this judgment.
     """
     def span(view):
         w = view[-1]
         return min(lo for lo, _ in w), max(hi for _, hi in w)
-
-    def within(view):
-        for w in view:
-            if len(w) <= threshold:
-                return w
-        return view[-1]
 
     def meets(x, y):
         return max(x[0], y[0]) <= min(x[1], y[1])
@@ -74,7 +68,24 @@ def reference_hierarchical_overlap(a, b, threshold):
     if len(a) > 1 or len(b) > 1:
         if not meets(span(a), span(b)):
             return False, "outer-loop"
-    return any(meets(x, y) for x in within(a) for y in within(b)), "block"
+    return any(meets(x, y) for x in a[0] for y in b[0]), "block"
+
+
+def reference_coarsen(window, limit):
+    """A normalized window bridged gap by gap down to `limit` intervals:
+    each step bridges the narrowest gap left, the later of equal gaps.
+    Bridging a gap leaves every other gap as wide as it was, so the steps
+    pop one heap of (width, -position)."""
+    gaps = [(window[i][0] - window[i - 1][1], -i) for i in range(1, len(window))]
+    heapq.heapify(gaps)
+    bridged = {-heapq.heappop(gaps)[1] for _ in range(len(window) - limit)}
+    out = [window[0]]
+    for i in range(1, len(window)):
+        if i in bridged:
+            out[-1] = (out[-1][0], window[i][1])
+        else:
+            out.append(window[i])
+    return tuple(out)
 
 
 def brute_force_mwis(weights, edges):
@@ -830,7 +841,7 @@ def _ref_tsc_mc(setup, key, line_window, options, contexts):
                 if table is None:
                     continue
                 if fkey not in contexts:
-                    contexts[fkey] = JobContext(fj, setup.tasks[fj.task_id].ctx)
+                    contexts[fkey] = JobContext(fj.release, setup.tasks[fj.task_id].ctx)
                 view = (((lo - shift, hi - shift),),)
                 blocks = collect_overlap_set(view, contexts[fkey], table[1])
                 # No memo: the reference builds every exclusion graph afresh.

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from chainlat.cache_ai import AH, NC, PS, all_miss, classify_task
 from chainlat.context import (
+    PHASE3_THRESHOLD,
     JobContext,
     TaskContext,
     _iterations,
+    cap_window,
     compute_prs_time,
 )
 from chainlat.cost import ContractionPlan, LoopCostSummary, contract_task, virtual_id
@@ -17,7 +19,13 @@ from chainlat.model import ChainSpec, Interval, JobInstance, LoopNode
 from chainlat.overlap import hull, normalize, seq
 
 from conftest import acc, block, build_task, diamond_loop_task, make_system, straight_task
-from oracles import reference_bba_time, reference_windows, unrolled_iteration_windows, unrolled_window_oracle
+from oracles import (
+    reference_bba_time,
+    reference_coarsen,
+    reference_windows,
+    unrolled_iteration_windows,
+    unrolled_window_oracle,
+)
 
 
 def contracted(task, system):
@@ -165,7 +173,7 @@ def test_in_loop_sequence_has_maxbd_intervals(system, diamond):
 
 def test_outermost_virtual_window_is_the_loop_envelope(system, diamond):
     # The loop's virtual node spans [earliest start, latest start + worst
-    # cost], and it is the coarsest level of a block inside the loop.
+    # cost], and it is the last level of a view of a block inside the loop.
     con = contracted(diamond, system)
     ctx = TaskContext(con)
     v = virtual_id("dl_l1")
@@ -173,7 +181,7 @@ def test_outermost_virtual_window_is_the_loop_envelope(system, diamond):
     program = con.summaries[None]
     assert ctx.bbrp[v] == (Interval(program.bbsc[v], program.bblc[v] + con.node_worst[v]),)
     job = JobInstance("c", 0, diamond.id, 0, Interval(5, 9), Interval(5, 9 + con.wcet))
-    jctx = JobContext(job, ctx)
+    jctx = JobContext(job.release, ctx)
     assert jctx.block_view("dl_t")[-1] == ((15, 61),)
     assert len(jctx.block_view("dl_t")) == 2
     assert len(jctx.block_view("dl_b0")) == 1
@@ -238,9 +246,10 @@ def test_task_context_matches_reference_windows(seed, depth, n_blocks, collision
                     contract_task(task, cls, system, refined=r)):
             ctx = TaskContext(con)
             bbrp, lpb, line_window = reference_windows(con)
-            # TaskContext normalizes its windows where it builds them; the
-            # reference composes them unnormalized.  Both cover the same cycles.
-            assert ctx.bbrp == {n: normalize(w) for n, w in bbrp.items()}
+            # TaskContext normalizes its windows where it builds them and
+            # caps a code block's; the reference composes them unnormalized.
+            assert ctx.bbrp == {n: reference_coarsen(normalize(w), PHASE3_THRESHOLD) if n in task.blocks
+                                else normalize(w) for n, w in bbrp.items()}
             assert ctx.lpb == {lid: normalize(w) for lid, w in lpb.items()}
             assert ctx.line_window == line_window
 
@@ -288,3 +297,56 @@ def test_closed_ladder_equals_the_normalized_enumeration(s, own):
     # merged tail; that is the normalized enumeration of every iteration.
     assert tuple(_iterations("t", s, "n", own)) == normalize(full_ladder(s, "n", own))
 
+
+
+def gapped(start, steps):
+    """A normalized window from its first lo and (gap, width) steps, gaps >= 1."""
+    out, lo = [], start
+    for gap, width in steps:
+        out.append((lo, lo + width))
+        lo += width + gap
+    return tuple(out)
+
+
+# Gaps from a short range, so equal gaps are common.
+gapped_windows = st.builds(gapped, st.integers(-1000, 1000),
+                           st.lists(st.tuples(st.integers(1, 8), st.integers(0, 5)), min_size=1, max_size=40))
+limits = st.integers(1, 12)
+
+
+def shifted(window, delta):
+    return tuple((lo + delta, hi + delta) for lo, hi in window)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gapped_windows, limits, st.integers(-10**6, 10**6))
+def test_cap_window_matches_the_reference(window, limit, delta):
+    capped = cap_window(window, limit)
+    assert capped == reference_coarsen(window, limit)
+    assert normalize(capped) == capped and len(capped) <= limit
+    assert all(any(clo <= lo and hi <= chi for clo, chi in capped) for lo, hi in window)
+    assert hull(capped) == hull(window)
+    if len(window) <= limit:
+        assert capped == window
+    assert cap_window(shifted(window, delta), limit) == shifted(capped, delta)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gapped_windows, limits, st.integers(0, 10**6), st.integers(0, 10))
+def test_cap_window_is_exact_where_the_widened_window_fits(window, limit, rlo, width):
+    # A release of width W merges every gap of at most W, and the cap keeps
+    # the widest gaps: where the widened window fits the limit, every gap the
+    # cap bridged would have merged anyway.  Widening never adds intervals,
+    # so a widened capped window always fits.
+    release = (rlo, rlo + width)
+    widened = reference_bba_time(release, cap_window(window, limit))
+    assert len(widened) <= limit
+    if len(reference_bba_time(release, window)) <= limit:
+        assert widened == reference_bba_time(release, window)
+
+
+def test_cap_window_keeps_the_earlier_of_equal_gaps():
+    window = ((0, 0), (2, 2), (4, 4), (10, 10))  # gaps 2, 2, 6
+    assert cap_window(window, 3) == ((0, 0), (2, 4), (10, 10))
+    assert cap_window(window, 2) == ((0, 4), (10, 10))
+    assert cap_window(window, 1) == ((0, 10),)

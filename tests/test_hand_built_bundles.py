@@ -1,40 +1,43 @@
-"""Two hand-built dual-core bundles that reach the block phase's coarsening.
+"""Two hand-built dual-core bundles whose tail block window reaches the cap.
 
-A block window longer than PHASE3_THRESHOLD intervals falls back to the
-window of an enclosing loop.  No generated bundle has such a window, so
-these workload files under tests/data pin the path:
+A code block's window longer than PHASE3_THRESHOLD intervals bridges its
+narrowest gaps where it is built.  No generated bundle has such a window,
+so these workload files under tests/data pin the cap:
 
 - coarsening_tt: core 0's task p runs a 1-4-iteration loop whose body
   touches five lines of one private-cache set, four of them filling
   shared set 0, so all five are persistent (PS) targets.  Core 1's task f
   runs 1,100 iterations of a 100,000-instruction head and a
   one-instruction tail that touches shared set 0.  Both chains are TT, so
-  the tail's absolute window keeps one interval per iteration, and the
-  block phase compares the loop envelope instead: the envelope meets p's
-  loop, so the four set-0 targets are downgraded, which no tail
-  iteration's own window would do.
+  the tail's absolute window would keep one interval per iteration; the
+  cap keeps 1,024 of them, bridging the 76 narrowest gaps.  p's loop
+  meets the tail's loop envelope but none of those intervals, so TSC
+  charges no target any interference from f, while TLT does.
 - wide_release_et: the same tasks on ET chains, with a task q whose loop
   may run no iteration before f.  f's release window is then wider than
   the gaps between the tail's iterations, so the tail's absolute window
-  is one interval while its relative window keeps 1,100: a test in task
-  time would coarsen where the absolute test does not.  So the analysis
-  reads f's blocks through each job's absolute views in both bundles.
+  is one interval, as it is without the cap: every gap the cap bridged
+  would have merged anyway.
 
-Each bundle's report.json was recorded by ``chainlat analyze`` with the
-default options, before the block views lost their job lifetimes.
+In both bundles every task is read through its task-time views.  Each
+bundle's report.json was recorded by ``chainlat analyze`` with the
+default options.
 """
 
 import os
 
 import pytest
 
+from chainlat.cache_ai import AH, PS
 from chainlat.cli import main
+from chainlat.context import PHASE3_THRESHOLD
 from chainlat.ingest import parse_workload
 from chainlat.latency import analyze_bundle, prepare
-from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, window_within
+from chainlat.overlap import hierarchical_overlap, normalize
 from chainlat.sim import SimConfig, check_safety, simulate
 
-from conftest import job_context, target_view
+from conftest import job_context, shift_view, target_view
+from oracles import reference_windows
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 BUNDLES = ("coarsening_tt", "wide_release_et")
@@ -63,32 +66,66 @@ def test_report_matches_recorded_bytes_and_paths_are_safe(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", BUNDLES)
-def test_only_the_task_with_a_long_level_keeps_absolute_views(name):
-    setup = prepare(parse_workload(*_paths(name)))
-    assert len(setup.tasks["f"].ctx.bbrp["f_t"]) > PHASE3_THRESHOLD
-    assert {tid for tid, ta in setup.tasks.items() if ta.task_views is None} == {"f"}
+def test_task_time_verdicts_equal_absolute_verdicts(name):
+    # The analysis reads f, the task with the capped window, through its
+    # task-time views like any other.  For every target, foreign job,
+    # hyperperiod shift and block, the task-time query gives the verdict
+    # and phase of a fresh absolute JobContext.
+    bundle = parse_workload(*_paths(name))
+    setup = analyze_bundle(bundle).setup
+    assert "task_views" in vars(setup.tasks["f"])
+    h, tested = setup.hyper, 0
+    for key, job in sorted(setup.jobs.items()):
+        core = setup.chains[job.chain_id].core
+        for cls in setup.tasks[job.task_id].classification.visible():
+            if cls.l2_chmc not in (AH, PS):
+                continue
+            ((lo, hi),), = target_view(setup, key, cls.access_id)
+            for fkey, fjob in sorted(setup.jobs.items()):
+                if setup.chains[fjob.chain_id].core == core:
+                    continue
+                relative, absolute = setup.tasks[fjob.task_id].task_views, job_context(setup, fkey)
+                rlo, rhi = fjob.release
+                for shift in (-h, 0, h):
+                    query = (((lo - shift - rhi, hi - shift - rlo),),)
+                    for bid in sorted(bundle.tasks[fjob.task_id].blocks):
+                        got = hierarchical_overlap(query, relative.block_view(bid))
+                        want = hierarchical_overlap(shift_view((((lo, hi),),), -shift), absolute.block_view(bid))
+                        assert (got.result, got.decided_at) == (want.result, want.decided_at), (key, fkey, bid)
+                        tested += 1
+    assert tested
 
 
 def _tail(name):
-    """The Setup, f's job key, and the tail's relative window and absolute view."""
+    """The Setup, f's job key, the tail's 1,100 iteration windows, its
+    capped relative window and its absolute view."""
     setup = prepare(parse_workload(*_paths(name)))
     key = next(k for k, job in setup.jobs.items() if job.task_id == "f")
-    return setup, key, setup.tasks["f"].ctx.bbrp["f_t"], job_context(setup, key).block_view("f_t")
+    ta = setup.tasks["f"]
+    iterations = normalize(reference_windows(ta.contracted_init)[0]["f_t"])
+    return setup, key, iterations, ta.ctx.bbrp["f_t"], job_context(setup, key).block_view("f_t")
 
 
-def test_tt_tail_takes_the_coarsening_path():
-    setup, key, _, view = _tail("coarsening_tt")
-    assert len(view[0]) == 1100 > PHASE3_THRESHOLD
-    assert window_within(view, PHASE3_THRESHOLD) == view[-1]  # the loop envelope
-    # The envelope meets the first target's window; no tail iteration does.
+def _covers(window, outer):
+    return all(any(olo <= lo and hi <= ohi for olo, ohi in outer) for lo, hi in window)
+
+
+def test_tt_tail_is_capped_and_keeps_its_precision():
+    setup, key, iterations, relative, view = _tail("coarsening_tt")
+    assert len(iterations) == 1100 and len(relative) == PHASE3_THRESHOLD
+    assert _covers(iterations, relative)
+    assert len(view[0]) == PHASE3_THRESHOLD
+    # The first target's window meets the loop envelope but no interval
+    # of the capped tail window.
     tv = target_view(setup, ("c0", 0, 0), "p_a0")
-    assert hierarchical_overlap(tv, view).result
-    assert not hierarchical_overlap(tv, view, threshold=len(view[0])).result
+    verdict = hierarchical_overlap(tv, view)
+    assert not verdict.result and verdict.decided_at == "block"
 
 
 def test_et_tail_window_merges_under_the_release_window():
-    setup, key, relative, view = _tail("wide_release_et")
+    setup, key, iterations, relative, view = _tail("wide_release_et")
     release = setup.jobs[key].release
     assert release.hi - release.lo > 100_001  # wider than a tail iteration's gap
-    assert len(relative) == 1100
+    assert len(iterations) == 1100 and len(relative) == PHASE3_THRESHOLD
+    assert _covers(iterations, relative)
     assert len(view[0]) == 1 <= PHASE3_THRESHOLD

@@ -8,34 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlat.cache_ai import classify_task
-from chainlat.context import JobContext, TaskContext
+from chainlat.context import PHASE3_THRESHOLD, JobContext, TaskContext, cap_window
 from chainlat.cost import contract_task
 from chainlat.latency import LifetimeIndex
 from chainlat.model import Interval, JobInstance
-from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, hull, normalize, window_within
+from chainlat.overlap import hierarchical_overlap, hull, normalize
 
 from conftest import diamond_loop_task, make_system, shift_view, straight_task
 from oracles import reference_hierarchical_overlap
 
 
 def _job_ctx(task, system, release, jid="c"):
+    """The block views of a job of `task` released at `release`, and the job."""
     con = contract_task(task, classify_task(task, system), system)
-    ctx = TaskContext(con)
     job = JobInstance(jid, 0, task.id, 0, Interval(release, release),
                       Interval(release, release + con.wcet))
-    return JobContext(job, ctx), con
+    return JobContext(job.release, TaskContext(con)), job
 
 
 def test_lifetime_index_rejects_disjoint_jobs(system):
     # The job phase is the lifetime index: it never pairs jobs whose
     # lifetimes are disjoint under any hyperperiod shift, and their block
     # views, which lie inside those lifetimes, test as no overlap anyway.
-    a, _ = _job_ctx(straight_task("pa", [100]), system, 0, "ca")
-    b, _ = _job_ctx(straight_task("pb", [100]), system, 200, "cb")
-    assert a.job.lifetime.hi < b.job.lifetime.lo
-    for x, y in ((a, b), (b, a)):
-        index = LifetimeIndex({(y.job.chain_id, 0, 0): y.job.lifetime}, 1000)
-        assert index.overlapping(x.job.lifetime) == []
+    a, ja = _job_ctx(straight_task("pa", [100]), system, 0, "ca")
+    b, jb = _job_ctx(straight_task("pb", [100]), system, 200, "cb")
+    assert ja.lifetime.hi < jb.lifetime.lo
+    for x, y in ((ja, jb), (jb, ja)):
+        index = LifetimeIndex({(y.chain_id, 0, 0): y.lifetime}, 1000)
+        assert index.overlapping(x.lifetime) == []
     v = hierarchical_overlap(a.block_view("pa_b0"), b.block_view("pb_b0"))
     assert not v.result and v.decided_at == "block"
 
@@ -45,7 +45,7 @@ def test_phase2_loop_envelope_rejects(system):
     # A foreign mid-block window [10, 40] shifted by release 50 gives [60, 90].
     diamond = diamond_loop_task()
     peer = straight_task("pr", [10, 30, 5])
-    a, con = _job_ctx(diamond, system, 0)
+    a, _ = _job_ctx(diamond, system, 0)
     b, _ = _job_ctx(peer, system, 50)
     assert a.block_view("dl_t")[-1] == (Interval(10, 52),)
     assert b.block_view("pr_b1")[0] == (Interval(60, 90),)
@@ -65,18 +65,18 @@ def test_phase3_block_windows_meet(system):
     assert v.result and v.decided_at == "block"
 
 
-def test_phase3_threshold_falls_back_to_virtual_node(system):
-    diamond = diamond_loop_task()
-    peer = straight_task("pr", [10, 30, 5])
-    a, _ = _job_ctx(diamond, system, 0)
-    b, _ = _job_ctx(peer, system, 0)
+def test_phase3_cap_bridges_the_narrowest_gaps(system):
+    a, _ = _job_ctx(diamond_loop_task(), system, 0)
     view = a.block_view("dl_t")
-    fine = window_within(view, 1024)
-    coarse = window_within(view, 1)
-    assert len(fine) == 3  # one interval per iteration
-    assert len(coarse) == 1  # the contracted loop's whole window
-    (coarse_lo, coarse_hi), = coarse
-    assert coarse_lo <= fine[0][0] and fine[-1][1] <= coarse_hi
+    fine = view[0]
+    assert len(fine) == 3 <= PHASE3_THRESHOLD  # one interval per iteration, under the cap
+    assert cap_window(fine) == fine
+    gaps = [b_lo - a_hi for (_, a_hi), (b_lo, _) in zip(fine, fine[1:])]
+    two = cap_window(fine, 2)
+    assert len(two) == 2 and two[1][0] - two[0][1] == max(gaps)
+    assert cap_window(fine, 1) == (hull(fine),)
+    (env_lo, env_hi), = view[-1]  # the loop envelope covers every cap of the window
+    assert env_lo <= fine[0][0] and fine[-1][1] <= env_hi
 
 
 def test_phase_rejection_implies_expanded_disjoint(system):
@@ -106,8 +106,9 @@ def test_coarsening_never_flips_true_to_false(system):
     for rel in range(0, 120, 7):
         a, _ = _job_ctx(diamond, system, rel)
         b, _ = _job_ctx(peer, system, 60)
-        fine = hierarchical_overlap(a.block_view("dl_t"), b.block_view("pr_b1"), threshold=1024)
-        coarse = hierarchical_overlap(a.block_view("dl_t"), b.block_view("pr_b1"), threshold=1)
+        view = a.block_view("dl_t")
+        fine = hierarchical_overlap(view, b.block_view("pr_b1"))
+        coarse = hierarchical_overlap((cap_window(view[0], 1), *view[1:]), b.block_view("pr_b1"))
         if fine.result:
             assert coarse.result
 
@@ -145,26 +146,22 @@ def test_loop_block_against_disjoint_top_level_block(system):
 
 @st.composite
 def _block_views(draw):
-    """A view with 1-3 nested normalized levels of 1-6 intervals, finest first,
-    sometimes closed by a one-interval envelope level as a loop block's view is."""
+    """A view as a block's is: a normalized window of 1-6 intervals, then,
+    for a loop block, a one-interval envelope covering it."""
     spans = st.tuples(st.integers(0, 30), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
-    levels = [normalize(draw(st.lists(spans, min_size=1, max_size=6)))]
-    for _ in range(draw(st.integers(0, 2))):
-        grow = st.tuples(st.integers(0, 6), st.integers(0, 6))
-        widths = draw(st.lists(grow, min_size=len(levels[-1]), max_size=len(levels[-1])))
-        levels.append(normalize([(lo - dl, hi + dh) for (lo, hi), (dl, dh) in zip(levels[-1], widths)]))
-    if draw(st.booleans()):
-        lo, hi = levels[-1][0][0], levels[-1][-1][1]
-        levels.append(((lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5))),))
-    return tuple(levels)
+    window = normalize(draw(st.lists(spans, min_size=1, max_size=6)))
+    if not draw(st.booleans()):
+        return (window,)
+    lo, hi = window[0][0], window[-1][1]
+    return window, ((lo - draw(st.integers(0, 5)), hi + draw(st.integers(0, 5))),)
 
 
 @st.composite
 def _view_pairs(draw):
-    """Two views whose hulls (their coarsest levels') are disjoint, touching
+    """Two views whose hulls (their last levels') are disjoint, touching
     or overlapping.
 
-    A fourth relation places b's first finest interval where a's last one
+    A fourth relation places b's first window interval where a's last one
     ends, so the block phase often meets touching windows.
     """
     a, b = draw(_block_views()), draw(_block_views())
@@ -181,11 +178,11 @@ def _view_pairs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_view_pairs(), st.sampled_from((1, 2, PHASE3_THRESHOLD)), st.booleans())
-def test_hierarchical_overlap_matches_reference(pair, threshold, swap):
+@given(_view_pairs(), st.booleans())
+def test_hierarchical_overlap_matches_reference(pair, swap):
     a, b = pair[::-1] if swap else pair
-    verdict = hierarchical_overlap(a, b, threshold)
-    assert (verdict.result, verdict.decided_at) == reference_hierarchical_overlap(a, b, threshold)
+    verdict = hierarchical_overlap(a, b)
+    assert (verdict.result, verdict.decided_at) == reference_hierarchical_overlap(a, b)
     assert bool(verdict) is verdict.result
     with pytest.raises(dataclasses.FrozenInstanceError):
         verdict.result = not verdict.result

@@ -227,7 +227,7 @@ def test_collect_overlap_set_matches_brute_force():
 
     got = collect_overlap_set(tv, foreign, candidates)
     window = tv[0]
-    absolute = foreign.task_ctx.bba_times(candidates, foreign.job.release)
+    absolute = foreign.task_ctx.bba_times(candidates, foreign.release)
     expected = [bid for bid in candidates if seq_overlap(window, absolute[bid])]
     assert got == expected
     assert 0 < len(got) < len(candidates)  # the window splits the blocks

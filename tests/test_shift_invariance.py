@@ -3,7 +3,7 @@
 The TSC analysis meets hyperperiod-shifted foreign jobs by shifting the
 one-interval target view by -shift instead of shifting every foreign view by
 +shift, and it tests a foreign block in its task's time: against the
-task's relative ladder, with the target moved by the job's release window.
+task's relative window, with the target moved by the job's release window.
 These properties check that each is the same judgment, phase included.
 """
 
@@ -15,7 +15,8 @@ from chainlat.cache_ai import AH, PS
 from chainlat.interference import collect_overlap_set
 from chainlat.latency import prepare
 from chainlat.model import Interval
-from chainlat.overlap import PHASE3_THRESHOLD, hierarchical_overlap, normalize
+from chainlat.context import PHASE3_THRESHOLD, cap_window
+from chainlat.overlap import hierarchical_overlap, normalize
 
 from conftest import boundary_bundle, job_context, shift_view, target_view
 from oracles import reference_bba_time
@@ -44,16 +45,22 @@ intervals = st.builds(
 # Views hold normalized windows, as JobContext builds them.
 sequences = st.lists(intervals, min_size=1, max_size=4).map(normalize)
 target_views = intervals.map(lambda w: ((w,),))
-foreign_views = st.lists(sequences, min_size=1, max_size=3).map(tuple)
+foreign_views = st.lists(sequences, min_size=1, max_size=2).map(tuple)
 views = target_views | foreign_views
 deltas = st.integers(-10**6, 10**6)
 
 
+def capped(view, limit):
+    """A view with each level capped at `limit` intervals."""
+    return tuple(cap_window(w, limit) for w in view)
+
+
 @settings(max_examples=400, deadline=None)
 @given(views, views, deltas, st.sampled_from((1, 2, PHASE3_THRESHOLD)))
-def test_hierarchical_overlap_translation_invariant(a, b, delta, threshold):
-    before = hierarchical_overlap(a, b, threshold)
-    after = hierarchical_overlap(shift_view(a, delta), shift_view(b, delta), threshold)
+def test_hierarchical_overlap_translation_invariant(a, b, delta, limit):
+    # Capping before or after the move gives one verdict, phase included.
+    before = hierarchical_overlap(capped(a, limit), capped(b, limit))
+    after = hierarchical_overlap(capped(shift_view(a, delta), limit), capped(shift_view(b, delta), limit))
     assert (after.result, after.decided_at) == (before.result, before.decided_at)
 
 
@@ -100,18 +107,17 @@ def test_shifted_target_matches_at_hyperperiod_boundary():
 @given(st.integers(1, 200), st.sampled_from(("ET", "TT", "mix")), st.integers(0, 2), deltas)
 def test_task_time_test_matches_absolute_test_on_generated_bundles(seed, trigger, loop_depth, delta):
     # Per candidate block: the task-time query against the task's relative
-    # ladder gives the verdict and phase of the shifted target against the
-    # job's absolute ladder.
+    # window gives the verdict and phase of the shifted target against the
+    # job's absolute window.
     bundle = generate_workload(seed=seed, cores=2, trigger=trigger, loop_depth=loop_depth, collision=0.8)
     setup = prepare(bundle)
     for tv, fjctx, blocks, shift in _shift_cases(setup, delta):
-        fjob = fjctx.job
-        relative = setup.tasks[fjob.task_id].task_views
-        query = task_time_query(tv, fjob.release, shift)
+        relative = setup.tasks[fjctx.task_ctx.task.id].task_views
+        query = task_time_query(tv, fjctx.release, shift)
         for bid in blocks:
             got = hierarchical_overlap(query, relative.block_view(bid))
             want = hierarchical_overlap(shift_view(tv, -shift), fjctx.block_view(bid))
-            assert (got.result, got.decided_at) == (want.result, want.decided_at), (fjob, bid, shift)
+            assert (got.result, got.decided_at) == (want.result, want.decided_at), (fjctx.release, bid, shift)
 
 
 def _level(start, steps):
@@ -128,7 +134,7 @@ def _level(start, steps):
 levels = st.builds(_level, st.integers(-10**6, 10**6),
                    st.lists(st.tuples(st.integers(0, 200_000), st.integers(0, 5_000)),
                             min_size=1, max_size=8))
-ladders = st.lists(levels, min_size=1, max_size=3).map(tuple)
+ladders = st.lists(levels, min_size=1, max_size=2).map(tuple)
 releases = st.builds(lambda lo, width: (lo, lo + width), st.integers(0, 10**7), st.integers(0, 10**6))
 targets = st.builds(lambda lo, width: ((Interval(lo, lo + width),),),
                     st.integers(-3 * 10**7, 3 * 10**7), st.integers(0, 10**5))
@@ -162,12 +168,13 @@ def test_a_wide_release_merges_relative_intervals():
 BENCH_SHAPES = ((4, 4, 16, 5), (2, 2, 8, 11), (2, 2, 8, 1))
 
 
-def test_every_generated_task_reads_task_time_views():
-    # Generated loops never give a level longer than PHASE3_THRESHOLD, so
-    # no task of the bench's bundles falls back to per-job absolute views.
+def test_no_generated_window_reaches_the_cap():
+    # Generated loops never give a window of PHASE3_THRESHOLD intervals, so
+    # the cap bridges no gap of the bench's bundles.
     for cores, tasks_per_chain, blocks, seed in BENCH_SHAPES:
         for gen_seed in range(seed, seed + 3):
             bundle = generate_workload(seed=gen_seed, cores=cores, tasks_per_chain=tasks_per_chain,
                                        blocks_per_task=blocks, utilization=0.9, collision=0.8)
             setup = prepare(bundle)
-            assert all(ta.task_views is not None for ta in setup.tasks.values()), (cores, gen_seed)
+            for ta in setup.tasks.values():
+                assert all(len(w) < PHASE3_THRESHOLD for w in ta.ctx.bbrp.values()), (cores, gen_seed)

@@ -6,18 +6,18 @@ normalized where it is built.  The job phase is the lifetime index, which
 drops a foreign job before any of its blocks is tested, and the
 outer-loop phase rejects only supersets of the block windows; so each
 level of a block view, and each TSC target's absolute reuse window, must
-lie inside its job's lifetime, and each coarser level must cover the finer
-one.  The outer-loop phase runs exactly when a view has more than one
-level, so a block inside a loop must have one level per enclosing loop
-past its own, the coarsest a single interval (the outermost loop's
-envelope) covering the finest, and a top-level block exactly one level.
+lie inside its job's lifetime.  The outer-loop phase runs exactly when a
+view has more than one level, so a block inside a loop must have two, its
+window and then a single interval (the outermost loop's envelope)
+covering it, and a top-level block exactly one.  The block phase sweeps
+whole windows, so none holds more than PHASE3_THRESHOLD intervals.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlat import generate_workload
-from chainlat.context import TaskContext
+from chainlat.context import PHASE3_THRESHOLD, TaskContext
 from chainlat.cost import contract_task
 from chainlat.latency import analyze_instance, prepare
 from chainlat.model import Interval
@@ -37,10 +37,6 @@ def inside(w, outer):
     return all(lo <= a and b <= hi for a, b in w)
 
 
-def covered(fine, coarse):
-    return all(any(c_lo <= lo and hi <= c_hi for c_lo, c_hi in coarse) for lo, hi in fine)
-
-
 def check_block_views(setup) -> int:
     """Assert the invariants on every block view of every job; return the intervals seen."""
     seen = 0
@@ -52,11 +48,10 @@ def check_block_views(setup) -> int:
                 assert w and is_normalized(w), (key, bid, w)
                 assert inside(w, lifetime), (key, bid, w, lifetime)
             ancestors = jctx.task_ctx.task.ancestry[bid]
-            assert len(levels) == 1 + len(ancestors), (key, bid, ancestors)
+            assert len(levels) == 1 + bool(ancestors), (key, bid, ancestors)
+            assert len(levels[0]) <= PHASE3_THRESHOLD, (key, bid)
             if ancestors:
                 assert len(levels[-1]) == 1 and inside(levels[0], levels[-1][0]), (key, bid, levels[-1])
-            for fine, coarse in zip(levels, levels[1:]):
-                assert covered(fine, coarse), (key, bid, fine, coarse)
             seen += sum(map(len, levels))
     return seen
 
